@@ -1,0 +1,271 @@
+"""Command line front end.
+
+Three subcommands:
+
+``report``
+    Print the structural summary of the Terwilliger algebra for a scheme:
+    dimensions, radical data, center data, Wedderburn blocks, verdicts.
+
+``verify``
+    Run the full self-check suite (closed forms against the dense matrix
+    oracle) and report one line per check.
+
+``mul``
+    Multiply two basis elements given as comma-separated bit strings and
+    print the resulting term.
+
+Exit codes: 0 on success, 1 when verification fails, 2 on invalid input.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from typing import Optional, Sequence
+
+from .algebra import Triple, basis_triples, check_triple, mul_triples, render_triple
+from .center import center_summary
+from .oracle import DEFAULT_ORACLE_CAP
+from .quotient import wedderburn_summary
+from .radical import radical_summary
+from .scheme import SchemeSpec, parse_mask, render_mask
+from .verify import DEFAULT_SEED, run_all
+
+
+def parse_sizes(text: str) -> tuple[int, ...]:
+    parts = [p.strip() for p in text.split(",")]
+    if not parts or any(not p for p in parts):
+        raise ValueError(f"cannot parse sizes from {text!r}; expected e.g. '2,3,3'")
+    try:
+        sizes = tuple(int(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"cannot parse sizes from {text!r}; expected e.g. '2,3,3'") from None
+    return sizes
+
+
+def parse_triple_arg(spec: SchemeSpec, text: str) -> Triple:
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 3:
+        raise ValueError(f"expected three comma-separated masks, got {text!r}")
+    t = tuple(parse_mask(p, spec.n) for p in parts)
+    check_triple(spec, t)
+    return t
+
+
+def spec_from_args(args: argparse.Namespace) -> SchemeSpec:
+    return SchemeSpec(sizes=parse_sizes(args.sizes), characteristic=args.char)
+
+
+def build_report(
+    spec: SchemeSpec,
+    with_checks: bool = False,
+    base_points: int = 2,
+    seed: int = DEFAULT_SEED,
+    cap: int = DEFAULT_ORACLE_CAP,
+) -> dict:
+    center = center_summary(spec)
+    radical = radical_summary(spec)
+    wedderburn = wedderburn_summary(spec)
+    dim_t = len(basis_triples(spec))
+    square_sum = sum(b["size"] ** 2 for b in wedderburn["blocks"])
+    if dim_t != radical["dim"] + square_sum:
+        raise RuntimeError(
+            "internal consistency failure: dim T != rad dim + sum of block sizes squared"
+        )
+    report = {
+        "spec": {"sizes": list(spec.sizes), "characteristic": spec.characteristic},
+        "points": spec.num_points,
+        "dim_T": dim_t,
+        "dim_Z": center["dim"],
+        "rad_dim": radical["dim"],
+        "nilpotent_index": radical["nilpotent_index"],
+        "center_rad_dim": center["rad_dim"],
+        "center_nilpotent_index": center["nilpotent_index"],
+        "blocks": wedderburn["blocks"],
+        "verdicts": wedderburn["verdicts"],
+        "center": center,
+        "radical": radical,
+    }
+    if with_checks:
+        results = run_all(spec, base_points=base_points, seed=seed, cap=cap)
+        report["verification"] = {
+            "seed": seed,
+            "base_points": base_points,
+            "all_passed": all(r.passed for r in results),
+            "checks": [r.to_json() for r in results],
+        }
+    return report
+
+
+def render_report_text(report: dict) -> str:
+    lines = []
+    lines.append("sizes: " + ",".join(str(s) for s in report["spec"]["sizes"]))
+    lines.append(f"characteristic: {report['spec']['characteristic']}")
+    lines.append(f"points: {report['points']}")
+    for key in (
+        "dim_T",
+        "dim_Z",
+        "rad_dim",
+        "nilpotent_index",
+        "center_rad_dim",
+        "center_nilpotent_index",
+    ):
+        lines.append(f"{key}: {report[key]}")
+    for block in report["blocks"]:
+        rows = ",".join(block["rows"])
+        lines.append(f"block: signature={block['signature']} size={block['size']} rows={rows}")
+    verdicts = report["verdicts"]
+    lines.append(
+        "verdicts: "
+        + " ".join(f"{k}={'true' if verdicts[k] else 'false'}" for k in sorted(verdicts))
+    )
+    if "verification" in report:
+        ver = report["verification"]
+        lines.append(f"verification: seed={ver['seed']} base_points={ver['base_points']}")
+        for check in ver["checks"]:
+            lines.append(_check_line(check))
+        lines.append("all checks passed" if ver["all_passed"] else "VERIFICATION FAILED")
+    return "\n".join(lines)
+
+
+def _check_line(check: dict) -> str:
+    status = "PASS" if check["passed"] else "FAIL"
+    line = f"{status} {check['name']}: {check['count']} identities ({check['seconds']:.3f}s)"
+    if check.get("detail"):
+        line += f" [{check['detail']}]"
+    return line
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    spec = spec_from_args(args)
+    report = build_report(
+        spec,
+        with_checks=args.with_checks,
+        base_points=args.base_points,
+        seed=args.seed,
+        cap=args.oracle_cap,
+    )
+    if args.fmt == "json":
+        print(json.dumps(report, indent=2))
+    else:
+        print(render_report_text(report))
+    if args.with_checks and not report["verification"]["all_passed"]:
+        return 1
+    return 0
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    spec = spec_from_args(args)
+    results = run_all(spec, base_points=args.base_points, seed=args.seed, cap=args.oracle_cap)
+    payload = {
+        "spec": {"sizes": list(spec.sizes), "characteristic": spec.characteristic},
+        "seed": args.seed,
+        "base_points": args.base_points,
+        "all_passed": all(r.passed for r in results),
+        "checks": [r.to_json() for r in results],
+    }
+    if args.fmt == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        print(f"seed: {args.seed}")
+        for check in payload["checks"]:
+            print(_check_line(check))
+        print("all checks passed" if payload["all_passed"] else "VERIFICATION FAILED")
+    if not payload["all_passed"]:
+        first = next(c for c in payload["checks"] if not c["passed"])
+        print(f"verification failed: {first['name']}: {first['detail']}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def cmd_mul(args: argparse.Namespace) -> int:
+    spec = spec_from_args(args)
+    t1 = parse_triple_arg(spec, args.left)
+    t2 = parse_triple_arg(spec, args.right)
+    product = mul_triples(spec, t1, t2)
+    if args.fmt == "json":
+        if product is None:
+            print(json.dumps({"terms": []}))
+        else:
+            coeff, triple = product
+            print(
+                json.dumps(
+                    {
+                        "terms": [
+                            {
+                                "triple": [render_mask(m, spec.n) for m in triple],
+                                "coeff": spec.field.render(coeff),
+                            }
+                        ]
+                    }
+                )
+            )
+    else:
+        if product is None:
+            print("zero")
+        else:
+            coeff, triple = product
+            print(f"{spec.field.render(coeff)} · {render_triple(spec, triple)}")
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="terwilliger",
+        description="Terwilliger algebras of factorial association schemes over prime fields.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--sizes", required=True, help="factor sizes, e.g. '2,3,3'")
+        p.add_argument("--char", type=int, default=0, help="field characteristic (0 or a prime)")
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
+        fmt.add_argument("--text", dest="fmt", action="store_const", const="text")
+        p.set_defaults(fmt="text")
+
+    def add_check_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--base-points", type=int, default=2, help="base points to sample")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for sampling")
+        p.add_argument(
+            "--oracle-cap",
+            type=int,
+            default=DEFAULT_ORACLE_CAP,
+            help="largest point count the dense oracle will accept",
+        )
+
+    p_report = sub.add_parser("report", help="structural summary of the algebra")
+    add_common(p_report)
+    p_report.add_argument(
+        "--with-checks", action="store_true", help="also run the verification suite"
+    )
+    add_check_options(p_report)
+    p_report.set_defaults(fn=cmd_report)
+
+    p_verify = sub.add_parser("verify", help="run all closed-form vs oracle checks")
+    add_common(p_verify)
+    add_check_options(p_verify)
+    p_verify.set_defaults(fn=cmd_verify)
+
+    p_mul = sub.add_parser("mul", help="multiply two basis elements")
+    add_common(p_mul)
+    p_mul.add_argument("left", help="basis triple, e.g. '01,11,11'")
+    p_mul.add_argument("right", help="basis triple, e.g. '11,01,11'")
+    p_mul.set_defaults(fn=cmd_mul)
+
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,0 +1,269 @@
+"""Dense matrix realization of the scheme, used as independent ground truth.
+
+Everything here is brute force on purpose: adjacency matrices and dual
+idempotents are filled entry by entry from the point set, products are
+honest matrix products, and ranks come from exact Gaussian elimination.
+The symbolic engine is validated against this module, so the two must not
+share formulas beyond the definition of the relations themselves.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .algebra import Element, RawElement, Triple, basis_triples, check_triple
+from .scheme import Mask, Scalar, SchemeSpec
+
+Point = tuple[int, ...]
+
+DEFAULT_ORACLE_CAP = 200
+
+# int64 products hold exactly while cap * p^2 stays below 2^63.
+_INT64_CHAR_LIMIT = 1 << 20
+
+
+def points(spec: SchemeSpec) -> list[Point]:
+    """All points of the product set, in mixed-radix order (coordinate 1 most significant)."""
+    return list(itertools.product(*(range(s) for s in spec.sizes)))
+
+
+def check_point(spec: SchemeSpec, x: Point) -> Point:
+    if len(x) != spec.n or any(not 0 <= x[a] < spec.sizes[a] for a in range(spec.n)):
+        raise ValueError(f"{x!r} is not a point of the scheme with sizes {spec.sizes}")
+    return x
+
+
+def default_base_point(spec: SchemeSpec) -> Point:
+    return (0,) * spec.n
+
+
+def relation(spec: SchemeSpec, x: Point, y: Point) -> Mask:
+    """The relation joining two points: bit a-1 is set iff they differ in coordinate a."""
+    check_point(spec, x)
+    check_point(spec, y)
+    m = 0
+    for a in range(spec.n):
+        if x[a] != y[a]:
+            m |= 1 << a
+    return m
+
+
+def _check_cap(spec: SchemeSpec, cap: int) -> int:
+    size = spec.num_points
+    if size > cap:
+        raise ValueError(f"point set has {size} elements, above the oracle cap {cap}")
+    return size
+
+
+def _zeros(spec: SchemeSpec, size: int) -> np.ndarray:
+    if 0 < spec.characteristic < _INT64_CHAR_LIMIT:
+        return np.zeros((size, size), dtype=np.int64)
+    return np.zeros((size, size), dtype=object)
+
+
+def _reduce(spec: SchemeSpec, m: np.ndarray) -> np.ndarray:
+    if spec.characteristic:
+        return m % spec.characteristic
+    return m
+
+
+def mat_mul(spec: SchemeSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _reduce(spec, a @ b)
+
+
+def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
+    return bool(np.all(a == b))
+
+
+def is_zero_matrix(m: np.ndarray) -> bool:
+    return bool(np.all(m == 0))
+
+
+def adjacency_matrix(spec: SchemeSpec, g: Mask, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
+    spec.check_mask(g)
+    size = _check_cap(spec, cap)
+    pts = points(spec)
+    m = _zeros(spec, size)
+    for row, x in enumerate(pts):
+        for col, y in enumerate(pts):
+            if relation(spec, x, y) == g:
+                m[row, col] = 1
+    return m
+
+
+def dual_idempotent(
+    spec: SchemeSpec, x: Point, g: Mask, cap: int = DEFAULT_ORACLE_CAP
+) -> np.ndarray:
+    spec.check_mask(g)
+    check_point(spec, x)
+    size = _check_cap(spec, cap)
+    m = _zeros(spec, size)
+    for row, y in enumerate(points(spec)):
+        if relation(spec, x, y) == g:
+            m[row, row] = 1
+    return m
+
+
+def identity_matrix(spec: SchemeSpec, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
+    size = _check_cap(spec, cap)
+    m = _zeros(spec, size)
+    for row in range(size):
+        m[row, row] = 1
+    return m
+
+
+def realize_raw_triple(
+    spec: SchemeSpec,
+    t: Triple,
+    base_point: Optional[Point] = None,
+    cap: int = DEFAULT_ORACLE_CAP,
+) -> np.ndarray:
+    """The raw product: dual idempotent at g, adjacency at h, dual idempotent at i."""
+    check_triple(spec, t)
+    x = default_base_point(spec) if base_point is None else base_point
+    g, h, i = t
+    left = dual_idempotent(spec, x, g, cap)
+    mid = adjacency_matrix(spec, h, cap)
+    right = dual_idempotent(spec, x, i, cap)
+    return mat_mul(spec, mat_mul(spec, left, mid), right)
+
+
+def realize_triple(
+    spec: SchemeSpec,
+    t: Triple,
+    base_point: Optional[Point] = None,
+    cap: int = DEFAULT_ORACLE_CAP,
+) -> np.ndarray:
+    """The structured basis element: sum of raw products over its middle interval."""
+    check_triple(spec, t)
+    g, h, i = t
+    lo = g ^ i
+    extra = h & ~lo
+    acc = None
+    sub = extra
+    while True:
+        part = realize_raw_triple(spec, (g, lo | sub, i), base_point, cap)
+        acc = part if acc is None else _reduce(spec, acc + part)
+        if sub == 0:
+            break
+        sub = (sub - 1) & extra
+    return acc
+
+
+def _scale(spec: SchemeSpec, c: Scalar, m: np.ndarray) -> np.ndarray:
+    if spec.characteristic:
+        return (m * int(c)) % spec.characteristic
+    if m.dtype == object:
+        return m * c
+    return m.astype(object) * c
+
+
+def realize(
+    spec: SchemeSpec,
+    e: Element,
+    base_point: Optional[Point] = None,
+    cap: int = DEFAULT_ORACLE_CAP,
+) -> np.ndarray:
+    size = _check_cap(spec, cap)
+    acc = _zeros(spec, size)
+    if spec.characteristic == 0:
+        acc = acc.astype(object)
+    for t, c in e.terms.items():
+        acc = _reduce(spec, acc + _scale(spec, c, realize_triple(spec, t, base_point, cap)))
+    return acc
+
+
+def realize_raw(
+    spec: SchemeSpec,
+    e: RawElement,
+    base_point: Optional[Point] = None,
+    cap: int = DEFAULT_ORACLE_CAP,
+) -> np.ndarray:
+    size = _check_cap(spec, cap)
+    acc = _zeros(spec, size)
+    if spec.characteristic == 0:
+        acc = acc.astype(object)
+    for t, c in e.terms.items():
+        acc = _reduce(spec, acc + _scale(spec, c, realize_raw_triple(spec, t, base_point, cap)))
+    return acc
+
+
+def _rank_of_rows(spec: SchemeSpec, rows: list[np.ndarray]) -> int:
+    """Exact row rank via Gaussian elimination over the ground field."""
+    field = spec.field
+    p = spec.characteristic
+    pivots: list[tuple[int, np.ndarray]] = []
+    for row in rows:
+        v = np.asarray(row).astype(object)
+        if p:
+            v = v % p
+        for col, pivot_row in pivots:
+            c = v[col]
+            if c != 0:
+                v = v - pivot_row * c
+                if p:
+                    v = v % p
+        nonzero = np.nonzero(v)[0]
+        if nonzero.size == 0:
+            continue
+        col = int(nonzero[0])
+        inv = field.inv(int(v[col]) if p else v[col])
+        v = v * inv
+        if p:
+            v = v % p
+        pivots.append((col, v))
+    return len(pivots)
+
+
+def span_rank(spec: SchemeSpec, mats: Sequence[np.ndarray]) -> int:
+    """Rank of a family of matrices flattened to vectors, by exact elimination."""
+    rows = [np.asarray(m).reshape(-1) for m in mats]
+    return _rank_of_rows(spec, rows)
+
+
+def triple_intersection_count(
+    spec: SchemeSpec,
+    x: Point,
+    y: Point,
+    z: Point,
+    g: Mask,
+    h: Mask,
+    i: Mask,
+    cap: int = DEFAULT_ORACLE_CAP,
+) -> int:
+    """Count points related to x by g, to y by h, and to z by i, by brute force."""
+    for m in (g, h, i):
+        spec.check_mask(m)
+    _check_cap(spec, cap)
+    count = 0
+    for w in points(spec):
+        if relation(spec, x, w) == g and relation(spec, y, w) == h and relation(spec, z, w) == i:
+            count += 1
+    return count
+
+
+def annihilator_dim(
+    spec: SchemeSpec,
+    left_ideal: Sequence[Element],
+    base_point: Optional[Point] = None,
+    cap: int = DEFAULT_ORACLE_CAP,
+) -> int:
+    """Dimension of the right annihilator of a left ideal inside the realized algebra.
+
+    The candidate space is the realized span of all basis triples; the
+    returned value is the nullity of v -> (G v for every generator G), via
+    the rank of the stacked image vectors.
+    """
+    triples = basis_triples(spec)
+    basis_mats = [realize_triple(spec, t, base_point, cap) for t in triples]
+    gens = [realize(spec, e, base_point, cap) for e in left_ideal]
+    if not gens:
+        return len(triples)
+    rows = []
+    for v in basis_mats:
+        parts = [mat_mul(spec, gen, v).reshape(-1) for gen in gens]
+        rows.append(np.concatenate([part.astype(object) for part in parts]))
+    return len(triples) - _rank_of_rows(spec, rows)

@@ -1,0 +1,198 @@
+"""The semisimple quotient: representative basis, products, and block structure.
+
+Each basis triple whose middle valency survives in the ground field gets a
+distinguished representative element whose image in the quotient by the
+radical is a scaled matrix unit.  Products of representatives collapse to
+a single representative (or vanish) depending only on an equivalence
+signature, which partitions the surviving triples into full matrix blocks.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+from .algebra import Element, Triple, basis_triples, corner_basis, is_basis_triple, render_triple
+from .radical import qualifying_coordinates
+from .scheme import (
+    Mask,
+    SchemeSpec,
+    bracket,
+    layer,
+    layer_count,
+    mask_key,
+    mask_product,
+    p_divides_valency,
+    render_mask,
+    valency,
+)
+
+
+def is_quotient_triple(spec: SchemeSpec, t: Triple) -> bool:
+    g, h, i = t
+    return is_basis_triple(spec, g, h, i) and not p_divides_valency(spec, h)
+
+
+def check_quotient_triple(spec: SchemeSpec, t: Triple) -> Triple:
+    if not is_quotient_triple(spec, t):
+        raise ValueError(
+            f"{render_triple(spec, t)} does not index a representative"
+            " (not a basis triple, or its middle valency vanishes)"
+        )
+    return t
+
+
+def quotient_triples(spec: SchemeSpec) -> list[Triple]:
+    """Basis triples surviving in the quotient, canonical order; count is dim T minus rad dim."""
+    return [t for t in basis_triples(spec) if not p_divides_valency(spec, t[1])]
+
+
+def signature(spec: SchemeSpec, t: Triple) -> Mask:
+    """The block label of a representative: circ(g & i) minus h."""
+    check_quotient_triple(spec, t)
+    g, h, i = t
+    return (g & i & spec.large_mask) & ~h
+
+
+def semisimple_rep(spec: SchemeSpec, t: Triple) -> Element:
+    """The distinguished representative of a surviving triple, as a full algebra element.
+
+    An alternating sum over the layers between h and mask_product(g, i):
+    layer k contributes (-1)^k times the inverse of k(i & l) times the
+    basis element at (g, l, i) for each layer member l.  All inverses
+    exist because the layers only hold masks of nonvanishing valency.
+    """
+    check_quotient_triple(spec, t)
+    g, h, i = t
+    field = spec.field
+    top = mask_product(spec, g, i)
+    terms = {}
+    sign = field.one()
+    for k in range(layer_count(spec, top, h) + 1):
+        for l in layer(spec, top, h, k):
+            terms[(g, l, i)] = field.mul(sign, field.inv(field.of(valency(spec, i & l))))
+        sign = field.neg(sign)
+    return Element(spec, terms)
+
+
+def quotient_mul(spec: SchemeSpec, t1: Triple, t2: Triple) -> Optional[Triple]:
+    """Product of two representatives in the quotient: one surviving triple or nothing.
+
+    Nonzero exactly when the inner masks agree and the signatures agree;
+    the coefficient is then always 1, with result triple
+    (t1.g, bracket(t1.g, t1.h, t1.i, t2.h, t2.i), t2.i).
+    """
+    check_quotient_triple(spec, t1)
+    check_quotient_triple(spec, t2)
+    if t1[2] != t2[0]:
+        return None
+    if signature(spec, t1) != signature(spec, t2):
+        return None
+    g, h, i = t1
+    _, k, l = t2
+    out = (g, bracket(spec, g, h, i, k, l), l)
+    if not is_quotient_triple(spec, out):
+        raise RuntimeError(
+            f"internal consistency failure: product of {render_triple(spec, t1)} and"
+            f" {render_triple(spec, t2)} left the surviving set at {render_triple(spec, out)}"
+        )
+    return out
+
+
+@dataclass(frozen=True)
+class WedderburnBlock:
+    """One full matrix block of the quotient: its signature, row masks, and size."""
+
+    signature: Mask
+    rows: tuple[Mask, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+
+def wedderburn_blocks(spec: SchemeSpec) -> list[WedderburnBlock]:
+    """Partition the surviving triples by signature into verified matrix blocks.
+
+    Every class must have exactly size-squared triples, where size counts
+    the masks appearing diagonally in the class; a shortfall would mean an
+    implementation bug and raises instead of returning bad blocks.
+    """
+    classes: dict[Mask, list[Triple]] = {}
+    for t in quotient_triples(spec):
+        classes.setdefault(signature(spec, t), []).append(t)
+    blocks = []
+    for sig in sorted(classes, key=lambda m: mask_key(m, spec.n)):
+        members = classes[sig]
+        rows = sorted(
+            {t[0] for t in members if t[0] == t[2]}, key=lambda m: mask_key(m, spec.n)
+        )
+        if len(members) != len(rows) ** 2:
+            raise RuntimeError(
+                "internal consistency failure: class of signature"
+                f" {render_mask(sig, spec.n)} has {len(members)} triples for {len(rows)} rows"
+            )
+        blocks.append(WedderburnBlock(sig, tuple(rows)))
+    return blocks
+
+
+def verdicts(spec: SchemeSpec) -> dict[str, bool]:
+    """Semisimple, Frobenius, and symmetric are all equivalent for this family."""
+    fine = not qualifying_coordinates(spec)
+    return {"semisimple": fine, "frobenius": fine, "symmetric": fine}
+
+
+def frobenius_left_ideal(spec: SchemeSpec) -> list[Element]:
+    """Spanning elements of the left ideal used to falsify the Frobenius property."""
+    gens = []
+    for a in range(1 << spec.n):
+        if spec.p_divides(valency(spec, a)):
+            gens.append(Element.basis(spec, (a, a, 0)))
+    return gens
+
+
+def frobenius_witness(spec: SchemeSpec) -> Optional[dict[str, int]]:
+    """Dimension bookkeeping that falsifies the Frobenius property, or None when semisimple.
+
+    The span of the basis elements at (a, a, 0) with vanishing valency is a
+    left ideal of dimension 2^n - 2^(n-i), its right annihilator has
+    dimension dim T - 2^n, and the sum falls short of dim T, which a
+    Frobenius algebra does not allow.
+    """
+    qual = qualifying_coordinates(spec)
+    if not qual:
+        return None
+    n = spec.n
+    i = len(qual)
+    dim_t = len(basis_triples(spec))
+    left = 2**n - 2 ** (n - i)
+    annihilator = dim_t - 2**n
+    return {
+        "left_ideal_dim": left,
+        "annihilator_dim": annihilator,
+        "total": left + annihilator,
+    }
+
+
+def corner_quotient(spec: SchemeSpec, g: Mask) -> dict[str, object]:
+    """Dimension and idempotent middles of the corner at g after killing its radical."""
+    masks = [a for a in corner_basis(spec, g) if not p_divides_valency(spec, a)]
+    return {"dim": len(masks), "idempotent_masks": [render_mask(a, spec.n) for a in masks]}
+
+
+def wedderburn_summary(spec: SchemeSpec) -> dict:
+    """Report fragment: class count, block table, and the three verdicts."""
+    n = spec.n
+    blocks = wedderburn_blocks(spec)
+    return {
+        "n_classes": len(blocks),
+        "blocks": [
+            {
+                "signature": render_mask(b.signature, n),
+                "size": b.size,
+                "rows": [render_mask(r, n) for r in b.rows],
+            }
+            for b in blocks
+        ],
+        "verdicts": verdicts(spec),
+    }

@@ -1,0 +1,99 @@
+"""The Jacobson radical: basis, membership, nilpotent index, witness chains, corners.
+
+The radical is spanned by exactly the basis triples whose middle mask has
+valency divisible by the characteristic, so membership and dimension are
+filters over the basis enumeration.  The nilpotent index is 2m+1 where m
+counts the coordinates whose factor size is 1 modulo the characteristic,
+and witness_chain returns an explicit ordered product certifying that the
+index is not smaller.
+"""
+
+from __future__ import annotations
+
+from .algebra import Triple, basis_triples, corner_basis
+from .scheme import (
+    Mask,
+    SchemeSpec,
+    p_divides_valency,
+    render_mask,
+)
+
+
+def _triple_json(spec: SchemeSpec, t: Triple) -> list[str]:
+    n = spec.n
+    return [render_mask(t[0], n), render_mask(t[1], n), render_mask(t[2], n)]
+
+
+def qualifying_coordinates(spec: SchemeSpec) -> list[int]:
+    """Bit positions of the coordinates whose factor size is 1 mod the characteristic."""
+    if spec.characteristic == 0:
+        return []
+    return [a for a in range(spec.n) if spec.p_divides(spec.sizes[a] - 1)]
+
+
+def radical_triples(spec: SchemeSpec) -> list[Triple]:
+    """Basis triples spanning the radical: middle valency divisible by the characteristic."""
+    return [t for t in basis_triples(spec) if p_divides_valency(spec, t[1])]
+
+
+def rad_dim(spec: SchemeSpec) -> int:
+    return len(radical_triples(spec))
+
+
+def in_radical(spec: SchemeSpec, x) -> bool:
+    """Whether an element lies in the radical: every term middle must have vanishing valency."""
+    if x.spec != spec:
+        raise ValueError("element belongs to a different scheme")
+    return all(p_divides_valency(spec, t[1]) for t in x.terms)
+
+
+def nilpotent_index(spec: SchemeSpec) -> int:
+    """Smallest L with every product of L radical elements zero; 1 when the radical is zero."""
+    return 2 * len(qualifying_coordinates(spec)) + 1
+
+
+def witness_chain(spec: SchemeSpec) -> list[Triple]:
+    """An ordered list of 2m radical basis triples whose product is nonzero.
+
+    For each qualifying coordinate, taken in increasing order, the chain
+    holds the pair (full, l, full minus l), (full minus l, l, full) where l
+    is the singleton mask of that coordinate.  The product of the whole
+    chain collapses to a single nonzero basis element, which certifies the
+    nilpotent index lower bound.
+    """
+    qual = qualifying_coordinates(spec)
+    if not qual:
+        raise ValueError("the radical is zero, so no witness chain exists")
+    full = spec.full_mask
+    chain: list[Triple] = []
+    for a in qual:
+        l = 1 << a
+        chain.append((full, l, full & ~l))
+        chain.append((full & ~l, l, full))
+    return chain
+
+
+def corner_rad_basis(spec: SchemeSpec, g: Mask) -> list[Mask]:
+    """Middle masks spanning the radical of the corner at g."""
+    return [a for a in corner_basis(spec, g) if p_divides_valency(spec, a)]
+
+
+def corner_nilpotent_index(spec: SchemeSpec, g: Mask) -> int:
+    """Nilpotent index of the corner radical: qualifying coordinates inside g, plus one."""
+    spec.check_mask(g)
+    if spec.characteristic == 0:
+        return 1
+    m = sum(1 for a in range(spec.n) if (g >> a) & 1 and spec.p_divides(spec.sizes[a] - 1))
+    return m + 1
+
+
+def radical_summary(spec: SchemeSpec) -> dict:
+    """Report fragment: dimension, nilpotent index, witness chain, basis triples."""
+    triples = radical_triples(spec)
+    witness = witness_chain(spec) if triples else []
+    return {
+        "dim": len(triples),
+        "nilpotent_index": nilpotent_index(spec),
+        "witness": [_triple_json(spec, t) for t in witness],
+        "basis": [_triple_json(spec, t) for t in triples],
+    }

@@ -1,0 +1,334 @@
+"""Scheme parameters, bitmask calculus, valencies, and intersection numbers.
+
+Relations of a factorial scheme on a product of n finite sets are indexed
+by subsets of the coordinate set [1, n].  A subset is stored as an n-bit
+integer where bit a-1 stands for coordinate a.  Externally masks render as
+length-n bitstrings with coordinate 1 leftmost, so integer 1 on a scheme
+with n=2 prints as "10".
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from typing import Union
+
+Mask = int
+Scalar = Union[int, Fraction]
+
+MAX_FACTORS = 20
+
+
+def _is_prime(m: int) -> bool:
+    if m < 2:
+        return False
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            return False
+        d += 1
+    return True
+
+
+class GroundField:
+    """Exact arithmetic in the prime field F_p, or in Q when characteristic is 0.
+
+    Scalars are plain ints in [0, p) for prime characteristic and
+    fractions.Fraction values in characteristic 0.  No floats anywhere.
+    """
+
+    def __init__(self, characteristic: int) -> None:
+        if characteristic != 0 and not _is_prime(characteristic):
+            raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
+        self.characteristic = characteristic
+
+    def of(self, value: int) -> Scalar:
+        if self.characteristic:
+            return value % self.characteristic
+        return Fraction(value)
+
+    def zero(self) -> Scalar:
+        return self.of(0)
+
+    def one(self) -> Scalar:
+        return self.of(1)
+
+    def add(self, x: Scalar, y: Scalar) -> Scalar:
+        if self.characteristic:
+            return (x + y) % self.characteristic
+        return x + y
+
+    def sub(self, x: Scalar, y: Scalar) -> Scalar:
+        if self.characteristic:
+            return (x - y) % self.characteristic
+        return x - y
+
+    def mul(self, x: Scalar, y: Scalar) -> Scalar:
+        if self.characteristic:
+            return (x * y) % self.characteristic
+        return x * y
+
+    def neg(self, x: Scalar) -> Scalar:
+        if self.characteristic:
+            return (-x) % self.characteristic
+        return -x
+
+    def inv(self, x: Scalar) -> Scalar:
+        if self.is_zero(x):
+            raise ZeroDivisionError("scalar is not invertible")
+        if self.characteristic:
+            return pow(x, -1, self.characteristic)
+        return Fraction(1) / Fraction(x)
+
+    def is_zero(self, x: Scalar) -> bool:
+        return x == 0
+
+    def render(self, x: Scalar) -> str:
+        """Serialize a scalar: decimal residue, or "num/den" with unit denominators shortened."""
+        if self.characteristic:
+            return str(x)
+        frac = Fraction(x)
+        if frac.denominator == 1:
+            return str(frac.numerator)
+        return f"{frac.numerator}/{frac.denominator}"
+
+    def parse(self, text: str) -> Scalar:
+        if self.characteristic:
+            return int(text, 10) % self.characteristic
+        return Fraction(text)
+
+    def p_divides(self, value: int) -> bool:
+        """Whether the characteristic divides an integer (false for everything but 0 in char 0)."""
+        if self.characteristic:
+            return value % self.characteristic == 0
+        return value == 0
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GroundField) and other.characteristic == self.characteristic
+
+    def __hash__(self) -> int:
+        return hash(("GroundField", self.characteristic))
+
+    def __repr__(self) -> str:
+        return f"GroundField({self.characteristic})"
+
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """A factorial scheme on a product of factors plus the scalar characteristic.
+
+    sizes[a-1] is the cardinality of factor a; each must be at least 2.
+    characteristic is 0 (exact rationals) or a prime.
+    """
+
+    sizes: tuple[int, ...]
+    characteristic: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        if not self.sizes:
+            raise ValueError("at least one factor is required")
+        if len(self.sizes) > MAX_FACTORS:
+            raise ValueError(f"at most {MAX_FACTORS} factors are supported, got {len(self.sizes)}")
+        if any(s < 2 for s in self.sizes):
+            raise ValueError(f"every factor size must be at least 2, got {self.sizes}")
+        if self.characteristic != 0 and not _is_prime(self.characteristic):
+            raise ValueError(f"characteristic must be 0 or prime, got {self.characteristic}")
+
+    @property
+    def n(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def full_mask(self) -> Mask:
+        return (1 << self.n) - 1
+
+    @cached_property
+    def large_mask(self) -> Mask:
+        """Mask of the coordinates whose factor has more than two elements."""
+        m = 0
+        for a, size in enumerate(self.sizes):
+            if size > 2:
+                m |= 1 << a
+        return m
+
+    @property
+    def n1(self) -> int:
+        return sum(1 for s in self.sizes if s == 2)
+
+    @property
+    def n2(self) -> int:
+        return sum(1 for s in self.sizes if s > 2)
+
+    @cached_property
+    def field(self) -> GroundField:
+        return GroundField(self.characteristic)
+
+    @property
+    def num_points(self) -> int:
+        points = 1
+        for s in self.sizes:
+            points *= s
+        return points
+
+    def check_mask(self, m: Mask) -> Mask:
+        if not 0 <= m <= self.full_mask:
+            raise ValueError(f"mask {m} is out of range for n={self.n}")
+        return m
+
+    def p_divides(self, value: int) -> bool:
+        return self.field.p_divides(value)
+
+
+def mask_key(m: Mask, n: int) -> tuple[int, ...]:
+    """Sort key giving the canonical order: lexicographic on rendered bitstrings."""
+    return tuple((m >> a) & 1 for a in range(n))
+
+
+def render_mask(m: Mask, n: int) -> str:
+    return "".join("1" if (m >> a) & 1 else "0" for a in range(n))
+
+
+def parse_mask(text: str, n: int) -> Mask:
+    if len(text) != n or any(ch not in "01" for ch in text):
+        raise ValueError(f"expected a length-{n} bitstring, got {text!r}")
+    return sum(1 << a for a, ch in enumerate(text) if ch == "1")
+
+
+def all_masks(spec: SchemeSpec) -> list[Mask]:
+    """Every coordinate mask, in canonical order."""
+    return sorted(range(1 << spec.n), key=lambda m: mask_key(m, spec.n))
+
+
+def mask_union(spec: SchemeSpec, g: Mask, h: Mask) -> Mask:
+    return spec.check_mask(g) | spec.check_mask(h)
+
+
+def mask_intersect(spec: SchemeSpec, g: Mask, h: Mask) -> Mask:
+    return spec.check_mask(g) & spec.check_mask(h)
+
+
+def mask_setminus(spec: SchemeSpec, g: Mask, h: Mask) -> Mask:
+    return spec.check_mask(g) & ~spec.check_mask(h)
+
+
+def mask_symdiff(spec: SchemeSpec, g: Mask, h: Mask) -> Mask:
+    return spec.check_mask(g) ^ spec.check_mask(h)
+
+
+def subset_of(spec: SchemeSpec, g: Mask, h: Mask) -> bool:
+    return spec.check_mask(g) & ~spec.check_mask(h) == 0
+
+
+def circ(spec: SchemeSpec, g: Mask) -> Mask:
+    """Restrict a mask to the coordinates whose factor size exceeds 2."""
+    return spec.check_mask(g) & spec.large_mask
+
+
+def valency(spec: SchemeSpec, g: Mask) -> int:
+    """Number of points related to any fixed point under relation g, as an exact integer."""
+    spec.check_mask(g)
+    k = 1
+    for a, size in enumerate(spec.sizes):
+        if (g >> a) & 1:
+            k *= size - 1
+    return k
+
+
+def valency_scalar(spec: SchemeSpec, g: Mask) -> Scalar:
+    return spec.field.of(valency(spec, g))
+
+
+def p_divides_valency(spec: SchemeSpec, g: Mask) -> bool:
+    return spec.p_divides(valency(spec, g))
+
+
+def is_basis_triple(spec: SchemeSpec, g: Mask, h: Mask, i: Mask) -> bool:
+    """Whether (g, h, i) indexes a basis element, i.e. g^i <= h <= (g^i) | circ(g&i)."""
+    spec.check_mask(g)
+    spec.check_mask(h)
+    spec.check_mask(i)
+    lo = g ^ i
+    hi = lo | (g & i & spec.large_mask)
+    return lo & ~h == 0 and h & ~hi == 0
+
+
+def bracket(spec: SchemeSpec, g: Mask, h: Mask, i: Mask, j: Mask, k: Mask) -> Mask:
+    """The five-argument mask combination steering products of basis elements.
+
+    Support is (g symdiff k), plus circ(g & k) outside i, plus the part of
+    (h union j) inside circ(g & i & k).  The result always lies between
+    g symdiff k and mask_product(g, k).
+    """
+    for m in (g, h, i, j, k):
+        spec.check_mask(m)
+    large = spec.large_mask
+    return (g ^ k) | ((g & k & large) & ~i) | ((h | j) & (g & i & k & large))
+
+
+def mask_product(spec: SchemeSpec, g: Mask, h: Mask) -> Mask:
+    """The maximum middle mask compatible with outer pair (g, h)."""
+    return bracket(spec, g, spec.full_mask, spec.full_mask, spec.full_mask, h)
+
+
+def intersection_number(spec: SchemeSpec, g: Mask, h: Mask, i: Mask) -> int:
+    """Count of points z with (x, z) in relation g and (z, y) in relation h, given (x, y) in relation i.
+
+    Computed coordinatewise: each factor of size s contributes 1 for the
+    patterns (0,0,0), (0,1,1), (1,0,1), contributes s-1 for (1,1,0) and
+    s-2 for (1,1,1), and kills the product for any other pattern.
+    """
+    spec.check_mask(g)
+    spec.check_mask(h)
+    spec.check_mask(i)
+    count = 1
+    for a, size in enumerate(spec.sizes):
+        pattern = ((g >> a) & 1, (h >> a) & 1, (i >> a) & 1)
+        if pattern in ((0, 0, 0), (0, 1, 1), (1, 0, 1)):
+            continue
+        if pattern == (1, 1, 0):
+            count *= size - 1
+        elif pattern == (1, 1, 1):
+            count *= size - 2
+            if count == 0:
+                return 0
+        else:
+            return 0
+    return count
+
+
+def layer_count(spec: SchemeSpec, g: Mask, h: Mask) -> int:
+    """Number of coordinates in g minus h whose factor size is not 1 mod the characteristic."""
+    diff = mask_setminus(spec, g, h)
+    count = 0
+    for a, size in enumerate(spec.sizes):
+        if (diff >> a) & 1 and not spec.p_divides(size - 1):
+            count += 1
+    return count
+
+
+def layer(spec: SchemeSpec, g: Mask, h: Mask, i: int) -> list[Mask]:
+    """Masks a with h <= a <= g, valency prime to the characteristic, and |a minus h| = i.
+
+    Requires h <= g, the valency of h prime to the characteristic, and
+    0 <= i <= layer_count(g, h).  Layer 0 is always exactly [h].
+    """
+    if not subset_of(spec, h, g):
+        raise ValueError("layer requires the base mask to sit inside the top mask")
+    if p_divides_valency(spec, h):
+        raise ValueError("layer requires the base mask valency to be prime to the characteristic")
+    if not 0 <= i <= layer_count(spec, g, h):
+        raise ValueError(f"layer index {i} is out of range")
+    rest = g & ~h
+    found: list[Mask] = []
+    sub = rest
+    while True:
+        a = h | sub
+        if bin(sub).count("1") == i and not p_divides_valency(spec, a):
+            found.append(a)
+        if sub == 0:
+            break
+        sub = (sub - 1) & rest
+    found.sort(key=lambda m: mask_key(m, spec.n))
+    return found

@@ -1,0 +1,687 @@
+"""Named verification checks pitting the symbolic engine against the dense oracle.
+
+Each check returns a result record with a pass flag, the number of exact
+identities confirmed, and a short detail string.  Checks stop at the first
+failing identity and name it, so a red run points at one concrete broken
+equation.  Sweeps whose exhaustive cost would exceed the gate fall back to
+seeded random sampling and say so in the detail.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+import time
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+from . import oracle
+from .algebra import (
+    Element,
+    Triple,
+    basis_triples,
+    corner_basis,
+    corner_mul,
+    from_raw,
+    mul_triples,
+    render_triple,
+    to_raw,
+)
+from .center import (
+    center_mul,
+    center_nilpotent_index,
+    center_rad_basis,
+    central_element,
+    central_indices,
+    is_central,
+)
+from .oracle import DEFAULT_ORACLE_CAP, Point, points
+from .quotient import (
+    frobenius_left_ideal,
+    frobenius_witness,
+    quotient_mul,
+    quotient_triples,
+    semisimple_rep,
+    signature,
+    verdicts,
+    wedderburn_blocks,
+)
+from .radical import (
+    corner_nilpotent_index,
+    corner_rad_basis,
+    in_radical,
+    nilpotent_index,
+    qualifying_coordinates,
+    radical_triples,
+    witness_chain,
+)
+from .scheme import (
+    SchemeSpec,
+    intersection_number,
+    p_divides_valency,
+    render_mask,
+    subset_of,
+    valency,
+)
+
+EXHAUSTIVE_GATE = 10**6
+SAMPLE_COUNT = 2000
+ORACLE_SAMPLE = 200
+DEFAULT_SEED = 1729
+
+
+@dataclass
+class CheckResult:
+    name: str
+    passed: bool
+    count: int
+    seconds: float
+    detail: str = ""
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "passed": self.passed,
+            "count": self.count,
+            "seconds": round(self.seconds, 3),
+            "detail": self.detail,
+        }
+
+
+def pick_base_points(spec: SchemeSpec, how_many: int) -> list[Point]:
+    """Deterministic spread of base points: first, last, and evenly spaced between."""
+    if how_many < 1:
+        raise ValueError("at least one base point is required")
+    pts = points(spec)
+    how_many = min(how_many, len(pts))
+    if how_many == 1:
+        return [pts[0]]
+    idx = sorted({k * (len(pts) - 1) // (how_many - 1) for k in range(how_many)})
+    return [pts[k] for k in idx]
+
+
+Outcome = tuple[bool, int, str]
+CheckFn = Callable[[SchemeSpec, list[Point], random.Random, int], Outcome]
+
+
+def _check_oracle_sanity(spec, base_points, rng, cap) -> Outcome:
+    size = spec.num_points
+    ident = oracle.identity_matrix(spec, cap)
+    count = 0
+    if not oracle.mat_eq(oracle.adjacency_matrix(spec, 0, cap), ident):
+        return False, count, "adjacency at the empty mask is not the identity"
+    count += 1
+    ones_total = 0
+    for g in range(1 << spec.n):
+        a = oracle.adjacency_matrix(spec, g, cap)
+        k = valency(spec, g)
+        row_sums = [sum(int(a[r, c] != 0) for c in range(size)) for r in range(size)]
+        if any(s != k for s in row_sums):
+            return False, count, f"row sums of adjacency {render_mask(g, spec.n)} differ from {k}"
+        count += 1
+        ones_total += k
+    if ones_total != size:
+        return False, count, "adjacency valencies do not add up to the point count"
+    count += 1
+    for x in base_points:
+        acc = None
+        for g in range(1 << spec.n):
+            e = oracle.dual_idempotent(spec, x, g, cap)
+            acc = e if acc is None else acc + e
+            for h in range(1 << spec.n):
+                prod = oracle.mat_mul(spec, e, oracle.dual_idempotent(spec, x, h, cap))
+                ok = oracle.mat_eq(prod, e) if g == h else oracle.is_zero_matrix(prod)
+                if not ok:
+                    return False, count, (
+                        f"dual idempotents at {render_mask(g, spec.n)} and"
+                        f" {render_mask(h, spec.n)} break orthogonality at base point {x}"
+                    )
+                count += 1
+        if not oracle.mat_eq(oracle._reduce(spec, acc), ident):
+            return False, count, f"dual idempotents at base point {x} do not sum to the identity"
+        count += 1
+    return True, count, ""
+
+
+def _check_dimension_rank(spec, base_points, rng, cap) -> Outcome:
+    triples = basis_triples(spec)
+    expected = 4**spec.n1 * 5**spec.n2
+    if len(triples) != expected:
+        return False, 0, f"enumerated {len(triples)} basis triples, formula gives {expected}"
+    x = base_points[0]
+    mats = [oracle.realize_raw_triple(spec, t, x, cap) for t in triples]
+    rank = oracle.span_rank(spec, mats)
+    if rank != expected:
+        return False, 1, f"oracle span rank {rank} differs from dimension {expected}"
+    return True, 2, f"dim {expected}"
+
+
+def _check_structure_constants(spec, base_points, rng, cap) -> Outcome:
+    triples = basis_triples(spec)
+    x = base_points[0]
+    mats = {t: oracle.realize_triple(spec, t, x, cap) for t in triples}
+    pairs = itertools.product(triples, triples)
+    total = len(triples) ** 2
+    mode = "exhaustive"
+    if spec.characteristic == 0 and spec.num_points > 20:
+        sampled = [(triples[rng.randrange(len(triples))], triples[rng.randrange(len(triples))])
+                   for _ in range(SAMPLE_COUNT)]
+        pairs = iter(sampled)
+        mode = f"sampled {SAMPLE_COUNT} of {total}"
+    count = 0
+    for t1, t2 in pairs:
+        lhs = oracle.mat_mul(spec, mats[t1], mats[t2])
+        hit = mul_triples(spec, t1, t2)
+        if hit is None:
+            ok = oracle.is_zero_matrix(lhs)
+        else:
+            c, t = hit
+            ok = oracle.mat_eq(lhs, oracle._reduce(spec, oracle._scale(spec, c, mats[t])))
+        if not ok:
+            return False, count, (
+                f"product {render_triple(spec, t1)} * {render_triple(spec, t2)}"
+                " disagrees with the matrix oracle"
+            )
+        count += 1
+    return True, count, mode
+
+
+def _check_raw_roundtrip(spec, base_points, rng, cap) -> Outcome:
+    x = base_points[0]
+    count = 0
+    for t in basis_triples(spec):
+        e = Element.basis(spec, t)
+        if from_raw(to_raw(e)) != e:
+            return False, count, f"roundtrip through the raw basis broke at {render_triple(spec, t)}"
+        count += 1
+        if not oracle.mat_eq(
+            oracle.realize_triple(spec, t, x, cap),
+            oracle.realize_raw(spec, to_raw(e), x, cap),
+        ):
+            return False, count, f"raw expansion of {render_triple(spec, t)} realizes differently"
+        count += 1
+    return True, count, ""
+
+
+def _check_transpose(spec, base_points, rng, cap) -> Outcome:
+    x = base_points[0]
+    triples = basis_triples(spec)
+    count = 0
+    for t in triples:
+        e = Element.basis(spec, t)
+        if not oracle.mat_eq(oracle.realize(spec, e.transpose(), x, cap),
+                             oracle.realize(spec, e, x, cap).T):
+            return False, count, f"transpose of {render_triple(spec, t)} realizes wrong"
+        count += 1
+    pairs = itertools.product(triples, triples)
+    mode = "exhaustive"
+    if len(triples) ** 2 > 4000:
+        pairs = iter([(triples[rng.randrange(len(triples))], triples[rng.randrange(len(triples))])
+                      for _ in range(SAMPLE_COUNT)])
+        mode = f"pairs sampled {SAMPLE_COUNT}"
+    for t1, t2 in pairs:
+        a, b = Element.basis(spec, t1), Element.basis(spec, t2)
+        if a.mul(b).transpose() != b.transpose().mul(a.transpose()):
+            return False, count, (
+                f"anti-automorphism fails on {render_triple(spec, t1)},"
+                f" {render_triple(spec, t2)}"
+            )
+        count += 1
+    return True, count, mode
+
+
+def _check_intersection_numbers(spec, base_points, rng, cap) -> Outcome:
+    pts = points(spec)
+    by_relation: dict[int, tuple[Point, Point]] = {}
+    for y in pts:
+        r = oracle.relation(spec, pts[0], y)
+        by_relation.setdefault(r, (pts[0], y))
+    count = 0
+    for i in range(1 << spec.n):
+        x, y = by_relation[i]
+        for g in range(1 << spec.n):
+            for h in range(1 << spec.n):
+                brute = sum(
+                    1
+                    for z in pts
+                    if oracle.relation(spec, x, z) == g and oracle.relation(spec, z, y) == h
+                )
+                if brute != intersection_number(spec, g, h, i):
+                    return False, count, (
+                        f"intersection number at ({render_mask(g, spec.n)},"
+                        f" {render_mask(h, spec.n)}, {render_mask(i, spec.n)}) is wrong"
+                    )
+                count += 1
+    for _ in range(20):
+        x1, y1, z1 = (pts[rng.randrange(len(pts))] for _ in range(3))
+        rels = (
+            oracle.relation(spec, x1, y1),
+            oracle.relation(spec, x1, z1),
+            oracle.relation(spec, y1, z1),
+        )
+        matches = [
+            (x2, y2, z2)
+            for x2 in pts
+            for y2 in pts
+            for z2 in pts
+            if (
+                oracle.relation(spec, x2, y2),
+                oracle.relation(spec, x2, z2),
+                oracle.relation(spec, y2, z2),
+            )
+            == rels
+        ]
+        x2, y2, z2 = matches[rng.randrange(len(matches))]
+        g, h, i = (rng.randrange(1 << spec.n) for _ in range(3))
+        if oracle.triple_intersection_count(spec, x1, y1, z1, g, h, i, cap) != \
+                oracle.triple_intersection_count(spec, x2, y2, z2, g, h, i, cap):
+            return False, count, "triple intersection count is not triply regular"
+        count += 1
+    return True, count, ""
+
+
+def _check_center_commutation(spec, base_points, rng, cap) -> Outcome:
+    count = 0
+    for x in base_points:
+        for g in central_indices(spec):
+            cmat = oracle.realize(spec, central_element(spec, g), x, cap)
+            for h in range(1 << spec.n):
+                a = oracle.adjacency_matrix(spec, h, cap)
+                if not oracle.mat_eq(oracle.mat_mul(spec, cmat, a), oracle.mat_mul(spec, a, cmat)):
+                    return False, count, (
+                        f"center element {render_mask(g, spec.n)} does not commute with"
+                        f" adjacency {render_mask(h, spec.n)} at base point {x}"
+                    )
+                count += 1
+                e = oracle.dual_idempotent(spec, x, h, cap)
+                if not oracle.mat_eq(oracle.mat_mul(spec, cmat, e), oracle.mat_mul(spec, e, cmat)):
+                    return False, count, (
+                        f"center element {render_mask(g, spec.n)} does not commute with the"
+                        f" dual idempotent at {render_mask(h, spec.n)}, base point {x}"
+                    )
+                count += 1
+    return True, count, ""
+
+
+def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
+    field = spec.field
+    indices = central_indices(spec)
+    if len(indices) != 2**spec.n2:
+        return False, 0, f"{len(indices)} central indices, formula gives {2 ** spec.n2}"
+    count = 1
+    full = spec.full_mask
+    for g, h in itertools.product(indices, indices):
+        scalar, union = center_mul(spec, g, h)
+        lhs = central_element(spec, g).mul(central_element(spec, h))
+        if lhs != central_element(spec, union).scale(scalar):
+            return False, count, (
+                f"center product at ({render_mask(g, spec.n)}, {render_mask(h, spec.n)})"
+                " disagrees with its closed form"
+            )
+        count += 1
+        hit = corner_mul(spec, full, g, h)
+        corner_scalar = field.zero() if hit is None else hit[0]
+        corner_union = union if hit is None else hit[1]
+        if (corner_scalar, corner_union) != (scalar, union):
+            return False, count, (
+                f"center product and full-corner product disagree at"
+                f" ({render_mask(g, spec.n)}, {render_mask(h, spec.n)})"
+            )
+        count += 1
+    for g in indices:
+        if not is_central(spec, central_element(spec, g)):
+            return False, count, f"center basis element {render_mask(g, spec.n)} fails is_central"
+        count += 1
+    triples = basis_triples(spec)
+    for t in triples:
+        e = Element.basis(spec, t)
+        commutes = all(e.mul(Element.basis(spec, u)) == Element.basis(spec, u).mul(e) for u in triples)
+        if is_central(spec, e) != commutes:
+            return False, count, (
+                f"is_central({render_triple(spec, t)}) disagrees with commutation"
+            )
+        count += 1
+    rad = center_rad_basis(spec)
+    index = center_nilpotent_index(spec)
+    qual = qualifying_coordinates(spec)
+    if len(qual) + 1 != index:
+        return False, count, "center nilpotent index formula broke"
+    count += 1
+    if qual:
+        acc_scalar, acc_mask = field.one(), 0
+        for a in qual:
+            s, acc_mask = center_mul(spec, acc_mask, 1 << a)
+            acc_scalar = field.mul(acc_scalar, s)
+        if field.is_zero(acc_scalar):
+            return False, count, "product of the qualifying center chain vanished early"
+        count += 1
+        total = len(rad) ** index
+        if total <= EXHAUSTIVE_GATE:
+            seqs = itertools.product(rad, repeat=index)
+        else:
+            seqs = iter(
+                [tuple(rad[rng.randrange(len(rad))] for _ in range(index)) for _ in range(SAMPLE_COUNT)]
+            )
+        for seq in seqs:
+            s, m = field.one(), seq[0]
+            for g in seq[1:]:
+                step, m = center_mul(spec, m, g)
+                s = field.mul(s, step)
+            if not field.is_zero(s):
+                return False, count, "a length-index product of center radical elements is nonzero"
+            count += 1
+    return True, count, ""
+
+
+def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
+    rad = radical_triples(spec)
+    expected_dim = len([t for t in basis_triples(spec) if p_divides_valency(spec, t[1])])
+    if len(rad) != expected_dim:
+        return False, 0, "radical basis filter is inconsistent"
+    count = 1
+    for r in rad:
+        for t in basis_triples(spec):
+            for lhs, rhs in ((t, r), (r, t)):
+                hit = mul_triples(spec, lhs, rhs)
+                if hit is not None and not p_divides_valency(spec, hit[1][1]):
+                    return False, count, (
+                        f"ideal closure fails: {render_triple(spec, lhs)} *"
+                        f" {render_triple(spec, rhs)} leaves the radical"
+                    )
+                count += 1
+    index = nilpotent_index(spec)
+    if not rad:
+        return True, count, "radical is zero"
+    total = len(rad) ** index
+    if total <= EXHAUSTIVE_GATE:
+        seqs: list[tuple[Triple, ...]] = list(itertools.product(rad, repeat=index))
+        mode = f"exhaustive {total} sequences"
+    else:
+        seqs = [tuple(rad[rng.randrange(len(rad))] for _ in range(index)) for _ in range(SAMPLE_COUNT)]
+        mode = f"sampled {SAMPLE_COUNT} of {total} sequences"
+    for seq in seqs:
+        e = Element.basis(spec, seq[0])
+        for t in seq[1:]:
+            if e.is_zero():
+                break
+            e = e.mul(Element.basis(spec, t))
+        if not e.is_zero():
+            names = " * ".join(render_triple(spec, t) for t in seq)
+            return False, count, f"nonzero product of {index} radical elements: {names}"
+        count += 1
+    x = base_points[0]
+    for seq in seqs[: min(len(seqs), ORACLE_SAMPLE)]:
+        acc = oracle.realize_triple(spec, seq[0], x, cap)
+        for t in seq[1:]:
+            acc = oracle.mat_mul(spec, acc, oracle.realize_triple(spec, t, x, cap))
+        if not oracle.is_zero_matrix(acc):
+            return False, count, "oracle found a nonzero radical product the engine missed"
+        count += 1
+    return True, count, mode
+
+
+def _check_radical_witness(spec, base_points, rng, cap) -> Outcome:
+    if not radical_triples(spec):
+        try:
+            witness_chain(spec)
+        except ValueError:
+            return True, 1, "radical is zero; witness correctly refused"
+        return False, 0, "witness_chain should refuse a zero radical"
+    chain = witness_chain(spec)
+    m = len(qualifying_coordinates(spec))
+    if len(chain) != 2 * m:
+        return False, 0, f"witness chain has {len(chain)} entries, wanted {2 * m}"
+    count = 1
+    for t in chain:
+        if not p_divides_valency(spec, t[1]):
+            return False, count, f"witness entry {render_triple(spec, t)} is not radical"
+        count += 1
+    prod = Element.basis(spec, chain[0])
+    for t in chain[1:]:
+        prod = prod.mul(Element.basis(spec, t))
+    if prod.is_zero():
+        return False, count, "witness chain product vanished symbolically"
+    count += 1
+    for x in base_points:
+        if oracle.is_zero_matrix(oracle.realize(spec, prod, x, cap)):
+            return False, count, f"witness chain product realizes to zero at base point {x}"
+        count += 1
+    return True, count, ""
+
+
+def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
+    dts = quotient_triples(spec)
+    blocks = wedderburn_blocks(spec)
+    lookup: dict[tuple[int, int, int], Triple] = {}
+    count = 0
+    for b in blocks:
+        members = [t for t in dts if signature(spec, t) == b.signature]
+        for t in members:
+            key = (b.signature, t[0], t[2])
+            if key in lookup:
+                return False, count, (
+                    f"two triples share the block slot {render_mask(t[0], spec.n)},"
+                    f" {render_mask(t[2], spec.n)} in signature {render_mask(b.signature, spec.n)}"
+                )
+            lookup[key] = t
+        for g in b.rows:
+            for i in b.rows:
+                if (b.signature, g, i) not in lookup:
+                    return False, count, (
+                        f"missing block slot ({render_mask(g, spec.n)}, {render_mask(i, spec.n)})"
+                        f" in signature {render_mask(b.signature, spec.n)}"
+                    )
+                count += 1
+    for t1, t2 in itertools.product(dts, dts):
+        s1, s2 = signature(spec, t1), signature(spec, t2)
+        if s1 != s2 or t1[2] != t2[0]:
+            expected: Optional[Triple] = None
+        else:
+            expected = lookup[(s1, t1[0], t2[2])]
+        if quotient_mul(spec, t1, t2) != expected:
+            return False, count, (
+                f"matrix unit law fails at {render_triple(spec, t1)} *"
+                f" {render_triple(spec, t2)}"
+            )
+        count += 1
+    reps = {t: semisimple_rep(spec, t) for t in dts}
+    for t1, t2 in itertools.product(dts, dts):
+        out = quotient_mul(spec, t1, t2)
+        diff = reps[t1].mul(reps[t2])
+        if out is not None:
+            diff = diff.sub(reps[out])
+        if not in_radical(spec, diff):
+            return False, count, (
+                f"lifted product at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
+                " differs from the representative beyond the radical"
+            )
+        count += 1
+    return True, count, ""
+
+
+def _check_block_bookkeeping(spec, base_points, rng, cap) -> Outcome:
+    blocks = wedderburn_blocks(spec)
+    dim_t = len(basis_triples(spec))
+    dim_d = len(quotient_triples(spec))
+    rad = len(radical_triples(spec))
+    count = 0
+    if sum(b.size**2 for b in blocks) != dim_d:
+        return False, count, "block sizes do not square-sum to the quotient dimension"
+    count += 1
+    if dim_d != dim_t - rad:
+        return False, count, "quotient dimension is not dim T minus radical dimension"
+    count += 1
+    v = verdicts(spec)
+    fine = rad == 0
+    if v != {"semisimple": fine, "frobenius": fine, "symmetric": fine}:
+        return False, count, "verdicts disagree with the radical dimension"
+    count += 1
+    return True, count, ""
+
+
+def _check_frobenius_falsification(spec, base_points, rng, cap) -> Outcome:
+    witness = frobenius_witness(spec)
+    if not radical_triples(spec):
+        if witness is not None:
+            return False, 0, "semisimple algebra produced a falsification witness"
+        return True, 1, "semisimple; no witness expected"
+    if witness is None:
+        return False, 0, "non-semisimple algebra produced no witness"
+    gens = frobenius_left_ideal(spec)
+    count = 1
+    x = base_points[0]
+    rank = oracle.span_rank(spec, [oracle.realize(spec, e, x, cap) for e in gens])
+    if rank != witness["left_ideal_dim"]:
+        return False, count, f"left ideal rank {rank} differs from {witness['left_ideal_dim']}"
+    count += 1
+    ann = oracle.annihilator_dim(spec, gens, x, cap)
+    if ann != witness["annihilator_dim"]:
+        return False, count, f"oracle annihilator dim {ann} differs from {witness['annihilator_dim']}"
+    count += 1
+    dim_t = len(basis_triples(spec))
+    if witness["total"] != rank + ann or witness["total"] >= dim_t:
+        return False, count, "witness total fails to fall short of the algebra dimension"
+    count += 1
+    return True, count, f"{rank} + {ann} < {dim_t}"
+
+
+def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
+    field = spec.field
+    x = base_points[0]
+    count = 0
+    for g in range(1 << spec.n):
+        middles = corner_basis(spec, g)
+        from_triples = [t[1] for t in basis_triples(spec) if t[0] == g and t[2] == g]
+        if sorted(middles) != sorted(from_triples):
+            return False, count, f"corner basis at {render_mask(g, spec.n)} disagrees with enumeration"
+        count += 1
+        rad = corner_rad_basis(spec, g)
+        surviving = [a for a in middles if not p_divides_valency(spec, a)]
+        if len(middles) != len(rad) + len(surviving):
+            return False, count, f"corner dimension split fails at {render_mask(g, spec.n)}"
+        count += 1
+        expect_index = 1 + sum(
+            1
+            for a in range(spec.n)
+            if (g >> a) & 1 and spec.p_divides(spec.sizes[a] - 1)
+        )
+        if corner_nilpotent_index(spec, g) != expect_index:
+            return False, count, f"corner nilpotent index formula fails at {render_mask(g, spec.n)}"
+        count += 1
+        for h, i in itertools.product(middles, middles):
+            if corner_mul(spec, g, h, i) != corner_mul(spec, g, i, h):
+                return False, count, f"corner product is not commutative at {render_mask(g, spec.n)}"
+            count += 1
+            hit = corner_mul(spec, g, h, i)
+            lhs = Element.basis(spec, (g, h, g)).mul(Element.basis(spec, (g, i, g)))
+            rhs = Element.zero(spec) if hit is None else Element.basis(spec, (g, hit[1], g), hit[0])
+            if lhs != rhs:
+                return False, count, f"corner product disagrees with full product at {render_mask(g, spec.n)}"
+            count += 1
+        if rad:
+            order = corner_nilpotent_index(spec, g)
+            for seq in itertools.product(rad, repeat=order):
+                s, m = field.one(), seq[0]
+                for a in seq[1:]:
+                    hit = corner_mul(spec, g, m, a)
+                    if hit is None:
+                        s = field.zero()
+                        break
+                    step, m = hit
+                    s = field.mul(s, step)
+                if not field.is_zero(s):
+                    return False, count, f"corner radical at {render_mask(g, spec.n)} is not nilpotent at its index"
+                count += 1
+        reps = {a: semisimple_rep(spec, (g, a, g)) for a in surviving}
+        for a, b in itertools.product(surviving, surviving):
+            prod = reps[a].mul(reps[b])
+            expect = reps[a] if a == b else Element.zero(spec)
+            if prod != expect:
+                return False, count, (
+                    f"corner representatives at {render_mask(g, spec.n)} are not orthogonal"
+                    f" idempotents ({render_mask(a, spec.n)}, {render_mask(b, spec.n)})"
+                )
+            count += 1
+            mat = oracle.mat_mul(
+                spec,
+                oracle.realize(spec, reps[a], x, cap),
+                oracle.realize(spec, reps[b], x, cap),
+            )
+            target = oracle.realize(spec, expect, x, cap)
+            if not oracle.mat_eq(mat, target):
+                return False, count, f"corner idempotent matrices disagree at {render_mask(g, spec.n)}"
+            count += 1
+        for h in surviving:
+            for i in surviving:
+                lhs = Element.basis(spec, (g, h, g)).mul(reps[i])
+                rhs_scalar = field.of(valency(spec, h)) if subset_of(spec, h, i) else field.zero()
+                rhs = reps[i].scale(rhs_scalar)
+                if lhs != rhs or lhs != reps[i].mul(Element.basis(spec, (g, h, g))):
+                    return False, count, (
+                        f"corner action of {render_mask(h, spec.n)} on the representative at"
+                        f" {render_mask(i, spec.n)} is wrong at {render_mask(g, spec.n)}"
+                    )
+                count += 1
+    return True, count, ""
+
+
+def _check_base_point_independence(spec, base_points, rng, cap) -> Outcome:
+    if len(base_points) < 2:
+        return False, 0, "need at least two base points"
+    dims, rad_dims = [], []
+    for x in base_points:
+        mats = [oracle.realize_raw_triple(spec, t, x, cap) for t in basis_triples(spec)]
+        dims.append(oracle.span_rank(spec, mats))
+        rad_mats = [oracle.realize_triple(spec, t, x, cap) for t in radical_triples(spec)]
+        rad_dims.append(oracle.span_rank(spec, rad_mats) if rad_mats else 0)
+    count = 0
+    if len(set(dims)) != 1:
+        return False, count, f"algebra span ranks differ across base points: {dims}"
+    count += 1
+    if len(set(rad_dims)) != 1:
+        return False, count, f"radical span ranks differ across base points: {rad_dims}"
+    count += 1
+    if rad_dims[0] != len(radical_triples(spec)):
+        return False, count, "realized radical rank differs from the symbolic dimension"
+    count += 1
+    return True, count, f"dim {dims[0]}, radical {rad_dims[0]}, {len(base_points)} base points"
+
+
+ALL_CHECKS: list[tuple[str, CheckFn]] = [
+    ("oracle-sanity", _check_oracle_sanity),
+    ("dimension-rank", _check_dimension_rank),
+    ("intersection-numbers", _check_intersection_numbers),
+    ("raw-basis-roundtrip", _check_raw_roundtrip),
+    ("structure-constants", _check_structure_constants),
+    ("transpose", _check_transpose),
+    ("center-structure", _check_center_structure),
+    ("center-commutation", _check_center_commutation),
+    ("radical-nilpotency", _check_radical_nilpotency),
+    ("radical-witness", _check_radical_witness),
+    ("quotient-matrix-units", _check_quotient_matrix_units),
+    ("block-bookkeeping", _check_block_bookkeeping),
+    ("frobenius-falsification", _check_frobenius_falsification),
+    ("corner-structure", _check_corner_structure),
+    ("base-point-independence", _check_base_point_independence),
+]
+
+
+def run_all(
+    spec: SchemeSpec,
+    base_points: int = 2,
+    seed: int = DEFAULT_SEED,
+    cap: int = DEFAULT_ORACLE_CAP,
+) -> list[CheckResult]:
+    """Run every check against one spec; raises only for invalid inputs, never on failures."""
+    if spec.num_points > cap:
+        raise ValueError(
+            f"point set has {spec.num_points} elements, above the oracle cap {cap}"
+        )
+    pts = pick_base_points(spec, base_points)
+    results = []
+    for name, fn in ALL_CHECKS:
+        rng = random.Random(f"{seed}:{name}")
+        started = time.perf_counter()
+        passed, count, detail = fn(spec, pts, rng, cap)
+        results.append(CheckResult(name, passed, count, time.perf_counter() - started, detail))
+    return results
