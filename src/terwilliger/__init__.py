@@ -9,141 +9,18 @@ subsets of the coordinate axes; a dense matrix oracle provides an
 independent cross-check.
 """
 
-from .algebra import (
-    Element,
-    RawElement,
-    Triple,
-    basis_triples,
-    check_triple,
-    corner_basis,
-    corner_mul,
-    from_raw,
-    mul_triples,
-    render_triple,
-    to_raw,
-    triple_key,
-)
-from .center import (
-    center_mul,
-    center_nilpotent_index,
-    center_rad_basis,
-    center_summary,
-    central_element,
-    central_indices,
-    is_central,
-)
-from .oracle import (
-    DEFAULT_ORACLE_CAP,
-    adjacency_matrix,
-    annihilator_dim,
-    dual_idempotent,
-    realize,
-    realize_raw,
-    relation,
-    span_rank,
-)
-from .quotient import (
-    WedderburnBlock,
-    corner_quotient,
-    frobenius_witness,
-    quotient_mul,
-    quotient_triples,
-    semisimple_rep,
-    signature,
-    verdicts,
-    wedderburn_blocks,
-    wedderburn_summary,
-)
-from .radical import (
-    corner_nilpotent_index,
-    corner_rad_basis,
-    in_radical,
-    nilpotent_index,
-    qualifying_coordinates,
-    rad_dim,
-    radical_summary,
-    radical_triples,
-    witness_chain,
-)
-from .scheme import (
-    MAX_FACTORS,
-    GroundField,
-    Mask,
-    Scalar,
-    SchemeSpec,
-    all_masks,
-    bracket,
-    intersection_number,
-    layer,
-    layer_count,
-    mask_product,
-    parse_mask,
-    render_mask,
-    valency,
-)
-from .verify import CheckResult, run_all
+from . import oracle
+from .algebra import Element, basis_triples
+from .quotient import wedderburn_summary
+from .radical import radical_summary
+from .scheme import SchemeSpec, render_mask
 
 __all__ = [
-    "CheckResult",
-    "DEFAULT_ORACLE_CAP",
     "Element",
-    "GroundField",
-    "MAX_FACTORS",
-    "Mask",
-    "RawElement",
-    "Scalar",
     "SchemeSpec",
-    "Triple",
-    "WedderburnBlock",
-    "adjacency_matrix",
-    "all_masks",
-    "annihilator_dim",
     "basis_triples",
-    "bracket",
-    "center_mul",
-    "center_nilpotent_index",
-    "center_rad_basis",
-    "center_summary",
-    "central_element",
-    "central_indices",
-    "check_triple",
-    "corner_basis",
-    "corner_mul",
-    "corner_nilpotent_index",
-    "corner_quotient",
-    "corner_rad_basis",
-    "dual_idempotent",
-    "from_raw",
-    "frobenius_witness",
-    "in_radical",
-    "intersection_number",
-    "is_central",
-    "layer",
-    "layer_count",
-    "mask_product",
-    "mul_triples",
-    "nilpotent_index",
-    "parse_mask",
-    "qualifying_coordinates",
-    "quotient_mul",
-    "quotient_triples",
-    "rad_dim",
+    "oracle",
     "radical_summary",
-    "radical_triples",
-    "realize",
-    "realize_raw",
-    "relation",
     "render_mask",
-    "render_triple",
-    "run_all",
-    "semisimple_rep",
-    "signature",
-    "span_rank",
-    "to_raw",
-    "triple_key",
-    "valency",
-    "verdicts",
-    "wedderburn_blocks",
     "wedderburn_summary",
-    "witness_chain",
 ]

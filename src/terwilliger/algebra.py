@@ -10,18 +10,21 @@ is kept for cross-checks against the dense matrix oracle.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .scheme import (
+    GroundField,
     Mask,
     Scalar,
     SchemeSpec,
+    all_masks,
     bracket,
     is_basis_triple,
     mask_key,
     mask_product,
     parse_mask,
     render_mask,
+    submasks,
     valency,
 )
 
@@ -48,25 +51,27 @@ def check_triple(spec: SchemeSpec, t: Triple) -> Triple:
 
 
 def basis_triples(spec: SchemeSpec) -> list[Triple]:
-    """All basis triples in canonical order; the count is 4^n1 * 5^n2."""
-    triples = []
-    for g in range(1 << spec.n):
-        for i in range(1 << spec.n):
-            lo = g ^ i
-            extra = g & i & spec.large_mask
-            sub = extra
-            while True:
-                triples.append((g, lo | sub, i))
-                if sub == 0:
-                    break
-                sub = (sub - 1) & extra
-    triples.sort(key=lambda t: triple_key(spec, t))
-    return triples
+    """All basis triples in canonical order; the count is 4^n1 * 5^n2.
+
+    Given g and h, the right mask i is g ^ h plus any part of circ(g & h),
+    so walking g, h and that part in canonical order lists the triples in
+    canonical order.
+    """
+    masks = all_masks(spec)
+    return [
+        (g, h, (g ^ h) | sub)
+        for g in masks
+        for h in masks
+        for sub in submasks(g & h & spec.large_mask)
+    ]
+
+
+def triple_json(spec: SchemeSpec, t: Triple) -> list[str]:
+    return [render_mask(m, spec.n) for m in t]
 
 
 def render_triple(spec: SchemeSpec, t: Triple) -> str:
-    n = spec.n
-    return f"({render_mask(t[0], n)},{render_mask(t[1], n)},{render_mask(t[2], n)})"
+    return "(" + ",".join(triple_json(spec, t)) + ")"
 
 
 def mul_triples(spec: SchemeSpec, t1: Triple, t2: Triple) -> Optional[tuple[Scalar, Triple]]:
@@ -90,8 +95,22 @@ def mul_triples(spec: SchemeSpec, t1: Triple, t2: Triple) -> Optional[tuple[Scal
     return coeff, (g, bracket(spec, g, h, i, k, l), l)
 
 
+def _accumulate(field: GroundField, acc: dict[Triple, Scalar], t: Triple, c: Scalar) -> None:
+    """Add a canonical c to the coefficient of t in acc, dropping the entry when the sum vanishes."""
+    old = acc.get(t)
+    total = c if old is None else field.add(old, c)
+    if field.is_zero(total):
+        acc.pop(t, None)
+    else:
+        acc[t] = total
+
+
 class Element:
-    """An algebra element: a canonical map from basis triples to nonzero scalars."""
+    """An algebra element: a canonical map from basis triples to nonzero scalars.
+
+    Every coefficient passed in is canonicalized by the ground field, which
+    refuses floats and any other inexact or foreign value.
+    """
 
     def __init__(self, spec: SchemeSpec, terms: Optional[Mapping[Triple, Scalar]] = None) -> None:
         self.spec = spec
@@ -99,8 +118,16 @@ class Element:
         if terms:
             for t, c in terms.items():
                 check_triple(spec, t)
+                c = spec.field.of(c)
                 if not spec.field.is_zero(c):
                     self.terms[t] = c
+
+    @classmethod
+    def _with_terms(cls, spec: SchemeSpec, terms: dict[Triple, Scalar]) -> Element:
+        """An element that takes over terms already canonical and nonzero, unchecked."""
+        out = cls(spec)
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, spec: SchemeSpec) -> Element:
@@ -135,30 +162,22 @@ class Element:
         field = self.spec.field
         terms = dict(self.terms)
         for t, c in other.terms.items():
-            acc = field.add(terms.get(t, field.zero()), c)
-            if field.is_zero(acc):
-                terms.pop(t, None)
-            else:
-                terms[t] = acc
-        out = Element(self.spec)
-        out.terms = terms
-        return out
+            _accumulate(field, terms, t, c)
+        return Element._with_terms(self.spec, terms)
 
     def neg(self) -> Element:
         field = self.spec.field
-        out = Element(self.spec)
-        out.terms = {t: field.neg(c) for t, c in self.terms.items()}
-        return out
+        return Element._with_terms(self.spec, {t: field.neg(c) for t, c in self.terms.items()})
 
     def sub(self, other: Element) -> Element:
         return self.add(other.neg())
 
     def scale(self, c: Scalar) -> Element:
         field = self.spec.field
-        out = Element(self.spec)
-        if not field.is_zero(c):
-            out.terms = {t: field.mul(c, v) for t, v in self.terms.items()}
-        return out
+        c = field.of(c)
+        if field.is_zero(c):
+            return Element(self.spec)
+        return Element._with_terms(self.spec, {t: field.mul(c, v) for t, v in self.terms.items()})
 
     def mul(self, other: Element) -> Element:
         self._require_same_spec(other)
@@ -172,19 +191,11 @@ class Element:
                 if hit is None:
                     continue
                 coeff, t = hit
-                total = field.add(acc.get(t, field.zero()), field.mul(field.mul(c1, c2), coeff))
-                if field.is_zero(total):
-                    acc.pop(t, None)
-                else:
-                    acc[t] = total
-        out = Element(self.spec)
-        out.terms = acc
-        return out
+                _accumulate(field, acc, t, field.mul(field.mul(c1, c2), coeff))
+        return Element._with_terms(self.spec, acc)
 
     def transpose(self) -> Element:
-        out = Element(self.spec)
-        out.terms = {(i, h, g): c for (g, h, i), c in self.terms.items()}
-        return out
+        return Element._with_terms(self.spec, {(i, h, g): c for (g, h, i), c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
@@ -201,14 +212,9 @@ class Element:
         return f"Element({body})"
 
     def to_json(self) -> list[dict[str, object]]:
-        n = self.spec.n
-        field = self.spec.field
+        render = self.spec.field.render
         return [
-            {
-                "triple": [render_mask(t[0], n), render_mask(t[1], n), render_mask(t[2], n)],
-                "coeff": field.render(c),
-            }
-            for t, c in self.sorted_terms()
+            {"triple": triple_json(self.spec, t), "coeff": render(c)} for t, c in self.sorted_terms()
         ]
 
     @classmethod
@@ -221,82 +227,33 @@ class Element:
                 raise ValueError(f"expected a three-part triple, got {raw!r}")
             t = tuple(parse_mask(str(part), spec.n) for part in raw)
             check_triple(spec, t)
-            c = field.parse(str(item["coeff"]))
-            if field.is_zero(c):
-                continue
-            acc = field.add(out.terms.get(t, field.zero()), c)
-            if field.is_zero(acc):
-                out.terms.pop(t, None)
-            else:
-                out.terms[t] = acc
+            _accumulate(field, out.terms, t, field.parse(str(item["coeff"])))
         return out
 
 
-class RawElement:
-    """An element written over the raw products (dual idempotent, adjacency, dual idempotent)."""
-
-    def __init__(self, spec: SchemeSpec, terms: Optional[Mapping[Triple, Scalar]] = None) -> None:
-        self.spec = spec
-        self.terms: dict[Triple, Scalar] = {}
-        if terms:
-            for t, c in terms.items():
-                check_triple(spec, t)
-                if not spec.field.is_zero(c):
-                    self.terms[t] = c
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[Triple, Scalar]]:
-        return sorted(self.terms.items(), key=lambda item: triple_key(self.spec, item[0]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RawElement):
-            return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "RawElement(zero)"
-        body = " + ".join(
-            f"{self.spec.field.render(c)}*{render_triple(self.spec, t)}"
-            for t, c in self.sorted_terms()
-        )
-        return f"RawElement({body})"
-
-
-def _interval(spec: SchemeSpec, t: Triple) -> Iterator[Mask]:
+def _interval(t: Triple) -> list[Mask]:
     """Masks j with (g ^ i) <= j <= h, for a valid basis triple (g, h, i)."""
     g, h, i = t
     lo = g ^ i
-    extra = h & ~lo
-    sub = extra
-    while True:
-        yield lo | sub
-        if sub == 0:
-            break
-        sub = (sub - 1) & extra
+    return [lo | sub for sub in submasks(h & ~lo)]
 
 
-def to_raw(x: Element) -> RawElement:
-    """Rewrite over the raw basis: each structured term expands with unit coefficients."""
-    spec = x.spec
-    field = spec.field
-    acc: dict[Triple, Scalar] = {}
+def to_raw(x: Element) -> dict[Triple, Scalar]:
+    """Rewrite over the raw basis: each structured term expands with unit coefficients.
+
+    The raw basis element at (g, h, i) is the product of the dual idempotent
+    at g, the adjacency matrix at h and the dual idempotent at i; the result
+    maps those triples to nonzero scalars.
+    """
+    field = x.spec.field
+    raw: dict[Triple, Scalar] = {}
     for (g, h, i), c in x.terms.items():
-        for j in _interval(spec, (g, h, i)):
-            t = (g, j, i)
-            total = field.add(acc.get(t, field.zero()), c)
-            if field.is_zero(total):
-                acc.pop(t, None)
-            else:
-                acc[t] = total
-    out = RawElement(spec)
-    out.terms = acc
-    return out
+        for j in _interval((g, h, i)):
+            _accumulate(field, raw, (g, j, i), c)
+    return raw
 
 
-def from_raw(x: RawElement) -> Element:
+def from_raw(spec: SchemeSpec, raw: Mapping[Triple, Scalar]) -> Element:
     """Rewrite over the structured basis by inclusion-exclusion on the middle mask.
 
     Each raw term at (g, h, i) becomes the signed sum over j in the interval
@@ -304,38 +261,20 @@ def from_raw(x: RawElement) -> Element:
     structured element at (g, j, i).  The sign is validated by the roundtrip
     property in the tests and against the matrix oracle.
     """
-    spec = x.spec
     field = spec.field
-    minus_one = field.neg(field.one())
     acc: dict[Triple, Scalar] = {}
-    for (g, h, i), c in x.terms.items():
-        for j in _interval(spec, (g, h, i)):
+    for (g, h, i), c in raw.items():
+        check_triple(spec, (g, h, i))
+        c = field.of(c)
+        for j in _interval((g, h, i)):
             dropped = bin(h & ~j).count("1")
-            sign = field.one() if dropped % 2 == 0 else minus_one
-            t = (g, j, i)
-            total = field.add(acc.get(t, field.zero()), field.mul(sign, c))
-            if field.is_zero(total):
-                acc.pop(t, None)
-            else:
-                acc[t] = total
-    out = Element(spec)
-    out.terms = acc
-    return out
+            _accumulate(field, acc, (g, j, i), c if dropped % 2 == 0 else field.neg(c))
+    return Element._with_terms(spec, acc)
 
 
 def corner_basis(spec: SchemeSpec, g: Mask) -> list[Mask]:
     """Middle masks of the commutative corner at g: all subsets of circ(g), in canonical order."""
-    spec.check_mask(g)
-    extra = g & spec.large_mask
-    middles = []
-    sub = extra
-    while True:
-        middles.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & extra
-    middles.sort(key=lambda m: mask_key(m, spec.n))
-    return middles
+    return submasks(spec.check_mask(g) & spec.large_mask)
 
 
 def corner_mul(spec: SchemeSpec, g: Mask, h: Mask, i: Mask) -> Optional[tuple[Scalar, Mask]]:

@@ -13,23 +13,15 @@ from .scheme import (
     Mask,
     Scalar,
     SchemeSpec,
-    mask_key,
     render_mask,
+    submasks,
     valency,
 )
 
+
 def central_indices(spec: SchemeSpec) -> list[Mask]:
     """All masks supported on large coordinates, in canonical order; one per center basis element."""
-    large = spec.large_mask
-    out = []
-    sub = large
-    while True:
-        out.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & large
-    out.sort(key=lambda m: mask_key(m, spec.n))
-    return out
+    return submasks(spec.large_mask)
 
 
 def check_central(spec: SchemeSpec, g: Mask) -> Mask:
@@ -61,15 +53,11 @@ def center_mul(spec: SchemeSpec, g: Mask, h: Mask) -> tuple[Scalar, Mask]:
 
 def center_rad_basis(spec: SchemeSpec) -> list[Mask]:
     """Central indices whose valency vanishes in the ground field; empty in characteristic 0."""
-    if spec.characteristic == 0:
-        return []
     return [g for g in central_indices(spec) if spec.p_divides(valency(spec, g))]
 
 
 def center_nilpotent_index(spec: SchemeSpec) -> int:
     """Nilpotent index of the center radical: qualifying coordinate count plus one."""
-    if spec.characteristic == 0:
-        return 1
     m = sum(1 for size in spec.sizes if spec.p_divides(size - 1))
     return m + 1
 

@@ -24,12 +24,12 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .algebra import Triple, basis_triples, check_triple, mul_triples, render_triple
+from .algebra import Element, Triple, basis_triples, check_triple, mul_triples, render_triple
 from .center import center_summary
 from .oracle import DEFAULT_ORACLE_CAP
 from .quotient import wedderburn_summary
 from .radical import radical_summary
-from .scheme import SchemeSpec, parse_mask, render_mask
+from .scheme import SchemeSpec, parse_mask
 from .verify import DEFAULT_SEED, run_all
 
 
@@ -88,14 +88,32 @@ def build_report(
         "radical": radical,
     }
     if with_checks:
-        results = run_all(spec, base_points=base_points, seed=seed, cap=cap)
-        report["verification"] = {
-            "seed": seed,
-            "base_points": base_points,
-            "all_passed": all(r.passed for r in results),
-            "checks": [r.to_json() for r in results],
-        }
+        report["verification"] = build_verification(spec, base_points, seed, cap)
     return report
+
+
+def build_verification(spec: SchemeSpec, base_points: int, seed: int, cap: int) -> dict:
+    """Run every check and collect the results with the settings that produced them."""
+    results = run_all(spec, base_points=base_points, seed=seed, cap=cap)
+    return {
+        "seed": seed,
+        "base_points": base_points,
+        "all_passed": all(r.passed for r in results),
+        "checks": [r.to_json() for r in results],
+    }
+
+
+def render_checks(verification: dict) -> list[str]:
+    """One line per check, then the overall verdict."""
+    lines = []
+    for check in verification["checks"]:
+        status = "PASS" if check["passed"] else "FAIL"
+        line = f"{status} {check['name']}: {check['count']} identities ({check['seconds']:.3f}s)"
+        if check["detail"]:
+            line += f" [{check['detail']}]"
+        lines.append(line)
+    lines.append("all checks passed" if verification["all_passed"] else "VERIFICATION FAILED")
+    return lines
 
 
 def render_report_text(report: dict) -> str:
@@ -123,18 +141,8 @@ def render_report_text(report: dict) -> str:
     if "verification" in report:
         ver = report["verification"]
         lines.append(f"verification: seed={ver['seed']} base_points={ver['base_points']}")
-        for check in ver["checks"]:
-            lines.append(_check_line(check))
-        lines.append("all checks passed" if ver["all_passed"] else "VERIFICATION FAILED")
+        lines.extend(render_checks(ver))
     return "\n".join(lines)
-
-
-def _check_line(check: dict) -> str:
-    status = "PASS" if check["passed"] else "FAIL"
-    line = f"{status} {check['name']}: {check['count']} identities ({check['seconds']:.3f}s)"
-    if check.get("detail"):
-        line += f" [{check['detail']}]"
-    return line
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -157,21 +165,14 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = spec_from_args(args)
-    results = run_all(spec, base_points=args.base_points, seed=args.seed, cap=args.oracle_cap)
     payload = {
         "spec": {"sizes": list(spec.sizes), "characteristic": spec.characteristic},
-        "seed": args.seed,
-        "base_points": args.base_points,
-        "all_passed": all(r.passed for r in results),
-        "checks": [r.to_json() for r in results],
+        **build_verification(spec, args.base_points, args.seed, args.oracle_cap),
     }
     if args.fmt == "json":
         print(json.dumps(payload, indent=2))
     else:
-        print(f"seed: {args.seed}")
-        for check in payload["checks"]:
-            print(_check_line(check))
-        print("all checks passed" if payload["all_passed"] else "VERIFICATION FAILED")
+        print("\n".join([f"seed: {args.seed}", *render_checks(payload)]))
     if not payload["all_passed"]:
         first = next(c for c in payload["checks"] if not c["passed"])
         print(f"verification failed: {first['name']}: {first['detail']}", file=sys.stderr)
@@ -185,28 +186,13 @@ def cmd_mul(args: argparse.Namespace) -> int:
     t2 = parse_triple_arg(spec, args.right)
     product = mul_triples(spec, t1, t2)
     if args.fmt == "json":
-        if product is None:
-            print(json.dumps({"terms": []}))
-        else:
-            coeff, triple = product
-            print(
-                json.dumps(
-                    {
-                        "terms": [
-                            {
-                                "triple": [render_mask(m, spec.n) for m in triple],
-                                "coeff": spec.field.render(coeff),
-                            }
-                        ]
-                    }
-                )
-            )
+        result = Element.zero(spec) if product is None else Element.basis(spec, product[1], product[0])
+        print(json.dumps({"terms": result.to_json()}))
+    elif product is None:
+        print("zero")
     else:
-        if product is None:
-            print("zero")
-        else:
-            coeff, triple = product
-            print(f"{spec.field.render(coeff)} · {render_triple(spec, triple)}")
+        coeff, triple = product
+        print(f"{spec.field.render(coeff)} · {render_triple(spec, triple)}")
     return 0
 
 

@@ -10,11 +10,11 @@ share formulas beyond the definition of the relations themselves.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Element, RawElement, Triple, basis_triples, check_triple
+from .algebra import Element, Triple, basis_triples, check_triple
 from .scheme import Mask, Scalar, SchemeSpec
 
 Point = tuple[int, ...]
@@ -161,34 +161,37 @@ def _scale(spec: SchemeSpec, c: Scalar, m: np.ndarray) -> np.ndarray:
     return m.astype(object) * c
 
 
+def _combine(
+    spec: SchemeSpec,
+    terms: Mapping[Triple, Scalar],
+    realize_one: Callable[..., np.ndarray],
+    base_point: Optional[Point],
+    cap: int,
+) -> np.ndarray:
+    """The linear combination of the matrices realize_one gives for each triple."""
+    acc = _zeros(spec, _check_cap(spec, cap))
+    for t, c in terms.items():
+        acc = _reduce(spec, acc + _scale(spec, c, realize_one(spec, t, base_point, cap)))
+    return acc
+
+
 def realize(
     spec: SchemeSpec,
     e: Element,
     base_point: Optional[Point] = None,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
-    size = _check_cap(spec, cap)
-    acc = _zeros(spec, size)
-    if spec.characteristic == 0:
-        acc = acc.astype(object)
-    for t, c in e.terms.items():
-        acc = _reduce(spec, acc + _scale(spec, c, realize_triple(spec, t, base_point, cap)))
-    return acc
+    return _combine(spec, e.terms, realize_triple, base_point, cap)
 
 
 def realize_raw(
     spec: SchemeSpec,
-    e: RawElement,
+    raw: Mapping[Triple, Scalar],
     base_point: Optional[Point] = None,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
-    size = _check_cap(spec, cap)
-    acc = _zeros(spec, size)
-    if spec.characteristic == 0:
-        acc = acc.astype(object)
-    for t, c in e.terms.items():
-        acc = _reduce(spec, acc + _scale(spec, c, realize_raw_triple(spec, t, base_point, cap)))
-    return acc
+    """Realize a map from raw-basis triples to scalars, as returned by algebra.to_raw."""
+    return _combine(spec, raw, realize_raw_triple, base_point, cap)
 
 
 def _rank_of_rows(spec: SchemeSpec, rows: list[np.ndarray]) -> int:

@@ -124,9 +124,8 @@ def wedderburn_blocks(spec: SchemeSpec) -> list[WedderburnBlock]:
     blocks = []
     for sig in sorted(classes, key=lambda m: mask_key(m, spec.n)):
         members = classes[sig]
-        rows = sorted(
-            {t[0] for t in members if t[0] == t[2]}, key=lambda m: mask_key(m, spec.n)
-        )
+        # Members come in canonical order, with one diagonal member per row mask.
+        rows = [t[0] for t in members if t[0] == t[2]]
         if len(members) != len(rows) ** 2:
             raise RuntimeError(
                 "internal consistency failure: class of signature"

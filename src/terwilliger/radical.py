@@ -10,24 +10,12 @@ index is not smaller.
 
 from __future__ import annotations
 
-from .algebra import Triple, basis_triples, corner_basis
-from .scheme import (
-    Mask,
-    SchemeSpec,
-    p_divides_valency,
-    render_mask,
-)
-
-
-def _triple_json(spec: SchemeSpec, t: Triple) -> list[str]:
-    n = spec.n
-    return [render_mask(t[0], n), render_mask(t[1], n), render_mask(t[2], n)]
+from .algebra import Triple, basis_triples, corner_basis, triple_json
+from .scheme import Mask, SchemeSpec, p_divides_valency
 
 
 def qualifying_coordinates(spec: SchemeSpec) -> list[int]:
     """Bit positions of the coordinates whose factor size is 1 mod the characteristic."""
-    if spec.characteristic == 0:
-        return []
     return [a for a in range(spec.n) if spec.p_divides(spec.sizes[a] - 1)]
 
 
@@ -81,8 +69,6 @@ def corner_rad_basis(spec: SchemeSpec, g: Mask) -> list[Mask]:
 def corner_nilpotent_index(spec: SchemeSpec, g: Mask) -> int:
     """Nilpotent index of the corner radical: qualifying coordinates inside g, plus one."""
     spec.check_mask(g)
-    if spec.characteristic == 0:
-        return 1
     m = sum(1 for a in range(spec.n) if (g >> a) & 1 and spec.p_divides(spec.sizes[a] - 1))
     return m + 1
 
@@ -94,6 +80,6 @@ def radical_summary(spec: SchemeSpec) -> dict:
     return {
         "dim": len(triples),
         "nilpotent_index": nilpotent_index(spec),
-        "witness": [_triple_json(spec, t) for t in witness],
-        "basis": [_triple_json(spec, t) for t in triples],
+        "witness": [triple_json(spec, t) for t in witness],
+        "basis": [triple_json(spec, t) for t in triples],
     }

@@ -10,6 +10,7 @@ with n=2 prints as "10".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
@@ -20,14 +21,33 @@ Scalar = Union[int, Fraction]
 MAX_FACTORS = 20
 
 
+# Bases of a Miller-Rabin test that decides primality exactly for every number
+# below MAX_CHARACTERISTIC (Sorenson and Webster, 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3317044064679887385961981
+
+
 def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin; exact for m below MAX_CHARACTERISTIC."""
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for a in _WITNESSES:
+        if m % a == 0:
+            return m == a
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -39,14 +59,26 @@ class GroundField:
     """
 
     def __init__(self, characteristic: int) -> None:
+        if characteristic >= MAX_CHARACTERISTIC:
+            raise ValueError(
+                f"characteristic {characteristic} is not below {MAX_CHARACTERISTIC},"
+                " the bound up to which primality is decided exactly"
+            )
         if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
         self.characteristic = characteristic
 
-    def of(self, value: int) -> Scalar:
-        if self.characteristic:
-            return value % self.characteristic
-        return Fraction(value)
+    def of(self, value: Scalar) -> Scalar:
+        """The canonical field element for an int, or for a Fraction in characteristic 0.
+
+        Ints reduce to [0, p) in characteristic p and become Fractions in
+        characteristic 0.  Floats and every other type are refused.
+        """
+        if isinstance(value, int):
+            return value % self.characteristic if self.characteristic else Fraction(value)
+        if isinstance(value, Fraction) and not self.characteristic:
+            return value
+        raise ValueError(f"{value!r} is not an exact scalar of {self!r}")
 
     def zero(self) -> Scalar:
         return self.of(0)
@@ -94,9 +126,7 @@ class GroundField:
         return f"{frac.numerator}/{frac.denominator}"
 
     def parse(self, text: str) -> Scalar:
-        if self.characteristic:
-            return int(text, 10) % self.characteristic
-        return Fraction(text)
+        return self.of(int(text, 10)) if self.characteristic else Fraction(text)
 
     def p_divides(self, value: int) -> bool:
         """Whether the characteristic divides an integer (false for everything but 0 in char 0)."""
@@ -124,6 +154,7 @@ class SchemeSpec:
 
     sizes: tuple[int, ...]
     characteristic: int = 0
+    field: GroundField = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
@@ -133,8 +164,7 @@ class SchemeSpec:
             raise ValueError(f"at most {MAX_FACTORS} factors are supported, got {len(self.sizes)}")
         if any(s < 2 for s in self.sizes):
             raise ValueError(f"every factor size must be at least 2, got {self.sizes}")
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
-            raise ValueError(f"characteristic must be 0 or prime, got {self.characteristic}")
+        object.__setattr__(self, "field", GroundField(self.characteristic))
 
     @property
     def n(self) -> int:
@@ -160,10 +190,6 @@ class SchemeSpec:
     @property
     def n2(self) -> int:
         return sum(1 for s in self.sizes if s > 2)
-
-    @cached_property
-    def field(self) -> GroundField:
-        return GroundField(self.characteristic)
 
     @property
     def num_points(self) -> int:
@@ -196,25 +222,24 @@ def parse_mask(text: str, n: int) -> Mask:
     return sum(1 << a for a, ch in enumerate(text) if ch == "1")
 
 
+def submasks(m: Mask) -> list[Mask]:
+    """Every submask of m, in canonical order.
+
+    The canonical order compares bit 0 first, so the submasks double up from
+    the highest set bit down: each bit splits the list built so far into a
+    copy without it and, after that, a copy with it.  The order does not
+    depend on n, since bits outside m are clear in every submask.
+    """
+    subs = [0]
+    for a in reversed(range(m.bit_length())):
+        if (m >> a) & 1:
+            subs += [s | 1 << a for s in subs]
+    return subs
+
+
 def all_masks(spec: SchemeSpec) -> list[Mask]:
     """Every coordinate mask, in canonical order."""
-    return sorted(range(1 << spec.n), key=lambda m: mask_key(m, spec.n))
-
-
-def mask_union(spec: SchemeSpec, g: Mask, h: Mask) -> Mask:
-    return spec.check_mask(g) | spec.check_mask(h)
-
-
-def mask_intersect(spec: SchemeSpec, g: Mask, h: Mask) -> Mask:
-    return spec.check_mask(g) & spec.check_mask(h)
-
-
-def mask_setminus(spec: SchemeSpec, g: Mask, h: Mask) -> Mask:
-    return spec.check_mask(g) & ~spec.check_mask(h)
-
-
-def mask_symdiff(spec: SchemeSpec, g: Mask, h: Mask) -> Mask:
-    return spec.check_mask(g) ^ spec.check_mask(h)
+    return submasks(spec.full_mask)
 
 
 def subset_of(spec: SchemeSpec, g: Mask, h: Mask) -> bool:
@@ -300,7 +325,7 @@ def intersection_number(spec: SchemeSpec, g: Mask, h: Mask, i: Mask) -> int:
 
 def layer_count(spec: SchemeSpec, g: Mask, h: Mask) -> int:
     """Number of coordinates in g minus h whose factor size is not 1 mod the characteristic."""
-    diff = mask_setminus(spec, g, h)
+    diff = spec.check_mask(g) & ~spec.check_mask(h)
     count = 0
     for a, size in enumerate(spec.sizes):
         if (diff >> a) & 1 and not spec.p_divides(size - 1):
@@ -320,15 +345,8 @@ def layer(spec: SchemeSpec, g: Mask, h: Mask, i: int) -> list[Mask]:
         raise ValueError("layer requires the base mask valency to be prime to the characteristic")
     if not 0 <= i <= layer_count(spec, g, h):
         raise ValueError(f"layer index {i} is out of range")
-    rest = g & ~h
-    found: list[Mask] = []
-    sub = rest
-    while True:
-        a = h | sub
-        if bin(sub).count("1") == i and not p_divides_valency(spec, a):
-            found.append(a)
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
-    found.sort(key=lambda m: mask_key(m, spec.n))
-    return found
+    return [
+        h | sub
+        for sub in submasks(g & ~h)
+        if bin(sub).count("1") == i and not p_divides_valency(spec, h | sub)
+    ]

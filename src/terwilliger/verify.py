@@ -100,6 +100,11 @@ def pick_base_points(spec: SchemeSpec, how_many: int) -> list[Point]:
     return [pts[k] for k in idx]
 
 
+def _sample(pop: list, length: int, rng: random.Random) -> list[tuple]:
+    """SAMPLE_COUNT seeded tuples of `length` draws from pop, drawn left to right."""
+    return [tuple(pop[rng.randrange(len(pop))] for _ in range(length)) for _ in range(SAMPLE_COUNT)]
+
+
 Outcome = tuple[bool, int, str]
 CheckFn = Callable[[SchemeSpec, list[Point], random.Random, int], Outcome]
 
@@ -164,9 +169,7 @@ def _check_structure_constants(spec, base_points, rng, cap) -> Outcome:
     total = len(triples) ** 2
     mode = "exhaustive"
     if spec.characteristic == 0 and spec.num_points > 20:
-        sampled = [(triples[rng.randrange(len(triples))], triples[rng.randrange(len(triples))])
-                   for _ in range(SAMPLE_COUNT)]
-        pairs = iter(sampled)
+        pairs = _sample(triples, 2, rng)
         mode = f"sampled {SAMPLE_COUNT} of {total}"
     count = 0
     for t1, t2 in pairs:
@@ -191,7 +194,7 @@ def _check_raw_roundtrip(spec, base_points, rng, cap) -> Outcome:
     count = 0
     for t in basis_triples(spec):
         e = Element.basis(spec, t)
-        if from_raw(to_raw(e)) != e:
+        if from_raw(spec, to_raw(e)) != e:
             return False, count, f"roundtrip through the raw basis broke at {render_triple(spec, t)}"
         count += 1
         if not oracle.mat_eq(
@@ -216,8 +219,7 @@ def _check_transpose(spec, base_points, rng, cap) -> Outcome:
     pairs = itertools.product(triples, triples)
     mode = "exhaustive"
     if len(triples) ** 2 > 4000:
-        pairs = iter([(triples[rng.randrange(len(triples))], triples[rng.randrange(len(triples))])
-                      for _ in range(SAMPLE_COUNT)])
+        pairs = _sample(triples, 2, rng)
         mode = f"pairs sampled {SAMPLE_COUNT}"
     for t1, t2 in pairs:
         a, b = Element.basis(spec, t1), Element.basis(spec, t2)
@@ -359,9 +361,7 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
         if total <= EXHAUSTIVE_GATE:
             seqs = itertools.product(rad, repeat=index)
         else:
-            seqs = iter(
-                [tuple(rad[rng.randrange(len(rad))] for _ in range(index)) for _ in range(SAMPLE_COUNT)]
-            )
+            seqs = _sample(rad, index, rng)
         for seq in seqs:
             s, m = field.one(), seq[0]
             for g in seq[1:]:
@@ -397,7 +397,7 @@ def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
         seqs: list[tuple[Triple, ...]] = list(itertools.product(rad, repeat=index))
         mode = f"exhaustive {total} sequences"
     else:
-        seqs = [tuple(rad[rng.randrange(len(rad))] for _ in range(index)) for _ in range(SAMPLE_COUNT)]
+        seqs = _sample(rad, index, rng)
         mode = f"sampled {SAMPLE_COUNT} of {total} sequences"
     for seq in seqs:
         e = Element.basis(spec, seq[0])
@@ -626,8 +626,6 @@ def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
 
 
 def _check_base_point_independence(spec, base_points, rng, cap) -> Outcome:
-    if len(base_points) < 2:
-        return False, 0, "need at least two base points"
     dims, rad_dims = [], []
     for x in base_points:
         mats = [oracle.realize_raw_triple(spec, t, x, cap) for t in basis_triples(spec)]
@@ -673,6 +671,8 @@ def run_all(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> list[CheckResult]:
     """Run every check against one spec; raises only for invalid inputs, never on failures."""
+    if base_points < 2:
+        raise ValueError("at least two base points are required")
     if spec.num_points > cap:
         raise ValueError(
             f"point set has {spec.num_points} elements, above the oracle cap {cap}"

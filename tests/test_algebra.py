@@ -1,5 +1,8 @@
 """Basis triples, products, transposition, and the change of basis."""
 
+from fractions import Fraction
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,14 @@ from terwilliger.algebra import (
     to_raw,
     triple_key,
 )
-from terwilliger.scheme import SchemeSpec, all_masks, circ, parse_mask, valency_scalar
+from terwilliger.scheme import (
+    SchemeSpec,
+    all_masks,
+    circ,
+    is_basis_triple,
+    parse_mask,
+    valency_scalar,
+)
 
 S23 = SchemeSpec(sizes=(2, 3))
 S23_P2 = SchemeSpec(sizes=(2, 3), characteristic=2)
@@ -35,6 +45,14 @@ def test_basis_enumeration_is_canonical_and_complete():
     assert len(set(triples)) == 20
     for triple in triples:
         check_triple(S23, triple)
+
+
+@pytest.mark.parametrize("sizes", [(3,), (2, 2), (3, 2, 4), (2, 3, 2, 3)])
+def test_basis_enumeration_matches_a_sorted_filter_of_all_triples(sizes):
+    spec = SchemeSpec(sizes=sizes)
+    masks = range(1 << spec.n)
+    every = [t for t in product(masks, masks, masks) if is_basis_triple(spec, *t)]
+    assert basis_triples(spec) == sorted(every, key=lambda x: triple_key(spec, x))
 
 
 def test_check_triple_rejects_and_names_the_window():
@@ -148,7 +166,7 @@ def test_raw_basis_roundtrip_exhaustive():
     for spec in (S23, S23_P2, SchemeSpec(sizes=(2, 3), characteristic=3)):
         for triple in basis_triples(spec):
             x = Element.basis(spec, triple, spec.field.of(3))
-            assert from_raw(to_raw(x)) == x
+            assert from_raw(spec, to_raw(x)) == x
 
 
 @settings(max_examples=60)
@@ -164,7 +182,7 @@ def test_raw_basis_roundtrip_on_sums(data):
     x = Element.zero(spec)
     for trip, c in terms:
         x = x.add(Element.basis(spec, trip, spec.field.of(c)))
-    assert from_raw(to_raw(x)) == x
+    assert from_raw(spec, to_raw(x)) == x
 
 
 def test_corner_basis_lists_loops_at_g():
@@ -191,3 +209,36 @@ def test_corner_mul_follows_the_union_rule():
 def test_corner_mul_rejects_foreign_masks():
     with pytest.raises(ValueError):
         corner_mul(S23, 0b01, 0b01, 0)
+
+
+PRIME_SPECS = [SchemeSpec(sizes=(2, 3), characteristic=p) for p in (2, 3, 5, 7)]
+
+
+@given(st.sampled_from(PRIME_SPECS), st.integers(-10**6, 10**6))
+def test_integer_coefficients_reduce_mod_p(spec, c):
+    triple = basis_triples(spec)[7]
+    p = spec.characteristic
+    x = Element.basis(spec, triple, c)
+    assert x == Element.basis(spec, triple, c % p)
+    assert x.coeff(triple) == c % p and type(x.coeff(triple)) is int
+
+
+@given(st.fractions(), st.integers(-50, 50))
+def test_fraction_coefficients_only_at_characteristic_zero(q, c):
+    triple = basis_triples(S23)[7]
+    assert Element.basis(S23, triple, q).coeff(triple) == q
+    assert type(Element.basis(S23, triple, c).coeff(triple)) is Fraction
+    with pytest.raises(ValueError):
+        Element.basis(S23_P5, triple, q)
+
+
+@given(
+    st.sampled_from([S23, *PRIME_SPECS]),
+    st.one_of(st.floats(), st.text(max_size=3), st.complex_numbers(), st.decimals()),
+)
+def test_inexact_or_foreign_coefficients_are_refused(spec, c):
+    triple = basis_triples(spec)[7]
+    with pytest.raises(ValueError):
+        Element.basis(spec, triple, c)
+    with pytest.raises(ValueError):
+        Element.basis(spec, triple).scale(c)

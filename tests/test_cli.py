@@ -1,6 +1,7 @@
 """The command line surface: output shapes, determinism, exit codes."""
 
 import json
+import time
 
 from terwilliger import cli
 from terwilliger.verify import CheckResult
@@ -146,3 +147,37 @@ def test_oracle_cap_flag_is_honored(capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_one_base_point_is_refused_as_invalid_input(capsys):
+    for argv in (
+        ["verify", "--sizes", "2,3", "--char", "2", "--base-points", "1"],
+        ["report", "--sizes", "2,3", "--char", "2", "--with-checks", "--base-points", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "at least two base points" in err
+
+
+def test_large_prime_characteristic_reports_quickly(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "report", "--sizes", "2,3", "--char", "1000000000000000003")
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert err == ""
+    assert "characteristic: 1000000000000000003" in out
+
+
+def test_large_composite_characteristic_is_refused(capsys):
+    code, out, err = run(capsys, "report", "--sizes", "2,3", "--char", "1000000000000000001")
+    assert code == 2
+    assert out == ""
+    assert "prime" in err
+
+
+def test_characteristic_beyond_the_exact_primality_bound_is_refused(capsys):
+    code, out, err = run(capsys, "report", "--sizes", "2,3", "--char", str(2**89 - 1))
+    assert code == 2
+    assert out == ""
+    assert "bound" in err

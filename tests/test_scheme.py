@@ -1,12 +1,15 @@
 """Masks, valencies, the ground field, and the combinatorial closed forms."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from terwilliger import scheme
 from terwilliger.scheme import (
+    MAX_CHARACTERISTIC,
     GroundField,
     SchemeSpec,
     all_masks,
@@ -21,6 +24,7 @@ from terwilliger.scheme import (
     p_divides_valency,
     parse_mask,
     render_mask,
+    submasks,
     subset_of,
     valency,
     valency_scalar,
@@ -224,3 +228,49 @@ def test_layer_rejects_bad_arguments():
         layer(spec, 0b111, 0b001, 0)  # base valency 2 is divisible by p
     with pytest.raises(ValueError):
         layer(spec, 0b111, 0, 5)  # depth out of range
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
+def test_submasks_lists_each_submask_once_in_canonical_order(n_and_mask):
+    n, m = n_and_mask
+    got = submasks(m)
+    assert len(got) == len(set(got)) == 2 ** bin(m).count("1")
+    assert got == [a for a in all_masks(SchemeSpec(sizes=(2,) * n)) if a & ~m == 0]
+
+
+def _is_prime_by_trial_division(m):
+    return m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
+
+
+@given(st.integers(-5, 10**5))
+def test_primality_matches_trial_division(m):
+    assert scheme._is_prime(m) == _is_prime_by_trial_division(m)
+
+
+def test_primality_on_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to every prime base up to 23, and up to 37
+    assert not scheme._is_prime(3825123056546413051)
+    assert not scheme._is_prime(318665857834031151167461)
+    assert scheme._is_prime(2**61 - 1)
+    assert scheme._is_prime(10**18 + 3)
+    assert not scheme._is_prime(10**18 + 1)
+
+
+def test_primality_is_decided_once_per_spec(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return True
+
+    monkeypatch.setattr(scheme, "_is_prime", counting)
+    spec = SchemeSpec(sizes=(2, 3), characteristic=5)
+    assert spec.field.characteristic == 5
+    assert calls == [5]
+
+
+def test_field_refuses_characteristics_beyond_the_exact_bound():
+    with pytest.raises(ValueError, match="bound"):
+        GroundField(MAX_CHARACTERISTIC)
+    with pytest.raises(ValueError, match="bound"):
+        SchemeSpec(sizes=(2, 3), characteristic=2**89 - 1)
