@@ -66,6 +66,11 @@ def basis_triples(spec: SchemeSpec) -> list[Triple]:
     ]
 
 
+def dimension(spec: SchemeSpec) -> int:
+    """Dimension of the algebra: a size-2 coordinate contributes 4 basis triples, a larger one 5."""
+    return 4**spec.n1 * 5**spec.n2
+
+
 def triple_json(spec: SchemeSpec, t: Triple) -> list[str]:
     return [render_mask(m, spec.n) for m in t]
 

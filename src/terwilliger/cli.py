@@ -24,7 +24,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .algebra import Element, Triple, basis_triples, check_triple, mul_triples, render_triple
+from .algebra import Element, Triple, check_triple, dimension, mul_triples, render_triple
 from .center import center_summary
 from .oracle import DEFAULT_ORACLE_CAP
 from .quotient import wedderburn_summary
@@ -67,7 +67,7 @@ def build_report(
     center = center_summary(spec)
     radical = radical_summary(spec)
     wedderburn = wedderburn_summary(spec)
-    dim_t = len(basis_triples(spec))
+    dim_t = dimension(spec)
     square_sum = sum(b["size"] ** 2 for b in wedderburn["blocks"])
     if dim_t != radical["dim"] + square_sum:
         raise RuntimeError(

@@ -1,7 +1,8 @@
 """Dense matrix realization of the scheme, used as independent ground truth.
 
-Everything here is brute force on purpose: adjacency matrices and dual
-idempotents are filled entry by entry from the point set, products are
+Everything here is brute force on purpose.  One table, the relation mask
+of every pair of points, is built from the definition of the relations;
+adjacency matrices and dual idempotents are read off it, products are
 honest matrix products, and ranks come from exact Gaussian elimination.
 The symbolic engine is validated against this module, so the two must not
 share formulas beyond the definition of the relations themselves.
@@ -58,10 +59,28 @@ def _check_cap(spec: SchemeSpec, cap: int) -> int:
     return size
 
 
-def _zeros(spec: SchemeSpec, size: int) -> np.ndarray:
-    if 0 < spec.characteristic < _INT64_CHAR_LIMIT:
-        return np.zeros((size, size), dtype=np.int64)
-    return np.zeros((size, size), dtype=object)
+def relation_matrix(spec: SchemeSpec, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
+    """The relation mask of every pair of points, rows and columns in points() order.
+
+    Entry (x, y) equals relation(spec, x, y), computed for all pairs at once,
+    one coordinate at a time.
+    """
+    size = _check_cap(spec, cap)
+    table = np.zeros((size, size), dtype=np.int64)
+    for a, col in enumerate(np.indices(spec.sizes).reshape(spec.n, size)):
+        table |= (col[:, None] != col[None, :]).astype(np.int64) << a
+    return table
+
+
+def _point_index(spec: SchemeSpec, x: Point) -> int:
+    """The position of a point in points() order."""
+    return int(np.ravel_multi_index(check_point(spec, x), spec.sizes))
+
+
+def _as_matrix(spec: SchemeSpec, entries: np.ndarray) -> np.ndarray:
+    """A 0/1 array in the oracle's matrix type: int64 for small primes, else Python ints."""
+    m = entries.astype(np.int64)
+    return m if 0 < spec.characteristic < _INT64_CHAR_LIMIT else m.astype(object)
 
 
 def _reduce(spec: SchemeSpec, m: np.ndarray) -> np.ndarray:
@@ -84,35 +103,19 @@ def is_zero_matrix(m: np.ndarray) -> bool:
 
 def adjacency_matrix(spec: SchemeSpec, g: Mask, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
     spec.check_mask(g)
-    size = _check_cap(spec, cap)
-    pts = points(spec)
-    m = _zeros(spec, size)
-    for row, x in enumerate(pts):
-        for col, y in enumerate(pts):
-            if relation(spec, x, y) == g:
-                m[row, col] = 1
-    return m
+    return _as_matrix(spec, relation_matrix(spec, cap) == g)
 
 
 def dual_idempotent(
     spec: SchemeSpec, x: Point, g: Mask, cap: int = DEFAULT_ORACLE_CAP
 ) -> np.ndarray:
     spec.check_mask(g)
-    check_point(spec, x)
-    size = _check_cap(spec, cap)
-    m = _zeros(spec, size)
-    for row, y in enumerate(points(spec)):
-        if relation(spec, x, y) == g:
-            m[row, row] = 1
-    return m
+    table = relation_matrix(spec, cap)
+    return _as_matrix(spec, np.diag(table[_point_index(spec, x)] == g))
 
 
 def identity_matrix(spec: SchemeSpec, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
-    size = _check_cap(spec, cap)
-    m = _zeros(spec, size)
-    for row in range(size):
-        m[row, row] = 1
-    return m
+    return _as_matrix(spec, np.eye(_check_cap(spec, cap), dtype=bool))
 
 
 def realize_raw_triple(
@@ -154,8 +157,9 @@ def realize_triple(
 
 
 def _scale(spec: SchemeSpec, c: Scalar, m: np.ndarray) -> np.ndarray:
+    c = spec.field.of(c)
     if spec.characteristic:
-        return (m * int(c)) % spec.characteristic
+        return (m * c) % spec.characteristic
     if m.dtype == object:
         return m * c
     return m.astype(object) * c
@@ -169,7 +173,8 @@ def _combine(
     cap: int,
 ) -> np.ndarray:
     """The linear combination of the matrices realize_one gives for each triple."""
-    acc = _zeros(spec, _check_cap(spec, cap))
+    size = _check_cap(spec, cap)
+    acc = _as_matrix(spec, np.zeros((size, size), dtype=bool))
     for t, c in terms.items():
         acc = _reduce(spec, acc + _scale(spec, c, realize_one(spec, t, base_point, cap)))
     return acc
@@ -240,12 +245,9 @@ def triple_intersection_count(
     """Count points related to x by g, to y by h, and to z by i, by brute force."""
     for m in (g, h, i):
         spec.check_mask(m)
-    _check_cap(spec, cap)
-    count = 0
-    for w in points(spec):
-        if relation(spec, x, w) == g and relation(spec, y, w) == h and relation(spec, z, w) == i:
-            count += 1
-    return count
+    table = relation_matrix(spec, cap)
+    hits = [table[_point_index(spec, w)] == m for w, m in ((x, g), (y, h), (z, i))]
+    return int(np.count_nonzero(np.all(hits, axis=0)))
 
 
 def annihilator_dim(

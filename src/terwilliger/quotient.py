@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Element, Triple, basis_triples, corner_basis, is_basis_triple, render_triple
+from .algebra import Element, Triple, basis_triples, corner_basis, dimension, is_basis_triple, render_triple
 from .radical import qualifying_coordinates
 from .scheme import (
     Mask,
@@ -163,7 +163,7 @@ def frobenius_witness(spec: SchemeSpec) -> Optional[dict[str, int]]:
         return None
     n = spec.n
     i = len(qual)
-    dim_t = len(basis_triples(spec))
+    dim_t = dimension(spec)
     left = 2**n - 2 ** (n - i)
     annihilator = dim_t - 2**n
     return {

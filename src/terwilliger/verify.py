@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import oracle
 from .algebra import (
     Element,
@@ -22,6 +24,7 @@ from .algebra import (
     basis_triples,
     corner_basis,
     corner_mul,
+    dimension,
     from_raw,
     mul_triples,
     render_triple,
@@ -120,8 +123,7 @@ def _check_oracle_sanity(spec, base_points, rng, cap) -> Outcome:
     for g in range(1 << spec.n):
         a = oracle.adjacency_matrix(spec, g, cap)
         k = valency(spec, g)
-        row_sums = [sum(int(a[r, c] != 0) for c in range(size)) for r in range(size)]
-        if any(s != k for s in row_sums):
+        if np.any(np.count_nonzero(a, axis=1) != k):
             return False, count, f"row sums of adjacency {render_mask(g, spec.n)} differ from {k}"
         count += 1
         ones_total += k
@@ -150,7 +152,7 @@ def _check_oracle_sanity(spec, base_points, rng, cap) -> Outcome:
 
 def _check_dimension_rank(spec, base_points, rng, cap) -> Outcome:
     triples = basis_triples(spec)
-    expected = 4**spec.n1 * 5**spec.n2
+    expected = dimension(spec)
     if len(triples) != expected:
         return False, 0, f"enumerated {len(triples)} basis triples, formula gives {expected}"
     x = base_points[0]
@@ -233,50 +235,36 @@ def _check_transpose(spec, base_points, rng, cap) -> Outcome:
 
 
 def _check_intersection_numbers(spec, base_points, rng, cap) -> Outcome:
-    pts = points(spec)
-    by_relation: dict[int, tuple[Point, Point]] = {}
-    for y in pts:
-        r = oracle.relation(spec, pts[0], y)
-        by_relation.setdefault(r, (pts[0], y))
+    table = oracle.relation_matrix(spec, cap)
+    size, width = len(table), 1 << spec.n
     count = 0
-    for i in range(1 << spec.n):
-        x, y = by_relation[i]
-        for g in range(1 << spec.n):
-            for h in range(1 << spec.n):
-                brute = sum(
-                    1
-                    for z in pts
-                    if oracle.relation(spec, x, z) == g and oracle.relation(spec, z, y) == h
-                )
-                if brute != intersection_number(spec, g, h, i):
+    for i in range(width):
+        y = int(np.argmax(table[0] == i))
+        # brute[g, h] counts the points z with (x, z) in g and (z, y) in h, for x the first point.
+        brute = np.bincount(table[0] * width + table[:, y], minlength=width * width)
+        brute = brute.reshape(width, width)
+        for g in range(width):
+            for h in range(width):
+                if brute[g, h] != intersection_number(spec, g, h, i):
                     return False, count, (
                         f"intersection number at ({render_mask(g, spec.n)},"
                         f" {render_mask(h, spec.n)}, {render_mask(i, spec.n)}) is wrong"
                     )
                 count += 1
+    pts = points(spec)
     for _ in range(20):
-        x1, y1, z1 = (pts[rng.randrange(len(pts))] for _ in range(3))
-        rels = (
-            oracle.relation(spec, x1, y1),
-            oracle.relation(spec, x1, z1),
-            oracle.relation(spec, y1, z1),
-        )
-        matches = [
-            (x2, y2, z2)
-            for x2 in pts
-            for y2 in pts
-            for z2 in pts
-            if (
-                oracle.relation(spec, x2, y2),
-                oracle.relation(spec, x2, z2),
-                oracle.relation(spec, y2, z2),
-            )
-            == rels
-        ]
-        x2, y2, z2 = matches[rng.randrange(len(matches))]
-        g, h, i = (rng.randrange(1 << spec.n) for _ in range(3))
-        if oracle.triple_intersection_count(spec, x1, y1, z1, g, h, i, cap) != \
-                oracle.triple_intersection_count(spec, x2, y2, z2, g, h, i, cap):
+        x1, y1, z1 = (rng.randrange(size) for _ in range(3))
+        xy, xz, yz = (table == table[u, v] for u, v in ((x1, y1), (x1, z1), (y1, z1)))
+        # Triples (x2, y2, z2) related like (x1, y1, z1), listed in lexicographic order:
+        # count them per x2 without listing them, then list the one x2 slice the draw hits.
+        per_x2 = ((xy.astype(np.int64) @ yz) * xz).sum(axis=1)
+        k = rng.randrange(int(per_x2.sum()))
+        x2 = int(np.searchsorted(np.cumsum(per_x2), k, side="right"))
+        k -= int(per_x2[:x2].sum())
+        y2, z2 = np.argwhere(xy[x2][:, None] & xz[x2][None, :] & yz)[k]
+        g, h, i = (rng.randrange(width) for _ in range(3))
+        if oracle.triple_intersection_count(spec, pts[x1], pts[y1], pts[z1], g, h, i, cap) != \
+                oracle.triple_intersection_count(spec, pts[x2], pts[y2], pts[z2], g, h, i, cap):
             return False, count, "triple intersection count is not triply regular"
         count += 1
     return True, count, ""
@@ -375,8 +363,11 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
 
 def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
     rad = radical_triples(spec)
-    expected_dim = len([t for t in basis_triples(spec) if p_divides_valency(spec, t[1])])
-    if len(rad) != expected_dim:
+    # Outside the radical the middle mask avoids the m qualifying coordinates: each of them
+    # keeps 2 of its one-coordinate triples, every other one all 4 (size 2) or 5, and a
+    # size-2 coordinate never qualifies.
+    m = len(qualifying_coordinates(spec))
+    if len(rad) != dimension(spec) - 2**m * 4**spec.n1 * 5 ** (spec.n2 - m):
         return False, 0, "radical basis filter is inconsistent"
     count = 1
     for r in rad:
@@ -501,7 +492,7 @@ def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
 
 def _check_block_bookkeeping(spec, base_points, rng, cap) -> Outcome:
     blocks = wedderburn_blocks(spec)
-    dim_t = len(basis_triples(spec))
+    dim_t = dimension(spec)
     dim_d = len(quotient_triples(spec))
     rad = len(radical_triples(spec))
     count = 0
@@ -560,11 +551,7 @@ def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
         if len(middles) != len(rad) + len(surviving):
             return False, count, f"corner dimension split fails at {render_mask(g, spec.n)}"
         count += 1
-        expect_index = 1 + sum(
-            1
-            for a in range(spec.n)
-            if (g >> a) & 1 and spec.p_divides(spec.sizes[a] - 1)
-        )
+        expect_index = 1 + sum(1 for a in rad if bin(a).count("1") == 1)
         if corner_nilpotent_index(spec, g) != expect_index:
             return False, count, f"corner nilpotent index formula fails at {render_mask(g, spec.n)}"
         count += 1

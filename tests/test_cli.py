@@ -1,7 +1,12 @@
 """The command line surface: output shapes, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terwilliger import cli
 from terwilliger.verify import CheckResult
@@ -181,3 +186,52 @@ def test_characteristic_beyond_the_exact_primality_bound_is_refused(capsys):
     assert code == 2
     assert out == ""
     assert "bound" in err
+
+
+# Size lists the fuzz test may verify: at most 6 points, so the oracle runs fast.
+CHECKABLE_SIZES = st.sampled_from(["2", "3", "4", "2,2", "2,3", "3,2"])
+SIZES = st.lists(st.integers(2, 4), min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs)))
+JUNK_SIZES = ["", ",", "2,,3", "2;3", "a", " 2 , 3 ", "2.0", "0x2", "\u0663", "1", "0", "-2", "2,1"]
+JUNK_INTS = ["", "x", "1e3", "2.5", "0x10", " 7 "]
+
+
+def mostly(data, valid, junk):
+    """A draw from the strategy valid, or one time in four a junk string."""
+    return data.draw(st.sampled_from(junk) if data.draw(st.integers(0, 3)) == 0 else valid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_answers_or_refuses_any_argv(data):
+    command = data.draw(st.sampled_from(["report", "verify", "mul"]))
+    argv = [command]
+    with_checks = command == "report" and data.draw(st.booleans())
+    if with_checks:
+        argv.append("--with-checks")
+    sizes = "2"
+    if data.draw(st.integers(0, 9)):
+        valid = CHECKABLE_SIZES if command == "verify" or with_checks else SIZES
+        sizes = mostly(data, valid, JUNK_SIZES)
+        argv += ["--sizes", sizes]
+    options = {"--char": [0, 2, 3, 5, 1048583, 10**18 + 3, 4, 1, -3, 2**89 - 1]}
+    if command != "mul":
+        options["--base-points"] = [-1, 0, 1, 2, 3, 1000]
+        options["--seed"] = [-5, 0, 1729, 10**20]
+        options["--oracle-cap"] = [-1, 0, 4, 6, 200, 10**6]
+    for flag, values in options.items():
+        if data.draw(st.booleans()):
+            argv += [flag, mostly(data, st.sampled_from(values).map(str), JUNK_INTS)]
+    argv += data.draw(st.lists(st.sampled_from(["--json", "--text"]), max_size=2))
+    if command == "mul":
+        n = sizes.count(",") + 1
+        masks = st.lists(st.text(alphabet="01", min_size=n, max_size=n), min_size=3, max_size=3)
+        count = data.draw(st.sampled_from([2, 2, 2, 1, 3]))
+        argv += [mostly(data, masks.map(",".join), JUNK_SIZES) for _ in range(count)]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+        assert code == 2, argv
+    assert code in (0, 2), argv

@@ -19,7 +19,9 @@ from terwilliger.oracle import (
     realize,
     realize_raw,
     relation,
+    relation_matrix,
     span_rank,
+    triple_intersection_count,
 )
 from terwilliger.quotient import frobenius_left_ideal
 from terwilliger.scheme import SchemeSpec, all_masks, valency
@@ -42,6 +44,58 @@ def test_relation_is_the_disagreement_mask():
     assert relation(S23, (0, 0), (1, 0)) == 0b01
     assert relation(S23, (0, 0), (0, 2)) == 0b10
     assert relation(S23, (1, 2), (0, 1)) == 0b11
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+def test_relation_matrix_is_the_pointwise_relation(sizes):
+    spec = SchemeSpec(sizes=tuple(sizes))
+    pts = points(spec)
+    table = relation_matrix(spec)
+    assert table.shape == (len(pts), len(pts))
+    for row, x in enumerate(pts):
+        for col, y in enumerate(pts):
+            assert table[row, col] == relation(spec, x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_triple_intersection_count_is_a_pointwise_count(data):
+    spec = data.draw(st.sampled_from([S23, SchemeSpec(sizes=(2, 2, 3))]))
+    pts = points(spec)
+    x, y, z = (data.draw(st.sampled_from(pts)) for _ in range(3))
+    g, h, i = (data.draw(st.sampled_from(all_masks(spec))) for _ in range(3))
+    brute = sum(
+        1
+        for w in pts
+        if relation(spec, x, w) == g and relation(spec, y, w) == h and relation(spec, z, w) == i
+    )
+    assert triple_intersection_count(spec, x, y, z, g, h, i) == brute
+
+
+@pytest.mark.parametrize("characteristic", [0, 2, 1048583])
+def test_oracle_matrices_are_int64_for_small_primes_and_python_ints_otherwise(characteristic):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=characteristic)
+    mats = [
+        adjacency_matrix(spec, 0b10),
+        dual_idempotent(spec, (1, 2), 0b11),
+        identity_matrix(spec),
+        realize(spec, Element.zero(spec)),
+    ]
+    for m in mats:
+        if characteristic == 2:
+            assert m.dtype == np.int64
+        else:
+            assert m.dtype == object
+            assert {type(v) for v in m.flat} == {int}
+    assert mat_eq(mats[2], np.eye(6, dtype=np.int64))
+
+
+@pytest.mark.parametrize("characteristic", [0, 5])
+def test_realize_raw_refuses_inexact_coefficients(characteristic):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=characteristic)
+    with pytest.raises(ValueError):
+        realize_raw(spec, {(1, 1, 0): 0.5})
 
 
 def test_adjacency_matrices_partition_all_pairs():

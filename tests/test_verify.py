@@ -1,7 +1,10 @@
 """The self-check harness: plumbing, determinism, and the small-scheme sweep."""
 
+import random
+
 import pytest
 
+from terwilliger import radical, verify
 from terwilliger.scheme import SchemeSpec
 from terwilliger.verify import ALL_CHECKS, CheckResult, pick_base_points, run_all
 
@@ -39,3 +42,31 @@ def test_run_all_rejects_oversized_schemes():
     spec = SchemeSpec(sizes=(2, 3), characteristic=2)
     with pytest.raises(ValueError):
         run_all(spec, cap=4)
+
+
+def run_check(name, spec):
+    check = dict(ALL_CHECKS)[name]
+    return check(spec, pick_base_points(spec, 2), random.Random(0), verify.DEFAULT_ORACLE_CAP)
+
+
+def test_radical_dimension_is_checked_against_its_closed_form(monkeypatch):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=2)
+    # A radical predicate that is wrong wherever it is used must still be caught.
+    monkeypatch.setattr(radical, "p_divides_valency", lambda spec, g: False)
+    monkeypatch.setattr(verify, "p_divides_valency", lambda spec, g: False)
+    assert run_check("radical-nilpotency", spec) == (
+        False, 0, "radical basis filter is inconsistent"
+    )
+
+
+def test_corner_nilpotent_index_is_checked_against_the_corner_radical(monkeypatch):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=2)
+    # An index formula that forgets to restrict to the corner's mask.
+    monkeypatch.setattr(
+        verify,
+        "corner_nilpotent_index",
+        lambda spec, g: 1 + len(radical.qualifying_coordinates(spec)),
+    )
+    passed, _, detail = run_check("corner-structure", spec)
+    assert not passed
+    assert detail == "corner nilpotent index formula fails at 00"
