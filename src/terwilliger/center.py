@@ -9,14 +9,7 @@ formulas; membership of an arbitrary element is decided by an exact solve.
 from __future__ import annotations
 
 from .algebra import Element
-from .scheme import (
-    Mask,
-    Scalar,
-    SchemeSpec,
-    render_mask,
-    submasks,
-    valency,
-)
+from .scheme import Mask, Scalar, SchemeSpec, p_divides_valency, render_mask, submasks, valency
 
 
 def central_indices(spec: SchemeSpec) -> list[Mask]:
@@ -53,13 +46,12 @@ def center_mul(spec: SchemeSpec, g: Mask, h: Mask) -> tuple[Scalar, Mask]:
 
 def center_rad_basis(spec: SchemeSpec) -> list[Mask]:
     """Central indices whose valency vanishes in the ground field; empty in characteristic 0."""
-    return [g for g in central_indices(spec) if spec.p_divides(valency(spec, g))]
+    return [g for g in central_indices(spec) if p_divides_valency(spec, g)]
 
 
 def center_nilpotent_index(spec: SchemeSpec) -> int:
     """Nilpotent index of the center radical: qualifying coordinate count plus one."""
-    m = sum(1 for size in spec.sizes if spec.p_divides(size - 1))
-    return m + 1
+    return spec.qualifying_mask.bit_count() + 1
 
 
 def is_central(spec: SchemeSpec, x: Element) -> bool:

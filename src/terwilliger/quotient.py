@@ -5,6 +5,8 @@ distinguished representative element whose image in the quotient by the
 radical is a scaled matrix unit.  Products of representatives collapse to
 a single representative (or vanish) depending only on an equivalence
 signature, which partitions the surviving triples into full matrix blocks.
+The blocks and the verdicts are read off the large and qualifying masks
+of the scheme, without enumerating the basis.
 """
 
 from __future__ import annotations
@@ -13,17 +15,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Element, Triple, basis_triples, corner_basis, dimension, is_basis_triple, render_triple
-from .radical import qualifying_coordinates
 from .scheme import (
     Mask,
     SchemeSpec,
+    all_masks,
     bracket,
     layer,
     layer_count,
-    mask_key,
     mask_product,
     p_divides_valency,
     render_mask,
+    submasks,
     valency,
 )
 
@@ -112,42 +114,35 @@ class WedderburnBlock:
 
 
 def wedderburn_blocks(spec: SchemeSpec) -> list[WedderburnBlock]:
-    """Partition the surviving triples by signature into verified matrix blocks.
+    """The matrix blocks of the quotient, one per signature, in canonical order.
 
-    Every class must have exactly size-squared triples, where size counts
-    the masks appearing diagonally in the class; a shortfall would mean an
-    implementation bug and raises instead of returning bad blocks.
+    Every s inside the large mask is a signature, and the rows of its block
+    are the masks g holding the diagonal representative (g, h, g) with
+    h = circ(g) minus s: those with s inside g and the valency of h prime to
+    the characteristic.  Row g = s always qualifies, so no block is empty.
     """
-    classes: dict[Mask, list[Triple]] = {}
-    for t in quotient_triples(spec):
-        classes.setdefault(signature(spec, t), []).append(t)
-    blocks = []
-    for sig in sorted(classes, key=lambda m: mask_key(m, spec.n)):
-        members = classes[sig]
-        # Members come in canonical order, with one diagonal member per row mask.
-        rows = [t[0] for t in members if t[0] == t[2]]
-        if len(members) != len(rows) ** 2:
-            raise RuntimeError(
-                "internal consistency failure: class of signature"
-                f" {render_mask(sig, spec.n)} has {len(members)} triples for {len(rows)} rows"
-            )
-        blocks.append(WedderburnBlock(sig, tuple(rows)))
-    return blocks
+    large = spec.large_mask
+    return [
+        WedderburnBlock(
+            s,
+            tuple(
+                g for g in all_masks(spec)
+                if g & s == s and not p_divides_valency(spec, g & large & ~s)
+            ),
+        )
+        for s in submasks(large)
+    ]
 
 
 def verdicts(spec: SchemeSpec) -> dict[str, bool]:
     """Semisimple, Frobenius, and symmetric are all equivalent for this family."""
-    fine = not qualifying_coordinates(spec)
+    fine = not p_divides_valency(spec, spec.full_mask)
     return {"semisimple": fine, "frobenius": fine, "symmetric": fine}
 
 
 def frobenius_left_ideal(spec: SchemeSpec) -> list[Element]:
     """Spanning elements of the left ideal used to falsify the Frobenius property."""
-    gens = []
-    for a in range(1 << spec.n):
-        if spec.p_divides(valency(spec, a)):
-            gens.append(Element.basis(spec, (a, a, 0)))
-    return gens
+    return [Element.basis(spec, (a, a, 0)) for a in range(1 << spec.n) if p_divides_valency(spec, a)]
 
 
 def frobenius_witness(spec: SchemeSpec) -> Optional[dict[str, int]]:
@@ -158,11 +153,10 @@ def frobenius_witness(spec: SchemeSpec) -> Optional[dict[str, int]]:
     dimension dim T - 2^n, and the sum falls short of dim T, which a
     Frobenius algebra does not allow.
     """
-    qual = qualifying_coordinates(spec)
-    if not qual:
+    i = spec.qualifying_mask.bit_count()
+    if not i:
         return None
     n = spec.n
-    i = len(qual)
     dim_t = dimension(spec)
     left = 2**n - 2 ** (n - i)
     annihilator = dim_t - 2**n

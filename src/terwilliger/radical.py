@@ -1,11 +1,12 @@
 """The Jacobson radical: basis, membership, nilpotent index, witness chains, corners.
 
 The radical is spanned by exactly the basis triples whose middle mask has
-valency divisible by the characteristic, so membership and dimension are
-filters over the basis enumeration.  The nilpotent index is 2m+1 where m
-counts the coordinates whose factor size is 1 modulo the characteristic,
-and witness_chain returns an explicit ordered product certifying that the
-index is not smaller.
+valency divisible by the characteristic, i.e. meets the qualifying mask of
+the coordinates whose factor size is 1 modulo the characteristic.  The
+basis listing filters the basis enumeration by that test; membership reads
+only an element's terms.  The nilpotent index is 2m+1 where m counts the
+qualifying coordinates, and witness_chain returns an explicit ordered
+product certifying that the index is not smaller.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .scheme import Mask, SchemeSpec, p_divides_valency
 
 def qualifying_coordinates(spec: SchemeSpec) -> list[int]:
     """Bit positions of the coordinates whose factor size is 1 mod the characteristic."""
-    return [a for a in range(spec.n) if spec.p_divides(spec.sizes[a] - 1)]
+    return [a for a in range(spec.n) if (spec.qualifying_mask >> a) & 1]
 
 
 def radical_triples(spec: SchemeSpec) -> list[Triple]:
@@ -68,9 +69,7 @@ def corner_rad_basis(spec: SchemeSpec, g: Mask) -> list[Mask]:
 
 def corner_nilpotent_index(spec: SchemeSpec, g: Mask) -> int:
     """Nilpotent index of the corner radical: qualifying coordinates inside g, plus one."""
-    spec.check_mask(g)
-    m = sum(1 for a in range(spec.n) if (g >> a) & 1 and spec.p_divides(spec.sizes[a] - 1))
-    return m + 1
+    return (spec.check_mask(g) & spec.qualifying_mask).bit_count() + 1
 
 
 def radical_summary(spec: SchemeSpec) -> dict:

@@ -166,22 +166,23 @@ class SchemeSpec:
             raise ValueError(f"every factor size must be at least 2, got {self.sizes}")
         object.__setattr__(self, "field", GroundField(self.characteristic))
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def full_mask(self) -> Mask:
         return (1 << self.n) - 1
 
     @cached_property
     def large_mask(self) -> Mask:
         """Mask of the coordinates whose factor has more than two elements."""
-        m = 0
-        for a, size in enumerate(self.sizes):
-            if size > 2:
-                m |= 1 << a
-        return m
+        return sum(1 << a for a, size in enumerate(self.sizes) if size > 2)
+
+    @cached_property
+    def qualifying_mask(self) -> Mask:
+        """Mask of the coordinates whose factor size is 1 mod the characteristic; 0 in char 0."""
+        return sum(1 << a for a, size in enumerate(self.sizes) if self.p_divides(size - 1))
 
     @property
     def n1(self) -> int:
@@ -266,7 +267,13 @@ def valency_scalar(spec: SchemeSpec, g: Mask) -> Scalar:
 
 
 def p_divides_valency(spec: SchemeSpec, g: Mask) -> bool:
-    return spec.p_divides(valency(spec, g))
+    """Whether the characteristic divides the valency of g.
+
+    A prime divides the product of the factors s - 1 over g iff it divides
+    one of them, i.e. iff g meets the qualifying mask.  No factor is 0, so
+    nothing qualifies in characteristic 0.
+    """
+    return spec.check_mask(g) & spec.qualifying_mask != 0
 
 
 def is_basis_triple(spec: SchemeSpec, g: Mask, h: Mask, i: Mask) -> bool:
@@ -325,19 +332,15 @@ def intersection_number(spec: SchemeSpec, g: Mask, h: Mask, i: Mask) -> int:
 
 def layer_count(spec: SchemeSpec, g: Mask, h: Mask) -> int:
     """Number of coordinates in g minus h whose factor size is not 1 mod the characteristic."""
-    diff = spec.check_mask(g) & ~spec.check_mask(h)
-    count = 0
-    for a, size in enumerate(spec.sizes):
-        if (diff >> a) & 1 and not spec.p_divides(size - 1):
-            count += 1
-    return count
+    return (spec.check_mask(g) & ~spec.check_mask(h) & ~spec.qualifying_mask).bit_count()
 
 
 def layer(spec: SchemeSpec, g: Mask, h: Mask, i: int) -> list[Mask]:
     """Masks a with h <= a <= g, valency prime to the characteristic, and |a minus h| = i.
 
     Requires h <= g, the valency of h prime to the characteristic, and
-    0 <= i <= layer_count(g, h).  Layer 0 is always exactly [h].
+    0 <= i <= layer_count(g, h).  Layer 0 is always exactly [h].  Since h
+    avoids the qualifying coordinates, a does exactly when a minus h does.
     """
     if not subset_of(spec, h, g):
         raise ValueError("layer requires the base mask to sit inside the top mask")
@@ -345,8 +348,4 @@ def layer(spec: SchemeSpec, g: Mask, h: Mask, i: int) -> list[Mask]:
         raise ValueError("layer requires the base mask valency to be prime to the characteristic")
     if not 0 <= i <= layer_count(spec, g, h):
         raise ValueError(f"layer index {i} is out of range")
-    return [
-        h | sub
-        for sub in submasks(g & ~h)
-        if bin(sub).count("1") == i and not p_divides_valency(spec, h | sub)
-    ]
+    return [h | sub for sub in submasks(g & ~h & ~spec.qualifying_mask) if sub.bit_count() == i]

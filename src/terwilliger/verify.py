@@ -370,8 +370,9 @@ def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
     if len(rad) != dimension(spec) - 2**m * 4**spec.n1 * 5 ** (spec.n2 - m):
         return False, 0, "radical basis filter is inconsistent"
     count = 1
+    triples = basis_triples(spec)
     for r in rad:
-        for t in basis_triples(spec):
+        for t in triples:
             for lhs, rhs in ((t, r), (r, t)):
                 hit = mul_triples(spec, lhs, rhs)
                 if hit is not None and not p_divides_valency(spec, hit[1][1]):
@@ -529,7 +530,7 @@ def _check_frobenius_falsification(spec, base_points, rng, cap) -> Outcome:
     if ann != witness["annihilator_dim"]:
         return False, count, f"oracle annihilator dim {ann} differs from {witness['annihilator_dim']}"
     count += 1
-    dim_t = len(basis_triples(spec))
+    dim_t = dimension(spec)
     if witness["total"] != rank + ann or witness["total"] >= dim_t:
         return False, count, "witness total fails to fall short of the algebra dimension"
     count += 1

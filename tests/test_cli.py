@@ -235,3 +235,13 @@ def test_cli_answers_or_refuses_any_argv(data):
         code = exc.code
         assert code == 2, argv
     assert code in (0, 2), argv
+
+
+def test_report_refuses_algebras_beyond_the_dimension_bound_quickly(capsys):
+    for sizes, char in (("3," * 8 + "3", "2"), ("2," * 19 + "2", "0")):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "report", "--sizes", sizes, "--char", char)
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert str(cli.MAX_REPORT_DIMENSION) in err

@@ -1,6 +1,8 @@
 """The semisimple quotient: representatives, matrix units, blocks, verdicts."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from terwilliger.algebra import Element, basis_triples
 from terwilliger.quotient import (
@@ -16,7 +18,7 @@ from terwilliger.quotient import (
     wedderburn_summary,
 )
 from terwilliger.radical import in_radical, rad_dim
-from terwilliger.scheme import SchemeSpec, parse_mask
+from terwilliger.scheme import SchemeSpec, mask_key, parse_mask
 
 S23_P2 = SchemeSpec(sizes=(2, 3), characteristic=2)
 S23_P5 = SchemeSpec(sizes=(2, 3), characteristic=5)
@@ -177,3 +179,27 @@ def test_wedderburn_summary_shape():
         {"signature": "01", "size": 2, "rows": ["01", "11"]},
     ]
     assert got["verdicts"]["semisimple"] is False
+
+
+def blocks_by_grouping(spec):
+    """The blocks as (signature, rows) pairs, by grouping the surviving triples by signature."""
+    classes = {}
+    for u in quotient_triples(spec):
+        classes.setdefault(signature(spec, u), []).append(u)
+    blocks = []
+    for sig in sorted(classes, key=lambda m: mask_key(m, spec.n)):
+        members = classes[sig]
+        rows = tuple(u[0] for u in members if u[0] == u[2])
+        assert len(members) == len(rows) ** 2
+        blocks.append((sig, rows))
+    return blocks
+
+
+@given(
+    st.lists(st.sampled_from([2, 3, 4, 5, 7]), min_size=1, max_size=4).map(tuple),
+    st.sampled_from([0, 2, 3, 5]),
+)
+def test_wedderburn_blocks_equal_the_grouping_of_surviving_triples(sizes, p):
+    spec = SchemeSpec(sizes, p)
+    got = [(b.signature, b.rows) for b in wedderburn_blocks(spec)]
+    assert got == blocks_by_grouping(spec)

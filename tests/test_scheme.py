@@ -274,3 +274,22 @@ def test_field_refuses_characteristics_beyond_the_exact_bound():
         GroundField(MAX_CHARACTERISTIC)
     with pytest.raises(ValueError, match="bound"):
         SchemeSpec(sizes=(2, 3), characteristic=2**89 - 1)
+
+
+SPECS_UP_TO_5 = st.builds(
+    SchemeSpec,
+    st.lists(st.integers(2, 11), min_size=1, max_size=5).map(tuple),
+    st.sampled_from([0, 2, 3, 5, 7]),
+)
+
+
+@given(SPECS_UP_TO_5)
+def test_p_divides_valency_and_layer_count_match_per_coordinate_loops(spec):
+    for g in all_masks(spec):
+        assert p_divides_valency(spec, g) == spec.p_divides(valency(spec, g))
+        for h in all_masks(spec):
+            diff = g & ~h
+            expected = sum(
+                1 for a, size in enumerate(spec.sizes) if (diff >> a) & 1 and not spec.p_divides(size - 1)
+            )
+            assert layer_count(spec, g, h) == expected

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from terwilliger import radical, verify
+from terwilliger import quotient, radical, verify
 from terwilliger.scheme import SchemeSpec
 from terwilliger.verify import ALL_CHECKS, CheckResult, pick_base_points, run_all
 
@@ -70,3 +70,13 @@ def test_corner_nilpotent_index_is_checked_against_the_corner_radical(monkeypatc
     passed, _, detail = run_check("corner-structure", spec)
     assert not passed
     assert detail == "corner nilpotent index formula fails at 00"
+
+
+def test_block_bookkeeping_catches_a_dropped_block_row(monkeypatch):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=2)
+    blocks = verify.wedderburn_blocks(spec)
+    dropped = [quotient.WedderburnBlock(blocks[0].signature, blocks[0].rows[1:]), *blocks[1:]]
+    monkeypatch.setattr(verify, "wedderburn_blocks", lambda spec: dropped)
+    assert run_check("block-bookkeeping", spec) == (
+        False, 0, "block sizes do not square-sum to the quotient dimension"
+    )
