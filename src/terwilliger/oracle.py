@@ -1,9 +1,10 @@
 """Dense matrix realization of the scheme, used as independent ground truth.
 
 Everything here is brute force on purpose.  One table, the relation mask
-of every pair of points, is built from the definition of the relations;
-adjacency matrices and dual idempotents are read off it, products are
-honest matrix products, and ranks come from exact Gaussian elimination.
+of every pair of points, is built from the definition of the relations.
+Adjacency matrices, dual idempotents and the basis elements E*_g A_h E*_i
+are read off it as 0/1 masks; products of realized elements are honest
+matrix products, and ranks come from exact Gaussian elimination.
 The symbolic engine is validated against this module, so the two must not
 share formulas beyond the definition of the relations themselves.
 """
@@ -84,9 +85,7 @@ def _as_matrix(spec: SchemeSpec, entries: np.ndarray) -> np.ndarray:
 
 
 def _reduce(spec: SchemeSpec, m: np.ndarray) -> np.ndarray:
-    if spec.characteristic:
-        return m % spec.characteristic
-    return m
+    return m % spec.characteristic if spec.characteristic else m
 
 
 def mat_mul(spec: SchemeSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,12 +109,23 @@ def dual_idempotent(
     spec: SchemeSpec, x: Point, g: Mask, cap: int = DEFAULT_ORACLE_CAP
 ) -> np.ndarray:
     spec.check_mask(g)
-    table = relation_matrix(spec, cap)
-    return _as_matrix(spec, np.diag(table[_point_index(spec, x)] == g))
+    return _as_matrix(spec, np.diag(relation_matrix(spec, cap)[_point_index(spec, x)] == g))
 
 
 def identity_matrix(spec: SchemeSpec, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
     return _as_matrix(spec, np.eye(_check_cap(spec, cap), dtype=bool))
+
+
+def _interval_matrix(
+    spec: SchemeSpec, t: Triple, lo: Mask, base_point: Optional[Point], cap: int
+) -> np.ndarray:
+    """Entry (y, z) is 1 iff x relates to y by g, to z by i, and lo <= relation(y, z) <= h."""
+    g, h, i = check_triple(spec, t)
+    table = relation_matrix(spec, cap)
+    x = default_base_point(spec) if base_point is None else base_point
+    row = table[_point_index(spec, x)]
+    inside = (table & lo == lo) & (table & ~h == 0)
+    return _as_matrix(spec, (row == g)[:, None] & inside & (row == i)[None, :])
 
 
 def realize_raw_triple(
@@ -124,14 +134,8 @@ def realize_raw_triple(
     base_point: Optional[Point] = None,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
-    """The raw product: dual idempotent at g, adjacency at h, dual idempotent at i."""
-    check_triple(spec, t)
-    x = default_base_point(spec) if base_point is None else base_point
-    g, h, i = t
-    left = dual_idempotent(spec, x, g, cap)
-    mid = adjacency_matrix(spec, h, cap)
-    right = dual_idempotent(spec, x, i, cap)
-    return mat_mul(spec, mat_mul(spec, left, mid), right)
+    """The raw product E*_g A_h E*_i: the diagonal 0/1 factors keep whole rows and columns of A_h."""
+    return _interval_matrix(spec, t, t[1], base_point, cap)
 
 
 def realize_triple(
@@ -140,29 +144,20 @@ def realize_triple(
     base_point: Optional[Point] = None,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
-    """The structured basis element: sum of raw products over its middle interval."""
-    check_triple(spec, t)
-    g, h, i = t
-    lo = g ^ i
-    extra = h & ~lo
-    acc = None
-    sub = extra
-    while True:
-        part = realize_raw_triple(spec, (g, lo | sub, i), base_point, cap)
-        acc = part if acc is None else _reduce(spec, acc + part)
-        if sub == 0:
-            break
-        sub = (sub - 1) & extra
-    return acc
+    """The sum of the raw products E*_g A_j E*_i over g ^ i <= j <= h.
+
+    Each pair of points has one relation, so the summands have disjoint supports.
+    """
+    g, _, i = t
+    return _interval_matrix(spec, t, g ^ i, base_point, cap)
 
 
 def _scale(spec: SchemeSpec, c: Scalar, m: np.ndarray) -> np.ndarray:
     c = spec.field.of(c)
     if spec.characteristic:
         return (m * c) % spec.characteristic
-    if m.dtype == object:
-        return m * c
-    return m.astype(object) * c
+    # integral coefficients stay Python ints, so products of realized elements avoid Fraction
+    return m * (c.numerator if c.denominator == 1 else c)
 
 
 def _combine(

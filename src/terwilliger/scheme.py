@@ -157,7 +157,11 @@ class SchemeSpec:
     field: GroundField = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for value in (*self.sizes, self.characteristic):
+            if not hasattr(type(value), "__index__"):
+                raise ValueError(f"sizes and the characteristic must be integers, got {value!r}")
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "characteristic", int(self.characteristic))
         if not self.sizes:
             raise ValueError("at least one factor is required")
         if len(self.sizes) > MAX_FACTORS:
@@ -214,7 +218,7 @@ def mask_key(m: Mask, n: int) -> tuple[int, ...]:
 
 
 def render_mask(m: Mask, n: int) -> str:
-    return "".join("1" if (m >> a) & 1 else "0" for a in range(n))
+    return format(m, f"0{n}b")[:-n - 1:-1]
 
 
 def parse_mask(text: str, n: int) -> Mask:

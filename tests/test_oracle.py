@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terwilliger.algebra import Element, basis_triples, to_raw
+from terwilliger.center import central_element, central_indices
 from terwilliger.oracle import (
     adjacency_matrix,
     annihilator_dim,
@@ -18,13 +19,15 @@ from terwilliger.oracle import (
     points,
     realize,
     realize_raw,
+    realize_raw_triple,
+    realize_triple,
     relation,
     relation_matrix,
     span_rank,
     triple_intersection_count,
 )
 from terwilliger.quotient import frobenius_left_ideal
-from terwilliger.scheme import SchemeSpec, all_masks, valency
+from terwilliger.scheme import SchemeSpec, all_masks, submasks, valency
 
 S23 = SchemeSpec(sizes=(2, 3))
 S23_P2 = SchemeSpec(sizes=(2, 3), characteristic=2)
@@ -191,3 +194,37 @@ def test_annihilator_dimension_golden():
     assert annihilator_dim(S23_P2, frobenius_left_ideal(S23_P2)) == 16
     assert annihilator_dim(S23_P2, [Element.zero(S23_P2)]) == 20
     assert annihilator_dim(S23_P2, [Element.identity(S23_P2)]) == 0
+
+
+def _raw_product(spec, t, x):
+    """E*_g A_h E*_i as an honest product of a diagonal, an adjacency and a diagonal matrix."""
+    g, h, i = t
+    left = mat_mul(spec, dual_idempotent(spec, x, g), adjacency_matrix(spec, h))
+    return mat_mul(spec, left, dual_idempotent(spec, x, i))
+
+
+@pytest.mark.parametrize(
+    "sizes, characteristic",
+    [((2, 3), 2), ((2, 3), 0), ((3, 3), 2), ((2, 4), 3), ((2, 2, 3), 5), ((2, 3), 1048583)],
+)
+def test_realized_triples_are_the_matrix_products_summed_over_the_interval(sizes, characteristic):
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    pts = points(spec)
+    for x in (pts[0], pts[len(pts) // 2], pts[-1]):
+        for g, h, i in basis_triples(spec):
+            raw = realize_raw_triple(spec, (g, h, i), x)
+            expected = _raw_product(spec, (g, h, i), x)
+            assert raw.dtype == expected.dtype and mat_eq(raw, expected)
+            lo = g ^ i
+            total = sum(realize_raw_triple(spec, (g, lo | j, i), x) for j in submasks(h & ~lo))
+            if characteristic:
+                total %= characteristic
+            got = realize_triple(spec, (g, h, i), x)
+            assert got.dtype == expected.dtype and mat_eq(got, total)
+
+
+def test_integral_central_elements_realize_with_int_entries_at_characteristic_zero():
+    spec = SchemeSpec(sizes=(3, 3), characteristic=0)
+    for g in central_indices(spec):
+        m = realize(spec, central_element(spec, g))
+        assert {type(v) for v in m.flat} == {int}

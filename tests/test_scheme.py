@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -80,6 +81,15 @@ def test_spec_validation():
         SchemeSpec(sizes=(2,) * 21)
     with pytest.raises(ValueError):
         SchemeSpec(sizes=(2, 3), characteristic=6)
+    with pytest.raises(ValueError, match="2.9"):
+        SchemeSpec(sizes=(2.9, 3), characteristic=2)
+    with pytest.raises(ValueError, match="2.0"):
+        SchemeSpec(sizes=(2, 3), characteristic=2.0)
+    with pytest.raises(ValueError, match="'3'"):
+        SchemeSpec(sizes=(2, "3"))
+    numpy_ints = SchemeSpec(sizes=(np.int64(2), np.int32(3)), characteristic=np.int64(3))
+    assert numpy_ints == SchemeSpec(sizes=(2, 3), characteristic=3)
+    assert type(numpy_ints.characteristic) is int
 
 
 def test_spec_counts():
@@ -110,9 +120,11 @@ def test_canonical_mask_order_is_bitstring_order():
     assert rendered == sorted(rendered)
 
 
-@given(st.integers(0, 2**6 - 1))
-def test_mask_roundtrip(m):
+@given(st.integers(0, 2**6 - 1), st.integers(0, 2**10), st.integers(0, 8))
+def test_mask_roundtrip(m, wide, n):
     assert parse_mask(render_mask(m, 6), 6) == m
+    # the per-bit definition, also for masks of n bits or more
+    assert render_mask(wide, n) == "".join("1" if (wide >> a) & 1 else "0" for a in range(n))
 
 
 @given(st.integers(0, 2**6 - 1), st.integers(0, 2**6 - 1))
