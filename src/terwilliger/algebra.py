@@ -10,6 +10,9 @@ is kept for cross-checks against the dense matrix oracle.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Iterable, Mapping, Optional
 
 from .scheme import (
@@ -17,8 +20,9 @@ from .scheme import (
     Mask,
     Scalar,
     SchemeSpec,
+    _bracket,
+    _in_window,
     all_masks,
-    bracket,
     is_basis_triple,
     mask_key,
     mask_product,
@@ -90,14 +94,36 @@ def mul_triples(spec: SchemeSpec, t1: Triple, t2: Triple) -> Optional[tuple[Scal
     """
     check_triple(spec, t1)
     check_triple(spec, t2)
-    g, h, i = t1
-    j, k, l = t2
-    if i != j:
+    if t1[2] != t2[0]:
         return None
-    coeff = spec.field.of(valency(spec, h & i & k))
+    m, t = _product(spec.large_mask, t1, t2)
+    coeff = spec.field.of(valency(spec, m))
     if spec.field.is_zero(coeff):
         return None
-    return coeff, (g, bracket(spec, g, h, i, k, l), l)
+    return coeff, t
+
+
+def _product(large: Mask, t1: Triple, t2: Triple) -> tuple[Mask, Triple]:
+    """The law of mul_triples on valid triples t1 = (g, h, i) and t2 = (i, k, l), unchecked.
+
+    Returns the mask h & i & k, whose valency is the coefficient, and the
+    product's triple; large is the spec's large_mask.
+    """
+    g, h, i = t1
+    _, k, l = t2
+    return h & i & k, (g, _bracket(large, g, h, i, k, l), l)
+
+
+def _integral(items: Iterable[tuple[Triple, Fraction]]) -> tuple[list[tuple[Triple, int]], int]:
+    """Characteristic-0 (triple, coefficient) pairs over the integers, and their denominator.
+
+    Each Fraction is scaled by the lcm d of the denominators, so the pairs
+    stand for the element times d.
+    """
+    d = lcm(*(c.denominator for _, c in items))
+    if d == 1:
+        return [(t, c.numerator) for t, c in items], 1
+    return [(t, c.numerator * (d // c.denominator)) for t, c in items], d
 
 
 def _accumulate(field: GroundField, acc: dict[Triple, Scalar], t: Triple, c: Scalar) -> None:
@@ -130,7 +156,8 @@ class Element:
     @classmethod
     def _with_terms(cls, spec: SchemeSpec, terms: dict[Triple, Scalar]) -> Element:
         """An element that takes over terms already canonical and nonzero, unchecked."""
-        out = cls(spec)
+        out = object.__new__(cls)
+        out.spec = spec
         out.terms = terms
         return out
 
@@ -185,19 +212,58 @@ class Element:
         return Element._with_terms(self.spec, {t: field.mul(c, v) for t, v in self.terms.items()})
 
     def mul(self, other: Element) -> Element:
-        self._require_same_spec(other)
-        field = self.spec.field
-        acc: dict[Triple, Scalar] = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                if t1[2] != t2[0]:
-                    continue
-                hit = mul_triples(self.spec, t1, t2)
-                if hit is None:
-                    continue
-                coeff, t = hit
-                _accumulate(field, acc, t, field.mul(field.mul(c1, c2), coeff))
-        return Element._with_terms(self.spec, acc)
+        """The product, summed over pairs of terms by the law of mul_triples.
+
+        A pair (g, h, i), (j, k, l) contributes only when i = j, so the terms
+        of other are grouped by their left mask once, and each term of self
+        visits only the group at its right mask.  Coefficients multiply as
+        integers: in characteristic 0 each operand is scaled by the lcm of
+        its denominators first, and each output term makes one Fraction; in
+        characteristic p each output term is reduced once.  Terms that sum
+        to zero are dropped.  The valency of each coefficient mask is taken
+        once per call.  Unless no pair matches, every operand term is
+        validated once per call, so a non-basis triple written into terms
+        raises ValueError.
+        """
+        spec = self.spec
+        if other.spec is not spec:
+            self._require_same_spec(other)
+        lefts = {t2[0] for t2 in other.terms}
+        left = [(t1, c1) for t1, c1 in self.terms.items() if t1[2] in lefts]
+        if not left:
+            return Element._with_terms(spec, {})
+        full, large = spec.full_mask, spec.large_mask
+        for t in chain(self.terms, other.terms):
+            g, h, i = t
+            if (g | h | i) & ~full or not _in_window(large, g, h, i):
+                check_triple(spec, t)  # raises, naming the window
+        p = spec.characteristic
+        right = other.terms.items()
+        dx = dy = 1
+        if not p:
+            left, dx = _integral(left)
+            right, dy = _integral(right)
+        by_left: dict[Mask, list[tuple[Triple, int]]] = {}
+        for t2, c2 in right:
+            by_left.setdefault(t2[0], []).append((t2, c2))
+        valencies: dict[Mask, int] = {}
+        acc: dict[Triple, int] = {}
+        for t1, c1 in left:
+            for t2, c2 in by_left[t1[2]]:
+                m, t = _product(large, t1, t2)
+                v = valencies.get(m)
+                if v is None:
+                    v = valencies[m] = valency(spec, m) % p if p else valency(spec, m)
+                if v:
+                    acc[t] = acc.get(t, 0) + c1 * c2 * v
+        d = dx * dy
+        terms: dict[Triple, Scalar] = {}
+        for t, c in acc.items():
+            if p:
+                c %= p
+            if c:
+                terms[t] = c if p else Fraction(c, d)
+        return Element._with_terms(spec, terms)
 
     def transpose(self) -> Element:
         return Element._with_terms(self.spec, {(i, h, g): c for (g, h, i), c in self.terms.items()})

@@ -20,6 +20,7 @@ Exit codes: 0 on success, 1 when verification fails, 2 on invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -205,7 +206,9 @@ def cmd_mul(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="terwilliger",
         description="Terwilliger algebras of factorial association schemes over prime fields.",

@@ -285,9 +285,13 @@ def is_basis_triple(spec: SchemeSpec, g: Mask, h: Mask, i: Mask) -> bool:
     spec.check_mask(g)
     spec.check_mask(h)
     spec.check_mask(i)
+    return _in_window(spec.large_mask, g, h, i)
+
+
+def _in_window(large: Mask, g: Mask, h: Mask, i: Mask) -> bool:
+    """is_basis_triple on masks already known to be in range; large is the spec's large_mask."""
     lo = g ^ i
-    hi = lo | (g & i & spec.large_mask)
-    return lo & ~h == 0 and h & ~hi == 0
+    return lo & ~h == 0 and h & ~(lo | (g & i & large)) == 0
 
 
 def bracket(spec: SchemeSpec, g: Mask, h: Mask, i: Mask, j: Mask, k: Mask) -> Mask:
@@ -299,7 +303,11 @@ def bracket(spec: SchemeSpec, g: Mask, h: Mask, i: Mask, j: Mask, k: Mask) -> Ma
     """
     for m in (g, h, i, j, k):
         spec.check_mask(m)
-    large = spec.large_mask
+    return _bracket(spec.large_mask, g, h, i, j, k)
+
+
+def _bracket(large: Mask, g: Mask, h: Mask, i: Mask, j: Mask, k: Mask) -> Mask:
+    """bracket on masks already known to be in range; large is the spec's large_mask."""
     return (g ^ k) | ((g & k & large) & ~i) | ((h | j) & (g & i & k & large))
 
 

@@ -540,6 +540,7 @@ def _check_frobenius_falsification(spec, base_points, rng, cap) -> Outcome:
 def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
     field = spec.field
     x = base_points[0]
+    zero = oracle.realize(spec, Element.zero(spec), x, cap)
     count = 0
     for g in range(1 << spec.n):
         middles = corner_basis(spec, g)
@@ -581,6 +582,7 @@ def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
                     return False, count, f"corner radical at {render_mask(g, spec.n)} is not nilpotent at its index"
                 count += 1
         reps = {a: semisimple_rep(spec, (g, a, g)) for a in surviving}
+        mats = {a: oracle.realize(spec, rep, x, cap) for a, rep in reps.items()}
         for a, b in itertools.product(surviving, surviving):
             prod = reps[a].mul(reps[b])
             expect = reps[a] if a == b else Element.zero(spec)
@@ -590,13 +592,8 @@ def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
                     f" idempotents ({render_mask(a, spec.n)}, {render_mask(b, spec.n)})"
                 )
             count += 1
-            mat = oracle.mat_mul(
-                spec,
-                oracle.realize(spec, reps[a], x, cap),
-                oracle.realize(spec, reps[b], x, cap),
-            )
-            target = oracle.realize(spec, expect, x, cap)
-            if not oracle.mat_eq(mat, target):
+            mat = oracle.mat_mul(spec, mats[a], mats[b])
+            if not oracle.mat_eq(mat, mats[a] if a == b else zero):
                 return False, count, f"corner idempotent matrices disagree at {render_mask(g, spec.n)}"
             count += 1
         for h in surviving:

@@ -121,6 +121,79 @@ def test_multiplication_distributes_over_sums(data):
     assert y.add(z).mul(x) == y.mul(x).add(z.mul(x))
 
 
+def all_pairs_product(x, y):
+    """The definition of the product: every pair of terms through mul_triples."""
+    spec, field = x.spec, x.spec.field
+    acc = {}
+    for t1, c1 in x.terms.items():
+        for t2, c2 in y.terms.items():
+            hit = mul_triples(spec, t1, t2)
+            if hit is not None:
+                coeff, triple = hit
+                term = field.mul(field.mul(c1, c2), coeff)
+                acc[triple] = field.add(acc.get(triple, field.zero()), term)
+    return {triple: c for triple, c in acc.items() if not field.is_zero(c)}
+
+
+PRODUCT_SPECS = [
+    SchemeSpec(sizes=sizes, characteristic=p)
+    for sizes in ((2, 3), (2, 3, 3), (3, 3))
+    for p in (0, 2, 3, 5, 1048583, 2**61 - 1)
+]
+# Few distinct values, half of them non-integral, so that sums of products cancel.
+SMALL_FRACTIONS = [Fraction(a, b) for a in (-3, -2, -1, 1, 2, 3) for b in (1, 2, 3)]
+
+
+def coefficients(spec):
+    if spec.characteristic == 0:
+        return st.sampled_from(SMALL_FRACTIONS)
+    return st.one_of(st.integers(-3, 3), st.integers(0, spec.characteristic - 1))
+
+
+def elements(data, spec):
+    triples = data.draw(st.lists(st.sampled_from(basis_triples(spec)), max_size=12, unique=True))
+    return Element(spec, {trip: data.draw(coefficients(spec)) for trip in triples})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_matches_the_all_pairs_definition(data):
+    spec = data.draw(st.sampled_from(PRODUCT_SPECS))
+    x, y = elements(data, spec), elements(data, spec)
+    got = x.mul(y)
+    assert got.terms == all_pairs_product(x, y)
+    p = spec.characteristic
+    for c in got.terms.values():
+        if p:
+            assert type(c) is int and 0 < c < p
+        else:
+            assert type(c) is Fraction and c != 0
+
+
+def test_product_drops_terms_that_cancel():
+    spec = SchemeSpec(sizes=(3,))
+    x = Element.basis(spec, (1, 1, 1))
+    # (1,1,1)(1,0,1) = (1,1,1) and (1,1,1)(1,1,1) = 2 (1,1,1)
+    y = Element(spec, {(1, 0, 1): 1, (1, 1, 1): Fraction(-1, 2)})
+    assert x.mul(y).is_zero()
+    z = Element(spec, {(1, 0, 1): Fraction(1, 3), (1, 1, 1): Fraction(1, 4), (0, 0, 0): 5})
+    assert x.mul(z).terms == {(1, 1, 1): Fraction(5, 6)}
+
+
+@pytest.mark.parametrize("bad", [(0b11, 0b11, 0b11), (0b11, 0b00, 0b01)])
+def test_product_refuses_a_non_basis_term_it_multiplies(bad):
+    g, _, i = bad
+    x = Element.basis(S23, (0, 0, 0))
+    x.terms[bad] = Fraction(1)
+    with pytest.raises(ValueError, match="does not index a basis element"):
+        x.mul(Element.basis(S23, (i, 0, i)))
+    with pytest.raises(ValueError, match="does not index a basis element"):
+        Element.basis(S23, (g, 0, g)).mul(x)
+    x.terms = {(0b100, 0, 0b100): Fraction(1)}
+    with pytest.raises(ValueError, match="out of range"):
+        x.mul(x)
+
+
 def test_transpose_is_an_antiautomorphism():
     triples = basis_triples(S233_P2)
     for t1 in triples[::7]:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import time
 
 from hypothesis import given, settings
@@ -100,6 +101,37 @@ def test_mul_rejects_non_basis_triples(capsys):
     code, _, err = run(capsys, "mul", "--sizes", "2,3", "11,01", "11,01,11")
     assert code == 2
     assert "three comma-separated masks" in err
+
+
+def call(argv):
+    """Exit code, stdout and stderr of one main call, with check timings blanked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, re.sub(r"\(\d+\.\d+s\)", "(s)", out.getvalue()), err.getvalue()
+
+
+def test_parser_is_built_once_and_reused_safely():
+    calls = [
+        ["report", "--sizes", "2,3", "--char", "2", "--with-checks"],
+        ["report", "--sizes", "2,3", "--char", "2"],
+        ["mul", "--sizes", "2,3", "--json", "01,11,11", "11,01,11"],
+        ["mul", "--sizes", "2,3", "01,11,11", "11,01,11"],
+        ["mul", "--sizes", "2,3", "--with-checks", "01,11,11", "11,01,11"],
+        ["report", "--sizes", "2,3", "--char", "5"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    cli.build_parser.cache_clear()
+    reused = [call(argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0]
 
 
 def test_verify_passes_on_a_small_scheme(capsys):
