@@ -4,14 +4,25 @@ Everything here is brute force on purpose.  One table, the relation mask
 of every pair of points, is built from the definition of the relations.
 Adjacency matrices, dual idempotents and the basis elements E*_g A_h E*_i
 are read off it as 0/1 masks; products of realized elements are honest
-matrix products, and ranks come from exact Gaussian elimination.
+matrix products, and ranks come from exact elimination.
+
+At characteristic 0 a realized matrix is an object array of Python ints
+and Fractions, but no arithmetic runs on Fractions: products clear each
+operand's denominators and multiply integer numerators (in int64 when a
+bound proves that exact), and ranks come from fraction-free elimination
+over Python ints, which cross-multiplies rows as in Bareiss' integer-
+preserving elimination.  At prime characteristic matrices are int64 (or
+Python ints for very large primes) reduced mod p.
 The symbolic engine is validated against this module, so the two must not
 share formulas beyond the definition of the relations themselves.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -64,12 +75,20 @@ def relation_matrix(spec: SchemeSpec, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarr
     """The relation mask of every pair of points, rows and columns in points() order.
 
     Entry (x, y) equals relation(spec, x, y), computed for all pairs at once,
-    one coordinate at a time.
+    one coordinate at a time.  The table is built once per sizes and shared,
+    so it is read-only.
     """
-    size = _check_cap(spec, cap)
+    _check_cap(spec, cap)
+    return _relation_table(spec.sizes)
+
+
+@functools.lru_cache(maxsize=16)
+def _relation_table(sizes: tuple[int, ...]) -> np.ndarray:
+    size = math.prod(sizes)
     table = np.zeros((size, size), dtype=np.int64)
-    for a, col in enumerate(np.indices(spec.sizes).reshape(spec.n, size)):
+    for a, col in enumerate(np.indices(sizes).reshape(len(sizes), size)):
         table |= (col[:, None] != col[None, :]).astype(np.int64) << a
+    table.setflags(write=False)
     return table
 
 
@@ -88,8 +107,52 @@ def _reduce(spec: SchemeSpec, m: np.ndarray) -> np.ndarray:
     return m % spec.characteristic if spec.characteristic else m
 
 
+def _integer_form(m: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """(nums, d, top) with m == nums / d, d the lcm of the entries' denominators, top >= max |nums|.
+
+    nums is int64 when every numerator fits, else an object array of Python
+    ints.  The usual 0/1 matrix is read through bytearray in one C pass; it
+    stops at the first Fraction (no __index__) or entry outside [0, 256),
+    where astype(np.int64) would truncate a Fraction silently.
+    """
+    flat = m.ravel().tolist()
+    try:
+        return np.frombuffer(bytearray(flat), dtype=np.uint8).astype(np.int64).reshape(m.shape), 1, 255
+    except (TypeError, ValueError):
+        pass
+    d = math.lcm(*(v.denominator for v in flat))
+    nums = [v.numerator * (d // v.denominator) for v in flat]
+    top = max(max(nums), -min(nums))
+    return np.array(nums, dtype=np.int64 if top < 1 << 63 else object).reshape(m.shape), d, top
+
+
+def _over(nums: np.ndarray, d: int) -> np.ndarray:
+    """The object array nums / d: a Python int where d divides the entry, a Fraction elsewhere."""
+    if d == 1:
+        return nums.astype(object)
+    out = np.empty(nums.size, dtype=object)
+    out[:] = [v // d if v % d == 0 else Fraction(v, d) for v in nums.ravel().tolist()]
+    return out.reshape(nums.shape)
+
+
 def mat_mul(spec: SchemeSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _reduce(spec, a @ b)
+    """The matrix product over the ground field.
+
+    At characteristic 0 each operand is cleared of its denominators, the
+    integer numerators are multiplied, and the product is divided by
+    d_a * d_b once.  The numerators are multiplied in int64 when
+    max|A| * max|B| * k < 2^63, which proves every partial sum exact, and as
+    Python ints otherwise.
+    """
+    if spec.characteristic:
+        return _reduce(spec, a @ b)
+    na, da, top_a = _integer_form(a)
+    nb, db, top_b = _integer_form(b)
+    if na.dtype != object and nb.dtype != object and top_a * top_b * na.shape[-1] < 1 << 63:
+        prod = na @ nb
+    else:
+        prod = na.astype(object) @ nb.astype(object)
+    return _over(prod, da * db)
 
 
 def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
@@ -116,16 +179,30 @@ def identity_matrix(spec: SchemeSpec, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarr
     return _as_matrix(spec, np.eye(_check_cap(spec, cap), dtype=bool))
 
 
-def _interval_matrix(
-    spec: SchemeSpec, t: Triple, lo: Mask, base_point: Optional[Point], cap: int
-) -> np.ndarray:
-    """Entry (y, z) is 1 iff x relates to y by g, to z by i, and lo <= relation(y, z) <= h."""
-    g, h, i = check_triple(spec, t)
+def _base_row(
+    spec: SchemeSpec, base_point: Optional[Point], cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The relation table and its row at the base point x."""
     table = relation_matrix(spec, cap)
     x = default_base_point(spec) if base_point is None else base_point
-    row = table[_point_index(spec, x)]
+    return table, table[_point_index(spec, x)]
+
+
+def _interval_mask(
+    spec: SchemeSpec, t: Triple, lo: Mask, table: np.ndarray, row: np.ndarray
+) -> np.ndarray:
+    """Entry (y, z) is True iff x relates to y by g, to z by i, and lo <= relation(y, z) <= h."""
+    g, h, i = check_triple(spec, t)
     inside = (table & lo == lo) & (table & ~h == 0)
-    return _as_matrix(spec, (row == g)[:, None] & inside & (row == i)[None, :])
+    return (row == g)[:, None] & inside & (row == i)[None, :]
+
+
+def _raw_low(t: Triple) -> Mask:
+    return t[1]
+
+
+def _interval_low(t: Triple) -> Mask:
+    return t[0] ^ t[2]
 
 
 def realize_raw_triple(
@@ -135,7 +212,7 @@ def realize_raw_triple(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """The raw product E*_g A_h E*_i: the diagonal 0/1 factors keep whole rows and columns of A_h."""
-    return _interval_matrix(spec, t, t[1], base_point, cap)
+    return _as_matrix(spec, _interval_mask(spec, t, _raw_low(t), *_base_row(spec, base_point, cap)))
 
 
 def realize_triple(
@@ -148,8 +225,7 @@ def realize_triple(
 
     Each pair of points has one relation, so the summands have disjoint supports.
     """
-    g, _, i = t
-    return _interval_matrix(spec, t, g ^ i, base_point, cap)
+    return _as_matrix(spec, _interval_mask(spec, t, _interval_low(t), *_base_row(spec, base_point, cap)))
 
 
 def _scale(spec: SchemeSpec, c: Scalar, m: np.ndarray) -> np.ndarray:
@@ -163,16 +239,31 @@ def _scale(spec: SchemeSpec, c: Scalar, m: np.ndarray) -> np.ndarray:
 def _combine(
     spec: SchemeSpec,
     terms: Mapping[Triple, Scalar],
-    realize_one: Callable[..., np.ndarray],
+    low: Callable[[Triple], Mask],
     base_point: Optional[Point],
     cap: int,
 ) -> np.ndarray:
-    """The linear combination of the matrices realize_one gives for each triple."""
-    size = _check_cap(spec, cap)
-    acc = _as_matrix(spec, np.zeros((size, size), dtype=bool))
-    for t, c in terms.items():
-        acc = _reduce(spec, acc + _scale(spec, c, realize_one(spec, t, base_point, cap)))
-    return acc
+    """The linear combination of the 0/1 interval matrices with lower end low(t).
+
+    At characteristic 0 the coefficients' integer numerators over the lcm d of
+    their denominators are accumulated, in int64 while the sum of their sizes
+    fits, and the sum is divided by d once.
+    """
+    table, row = _base_row(spec, base_point, cap)
+    coeffs = {t: spec.field.of(c) for t, c in terms.items()}
+    if spec.characteristic:
+        acc = _as_matrix(spec, np.zeros(table.shape, dtype=bool))
+        for t, c in coeffs.items():
+            mask = _as_matrix(spec, _interval_mask(spec, t, low(t), table, row))
+            acc = _reduce(spec, acc + _scale(spec, c, mask))
+        return acc
+    d = math.lcm(*(c.denominator for c in coeffs.values()))
+    nums = {t: c.numerator * (d // c.denominator) for t, c in coeffs.items()}
+    dtype = np.int64 if sum(map(abs, nums.values())) < 1 << 63 else object
+    acc = np.zeros(table.shape, dtype=dtype)
+    for t, n in nums.items():
+        acc[_interval_mask(spec, t, low(t), table, row)] += n
+    return _over(acc, d)
 
 
 def realize(
@@ -181,7 +272,7 @@ def realize(
     base_point: Optional[Point] = None,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
-    return _combine(spec, e.terms, realize_triple, base_point, cap)
+    return _combine(spec, e.terms, _interval_low, base_point, cap)
 
 
 def realize_raw(
@@ -191,32 +282,37 @@ def realize_raw(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """Realize a map from raw-basis triples to scalars, as returned by algebra.to_raw."""
-    return _combine(spec, raw, realize_raw_triple, base_point, cap)
+    return _combine(spec, raw, _raw_low, base_point, cap)
 
 
 def _rank_of_rows(spec: SchemeSpec, rows: list[np.ndarray]) -> int:
-    """Exact row rank via Gaussian elimination over the ground field."""
-    field = spec.field
+    """Exact row rank by elimination over the ground field.
+
+    At characteristic 0 the elimination is fraction-free over Python ints:
+    each incoming row is scaled by the lcm of its denominators and eliminated
+    by cross-multiplying with each pivot row, and each new pivot row is
+    divided by the gcd of its entries to keep the entries small.  At prime
+    characteristic it is Gaussian elimination mod p.
+    """
     p = spec.characteristic
     pivots: list[tuple[int, np.ndarray]] = []
     for row in rows:
-        v = np.asarray(row).astype(object)
         if p:
-            v = v % p
+            v = np.asarray(row).astype(object) % p
+        else:
+            v = _integer_form(np.asarray(row))[0].astype(object)
         for col, pivot_row in pivots:
             c = v[col]
             if c != 0:
-                v = v - pivot_row * c
-                if p:
-                    v = v % p
-        nonzero = np.nonzero(v)[0]
+                v = (v - pivot_row * c) % p if p else v * pivot_row[col] - pivot_row * c
+        nonzero = np.flatnonzero(v)
         if nonzero.size == 0:
             continue
         col = int(nonzero[0])
-        inv = field.inv(int(v[col]) if p else v[col])
-        v = v * inv
         if p:
-            v = v % p
+            v = v * spec.field.inv(int(v[col])) % p
+        else:
+            v = v // math.gcd(*v.tolist())
         pivots.append((col, v))
     return len(pivots)
 

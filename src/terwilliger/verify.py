@@ -391,21 +391,24 @@ def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
     else:
         seqs = _sample(rad, index, rng)
         mode = f"sampled {SAMPLE_COUNT} of {total} sequences"
+    elements = {r: Element.basis(spec, r) for r in rad}
     for seq in seqs:
-        e = Element.basis(spec, seq[0])
+        e = elements[seq[0]]
         for t in seq[1:]:
             if e.is_zero():
                 break
-            e = e.mul(Element.basis(spec, t))
+            e = e.mul(elements[t])
         if not e.is_zero():
             names = " * ".join(render_triple(spec, t) for t in seq)
             return False, count, f"nonzero product of {index} radical elements: {names}"
         count += 1
     x = base_points[0]
-    for seq in seqs[: min(len(seqs), ORACLE_SAMPLE)]:
-        acc = oracle.realize_triple(spec, seq[0], x, cap)
+    checked = seqs[:ORACLE_SAMPLE]
+    mats = {t: oracle.realize_triple(spec, t, x, cap) for t in dict.fromkeys(itertools.chain(*checked))}
+    for seq in checked:
+        acc = mats[seq[0]]
         for t in seq[1:]:
-            acc = oracle.mat_mul(spec, acc, oracle.realize_triple(spec, t, x, cap))
+            acc = oracle.mat_mul(spec, acc, mats[t])
         if not oracle.is_zero_matrix(acc):
             return False, count, "oracle found a nonzero radical product the engine missed"
         count += 1

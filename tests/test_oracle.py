@@ -1,10 +1,13 @@
 """The dense matrix oracle: raw scheme matrices and faithfulness of realize."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from terwilliger import oracle
 from terwilliger.algebra import Element, basis_triples, to_raw
 from terwilliger.center import central_element, central_indices
 from terwilliger.oracle import (
@@ -28,6 +31,7 @@ from terwilliger.oracle import (
 )
 from terwilliger.quotient import frobenius_left_ideal
 from terwilliger.scheme import SchemeSpec, all_masks, submasks, valency
+from terwilliger.verify import run_all
 
 S23 = SchemeSpec(sizes=(2, 3))
 S23_P2 = SchemeSpec(sizes=(2, 3), characteristic=2)
@@ -228,3 +232,101 @@ def test_integral_central_elements_realize_with_int_entries_at_characteristic_ze
     for g in central_indices(spec):
         m = realize(spec, central_element(spec, g))
         assert {type(v) for v in m.flat} == {int}
+
+
+def test_relation_table_is_read_only():
+    table = relation_matrix(S23)
+    with pytest.raises(ValueError):
+        table[0, 1] = 0
+
+
+def test_run_all_builds_the_relation_table_once():
+    oracle._relation_table.cache_clear()
+    run_all(SchemeSpec(sizes=(3, 3), characteristic=2))
+    assert oracle._relation_table.cache_info().misses == 1
+
+
+def _object_matrix(rows):
+    out = np.empty((len(rows), len(rows[0])), dtype=object)
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            out[r, c] = v
+    return out
+
+
+# Entry kinds for char-0 matrices: 0/1, small signed ints, rationals, and
+# integers near 2^31 and 2^62, so that products land on both sides of the
+# int64 bound max|A| * max|B| * k < 2^63.
+_ENTRIES = [
+    st.integers(0, 1),
+    st.integers(-5, 5),
+    st.fractions(-5, 5, max_denominator=7),
+    st.integers(2**31 - 4, 2**31 + 4) | st.integers(-(2**31) - 4, -(2**31) + 4),
+    st.integers(2**62 - 4, 2**62 + 4) | st.integers(0, 1),
+]
+
+
+def _matrix(data, n, k):
+    entries = data.draw(st.sampled_from(_ENTRIES))
+    return _object_matrix(
+        [[data.draw(entries) for _ in range(k)] for _ in range(n)]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_characteristic_zero_product_equals_the_object_product(data):
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a, b = _matrix(data, n, k), _matrix(data, k, m)
+    expected = a @ b  # Python int and Fraction arithmetic, entry by entry
+    got = mat_mul(S23, a, b)
+    assert got.dtype == object and got.shape == expected.shape
+    assert all(type(v) in (int, Fraction) for v in got.flat)
+    assert got.tolist() == expected.tolist()
+
+
+def _fraction_rank(vectors):
+    """Row rank by Gaussian elimination over Fraction, as a reference."""
+    rows = [[Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_characteristic_zero_span_rank_equals_fraction_elimination(data):
+    shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)))
+    length = shape[0] * shape[1]
+    scalars = st.fractions(-4, 4, max_denominator=6)
+    base = [[data.draw(scalars) for _ in range(length)] for _ in range(data.draw(st.integers(1, 4)))]
+    family = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        coeffs = [data.draw(st.integers(-3, 3)) for _ in base]
+        family.append([sum(c * vec[j] for c, vec in zip(coeffs, base)) for j in range(length)])
+    mats = [_object_matrix([vec[r * shape[1]:(r + 1) * shape[1]] for r in range(shape[0])]) for vec in family]
+    assert span_rank(S23, mats) == _fraction_rank(family)
+
+
+def test_characteristic_zero_results_are_python_ints_and_fractions():
+    spec = SchemeSpec(sizes=(3, 3), characteristic=0)
+    integral = realize(spec, central_element(spec, central_indices(spec)[-1]))
+    third = Element.basis(spec, basis_triples(spec)[4], Fraction(1, 3))
+    rational = realize(spec, third.add(Element.basis(spec, basis_triples(spec)[7], Fraction(2))))
+    assert {type(v) for v in integral.flat} == {int}
+    assert {type(v) for v in rational.flat} == {int, Fraction}
+    for a, b in ((integral, integral), (integral, rational), (rational, integral), (rational, rational)):
+        prod = mat_mul(spec, a, b)
+        assert prod.dtype == object
+        assert {type(v) for v in prod.flat} <= {int, Fraction}
+        assert prod.tolist() == (a @ b).tolist()
+    assert {type(v) for v in mat_mul(spec, integral, integral).flat} == {int}

@@ -80,3 +80,15 @@ def test_block_bookkeeping_catches_a_dropped_block_row(monkeypatch):
     assert run_check("block-bookkeeping", spec) == (
         False, 0, "block sizes do not square-sum to the quotient dimension"
     )
+
+
+def test_radical_nilpotency_realizes_each_radical_triple_once(monkeypatch):
+    spec = SchemeSpec(sizes=(3, 3), characteristic=2)
+    calls = []
+    realize_triple = verify.oracle.realize_triple
+    monkeypatch.setattr(
+        verify.oracle, "realize_triple", lambda *args: calls.append(args[1]) or realize_triple(*args)
+    )
+    passed, count, _ = run_check("radical-nilpotency", spec)
+    assert passed and count > verify.ORACLE_SAMPLE
+    assert len(calls) == len(set(calls)) <= len(radical.radical_triples(spec))
