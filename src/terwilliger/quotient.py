@@ -52,8 +52,13 @@ def quotient_triples(spec: SchemeSpec) -> list[Triple]:
 def signature(spec: SchemeSpec, t: Triple) -> Mask:
     """The block label of a representative: circ(g & i) minus h."""
     check_quotient_triple(spec, t)
+    return _signature(spec.large_mask, t)
+
+
+def _signature(large: Mask, t: Triple) -> Mask:
+    """signature of a surviving triple, unchecked; large is the spec's large_mask."""
     g, h, i = t
-    return (g & i & spec.large_mask) & ~h
+    return (g & i & large) & ~h
 
 
 def semisimple_rep(spec: SchemeSpec, t: Triple) -> Element:
@@ -86,9 +91,15 @@ def quotient_mul(spec: SchemeSpec, t1: Triple, t2: Triple) -> Optional[Triple]:
     """
     check_quotient_triple(spec, t1)
     check_quotient_triple(spec, t2)
+    return _quotient_mul(spec, t1, t2)
+
+
+def _quotient_mul(spec: SchemeSpec, t1: Triple, t2: Triple) -> Optional[Triple]:
+    """The law of quotient_mul on surviving triples, unchecked; a product outside the set raises."""
     if t1[2] != t2[0]:
         return None
-    if signature(spec, t1) != signature(spec, t2):
+    large = spec.large_mask
+    if _signature(large, t1) != _signature(large, t2):
         return None
     g, h, i = t1
     _, k, l = t2

@@ -3,16 +3,16 @@
 The radical is spanned by exactly the basis triples whose middle mask has
 valency divisible by the characteristic, i.e. meets the qualifying mask of
 the coordinates whose factor size is 1 modulo the characteristic.  The
-basis listing filters the basis enumeration by that test; membership reads
-only an element's terms.  The nilpotent index is 2m+1 where m counts the
-qualifying coordinates, and witness_chain returns an explicit ordered
-product certifying that the index is not smaller.
+basis listing walks only those middles; its length has a closed form, and
+membership reads only an element's terms.  The nilpotent index is 2m+1
+where m counts the qualifying coordinates, and witness_chain returns an
+explicit ordered product certifying that the index is not smaller.
 """
 
 from __future__ import annotations
 
-from .algebra import Triple, basis_triples, corner_basis, triple_json
-from .scheme import Mask, SchemeSpec, p_divides_valency
+from .algebra import Triple, corner_basis, dimension, triple_json
+from .scheme import Mask, SchemeSpec, all_masks, p_divides_valency, submasks
 
 
 def qualifying_coordinates(spec: SchemeSpec) -> list[int]:
@@ -21,12 +21,27 @@ def qualifying_coordinates(spec: SchemeSpec) -> list[int]:
 
 
 def radical_triples(spec: SchemeSpec) -> list[Triple]:
-    """Basis triples spanning the radical: middle valency divisible by the characteristic."""
-    return [t for t in basis_triples(spec) if p_divides_valency(spec, t[1])]
+    """Basis triples spanning the radical: middle valency divisible by the characteristic.
+
+    The walk of basis_triples with h restricted to the divisible middles, so
+    the triples come in canonical order without visiting the others; the
+    submasks of circ(g & h) are read from a table of the 2^n masks.
+    """
+    masks = all_masks(spec)
+    middles = [h for h in masks if p_divides_valency(spec, h)]
+    subs = [submasks(c & spec.large_mask) for c in range(1 << spec.n)]
+    return [(g, h, (g ^ h) | sub) for g in masks for h in middles for sub in subs[g & h]]
 
 
 def rad_dim(spec: SchemeSpec) -> int:
-    return len(radical_triples(spec))
+    """The radical's dimension, dim T - 2^m * 4^n1 * 5^(n2-m) with m qualifying coordinates.
+
+    Outside the radical the middle mask avoids the qualifying coordinates:
+    each of them keeps 2 of its one-coordinate triples, every other one all
+    4 (size 2) or 5, and a size-2 coordinate never qualifies.
+    """
+    m = len(qualifying_coordinates(spec))
+    return dimension(spec) - 2**m * 4**spec.n1 * 5 ** (spec.n2 - m)
 
 
 def in_radical(spec: SchemeSpec, x) -> bool:
@@ -72,13 +87,19 @@ def corner_nilpotent_index(spec: SchemeSpec, g: Mask) -> int:
     return (spec.check_mask(g) & spec.qualifying_mask).bit_count() + 1
 
 
-def radical_summary(spec: SchemeSpec) -> dict:
-    """Report fragment: dimension, nilpotent index, witness chain, basis triples."""
-    triples = radical_triples(spec)
-    witness = witness_chain(spec) if triples else []
+def radical_closed_form(spec: SchemeSpec) -> dict:
+    """Report fragment without the basis listing: dimension, nilpotent index, witness chain."""
+    witness = witness_chain(spec) if spec.qualifying_mask else []
     return {
-        "dim": len(triples),
+        "dim": rad_dim(spec),
         "nilpotent_index": nilpotent_index(spec),
         "witness": [triple_json(spec, t) for t in witness],
-        "basis": [triple_json(spec, t) for t in triples],
+    }
+
+
+def radical_summary(spec: SchemeSpec) -> dict:
+    """Report fragment: dimension, nilpotent index, witness chain, basis triples."""
+    return {
+        **radical_closed_form(spec),
+        "basis": [triple_json(spec, t) for t in radical_triples(spec)],
     }

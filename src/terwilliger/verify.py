@@ -40,12 +40,12 @@ from .center import (
 )
 from .oracle import DEFAULT_ORACLE_CAP, Point, points
 from .quotient import (
+    _quotient_mul,
+    _signature,
     frobenius_left_ideal,
     frobenius_witness,
-    quotient_mul,
     quotient_triples,
     semisimple_rep,
-    signature,
     verdicts,
     wedderburn_blocks,
 )
@@ -55,6 +55,7 @@ from .radical import (
     in_radical,
     nilpotent_index,
     qualifying_coordinates,
+    rad_dim,
     radical_triples,
     witness_chain,
 )
@@ -363,11 +364,7 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
 
 def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
     rad = radical_triples(spec)
-    # Outside the radical the middle mask avoids the m qualifying coordinates: each of them
-    # keeps 2 of its one-coordinate triples, every other one all 4 (size 2) or 5, and a
-    # size-2 coordinate never qualifies.
-    m = len(qualifying_coordinates(spec))
-    if len(rad) != dimension(spec) - 2**m * 4**spec.n1 * 5 ** (spec.n2 - m):
+    if len(rad) != rad_dim(spec):
         return False, 0, "radical basis filter is inconsistent"
     count = 1
     triples = basis_triples(spec)
@@ -446,11 +443,12 @@ def _check_radical_witness(spec, base_points, rng, cap) -> Outcome:
 
 def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
     dts = quotient_triples(spec)
+    sig = {t: _signature(spec.large_mask, t) for t in dts}
     blocks = wedderburn_blocks(spec)
     lookup: dict[tuple[int, int, int], Triple] = {}
     count = 0
     for b in blocks:
-        members = [t for t in dts if signature(spec, t) == b.signature]
+        members = [t for t in dts if sig[t] == b.signature]
         for t in members:
             key = (b.signature, t[0], t[2])
             if key in lookup:
@@ -468,12 +466,12 @@ def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
                     )
                 count += 1
     for t1, t2 in itertools.product(dts, dts):
-        s1, s2 = signature(spec, t1), signature(spec, t2)
+        s1, s2 = sig[t1], sig[t2]
         if s1 != s2 or t1[2] != t2[0]:
             expected: Optional[Triple] = None
         else:
             expected = lookup[(s1, t1[0], t2[2])]
-        if quotient_mul(spec, t1, t2) != expected:
+        if _quotient_mul(spec, t1, t2) != expected:
             return False, count, (
                 f"matrix unit law fails at {render_triple(spec, t1)} *"
                 f" {render_triple(spec, t2)}"
@@ -481,7 +479,7 @@ def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
         count += 1
     reps = {t: semisimple_rep(spec, t) for t in dts}
     for t1, t2 in itertools.product(dts, dts):
-        out = quotient_mul(spec, t1, t2)
+        out = _quotient_mul(spec, t1, t2)
         diff = reps[t1].mul(reps[t2])
         if out is not None:
             diff = diff.sub(reps[out])

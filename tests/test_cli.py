@@ -9,7 +9,12 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terwilliger import cli
+from terwilliger import algebra, center, cli, quotient, radical
+from terwilliger.algebra import dimension
+from terwilliger.center import center_summary
+from terwilliger.quotient import wedderburn_summary
+from terwilliger.radical import radical_summary
+from terwilliger.scheme import SchemeSpec
 from terwilliger.verify import CheckResult
 
 REPORT_23_P5 = """\
@@ -277,3 +282,64 @@ def test_report_refuses_algebras_beyond_the_dimension_bound_quickly(capsys):
         assert code == 2
         assert out == ""
         assert str(cli.MAX_REPORT_DIMENSION) in err
+
+
+def reference_report(spec):
+    """The full report dict, from the library's summaries, in the key order reports print."""
+    c, r, w = center_summary(spec), radical_summary(spec), wedderburn_summary(spec)
+    return {
+        "spec": {"sizes": list(spec.sizes), "characteristic": spec.characteristic},
+        "points": spec.num_points,
+        "dim_T": dimension(spec),
+        "dim_Z": c["dim"],
+        "rad_dim": r["dim"],
+        "nilpotent_index": r["nilpotent_index"],
+        "center_rad_dim": c["rad_dim"],
+        "center_nilpotent_index": c["nilpotent_index"],
+        "blocks": w["blocks"],
+        "verdicts": w["verdicts"],
+        "center": c,
+        "radical": r,
+    }
+
+
+def report_argv(spec, *flags):
+    sizes = ",".join(map(str, spec.sizes))
+    return ["report", "--sizes", sizes, "--char", str(spec.characteristic), *flags]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([2, 3, 4, 5, 7]), min_size=1, max_size=4),
+    st.sampled_from([0, 2, 3, 5]),
+)
+def test_report_json_is_json_dumps_of_the_full_report(sizes, char):
+    spec = SchemeSpec(sizes=tuple(sizes), characteristic=char)
+    code, out, err = call(report_argv(spec, "--json"))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(reference_report(spec), indent=2) + "\n"
+
+
+def test_report_json_with_checks_is_json_dumps_of_the_full_report():
+    spec = SchemeSpec(sizes=(2, 3), characteristic=2)
+    code, out, err = call(report_argv(spec, "--with-checks", "--json"))
+    assert (code, err) == (0, "")
+    # Check timings differ between runs, so the verification block is taken from the output.
+    ref = {**reference_report(spec), "verification": json.loads(out)["verification"]}
+    assert out == json.dumps(ref, indent=2) + "\n"
+
+
+def test_text_report_enumerates_no_basis(capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("a text report enumerated basis triples")
+
+    for module in (algebra, center, cli, quotient, radical):
+        for name in ("basis_triples", "radical_triples"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    code, out, err = run(capsys, "report", "--sizes", "2,3", "--char", "5")
+    assert (code, out, err) == (0, REPORT_23_P5, "")
+    for sizes, char in (("2,3", "2"), ("3,3,3,3,3,3", "2"), ("2,3,4,5,7", "3")):
+        code, out, err = run(capsys, "report", "--sizes", sizes, "--char", char)
+        assert (code, err) == (0, "")
+        assert "rad_dim: " in out

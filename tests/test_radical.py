@@ -1,6 +1,8 @@
 """The Jacobson radical: membership filter, nilpotency, witness chains."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from terwilliger.algebra import Element, basis_triples
 from terwilliger.radical import (
@@ -59,11 +61,21 @@ def test_radical_basis_golden():
     assert rad_dim(S33_P2) == 21
 
 
-def test_radical_is_exactly_the_divisible_middles():
-    for spec in (S23_P2, S33_P2):
-        rad = set(radical_triples(spec))
-        for triple in basis_triples(spec):
-            assert (triple in rad) == p_divides_valency(spec, triple[1])
+SPECS = st.builds(
+    SchemeSpec,
+    sizes=st.lists(st.sampled_from([2, 3, 4, 5, 7]), min_size=1, max_size=4).map(tuple),
+    characteristic=st.sampled_from([0, 2, 3, 5]),
+)
+
+
+@example(S23_P2)
+@example(S33_P2)
+@given(SPECS)
+def test_radical_is_exactly_the_divisible_middles(spec):
+    # The reference: the basis enumeration filtered by the radical test, in canonical order.
+    expected = [t for t in basis_triples(spec) if p_divides_valency(spec, t[1])]
+    assert radical_triples(spec) == expected
+    assert rad_dim(spec) == len(expected)
 
 
 def test_in_radical_on_elements():
