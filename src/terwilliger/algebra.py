@@ -55,19 +55,20 @@ def check_triple(spec: SchemeSpec, t: Triple) -> Triple:
 
 
 def basis_triples(spec: SchemeSpec) -> list[Triple]:
-    """All basis triples in canonical order; the count is 4^n1 * 5^n2.
+    """All basis triples in canonical order; the count is 4^n1 * 5^n2."""
+    return triples_with_middles(spec, all_masks(spec))
+
+
+def triples_with_middles(spec: SchemeSpec, middles: list[Mask]) -> list[Triple]:
+    """The basis triples whose middle mask is in middles, a canonically ordered list.
 
     Given g and h, the right mask i is g ^ h plus any part of circ(g & h),
     so walking g, h and that part in canonical order lists the triples in
-    canonical order.
+    canonical order.  The submasks of circ(g & h) are read from a table of
+    the 2^n masks.
     """
-    masks = all_masks(spec)
-    return [
-        (g, h, (g ^ h) | sub)
-        for g in masks
-        for h in masks
-        for sub in submasks(g & h & spec.large_mask)
-    ]
+    subs = [submasks(c & spec.large_mask) for c in range(1 << spec.n)]
+    return [(g, h, (g ^ h) | sub) for g in all_masks(spec) for h in middles for sub in subs[g & h]]
 
 
 def dimension(spec: SchemeSpec) -> int:

@@ -11,8 +11,8 @@ explicit ordered product certifying that the index is not smaller.
 
 from __future__ import annotations
 
-from .algebra import Triple, corner_basis, dimension, triple_json
-from .scheme import Mask, SchemeSpec, all_masks, p_divides_valency, submasks
+from .algebra import Triple, corner_basis, dimension, triple_json, triples_with_middles
+from .scheme import Mask, SchemeSpec, all_masks, p_divides_valency
 
 
 def qualifying_coordinates(spec: SchemeSpec) -> list[int]:
@@ -24,13 +24,9 @@ def radical_triples(spec: SchemeSpec) -> list[Triple]:
     """Basis triples spanning the radical: middle valency divisible by the characteristic.
 
     The walk of basis_triples with h restricted to the divisible middles, so
-    the triples come in canonical order without visiting the others; the
-    submasks of circ(g & h) are read from a table of the 2^n masks.
+    the triples come in canonical order without visiting the others.
     """
-    masks = all_masks(spec)
-    middles = [h for h in masks if p_divides_valency(spec, h)]
-    subs = [submasks(c & spec.large_mask) for c in range(1 << spec.n)]
-    return [(g, h, (g ^ h) | sub) for g in masks for h in middles for sub in subs[g & h]]
+    return triples_with_middles(spec, [h for h in all_masks(spec) if p_divides_valency(spec, h)])
 
 
 def rad_dim(spec: SchemeSpec) -> int:

@@ -13,6 +13,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -106,7 +107,8 @@ def pick_base_points(spec: SchemeSpec, how_many: int) -> list[Point]:
 
 def _sample(pop: list, length: int, rng: random.Random) -> list[tuple]:
     """SAMPLE_COUNT seeded tuples of `length` draws from pop, drawn left to right."""
-    return [tuple(pop[rng.randrange(len(pop))] for _ in range(length)) for _ in range(SAMPLE_COUNT)]
+    choice = rng.choice
+    return [tuple([choice(pop) for _ in range(length)]) for _ in range(SAMPLE_COUNT)]
 
 
 Outcome = tuple[bool, int, str]
@@ -164,10 +166,20 @@ def _check_dimension_rank(spec, base_points, rng, cap) -> Outcome:
     return True, 2, f"dim {expected}"
 
 
+def _support(m: np.ndarray, axis: int) -> int:
+    """The rows (axis 1) or columns (axis 0) holding a nonzero entry of m, as a bit mask."""
+    return int.from_bytes(np.packbits(np.any(m != 0, axis=axis)).tobytes(), "big")
+
+
 def _check_structure_constants(spec, base_points, rng, cap) -> Outcome:
     triples = basis_triples(spec)
     x = base_points[0]
     mats = {t: oracle.realize_triple(spec, t, x, cap) for t in triples}
+    # Supports are read off the realized matrices, not off the masks, so the
+    # oracle still knows no closed form.  A product whose operands' column and
+    # row supports do not meet is zero without multiplying.
+    row_support = {t: _support(m, 1) for t, m in mats.items()}
+    col_support = {t: _support(m, 0) for t, m in mats.items()}
     pairs = itertools.product(triples, triples)
     total = len(triples) ** 2
     mode = "exhaustive"
@@ -176,13 +188,16 @@ def _check_structure_constants(spec, base_points, rng, cap) -> Outcome:
         mode = f"sampled {SAMPLE_COUNT} of {total}"
     count = 0
     for t1, t2 in pairs:
-        lhs = oracle.mat_mul(spec, mats[t1], mats[t2])
         hit = mul_triples(spec, t1, t2)
-        if hit is None:
-            ok = oracle.is_zero_matrix(lhs)
+        if not col_support[t1] & row_support[t2]:
+            ok = hit is None
         else:
-            c, t = hit
-            ok = oracle.mat_eq(lhs, oracle._reduce(spec, oracle._scale(spec, c, mats[t])))
+            lhs = oracle.mat_mul(spec, mats[t1], mats[t2])
+            if hit is None:
+                ok = oracle.is_zero_matrix(lhs)
+            else:
+                c, t = hit
+                ok = oracle.mat_eq(lhs, oracle._reduce(spec, oracle._scale(spec, c, mats[t])))
         if not ok:
             return False, count, (
                 f"product {render_triple(spec, t1)} * {render_triple(spec, t2)}"
@@ -212,11 +227,12 @@ def _check_raw_roundtrip(spec, base_points, rng, cap) -> Outcome:
 def _check_transpose(spec, base_points, rng, cap) -> Outcome:
     x = base_points[0]
     triples = basis_triples(spec)
+    elements = {t: Element.basis(spec, t) for t in triples}
+    transposes = {t: e.transpose() for t, e in elements.items()}
     count = 0
     for t in triples:
-        e = Element.basis(spec, t)
-        if not oracle.mat_eq(oracle.realize(spec, e.transpose(), x, cap),
-                             oracle.realize(spec, e, x, cap).T):
+        if not oracle.mat_eq(oracle.realize(spec, transposes[t], x, cap),
+                             oracle.realize(spec, elements[t], x, cap).T):
             return False, count, f"transpose of {render_triple(spec, t)} realizes wrong"
         count += 1
     pairs = itertools.product(triples, triples)
@@ -225,8 +241,7 @@ def _check_transpose(spec, base_points, rng, cap) -> Outcome:
         pairs = _sample(triples, 2, rng)
         mode = f"pairs sampled {SAMPLE_COUNT}"
     for t1, t2 in pairs:
-        a, b = Element.basis(spec, t1), Element.basis(spec, t2)
-        if a.mul(b).transpose() != b.transpose().mul(a.transpose()):
+        if elements[t1].mul(elements[t2]).transpose() != transposes[t2].mul(transposes[t1]):
             return False, count, (
                 f"anti-automorphism fails on {render_triple(spec, t1)},"
                 f" {render_triple(spec, t2)}"
@@ -272,19 +287,22 @@ def _check_intersection_numbers(spec, base_points, rng, cap) -> Outcome:
 
 
 def _check_center_commutation(spec, base_points, rng, cap) -> Outcome:
+    width = 1 << spec.n
+    adjacency = [oracle.adjacency_matrix(spec, h, cap) for h in range(width)]
     count = 0
     for x in base_points:
+        duals = [oracle.dual_idempotent(spec, x, h, cap) for h in range(width)]
         for g in central_indices(spec):
             cmat = oracle.realize(spec, central_element(spec, g), x, cap)
-            for h in range(1 << spec.n):
-                a = oracle.adjacency_matrix(spec, h, cap)
+            for h in range(width):
+                a = adjacency[h]
                 if not oracle.mat_eq(oracle.mat_mul(spec, cmat, a), oracle.mat_mul(spec, a, cmat)):
                     return False, count, (
                         f"center element {render_mask(g, spec.n)} does not commute with"
                         f" adjacency {render_mask(h, spec.n)} at base point {x}"
                     )
                 count += 1
-                e = oracle.dual_idempotent(spec, x, h, cap)
+                e = duals[h]
                 if not oracle.mat_eq(oracle.mat_mul(spec, cmat, e), oracle.mat_mul(spec, e, cmat)):
                     return False, count, (
                         f"center element {render_mask(g, spec.n)} does not commute with the"
@@ -323,10 +341,9 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
         if not is_central(spec, central_element(spec, g)):
             return False, count, f"center basis element {render_mask(g, spec.n)} fails is_central"
         count += 1
-    triples = basis_triples(spec)
-    for t in triples:
-        e = Element.basis(spec, t)
-        commutes = all(e.mul(Element.basis(spec, u)) == Element.basis(spec, u).mul(e) for u in triples)
+    elements = [(t, Element.basis(spec, t)) for t in basis_triples(spec)]
+    for t, e in elements:
+        commutes = all(e.mul(u) == u.mul(e) for _, u in elements)
         if is_central(spec, e) != commutes:
             return False, count, (
                 f"is_central({render_triple(spec, t)}) disagrees with commutation"
@@ -381,35 +398,88 @@ def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
     index = nilpotent_index(spec)
     if not rad:
         return True, count, "radical is zero"
+    elements = {r: Element.basis(spec, r) for r in rad}
     total = len(rad) ** index
     if total <= EXHAUSTIVE_GATE:
-        seqs: list[tuple[Triple, ...]] = list(itertools.product(rad, repeat=index))
         mode = f"exhaustive {total} sequences"
+        settled, nonzero = _first_nonzero_product(rad, index, elements)
+        count += settled
+        checked = list(itertools.islice(itertools.product(rad, repeat=index), ORACLE_SAMPLE))
     else:
-        seqs = _sample(rad, index, rng)
         mode = f"sampled {SAMPLE_COUNT} of {total} sequences"
-    elements = {r: Element.basis(spec, r) for r in rad}
-    for seq in seqs:
-        e = elements[seq[0]]
-        for t in seq[1:]:
-            if e.is_zero():
+        seqs = _sample(rad, index, rng)
+        nonzero = None
+        for seq, e in _products(seqs, elements, Element.mul, Element.is_zero):
+            if not e.is_zero():
+                nonzero = seq
                 break
-            e = e.mul(elements[t])
-        if not e.is_zero():
-            names = " * ".join(render_triple(spec, t) for t in seq)
-            return False, count, f"nonzero product of {index} radical elements: {names}"
-        count += 1
+            count += 1
+        checked = seqs[:ORACLE_SAMPLE]
+    if nonzero is not None:
+        names = " * ".join(render_triple(spec, t) for t in nonzero)
+        return False, count, f"nonzero product of {index} radical elements: {names}"
     x = base_points[0]
-    checked = seqs[:ORACLE_SAMPLE]
     mats = {t: oracle.realize_triple(spec, t, x, cap) for t in dict.fromkeys(itertools.chain(*checked))}
-    for seq in checked:
-        acc = mats[seq[0]]
-        for t in seq[1:]:
-            acc = oracle.mat_mul(spec, acc, mats[t])
+    for _, acc in _products(checked, mats, partial(oracle.mat_mul, spec), oracle.is_zero_matrix):
         if not oracle.is_zero_matrix(acc):
             return False, count, "oracle found a nonzero radical product the engine missed"
         count += 1
     return True, count, mode
+
+
+def _first_nonzero_product(
+    rad: list[Triple], index: int, elements: dict[Triple, Element]
+) -> tuple[int, Optional[tuple[Triple, ...]]]:
+    """The first length-index sequence over rad, in lexicographic order, with a nonzero product.
+
+    Returns it (None if every product is zero) with the number of sequences
+    before it.  Prefixes are walked depth first; a zero prefix settles every
+    sequence extending it, which is counted without being multiplied out.
+    """
+    settled = 0
+
+    def walk(prefix: tuple[Triple, ...], e: Element) -> Optional[tuple[Triple, ...]]:
+        nonlocal settled
+        if e.is_zero():
+            settled += len(rad) ** (index - len(prefix))
+            return None
+        if len(prefix) == index:
+            return prefix
+        for t in rad:
+            found = walk(prefix + (t,), e.mul(elements[t]))
+            if found is not None:
+                return found
+        return None
+
+    for t in rad:
+        found = walk((t,), elements[t])
+        if found is not None:
+            return settled, found
+    return settled, None
+
+
+def _products(seqs, factors, mul, is_zero):
+    """Yield (seq, product of its factors, left to right) for each sequence.
+
+    Products of proper prefixes are memoized by prefix with their zero-ness,
+    and a zero prefix ends the product: zero times anything is zero.
+    """
+    memo = {}
+    for seq in seqs:
+        acc, zero = factors[seq[0]], False
+        for k in range(1, len(seq)):
+            if zero:
+                break
+            if k + 1 == len(seq):
+                acc = mul(acc, factors[seq[k]])
+            else:
+                prefix = seq[: k + 1]
+                hit = memo.get(prefix)
+                if hit is None:
+                    product = mul(acc, factors[seq[k]])
+                    hit = memo[prefix] = (product, is_zero(product))
+                acc, zero = hit
+        yield seq, acc
 
 
 def _check_radical_witness(spec, base_points, rng, cap) -> Outcome:

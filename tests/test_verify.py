@@ -1,10 +1,12 @@
 """The self-check harness: plumbing, determinism, and the small-scheme sweep."""
 
+import itertools
 import random
 
 import pytest
 
 from terwilliger import quotient, radical, verify
+from terwilliger.algebra import Element, basis_triples, render_triple
 from terwilliger.scheme import SchemeSpec
 from terwilliger.verify import ALL_CHECKS, CheckResult, pick_base_points, run_all
 
@@ -92,3 +94,103 @@ def test_radical_nilpotency_realizes_each_radical_triple_once(monkeypatch):
     passed, count, _ = run_check("radical-nilpotency", spec)
     assert passed and count > verify.ORACLE_SAMPLE
     assert len(calls) == len(set(calls)) <= len(radical.radical_triples(spec))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1729])
+@pytest.mark.parametrize("pop_size, length", [(1, 3), (7, 2), (48, 3), (117, 6), (300, 1)])
+def test_sample_draws_as_randrange_does(seed, pop_size, length):
+    pop = [(k, 2 * k, 3 * k) for k in range(pop_size)]
+    rng = random.Random(seed)
+    expected = [
+        tuple(pop[rng.randrange(len(pop))] for _ in range(length))
+        for _ in range(verify.SAMPLE_COUNT)
+    ]
+    assert verify._sample(pop, length, random.Random(seed)) == expected
+
+
+def _break_one_product(monkeypatch, spec, chain):
+    """Make mul_triples wrong on the last pair of the sweep whose masks chain (or do not)."""
+    triples = basis_triples(spec)
+    pairs = list(itertools.product(triples, triples))
+    position = max(k for k, (t1, t2) in enumerate(pairs) if (t1[2] == t2[0]) == chain and
+                   (not chain or verify.mul_triples(spec, t1, t2) is not None))
+    bad = pairs[position]
+    mul_triples = verify.mul_triples
+    one = spec.field.one()
+
+    def wrong(spec, t1, t2):
+        hit = mul_triples(spec, t1, t2)
+        if (t1, t2) != bad:
+            return hit
+        return (one, t1) if hit is None else (spec.field.add(hit[0], one), hit[1])
+
+    monkeypatch.setattr(verify, "mul_triples", wrong)
+    names = " * ".join(render_triple(spec, t) for t in bad)
+    return position, f"product {names} disagrees with the matrix oracle"
+
+
+@pytest.mark.parametrize("chain", [False, True])
+def test_structure_constants_catch_one_wrong_product(monkeypatch, chain):
+    # With chain False the operands' realized supports are disjoint, so the
+    # oracle never multiplies them; the engine's nonzero answer must still fail.
+    spec = SchemeSpec(sizes=(2, 3), characteristic=3)
+    position, detail = _break_one_product(monkeypatch, spec, chain)
+    assert run_check("structure-constants", spec) == (False, position, detail)
+
+
+def _flat_radical_nilpotency(spec, base_points, rng, cap):
+    """The sequence sweep of radical-nilpotency multiplied out one sequence at a time."""
+    rad = verify.radical_triples(spec)
+    count = 1 + 2 * len(rad) * len(basis_triples(spec))
+    index = verify.nilpotent_index(spec)
+    total = len(rad) ** index
+    if total <= verify.EXHAUSTIVE_GATE:
+        seqs = list(itertools.product(rad, repeat=index))
+        mode = f"exhaustive {total} sequences"
+    else:
+        seqs = verify._sample(rad, index, rng)
+        mode = f"sampled {verify.SAMPLE_COUNT} of {total} sequences"
+    elements = {r: Element.basis(spec, r) for r in rad}
+    for seq in seqs:
+        e = elements[seq[0]]
+        for t in seq[1:]:
+            if e.is_zero():
+                break
+            e = e.mul(elements[t])
+        if not e.is_zero():
+            names = " * ".join(render_triple(spec, t) for t in seq)
+            return False, count, f"nonzero product of {index} radical elements: {names}"
+        count += 1
+    x = base_points[0]
+    for seq in seqs[: verify.ORACLE_SAMPLE]:
+        acc = verify.oracle.realize_triple(spec, seq[0], x, cap)
+        for t in seq[1:]:
+            acc = verify.oracle.mat_mul(spec, acc, verify.oracle.realize_triple(spec, t, x, cap))
+        if not verify.oracle.is_zero_matrix(acc):
+            return False, count, "oracle found a nonzero radical product the engine missed"
+        count += 1
+    return True, count, mode
+
+
+@pytest.mark.parametrize("sizes, short", [
+    ((2, 3), 1), ((2, 2, 3), 1), ((3, 3), 1), ((3, 3), 0), ((3, 3, 3), 1),
+])
+def test_radical_nilpotency_records_match_the_flat_sweep(monkeypatch, sizes, short):
+    # short = 1 claims an index one too small, so the sweep must find the
+    # first nonzero product and report it as the flat sweep does.
+    spec = SchemeSpec(sizes=sizes, characteristic=2)
+    index = radical.nilpotent_index(spec) - short
+    monkeypatch.setattr(verify, "nilpotent_index", lambda spec: index)
+    expected = _flat_radical_nilpotency(
+        spec, pick_base_points(spec, 2), random.Random(0), verify.DEFAULT_ORACLE_CAP
+    )
+    assert run_check("radical-nilpotency", spec) == expected
+
+
+def test_radical_nilpotency_skips_sequences_with_a_zero_prefix(monkeypatch):
+    spec = SchemeSpec(sizes=(2, 2, 3), characteristic=2)
+    calls = []
+    mul = Element.mul
+    monkeypatch.setattr(Element, "mul", lambda x, y: calls.append(1) or mul(x, y))
+    assert run_check("radical-nilpotency", spec) == (True, 118473, "exhaustive 110592 sequences")
+    assert len(calls) < 10_000
