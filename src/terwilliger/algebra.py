@@ -95,6 +95,11 @@ def mul_triples(spec: SchemeSpec, t1: Triple, t2: Triple) -> Optional[tuple[Scal
     """
     check_triple(spec, t1)
     check_triple(spec, t2)
+    return _mul_triples(spec, t1, t2)
+
+
+def _mul_triples(spec: SchemeSpec, t1: Triple, t2: Triple) -> Optional[tuple[Scalar, Triple]]:
+    """mul_triples on valid basis triples t1 and t2, unchecked."""
     if t1[2] != t2[0]:
         return None
     m, t = _product(spec.large_mask, t1, t2)
@@ -216,15 +221,20 @@ class Element:
         """The product, summed over pairs of terms by the law of mul_triples.
 
         A pair (g, h, i), (j, k, l) contributes only when i = j, so the terms
-        of other are grouped by their left mask once, and each term of self
-        visits only the group at its right mask.  Coefficients multiply as
-        integers: in characteristic 0 each operand is scaled by the lcm of
-        its denominators first, and each output term makes one Fraction; in
-        characteristic p each output term is reduced once.  Terms that sum
-        to zero are dropped.  The valency of each coefficient mask is taken
-        once per call.  Unless no pair matches, every operand term is
-        validated once per call, so a non-basis triple written into terms
-        raises ValueError.
+        of other are grouped by their left mask once, as (k, l, c) tuples,
+        and each term of self visits only the group at its right mask.  The
+        law is evaluated inline, with what does not depend on k and l taken
+        once per left term: since l distributes over the last two terms of
+        _bracket(large, g, h, i, k, l), the middle mask equals
+        (g ^ l) | (l & (gl | ((h | k) & gil))) with gl = g & large & ~i and
+        gil = g & i & large.  Coefficients multiply as integers: in
+        characteristic 0 each operand is scaled by the lcm of its
+        denominators first, and one Fraction is made per distinct output
+        numerator; in characteristic p each output term is reduced once.
+        Terms that sum to zero are dropped.  The valency of each coefficient
+        mask is taken once per call.  Unless no pair matches, every operand
+        term is validated once per call, so a non-basis triple written into
+        terms raises ValueError.
         """
         spec = self.spec
         if other.spec is not spec:
@@ -244,26 +254,37 @@ class Element:
         if not p:
             left, dx = _integral(left)
             right, dy = _integral(right)
-        by_left: dict[Mask, list[tuple[Triple, int]]] = {}
-        for t2, c2 in right:
-            by_left.setdefault(t2[0], []).append((t2, c2))
+        by_left: dict[Mask, list[tuple[Mask, Mask, int]]] = {}
+        for (j, k, l), c2 in right:
+            by_left.setdefault(j, []).append((k, l, c2))
         valencies: dict[Mask, int] = {}
         acc: dict[Triple, int] = {}
-        for t1, c1 in left:
-            for t2, c2 in by_left[t1[2]]:
-                m, t = _product(large, t1, t2)
-                v = valencies.get(m)
+        get, known = acc.get, valencies.get
+        for (g, h, i), c1 in left:
+            hi, gl, gil = h & i, g & large & ~i, g & i & large
+            for k, l, c2 in by_left[i]:
+                m = hi & k
+                v = known(m)
                 if v is None:
                     v = valencies[m] = valency(spec, m) % p if p else valency(spec, m)
                 if v:
-                    acc[t] = acc.get(t, 0) + c1 * c2 * v
-        d = dx * dy
+                    t = (g, (g ^ l) | (l & (gl | ((h | k) & gil))), l)
+                    acc[t] = get(t, 0) + c1 * c2 * v
         terms: dict[Triple, Scalar] = {}
-        for t, c in acc.items():
-            if p:
+        if p:
+            for t, c in acc.items():
                 c %= p
-            if c:
-                terms[t] = c if p else Fraction(c, d)
+                if c:
+                    terms[t] = c
+        else:
+            d = dx * dy
+            fractions: dict[int, Fraction] = {}
+            for t, c in acc.items():
+                if c:
+                    q = fractions.get(c)
+                    if q is None:
+                        q = fractions[c] = Fraction(c, d)
+                    terms[t] = q
         return Element._with_terms(spec, terms)
 
     def transpose(self) -> Element:

@@ -224,7 +224,7 @@ def render_mask(m: Mask, n: int) -> str:
 def parse_mask(text: str, n: int) -> Mask:
     if len(text) != n or any(ch not in "01" for ch in text):
         raise ValueError(f"expected a length-{n} bitstring, got {text!r}")
-    return sum(1 << a for a, ch in enumerate(text) if ch == "1")
+    return int(text[::-1], 2)
 
 
 def submasks(m: Mask) -> list[Mask]:

@@ -22,6 +22,7 @@ from . import oracle
 from .algebra import (
     Element,
     Triple,
+    _mul_triples,
     basis_triples,
     corner_basis,
     corner_mul,
@@ -388,7 +389,7 @@ def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
     for r in rad:
         for t in triples:
             for lhs, rhs in ((t, r), (r, t)):
-                hit = mul_triples(spec, lhs, rhs)
+                hit = _mul_triples(spec, lhs, rhs)
                 if hit is not None and not p_divides_valency(spec, hit[1][1]):
                     return False, count, (
                         f"ideal closure fails: {render_triple(spec, lhs)} *"

@@ -1,7 +1,9 @@
 """Basis triples, products, transposition, and the change of basis."""
 
+import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,42 @@ def test_product_matches_the_all_pairs_definition(data):
             assert type(c) is int and 0 < c < p
         else:
             assert type(c) is Fraction and c != 0
+
+
+@pytest.mark.parametrize("sizes, p", [((2, 3), 0), ((3, 3), 2), ((2, 2, 3), 3)])
+def test_basis_products_follow_mul_triples_exhaustively(sizes, p):
+    # The law acts bitwise per coordinate, so these specs meet every
+    # per-coordinate pattern of a size-2 factor and of a larger one.
+    spec = SchemeSpec(sizes=sizes, characteristic=p)
+    triples = basis_triples(spec)
+    basis = {trip: Element.basis(spec, trip) for trip in triples}
+    for t1 in triples:
+        for t2 in triples:
+            hit = mul_triples(spec, t1, t2)
+            expected = Element.zero(spec) if hit is None else Element.basis(spec, hit[1], hit[0])
+            assert basis[t1].mul(basis[t2]) == expected, (t1, t2)
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_product_of_large_operands_matches_the_all_pairs_definition(p, seed):
+    # 150 terms each on 16 left masks, with few distinct coefficients, so
+    # that left-mask groups are long and output numerators repeat.
+    spec = SchemeSpec(sizes=(3, 3, 3, 3), characteristic=p)
+    rng = random.Random(seed)
+    triples = basis_triples(spec)
+    coeff = (lambda: rng.choice(SMALL_FRACTIONS)) if p == 0 else (lambda: rng.randrange(1, p))
+    x, y = (Element(spec, {trip: coeff() for trip in rng.sample(triples, 150)}) for _ in range(2))
+    got = x.mul(y)
+    assert got.terms == all_pairs_product(x, y)
+    values = list(got.terms.values())
+    assert len(set(values)) < len(values)
+    for c in values:
+        if p:
+            assert type(c) is int and 0 < c < p
+        else:
+            assert type(c) is Fraction and c != 0
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
 
 
 def test_product_drops_terms_that_cancel():

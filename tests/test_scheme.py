@@ -113,6 +113,13 @@ def test_mask_rendering_is_coordinate_one_leftmost():
         parse_mask("1x0", 3)
 
 
+@pytest.mark.parametrize("text", ["0b1", "1_0", " 10", "+10", "10 "])
+def test_parse_mask_refuses_integer_literal_syntax(text):
+    # each of these is valid int(text, 2) input of its own length
+    with pytest.raises(ValueError, match="bitstring"):
+        parse_mask(text, len(text))
+
+
 def test_canonical_mask_order_is_bitstring_order():
     masks = all_masks(S23)
     rendered = [render_mask(m, 2) for m in masks]
@@ -120,9 +127,11 @@ def test_canonical_mask_order_is_bitstring_order():
     assert rendered == sorted(rendered)
 
 
-@given(st.integers(0, 2**6 - 1), st.integers(0, 2**10), st.integers(0, 8))
-def test_mask_roundtrip(m, wide, n):
-    assert parse_mask(render_mask(m, 6), 6) == m
+@given(st.data(), st.integers(0, 2**10), st.integers(0, 8))
+def test_mask_roundtrip(data, wide, n):
+    bits = data.draw(st.integers(1, 10))
+    m = data.draw(st.integers(0, 2**bits - 1))
+    assert parse_mask(render_mask(m, bits), bits) == m
     # the per-bit definition, also for masks of n bits or more
     assert render_mask(wide, n) == "".join("1" if (wide >> a) & 1 else "0" for a in range(n))
 

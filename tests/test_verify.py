@@ -138,6 +138,26 @@ def test_structure_constants_catch_one_wrong_product(monkeypatch, chain):
     assert run_check("structure-constants", spec) == (False, position, detail)
 
 
+def test_ideal_closure_catches_one_wrong_product(monkeypatch):
+    # The closure sweep runs the unchecked law; one product that leaves the
+    # radical must fail the identity at its place in the sweep and be named.
+    spec = SchemeSpec(sizes=(2, 3), characteristic=2)
+    triples = basis_triples(spec)
+    sweep = [pair for r in radical.radical_triples(spec) for t in triples for pair in ((t, r), (r, t))]
+    position = len(sweep) // 2
+    bad = sweep[position]
+    law = verify._mul_triples
+    one = spec.field.one()
+    monkeypatch.setattr(
+        verify, "_mul_triples",
+        lambda spec, t1, t2: (one, (0, 0, 0)) if (t1, t2) == bad else law(spec, t1, t2),
+    )
+    names = " * ".join(render_triple(spec, t) for t in bad)
+    assert run_check("radical-nilpotency", spec) == (
+        False, 1 + position, f"ideal closure fails: {names} leaves the radical"
+    )
+
+
 def _flat_radical_nilpotency(spec, base_points, rng, cap):
     """The sequence sweep of radical-nilpotency multiplied out one sequence at a time."""
     rad = verify.radical_triples(spec)
