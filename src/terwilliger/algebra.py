@@ -1,11 +1,12 @@
 """Elements of the Terwilliger algebra in its structured basis.
 
 The algebra is spanned by elements indexed by triples (g, h, i) of masks
-with g^i <= h <= (g^i) | circ(g&i).  Products of two basis elements are
-again scalar multiples of basis elements, so arbitrary products reduce to
-exact bookkeeping over triple-indexed coefficient maps.  A second basis,
-the raw products (dual idempotent times adjacency times dual idempotent),
-is kept for cross-checks against the dense matrix oracle.
+with g^i <= h <= (g^i) | (g & i & large), where large is the spec's
+large_mask.  Products of two basis elements are again scalar multiples of
+basis elements, so arbitrary products reduce to exact bookkeeping over
+triple-indexed coefficient maps.  A second basis, the raw products (dual
+idempotent times adjacency times dual idempotent), is kept for
+cross-checks against the dense matrix oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .scheme import (
     _in_window,
     all_masks,
     is_basis_triple,
-    mask_key,
     mask_product,
     parse_mask,
     render_mask,
@@ -33,12 +33,6 @@ from .scheme import (
 )
 
 Triple = tuple[Mask, Mask, Mask]
-
-
-def triple_key(spec: SchemeSpec, t: Triple) -> tuple[tuple[int, ...], ...]:
-    """Canonical sort key: lexicographic on the three rendered bit-words."""
-    n = spec.n
-    return (mask_key(t[0], n), mask_key(t[1], n), mask_key(t[2], n))
 
 
 def check_triple(spec: SchemeSpec, t: Triple) -> Triple:
@@ -62,9 +56,9 @@ def basis_triples(spec: SchemeSpec) -> list[Triple]:
 def triples_with_middles(spec: SchemeSpec, middles: list[Mask]) -> list[Triple]:
     """The basis triples whose middle mask is in middles, a canonically ordered list.
 
-    Given g and h, the right mask i is g ^ h plus any part of circ(g & h),
+    Given g and h, the right mask i is g ^ h plus any part of g & h & large,
     so walking g, h and that part in canonical order lists the triples in
-    canonical order.  The submasks of circ(g & h) are read from a table of
+    canonical order.  The submasks of g & h & large are read from a table of
     the 2^n masks.
     """
     subs = [submasks(c & spec.large_mask) for c in range(1 << spec.n)]
@@ -189,7 +183,9 @@ class Element:
         return not self.terms
 
     def sorted_terms(self) -> list[tuple[Triple, Scalar]]:
-        return sorted(self.terms.items(), key=lambda item: triple_key(self.spec, item[0]))
+        """The terms in canonical order: the lexicographic order of their rendered triples."""
+        spec = self.spec
+        return sorted(self.terms.items(), key=lambda item: triple_json(spec, item[0]))
 
     def _require_same_spec(self, other: Element) -> None:
         if other.spec != self.spec:
@@ -305,10 +301,10 @@ class Element:
         return f"Element({body})"
 
     def to_json(self) -> list[dict[str, object]]:
-        render = self.spec.field.render
-        return [
-            {"triple": triple_json(self.spec, t), "coeff": render(c)} for t, c in self.sorted_terms()
-        ]
+        """The terms in canonical order, each triple rendered once and sorted by its rendering."""
+        spec, render = self.spec, self.spec.field.render
+        rendered = sorted((triple_json(spec, t), c) for t, c in self.terms.items())
+        return [{"triple": words, "coeff": render(c)} for words, c in rendered]
 
     @classmethod
     def from_json(cls, spec: SchemeSpec, data: Iterable[Mapping[str, object]]) -> Element:
@@ -366,7 +362,7 @@ def from_raw(spec: SchemeSpec, raw: Mapping[Triple, Scalar]) -> Element:
 
 
 def corner_basis(spec: SchemeSpec, g: Mask) -> list[Mask]:
-    """Middle masks of the commutative corner at g: all subsets of circ(g), in canonical order."""
+    """Middle masks of the commutative corner at g: all subsets of g & large, in canonical order."""
     return submasks(spec.check_mask(g) & spec.large_mask)
 
 

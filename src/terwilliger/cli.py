@@ -25,7 +25,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .algebra import Element, Triple, check_triple, dimension, mul_triples, render_triple
+from .algebra import Element, Triple, _mul_triples, check_triple, dimension, render_triple
 from .center import center_summary
 from .oracle import DEFAULT_ORACLE_CAP
 from .quotient import wedderburn_summary
@@ -232,7 +232,7 @@ def cmd_mul(args: argparse.Namespace) -> int:
     spec = spec_from_args(args)
     t1 = parse_triple_arg(spec, args.left)
     t2 = parse_triple_arg(spec, args.right)
-    product = mul_triples(spec, t1, t2)
+    product = _mul_triples(spec, t1, t2)  # parse_triple_arg has validated both operands
     if args.fmt == "json":
         result = Element.zero(spec) if product is None else Element.basis(spec, product[1], product[0])
         print(json.dumps({"terms": result.to_json()}))

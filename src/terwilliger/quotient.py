@@ -14,12 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Element, Triple, basis_triples, corner_basis, dimension, is_basis_triple, render_triple
+from .algebra import (
+    Element,
+    Triple,
+    _product,
+    dimension,
+    is_basis_triple,
+    render_triple,
+    triples_with_middles,
+)
 from .scheme import (
     Mask,
     SchemeSpec,
-    all_masks,
-    bracket,
     layer,
     layer_count,
     mask_product,
@@ -45,12 +51,18 @@ def check_quotient_triple(spec: SchemeSpec, t: Triple) -> Triple:
 
 
 def quotient_triples(spec: SchemeSpec) -> list[Triple]:
-    """Basis triples surviving in the quotient, canonical order; count is dim T minus rad dim."""
-    return [t for t in basis_triples(spec) if not p_divides_valency(spec, t[1])]
+    """Basis triples surviving in the quotient, canonical order; count is dim T minus rad dim.
+
+    The middles of nonvanishing valency are the masks that avoid the
+    qualifying mask, i.e. the submasks of its complement, and the walk of
+    basis_triples over them gives the triples in canonical order: exactly
+    those that radical_triples leaves out.
+    """
+    return triples_with_middles(spec, submasks(spec.full_mask & ~spec.qualifying_mask))
 
 
 def signature(spec: SchemeSpec, t: Triple) -> Mask:
-    """The block label of a representative: circ(g & i) minus h."""
+    """The block label of a representative: (g & i & large) minus h."""
     check_quotient_triple(spec, t)
     return _signature(spec.large_mask, t)
 
@@ -101,9 +113,7 @@ def _quotient_mul(spec: SchemeSpec, t1: Triple, t2: Triple) -> Optional[Triple]:
     large = spec.large_mask
     if _signature(large, t1) != _signature(large, t2):
         return None
-    g, h, i = t1
-    _, k, l = t2
-    out = (g, bracket(spec, g, h, i, k, l), l)
+    out = _product(large, t1, t2)[1]
     if not is_quotient_triple(spec, out):
         raise RuntimeError(
             f"internal consistency failure: product of {render_triple(spec, t1)} and"
@@ -129,19 +139,18 @@ def wedderburn_blocks(spec: SchemeSpec) -> list[WedderburnBlock]:
 
     Every s inside the large mask is a signature, and the rows of its block
     are the masks g holding the diagonal representative (g, h, g) with
-    h = circ(g) minus s: those with s inside g and the valency of h prime to
-    the characteristic.  Row g = s always qualifies, so no block is empty.
+    h = (g & large) minus s: those with s inside g and the valency of h prime to
+    the characteristic, i.e. h avoiding the qualifying mask Q.  Since Q lies
+    inside the large mask, that holds iff g minus s avoids Q, so the rows are
+    s | u for u a submask of the full mask minus s and Q.  OR-ing the fixed
+    bits of s into every u keeps the canonical order of the u, so the rows
+    come in canonical order.  Row g = s always qualifies, so no block is
+    empty.
     """
-    large = spec.large_mask
+    rest = spec.full_mask & ~spec.qualifying_mask
     return [
-        WedderburnBlock(
-            s,
-            tuple(
-                g for g in all_masks(spec)
-                if g & s == s and not p_divides_valency(spec, g & large & ~s)
-            ),
-        )
-        for s in submasks(large)
+        WedderburnBlock(s, tuple(s | u for u in submasks(rest & ~s)))
+        for s in submasks(spec.large_mask)
     ]
 
 
@@ -176,12 +185,6 @@ def frobenius_witness(spec: SchemeSpec) -> Optional[dict[str, int]]:
         "annihilator_dim": annihilator,
         "total": left + annihilator,
     }
-
-
-def corner_quotient(spec: SchemeSpec, g: Mask) -> dict[str, object]:
-    """Dimension and idempotent middles of the corner at g after killing its radical."""
-    masks = [a for a in corner_basis(spec, g) if not p_divides_valency(spec, a)]
-    return {"dim": len(masks), "idempotent_masks": [render_mask(a, spec.n) for a in masks]}
 
 
 def wedderburn_summary(spec: SchemeSpec) -> dict:

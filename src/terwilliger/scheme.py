@@ -4,7 +4,8 @@ Relations of a factorial scheme on a product of n finite sets are indexed
 by subsets of the coordinate set [1, n].  A subset is stored as an n-bit
 integer where bit a-1 stands for coordinate a.  Externally masks render as
 length-n bitstrings with coordinate 1 leftmost, so integer 1 on a scheme
-with n=2 prints as "10".
+with n=2 prints as "10".  Docstrings write large for the spec's large_mask,
+the coordinates whose factor has more than two elements.
 """
 
 from __future__ import annotations
@@ -212,11 +213,6 @@ class SchemeSpec:
         return self.field.p_divides(value)
 
 
-def mask_key(m: Mask, n: int) -> tuple[int, ...]:
-    """Sort key giving the canonical order: lexicographic on rendered bitstrings."""
-    return tuple((m >> a) & 1 for a in range(n))
-
-
 def render_mask(m: Mask, n: int) -> str:
     return format(m, f"0{n}b")[:-n - 1:-1]
 
@@ -230,7 +226,9 @@ def parse_mask(text: str, n: int) -> Mask:
 def submasks(m: Mask) -> list[Mask]:
     """Every submask of m, in canonical order.
 
-    The canonical order compares bit 0 first, so the submasks double up from
+    The canonical order is lexicographic on rendered bitstrings, and every
+    enumeration in the package is built from this function rather than
+    sorted.  It compares bit 0 first, so the submasks double up from
     the highest set bit down: each bit splits the list built so far into a
     copy without it and, after that, a copy with it.  The order does not
     depend on n, since bits outside m are clear in every submask.
@@ -251,11 +249,6 @@ def subset_of(spec: SchemeSpec, g: Mask, h: Mask) -> bool:
     return spec.check_mask(g) & ~spec.check_mask(h) == 0
 
 
-def circ(spec: SchemeSpec, g: Mask) -> Mask:
-    """Restrict a mask to the coordinates whose factor size exceeds 2."""
-    return spec.check_mask(g) & spec.large_mask
-
-
 def valency(spec: SchemeSpec, g: Mask) -> int:
     """Number of points related to any fixed point under relation g, as an exact integer."""
     spec.check_mask(g)
@@ -264,10 +257,6 @@ def valency(spec: SchemeSpec, g: Mask) -> int:
         if (g >> a) & 1:
             k *= size - 1
     return k
-
-
-def valency_scalar(spec: SchemeSpec, g: Mask) -> Scalar:
-    return spec.field.of(valency(spec, g))
 
 
 def p_divides_valency(spec: SchemeSpec, g: Mask) -> bool:
@@ -281,7 +270,7 @@ def p_divides_valency(spec: SchemeSpec, g: Mask) -> bool:
 
 
 def is_basis_triple(spec: SchemeSpec, g: Mask, h: Mask, i: Mask) -> bool:
-    """Whether (g, h, i) indexes a basis element, i.e. g^i <= h <= (g^i) | circ(g&i)."""
+    """Whether (g, h, i) indexes a basis element, i.e. g^i <= h <= (g^i) | (g & i & large)."""
     spec.check_mask(g)
     spec.check_mask(h)
     spec.check_mask(i)
@@ -297,8 +286,8 @@ def _in_window(large: Mask, g: Mask, h: Mask, i: Mask) -> bool:
 def bracket(spec: SchemeSpec, g: Mask, h: Mask, i: Mask, j: Mask, k: Mask) -> Mask:
     """The five-argument mask combination steering products of basis elements.
 
-    Support is (g symdiff k), plus circ(g & k) outside i, plus the part of
-    (h union j) inside circ(g & i & k).  The result always lies between
+    Support is (g symdiff k), plus g & k & large outside i, plus the part of
+    (h union j) inside g & i & k & large.  The result always lies between
     g symdiff k and mask_product(g, k).
     """
     for m in (g, h, i, j, k):

@@ -40,11 +40,9 @@ from terwilliger.radical import (
 from terwilliger.scheme import (
     SchemeSpec,
     all_masks,
-    circ,
     layer_count,
     p_divides_valency,
     parse_mask,
-    valency_scalar,
 )
 from terwilliger.verify import pick_base_points
 
@@ -314,7 +312,7 @@ def test_a11_corner_structure(capsys):
             surviving = [a for a in middles if not p_divides_valency(spec, a)]
             expect(
                 bad,
-                len(middles) == 2 ** layer_count(spec, circ(spec, g), 0) + len(rad),
+                len(middles) == 2 ** layer_count(spec, g & spec.large_mask, 0) + len(rad),
                 f"char {char} corner {g}: dimension split",
             )
             qualifying = sum(

@@ -108,6 +108,20 @@ def test_mul_rejects_non_basis_triples(capsys):
     assert "three comma-separated masks" in err
 
 
+def test_mul_validates_each_operand_once(capsys, monkeypatch):
+    calls, check = [], algebra.check_triple
+
+    def counting(spec, t):
+        calls.append(t)
+        return check(spec, t)
+
+    monkeypatch.setattr(cli, "check_triple", counting)
+    monkeypatch.setattr(algebra, "check_triple", counting)
+    code, out, _ = run(capsys, "mul", "--sizes", "2,3", "--char", "5", "11,00,11", "11,01,11")
+    assert (code, out) == (0, "1 · (11,01,11)\n")
+    assert calls == [(0b11, 0b00, 0b11), (0b11, 0b10, 0b11)]
+
+
 def call(argv):
     """Exit code, stdout and stderr of one main call, with check timings blanked."""
     out, err = io.StringIO(), io.StringIO()

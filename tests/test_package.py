@@ -1,5 +1,7 @@
-"""The package surface: the README's library example and the names the benchmark tracer rebinds."""
+"""The package surface: the README's library example, the names the benchmark tracer rebinds,
+and the imports of each module."""
 
+import ast
 import importlib.util
 import re
 import sys
@@ -62,3 +64,31 @@ def test_tracer_names_resolve_and_are_restored():
     finally:
         t.uninstall()
     assert all(resolve(*name) is before[name] for name in names)
+
+
+def unused_imports(source):
+    """Names a module imports but never reads, leaving out __future__ imports and __all__ entries."""
+    tree = ast.parse(source)
+    imported = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    source = "from __future__ import annotations\nimport os, re as regex\nfrom .a import b, c\nc(os)\n"
+    assert unused_imports(source) == ["b", "regex"]
+    assert unused_imports("from . import a\n__all__ = ['a']\n") == []
+    modules = sorted((ROOT / "src" / "terwilliger").glob("*.py"))
+    assert modules
+    unused = {path.name: unused_imports(path.read_text()) for path in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

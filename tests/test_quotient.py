@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from terwilliger import quotient
 from terwilliger.algebra import Element, basis_triples
 from terwilliger.quotient import (
-    corner_quotient,
     frobenius_left_ideal,
     frobenius_witness,
     quotient_mul,
@@ -18,7 +18,7 @@ from terwilliger.quotient import (
     wedderburn_summary,
 )
 from terwilliger.radical import in_radical, rad_dim
-from terwilliger.scheme import SchemeSpec, mask_key, parse_mask
+from terwilliger.scheme import SchemeSpec, parse_mask, render_mask
 
 S23_P2 = SchemeSpec(sizes=(2, 3), characteristic=2)
 S23_P5 = SchemeSpec(sizes=(2, 3), characteristic=5)
@@ -112,6 +112,18 @@ def test_quotient_mul_lifts_agree_modulo_radical():
 
 
 def test_wedderburn_blocks_golden():
+    check_golden_blocks()
+
+
+def test_wedderburn_blocks_walk_their_rows_without_a_valency_test(monkeypatch):
+    def refuse(spec, g):
+        raise AssertionError("wedderburn_blocks tested a row's valency instead of listing the rows")
+
+    monkeypatch.setattr(quotient, "p_divides_valency", refuse)
+    check_golden_blocks()
+
+
+def check_golden_blocks():
     blocks5 = wedderburn_blocks(S23_P5)
     assert [(b.signature, b.size) for b in blocks5] == [(0b00, 4), (0b10, 2)]
     assert blocks5[0].rows == (0b00, 0b10, 0b01, 0b11)
@@ -162,15 +174,6 @@ def test_frobenius_left_ideal_members():
         assert in_radical(S23_P2, y)
 
 
-def test_corner_quotient_shape():
-    got = corner_quotient(S23_P2, 0b11)
-    assert got["dim"] == 1
-    assert got["idempotent_masks"] == ["00"]
-    got5 = corner_quotient(S23_P5, 0b11)
-    assert got5["dim"] == 2
-    assert got5["idempotent_masks"] == ["00", "01"]
-
-
 def test_wedderburn_summary_shape():
     got = wedderburn_summary(S23_P2)
     assert got["n_classes"] == 2
@@ -187,7 +190,7 @@ def blocks_by_grouping(spec):
     for u in quotient_triples(spec):
         classes.setdefault(signature(spec, u), []).append(u)
     blocks = []
-    for sig in sorted(classes, key=lambda m: mask_key(m, spec.n)):
+    for sig in sorted(classes, key=lambda m: render_mask(m, spec.n)):
         members = classes[sig]
         rows = tuple(u[0] for u in members if u[0] == u[2])
         assert len(members) == len(rows) ** 2

@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from terwilliger.algebra import Element, basis_triples
+from terwilliger.quotient import quotient_triples
 from terwilliger.radical import (
     corner_nilpotent_index,
     corner_rad_basis,
@@ -72,10 +73,13 @@ SPECS = st.builds(
 @example(S33_P2)
 @given(SPECS)
 def test_radical_is_exactly_the_divisible_middles(spec):
-    # The reference: the basis enumeration filtered by the radical test, in canonical order.
-    expected = [t for t in basis_triples(spec) if p_divides_valency(spec, t[1])]
+    # The reference: the basis enumeration filtered by the radical test, in canonical order;
+    # the quotient keeps exactly the rest.
+    every = basis_triples(spec)
+    expected = [t for t in every if p_divides_valency(spec, t[1])]
     assert radical_triples(spec) == expected
     assert rad_dim(spec) == len(expected)
+    assert quotient_triples(spec) == [t for t in every if not p_divides_valency(spec, t[1])]
 
 
 def test_in_radical_on_elements():
