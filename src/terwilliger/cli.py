@@ -23,20 +23,23 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
+
+import numpy as np
 
 from .algebra import Element, Triple, _mul_triples, check_triple, dimension, render_triple
 from .center import center_summary
 from .oracle import DEFAULT_ORACLE_CAP
 from .quotient import wedderburn_summary
-from .radical import radical_closed_form, radical_triples
-from .scheme import SchemeSpec, parse_mask, render_mask
+from .radical import radical_closed_form, radical_columns
+from .scheme import SchemeSpec, parse_mask
 from .verify import DEFAULT_SEED, run_all
 
 
 # The largest dim T a report accepts.  It admits (3,)*8, whose JSON report lists
-# 390,369 radical triples (30 MB) in about 0.4 s and 165 MB peak RSS on a 2-vCPU
-# host, and whose text report takes 0.02 s; dim T grows 4- or 5-fold per factor.
+# 390,369 radical triples (30 MB) in about 0.4 s and 55 MB peak RSS as a fresh
+# process on a 2-vCPU host, and whose text report takes 0.02 s; dim T grows 4- or
+# 5-fold per factor.
 MAX_REPORT_DIMENSION = 5**8
 
 
@@ -133,35 +136,47 @@ def render_checks(verification: dict) -> list[str]:
 _BASIS_SLOT = "\x00radical basis"
 _BASIS_SLOT_JSON = json.dumps(_BASIS_SLOT)
 
-
-def render_report_json(spec: SchemeSpec, report: dict) -> str:
-    """json.dumps(report, indent=2) of the report with the radical's basis listing in place."""
-    text = json.dumps({**report, "radical": {**report["radical"], "basis": _BASIS_SLOT}}, indent=2)
-    head, tail = text.split(_BASIS_SLOT_JSON)
-    return head + radical_basis_json(spec, report["rad_dim"]) + tail
+# Radical listing rows rendered and written at a time; the largest benchmark
+# listing, (3,)*6 at char 2 with 15,561 rows, goes out in one write.
+_ROWS_PER_WRITE = 1 << 15
 
 
-def radical_basis_json(spec: SchemeSpec, dim: int) -> str:
-    """The radical basis triples as json.dumps(indent=2) writes them at report["radical"]["basis"].
+def write_report_json(spec: SchemeSpec, report: dict, out: TextIO) -> None:
+    """Write json.dumps(report, indent=2) and a newline, with the radical's basis listing in place.
 
-    Each triple fills one fixed template, the layout json.dumps gives a list
-    of three strings at that depth, from a table of the 2^n rendered masks,
-    which need no escaping.  The triples and entries are freed on return,
-    before the listing is spliced into the report.
+    At its depth json.dumps lays out every basis triple alike, so the
+    listing is written as rows of ASCII bytes: each row copies one template
+    and fills its three mask fields from a table of the 2^n rendered masks,
+    which need no escaping.  Rows are rendered and written _ROWS_PER_WRITE
+    at a time, and the listing's length is checked against rad_dim before
+    anything is written.
     """
-    triples = radical_triples(spec)
-    if len(triples) != dim:
+    g, h, i = radical_columns(spec)
+    if len(g) != report["rad_dim"]:
         raise RuntimeError(
             "internal consistency failure: the radical listing does not hold rad_dim triples"
         )
-    if not triples:
-        return "[]"
-    w = [render_mask(m, spec.n) for m in range(1 << spec.n)]
-    entries = [
-        f'      [\n        "{w[g]}",\n        "{w[h]}",\n        "{w[i]}"\n      ]'
-        for g, h, i in triples
-    ]
-    return "[\n" + ",\n".join(entries) + "\n    ]"
+    text = json.dumps({**report, "radical": {**report["radical"], "basis": _BASIS_SLOT}}, indent=2)
+    head, tail = text.split(_BASIS_SLOT_JSON)
+    if not len(g):
+        out.write(head + "[]" + tail + "\n")
+        return
+    n = spec.n
+    row = f'      [\n        "{"g" * n}",\n        "{"h" * n}",\n        "{"i" * n}"\n      ],\n'
+    template = np.frombuffer(row.encode("ascii"), dtype=np.uint8)
+    fields = [(row.index(name * n), column) for name, column in zip("ghi", (g, h, i))]
+    words = (((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) + ord("0")).astype(np.uint8)
+    out.write(head + "[\n")
+    for start in range(0, len(g), _ROWS_PER_WRITE):
+        stop = min(start + _ROWS_PER_WRITE, len(g))
+        rows = np.tile(template, (stop - start, 1))
+        for at, column in fields:
+            rows[:, at : at + n] = words[column[start:stop]]
+        listing = rows.reshape(-1)
+        if stop == len(g):
+            listing = listing[:-2]  # the last triple takes no ",\n"
+        out.write(listing.tobytes().decode("ascii"))
+    out.write("\n    ]" + tail + "\n")
 
 
 def render_report_text(report: dict) -> str:
@@ -203,7 +218,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         cap=args.oracle_cap,
     )
     if args.fmt == "json":
-        print(render_report_json(spec, report))
+        write_report_json(spec, report, sys.stdout)
     else:
         print(render_report_text(report))
     if args.with_checks and not report["verification"]["all_passed"]:
@@ -234,7 +249,9 @@ def cmd_mul(args: argparse.Namespace) -> int:
     t2 = parse_triple_arg(spec, args.right)
     product = _mul_triples(spec, t1, t2)  # parse_triple_arg has validated both operands
     if args.fmt == "json":
-        result = Element.zero(spec) if product is None else Element.basis(spec, product[1], product[0])
+        # _mul_triples returns a valid triple with a canonical nonzero coefficient, or None
+        terms = {} if product is None else {product[1]: product[0]}
+        result = Element._with_terms(spec, terms)
         print(json.dumps({"terms": result.to_json()}))
     elif product is None:
         print("zero")

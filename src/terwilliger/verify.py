@@ -549,8 +549,13 @@ def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
             )
         count += 1
     reps = {t: semisimple_rep(spec, t) for t in dts}
+    rights = {t: {u[2] for u in rep.terms} for t, rep in reps.items()}
+    lefts = {t: {u[0] for u in rep.terms} for t, rep in reps.items()}
     for t1, t2 in itertools.product(dts, dts):
         out = _quotient_mul(spec, t1, t2)
+        if out is None and rights[t1].isdisjoint(lefts[t2]):
+            count += 1  # no term of reps[t1] chains with one of reps[t2]: their product is 0
+            continue
         diff = reps[t1].mul(reps[t2])
         if out is not None:
             diff = diff.sub(reps[out])

@@ -6,7 +6,8 @@ import json
 import re
 import time
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from terwilliger import algebra, center, cli, quotient, radical
@@ -119,6 +120,11 @@ def test_mul_validates_each_operand_once(capsys, monkeypatch):
     monkeypatch.setattr(algebra, "check_triple", counting)
     code, out, _ = run(capsys, "mul", "--sizes", "2,3", "--char", "5", "11,00,11", "11,01,11")
     assert (code, out) == (0, "1 · (11,01,11)\n")
+    assert calls == [(0b11, 0b00, 0b11), (0b11, 0b10, 0b11)]
+    # The JSON result is built from the product as it comes, without checking its triple again.
+    calls.clear()
+    code, out, _ = run(capsys, "mul", "--sizes", "2,3", "--char", "5", "--json", "11,00,11", "11,01,11")
+    assert (code, json.loads(out)) == (0, {"terms": [{"triple": ["11", "01", "11"], "coeff": "1"}]})
     assert calls == [(0b11, 0b00, 0b11), (0b11, 0b10, 0b11)]
 
 
@@ -322,16 +328,28 @@ def report_argv(spec, *flags):
     return ["report", "--sizes", sizes, "--char", str(spec.characteristic), *flags]
 
 
+def assert_same_long_text(got, want):
+    """got == want, naming the first difference: a full diff of a megabyte takes minutes."""
+    if got != want:
+        at = next(k for k, pair in enumerate(zip(got + "\1", want + "\2")) if pair[0] != pair[1])
+        pytest.fail(f"texts differ at offset {at}: {got[at:at + 60]!r} != {want[at:at + 60]!r}")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.sampled_from([2, 3, 4, 5, 7]), min_size=1, max_size=4),
     st.sampled_from([0, 2, 3, 5]),
 )
+# The benchmark's larger report rungs, beyond the drawn sizes.
+@example([3] * 5, 2)
+@example([2, 2, 3, 3, 4, 5], 3)
+@example([2] * 7, 0)
+@example([3] * 6, 2)
 def test_report_json_is_json_dumps_of_the_full_report(sizes, char):
     spec = SchemeSpec(sizes=tuple(sizes), characteristic=char)
     code, out, err = call(report_argv(spec, "--json"))
     assert (code, err) == (0, "")
-    assert out == json.dumps(reference_report(spec), indent=2) + "\n"
+    assert_same_long_text(out, json.dumps(reference_report(spec), indent=2) + "\n")
 
 
 def test_report_json_with_checks_is_json_dumps_of_the_full_report():
@@ -357,3 +375,36 @@ def test_text_report_enumerates_no_basis(capsys, monkeypatch):
         code, out, err = run(capsys, "report", "--sizes", sizes, "--char", char)
         assert (code, err) == (0, "")
         assert "rad_dim: " in out
+
+
+class Writes(list):
+    """A stdout that keeps each write apart."""
+
+    def write(self, text):
+        self.append(text)
+        return len(text)
+
+
+def test_report_json_is_the_same_when_the_listing_spans_several_writes(monkeypatch):
+    spec = SchemeSpec(sizes=(2, 3, 4, 5), characteristic=2)
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 7)
+    writes = Writes()
+    with contextlib.redirect_stdout(writes):
+        assert cli.main(report_argv(spec, "--json")) == 0
+    # The head, then 420 radical triples in slices of 7, then the tail.
+    assert len(writes) == 1 + 420 // 7 + 1
+    assert_same_long_text("".join(writes), json.dumps(reference_report(spec), indent=2) + "\n")
+
+
+def test_report_json_refuses_a_wrong_rad_dim_before_writing(monkeypatch):
+    build = cli.build_report
+
+    def off_by_one(*args, **kwargs):
+        report = build(*args, **kwargs)
+        return {**report, "rad_dim": report["rad_dim"] + 1}
+
+    monkeypatch.setattr(cli, "build_report", off_by_one)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(RuntimeError, match="rad_dim triples"):
+        cli.main(report_argv(SchemeSpec(sizes=(2, 3), characteristic=2), "--json"))
+    assert out.getvalue() == ""

@@ -92,3 +92,16 @@ def test_no_module_imports_a_name_it_never_uses():
     assert modules
     unused = {path.name: unused_imports(path.read_text()) for path in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_modules_import_only_the_standard_library_and_numpy():
+    modules = sorted((ROOT / "src" / "terwilliger").glob("*.py"))
+    assert modules
+    imported = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) <= {"numpy"}

@@ -1,5 +1,6 @@
 """The Jacobson radical: membership filter, nilpotency, witness chains."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from terwilliger.radical import (
     nilpotent_index,
     qualifying_coordinates,
     rad_dim,
+    radical_columns,
     radical_summary,
     radical_triples,
     witness_chain,
@@ -67,6 +69,46 @@ SPECS = st.builds(
     sizes=st.lists(st.sampled_from([2, 3, 4, 5, 7]), min_size=1, max_size=4).map(tuple),
     characteristic=st.sampled_from([0, 2, 3, 5]),
 )
+
+
+# The specs of the benchmark's report ladder.
+LADDER = [
+    SchemeSpec(sizes, char)
+    for sizes, char in [
+        ((2, 3), 2),
+        ((3, 3, 3), 3),
+        ((2, 3, 4, 5), 2),
+        ((3,) * 5, 2),
+        ((2, 2, 3, 3, 4, 5), 3),
+        ((2,) * 7, 0),
+        ((3,) * 6, 2),
+    ]
+]
+
+
+def assert_columns_list_the_radical_triples(spec):
+    columns = radical_columns(spec)
+    assert all(column.dtype == np.int64 for column in columns)
+    got, want = list(zip(*(column.tolist() for column in columns))), radical_triples(spec)
+    if got != want:  # name the first difference: a full diff of long lists takes minutes
+        at = next(k for k, pair in enumerate(zip(got + [None], want + [()])) if pair[0] != pair[1])
+        pytest.fail(f"triple {at} of {len(want)}: {got[at:at + 1]} != {want[at:at + 1]}")
+
+
+@given(
+    st.builds(
+        SchemeSpec,
+        sizes=st.lists(st.sampled_from([2, 3, 4, 5, 7]), min_size=1, max_size=5).map(tuple),
+        characteristic=st.sampled_from([0, 2, 3, 5]),
+    )
+)
+def test_radical_columns_list_the_radical_triples(spec):
+    assert_columns_list_the_radical_triples(spec)
+
+
+@pytest.mark.parametrize("spec", LADDER, ids=lambda spec: f"{spec.sizes}/{spec.characteristic}")
+def test_radical_columns_list_the_radical_triples_on_the_report_ladder(spec):
+    assert_columns_list_the_radical_triples(spec)
 
 
 @example(S23_P2)

@@ -214,3 +214,14 @@ def test_radical_nilpotency_skips_sequences_with_a_zero_prefix(monkeypatch):
     monkeypatch.setattr(Element, "mul", lambda x, y: calls.append(1) or mul(x, y))
     assert run_check("radical-nilpotency", spec) == (True, 118473, "exhaustive 110592 sequences")
     assert len(calls) < 10_000
+
+
+def test_quotient_matrix_units_multiplies_only_lifts_whose_terms_chain(monkeypatch):
+    # At (2,3)/0 the lift sweep has 20 x 20 pairs; only the 104 whose representatives
+    # have a right mask meeting a left mask are multiplied, and every pair is still counted.
+    spec = SchemeSpec(sizes=(2, 3), characteristic=0)
+    calls = []
+    mul = Element.mul
+    monkeypatch.setattr(Element, "mul", lambda x, y: calls.append(1) or mul(x, y))
+    assert run_check("quotient-matrix-units", spec) == (True, 20 + 400 + 400, "")
+    assert len(calls) == 104
