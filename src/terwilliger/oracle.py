@@ -3,8 +3,11 @@
 Everything here is brute force on purpose.  One table, the relation mask
 of every pair of points, is built from the definition of the relations.
 Adjacency matrices, dual idempotents and the basis elements E*_g A_h E*_i
-are read off it as 0/1 masks; products of realized elements are honest
-matrix products, and ranks come from exact elimination.
+are read off it as 0/1 masks, the basis elements as one uint8 stack per
+request (realize_stack); products of realized elements are honest matrix
+products, stacks multiplying pairwise, and ranks come from exact
+elimination.  Batched sweeps hold at most _CHUNK_ENTRIES matrix entries of
+a stack at a time.
 
 At characteristic 0 a realized matrix is an object array of Python ints
 and Fractions, but no arithmetic runs on Fractions: products clear each
@@ -23,7 +26,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +39,9 @@ DEFAULT_ORACLE_CAP = 200
 
 # int64 products hold exactly while cap * p^2 stays below 2^63.
 _INT64_CHAR_LIMIT = 1 << 20
+
+# The most matrix entries a batched sweep holds in one chunk of a stack.
+_CHUNK_ENTRIES = 1 << 16
 
 
 def points(spec: SchemeSpec) -> list[Point]:
@@ -94,13 +100,17 @@ def _relation_table(sizes: tuple[int, ...]) -> np.ndarray:
 
 def _point_index(spec: SchemeSpec, x: Point) -> int:
     """The position of a point in points() order."""
-    return int(np.ravel_multi_index(check_point(spec, x), spec.sizes))
+    k = 0
+    for xa, size in zip(check_point(spec, x), spec.sizes):
+        k = k * size + xa
+    return k
 
 
-def _as_matrix(spec: SchemeSpec, entries: np.ndarray) -> np.ndarray:
-    """A 0/1 array in the oracle's matrix type: int64 for small primes, else Python ints."""
-    m = entries.astype(np.int64)
-    return m if 0 < spec.characteristic < _INT64_CHAR_LIMIT else m.astype(object)
+def _as_matrix(spec: SchemeSpec, nums: np.ndarray, d: int = 1) -> np.ndarray:
+    """nums / d in the oracle's matrix type: int64 for small primes, else Python ints (and Fractions)."""
+    if nums.dtype != object:
+        nums = nums.astype(np.int64)
+    return nums if 0 < spec.characteristic < _INT64_CHAR_LIMIT else _over(nums, d)
 
 
 def _reduce(spec: SchemeSpec, m: np.ndarray) -> np.ndarray:
@@ -111,10 +121,14 @@ def _integer_form(m: np.ndarray) -> tuple[np.ndarray, int, int]:
     """(nums, d, top) with m == nums / d, d the lcm of the entries' denominators, top >= max |nums|.
 
     nums is int64 when every numerator fits, else an object array of Python
-    ints.  The usual 0/1 matrix is read through bytearray in one C pass; it
-    stops at the first Fraction (no __index__) or entry outside [0, 256),
-    where astype(np.int64) would truncate a Fraction silently.
+    ints.  A numpy integer array is its own numerator.  The usual 0/1 object
+    matrix is read through bytearray in one C pass; it stops at the first
+    Fraction (no __index__) or entry outside [0, 256), where astype(np.int64)
+    would truncate a Fraction silently.
     """
+    if m.dtype != object:
+        nums = m.astype(np.int64, copy=False)
+        return nums, 1, max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
     flat = m.ravel().tolist()
     try:
         return np.frombuffer(bytearray(flat), dtype=np.uint8).astype(np.int64).reshape(m.shape), 1, 255
@@ -138,21 +152,24 @@ def _over(nums: np.ndarray, d: int) -> np.ndarray:
 def mat_mul(spec: SchemeSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The matrix product over the ground field.
 
-    At characteristic 0 each operand is cleared of its denominators, the
-    integer numerators are multiplied, and the product is divided by
-    d_a * d_b once.  The numerators are multiplied in int64 when
-    max|A| * max|B| * k < 2^63, which proves every partial sum exact, and as
-    Python ints otherwise.
+    Stacks of matrices multiply pairwise, broadcast as numpy's matmul does.
+    Each operand is cleared of its denominators (there are none at prime
+    characteristic), the integer numerators are multiplied, and the product
+    is reduced mod p or divided by d_a * d_b once.  The numerators are
+    multiplied in int64 when max|A| * max|B| * k < 2^63, which proves every
+    partial sum exact, and as Python ints otherwise.  The product is an
+    object array when an operand is one, as the oracle's matrices are at
+    characteristic 0 and at large primes; numpy integer operands, such as
+    the 0/1 stacks of realize_stack, give an int64 product wherever it fits.
     """
-    if spec.characteristic:
-        return _reduce(spec, a @ b)
     na, da, top_a = _integer_form(a)
     nb, db, top_b = _integer_form(b)
     if na.dtype != object and nb.dtype != object and top_a * top_b * na.shape[-1] < 1 << 63:
         prod = na @ nb
     else:
         prod = na.astype(object) @ nb.astype(object)
-    return _over(prod, da * db)
+    prod = _reduce(spec, prod)
+    return _over(prod, da * db) if a.dtype == object or b.dtype == object else prod
 
 
 def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
@@ -179,30 +196,37 @@ def identity_matrix(spec: SchemeSpec, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarr
     return _as_matrix(spec, np.eye(_check_cap(spec, cap), dtype=bool))
 
 
-def _base_row(
-    spec: SchemeSpec, base_point: Optional[Point], cap: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The relation table and its row at the base point x."""
+def realize_stack(
+    spec: SchemeSpec,
+    triples: Sequence[Triple],
+    base_point: Optional[Point] = None,
+    cap: int = DEFAULT_ORACLE_CAP,
+    raw: bool = False,
+) -> np.ndarray:
+    """The 0/1 matrices of basis triples, as a read-only uint8 array of shape (len(triples), N, N).
+
+    Entry (k, y, z) is 1 iff the base point x relates to y by g and to z by
+    i, and lo <= relation(y, z) <= h, for triples[k] = (g, h, i).  For the
+    structured basis lo = g ^ i: the matrix is the sum of the raw products
+    E*_g A_j E*_i over g ^ i <= j <= h, whose supports are disjoint because
+    each pair of points has one relation.  For the raw basis (raw=True)
+    lo = h: the raw product E*_g A_h E*_i, whose diagonal 0/1 factors keep
+    whole rows and columns of A_h.
+    """
     table = relation_matrix(spec, cap)
     x = default_base_point(spec) if base_point is None else base_point
-    return table, table[_point_index(spec, x)]
-
-
-def _interval_mask(
-    spec: SchemeSpec, t: Triple, lo: Mask, table: np.ndarray, row: np.ndarray
-) -> np.ndarray:
-    """Entry (y, z) is True iff x relates to y by g, to z by i, and lo <= relation(y, z) <= h."""
-    g, h, i = check_triple(spec, t)
-    inside = (table & lo == lo) & (table & ~h == 0)
-    return (row == g)[:, None] & inside & (row == i)[None, :]
-
-
-def _raw_low(t: Triple) -> Mask:
-    return t[1]
-
-
-def _interval_low(t: Triple) -> Mask:
-    return t[0] ^ t[2]
+    row = table[_point_index(spec, x)]
+    masks = np.array([check_triple(spec, t) for t in triples], dtype=np.int64).reshape(-1, 3)
+    g, h, i = masks.T[..., None]
+    lo = h if raw else g ^ i
+    rel = np.arange(1 << spec.n)
+    inside = (rel & lo == lo) & (rel & ~h == 0)  # inside[k, m]: lo_k <= m <= h_k
+    stack = np.take(inside, table, axis=1)  # C order, unlike inside[:, table]
+    stack &= (row == g)[:, :, None]
+    stack &= (row == i)[:, None, :]
+    stack = stack.view(np.uint8)
+    stack.setflags(write=False)
+    return stack
 
 
 def realize_raw_triple(
@@ -211,8 +235,8 @@ def realize_raw_triple(
     base_point: Optional[Point] = None,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
-    """The raw product E*_g A_h E*_i: the diagonal 0/1 factors keep whole rows and columns of A_h."""
-    return _as_matrix(spec, _interval_mask(spec, t, _raw_low(t), *_base_row(spec, base_point, cap)))
+    """The raw product E*_g A_h E*_i: realize_stack with raw=True for one triple."""
+    return _as_matrix(spec, realize_stack(spec, [t], base_point, cap, raw=True)[0])
 
 
 def realize_triple(
@@ -221,49 +245,45 @@ def realize_triple(
     base_point: Optional[Point] = None,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
-    """The sum of the raw products E*_g A_j E*_i over g ^ i <= j <= h.
-
-    Each pair of points has one relation, so the summands have disjoint supports.
-    """
-    return _as_matrix(spec, _interval_mask(spec, t, _interval_low(t), *_base_row(spec, base_point, cap)))
+    """The sum of the raw products E*_g A_j E*_i over g ^ i <= j <= h: realize_stack for one triple."""
+    return _as_matrix(spec, realize_stack(spec, [t], base_point, cap)[0])
 
 
-def _scale(spec: SchemeSpec, c: Scalar, m: np.ndarray) -> np.ndarray:
-    c = spec.field.of(c)
-    if spec.characteristic:
-        return (m * c) % spec.characteristic
-    # integral coefficients stay Python ints, so products of realized elements avoid Fraction
-    return m * (c.numerator if c.denominator == 1 else c)
-
-
-def _combine(
+def _realize_combinations(
     spec: SchemeSpec,
-    terms: Mapping[Triple, Scalar],
-    low: Callable[[Triple], Mask],
+    combos: Sequence[Mapping[Triple, Scalar]],
     base_point: Optional[Point],
     cap: int,
-) -> np.ndarray:
-    """The linear combination of the 0/1 interval matrices with lower end low(t).
+    raw: bool = False,
+) -> tuple[np.ndarray, int]:
+    """(nums, d) with nums[k] / d the realized linear combination combos[k] of basis triples.
 
-    At characteristic 0 the coefficients' integer numerators over the lcm d of
-    their denominators are accumulated, in int64 while the sum of their sizes
-    fits, and the sum is divided by d once.
+    d is the lcm of the coefficients' denominators (1 at prime
+    characteristic).  nums holds the integer numerators, reduced mod p at
+    prime characteristic: int64 while the sum of all |numerators| fits,
+    else Python ints.  The terms are realized and added into their
+    rows a chunk of _CHUNK_ENTRIES entries at a time.
     """
-    table, row = _base_row(spec, base_point, cap)
-    coeffs = {t: spec.field.of(c) for t, c in terms.items()}
-    if spec.characteristic:
-        acc = _as_matrix(spec, np.zeros(table.shape, dtype=bool))
-        for t, c in coeffs.items():
-            mask = _as_matrix(spec, _interval_mask(spec, t, low(t), table, row))
-            acc = _reduce(spec, acc + _scale(spec, c, mask))
-        return acc
-    d = math.lcm(*(c.denominator for c in coeffs.values()))
-    nums = {t: c.numerator * (d // c.denominator) for t, c in coeffs.items()}
-    dtype = np.int64 if sum(map(abs, nums.values())) < 1 << 63 else object
-    acc = np.zeros(table.shape, dtype=dtype)
-    for t, n in nums.items():
-        acc[_interval_mask(spec, t, low(t), table, row)] += n
-    return _over(acc, d)
+    rows, triples, coeffs = [], [], []
+    for k, combo in enumerate(combos):
+        for t, c in combo.items():
+            rows.append(k)
+            triples.append(t)
+            coeffs.append(spec.field.of(c))
+    d = math.lcm(*(c.denominator for c in coeffs))
+    weights = [c.numerator * (d // c.denominator) for c in coeffs]
+    dtype = np.int64 if sum(map(abs, weights)) < 1 << 63 else object
+    size = _check_cap(spec, cap)
+    cells = size**2
+    nums = np.zeros(len(combos) * cells, dtype=dtype)
+    step = max(1, _CHUNK_ENTRIES // cells)
+    for lo in range(0, len(triples), step):
+        stack = realize_stack(spec, triples[lo : lo + step], base_point, cap, raw)
+        scaled = np.array(weights[lo : lo + step], dtype=dtype)[:, None, None] * stack
+        # flat positions, which numpy's unbuffered add handles fastest
+        at = np.array(rows[lo : lo + step])[:, None] * cells + np.arange(cells)
+        np.add.at(nums, at.ravel(), scaled.ravel())
+    return _reduce(spec, nums.reshape(len(combos), size, size)), d
 
 
 def realize(
@@ -272,7 +292,7 @@ def realize(
     base_point: Optional[Point] = None,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
-    return _combine(spec, e.terms, _interval_low, base_point, cap)
+    return _as_matrix(spec, *_realize_combinations(spec, [e.terms], base_point, cap))[0]
 
 
 def realize_raw(
@@ -282,7 +302,7 @@ def realize_raw(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """Realize a map from raw-basis triples to scalars, as returned by algebra.to_raw."""
-    return _combine(spec, raw, _raw_low, base_point, cap)
+    return _as_matrix(spec, *_realize_combinations(spec, [raw], base_point, cap, raw=True))[0]
 
 
 def _rank_of_rows(spec: SchemeSpec, rows: list[np.ndarray]) -> int:
@@ -354,12 +374,14 @@ def annihilator_dim(
     the rank of the stacked image vectors.
     """
     triples = basis_triples(spec)
-    basis_mats = [realize_triple(spec, t, base_point, cap) for t in triples]
-    gens = [realize(spec, e, base_point, cap) for e in left_ideal]
-    if not gens:
+    if not left_ideal:
         return len(triples)
-    rows = []
-    for v in basis_mats:
-        parts = [mat_mul(spec, gen, v).reshape(-1) for gen in gens]
-        rows.append(np.concatenate([part.astype(object) for part in parts]))
+    gens = np.stack([realize(spec, e, base_point, cap) for e in left_ideal])
+    basis = realize_stack(spec, triples, base_point, cap)
+    step = max(1, _CHUNK_ENTRIES // gens.size)
+    rows: list[np.ndarray] = []
+    for lo in range(0, len(triples), step):
+        # row k holds G v for every generator G, v the k-th basis matrix of the chunk
+        images = mat_mul(spec, gens, basis[lo : lo + step, None])
+        rows.extend(images.reshape(len(images), -1))
     return len(triples) - _rank_of_rows(spec, rows)

@@ -5,6 +5,11 @@ identities confirmed, and a short detail string.  Checks stop at the first
 failing identity and name it, so a red run points at one concrete broken
 equation.  Sweeps whose exhaustive cost would exceed the gate fall back to
 seeded random sampling and say so in the detail.
+
+Oracle sweeps realize their basis matrices as one stack and multiply
+chunks of pairs or sequences as stacks, at most oracle._CHUNK_ENTRIES
+entries at a time.  A chunk is judged whole and the first failing identity
+in sweep order is reported, with the count a one-at-a-time loop would give.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -116,6 +120,25 @@ Outcome = tuple[bool, int, str]
 CheckFn = Callable[[SchemeSpec, list[Point], random.Random, int], Outcome]
 
 
+def _chunks(total: int, entries: int) -> Iterator[range]:
+    """Consecutive ranges covering positions 0 to total - 1, each short enough
+    that `entries` array entries per position add up to at most
+    oracle._CHUNK_ENTRIES."""
+    step = max(1, oracle._CHUNK_ENTRIES // entries)
+    return (range(lo, min(lo + step, total)) for lo in range(0, total, step))
+
+
+def _first_failure(ok: np.ndarray) -> Optional[int]:
+    """The position of the first False in a flat array of identity verdicts, or None."""
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
+
+
+def _equal_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether a[k] == b[k] for each matrix k of two stacks."""
+    return (a == b).reshape(len(a), -1).all(axis=1)
+
+
 def _check_oracle_sanity(spec, base_points, rng, cap) -> Outcome:
     size = spec.num_points
     ident = oracle.identity_matrix(spec, cap)
@@ -134,21 +157,21 @@ def _check_oracle_sanity(spec, base_points, rng, cap) -> Outcome:
     if ones_total != size:
         return False, count, "adjacency valencies do not add up to the point count"
     count += 1
+    width = 1 << spec.n
     for x in base_points:
-        acc = None
-        for g in range(1 << spec.n):
-            e = oracle.dual_idempotent(spec, x, g, cap)
-            acc = e if acc is None else acc + e
-            for h in range(1 << spec.n):
-                prod = oracle.mat_mul(spec, e, oracle.dual_idempotent(spec, x, h, cap))
-                ok = oracle.mat_eq(prod, e) if g == h else oracle.is_zero_matrix(prod)
-                if not ok:
-                    return False, count, (
-                        f"dual idempotents at {render_mask(g, spec.n)} and"
-                        f" {render_mask(h, spec.n)} break orthogonality at base point {x}"
-                    )
-                count += 1
-        if not oracle.mat_eq(oracle._reduce(spec, acc), ident):
+        duals = np.stack([oracle.dual_idempotent(spec, x, g, cap) for g in range(width)])
+        for chunk in _chunks(width**2, size**2):
+            g, h = np.divmod(np.arange(chunk.start, chunk.stop), width)
+            prods = oracle.mat_mul(spec, duals[g], duals[h])
+            bad = _first_failure(_equal_each(prods, duals[g] * (g == h)[:, None, None]))
+            if bad is not None:
+                g, h = divmod(chunk[bad], width)
+                return False, count + bad, (
+                    f"dual idempotents at {render_mask(g, spec.n)} and"
+                    f" {render_mask(h, spec.n)} break orthogonality at base point {x}"
+                )
+            count += len(chunk)
+        if not oracle.mat_eq(oracle._reduce(spec, duals.sum(axis=0)), ident):
             return False, count, f"dual idempotents at base point {x} do not sum to the identity"
         count += 1
     return True, count, ""
@@ -160,68 +183,84 @@ def _check_dimension_rank(spec, base_points, rng, cap) -> Outcome:
     if len(triples) != expected:
         return False, 0, f"enumerated {len(triples)} basis triples, formula gives {expected}"
     x = base_points[0]
-    mats = [oracle.realize_raw_triple(spec, t, x, cap) for t in triples]
-    rank = oracle.span_rank(spec, mats)
+    rank = oracle.span_rank(spec, oracle.realize_stack(spec, triples, x, cap, raw=True))
     if rank != expected:
         return False, 1, f"oracle span rank {rank} differs from dimension {expected}"
     return True, 2, f"dim {expected}"
 
 
-def _support(m: np.ndarray, axis: int) -> int:
-    """The rows (axis 1) or columns (axis 0) holding a nonzero entry of m, as a bit mask."""
-    return int.from_bytes(np.packbits(np.any(m != 0, axis=axis)).tobytes(), "big")
-
-
 def _check_structure_constants(spec, base_points, rng, cap) -> Outcome:
     triples = basis_triples(spec)
-    x = base_points[0]
-    mats = {t: oracle.realize_triple(spec, t, x, cap) for t in triples}
+    index = {t: k for k, t in enumerate(triples)}
+    stack = oracle.realize_stack(spec, triples, base_points[0], cap)
     # Supports are read off the realized matrices, not off the masks, so the
     # oracle still knows no closed form.  A product whose operands' column and
     # row supports do not meet is zero without multiplying.
-    row_support = {t: _support(m, 1) for t, m in mats.items()}
-    col_support = {t: _support(m, 0) for t, m in mats.items()}
-    pairs = itertools.product(triples, triples)
+    rows, cols = stack.any(axis=2), stack.any(axis=1)
     total = len(triples) ** 2
-    mode = "exhaustive"
+    mode, drawn = "exhaustive", None
     if spec.characteristic == 0 and spec.num_points > 20:
-        pairs = _sample(triples, 2, rng)
+        # drawing positions draws the same pairs as drawing the triples themselves
+        drawn = np.array(_sample(range(len(triples)), 2, rng))
         mode = f"sampled {SAMPLE_COUNT} of {total}"
-    count = 0
-    for t1, t2 in pairs:
-        hit = mul_triples(spec, t1, t2)
-        if not col_support[t1] & row_support[t2]:
-            ok = hit is None
+    count, zero = 0, spec.field.zero()
+    # A pair holds a row of support flags; its product is built only where the
+    # supports meet, a stack of at most _CHUNK_ENTRIES entries at a time.
+    for chunk in _chunks(total if drawn is None else len(drawn), spec.num_points):
+        if drawn is None:
+            left, right = np.divmod(np.arange(chunk.start, chunk.stop), len(triples))
         else:
-            lhs = oracle.mat_mul(spec, mats[t1], mats[t2])
-            if hit is None:
-                ok = oracle.is_zero_matrix(lhs)
-            else:
-                c, t = hit
-                ok = oracle.mat_eq(lhs, oracle._reduce(spec, oracle._scale(spec, c, mats[t])))
-        if not ok:
-            return False, count, (
+            left, right = drawn[chunk.start : chunk.stop].T
+        hits = [mul_triples(spec, triples[a], triples[b]) for a, b in zip(left.tolist(), right.tolist())]
+        # Where the supports do not meet, the oracle's product is zero.
+        ok = np.ones(len(hits), dtype=bool)
+        ok[[k for k, hit in enumerate(hits) if hit is not None]] = False
+        meet = np.flatnonzero(np.any(cols[left] & rows[right], axis=1))
+        for part in _chunks(meet.size, spec.num_points**2):
+            k = meet[part.start : part.stop]
+            lhs = oracle.mat_mul(spec, stack[left[k]], stack[right[k]])
+            scaled = [(zero, 0) if hits[j] is None else (hits[j][0], index[hits[j][1]]) for j in k]
+            coeffs = _field_array(spec, [c for c, _ in scaled])
+            ok[k] = _equal_each(lhs, coeffs[:, None, None] * stack[[j for _, j in scaled]])
+        bad = _first_failure(ok)
+        if bad is not None:
+            t1, t2 = triples[left[bad]], triples[right[bad]]
+            return False, count + bad, (
                 f"product {render_triple(spec, t1)} * {render_triple(spec, t2)}"
                 " disagrees with the matrix oracle"
             )
-        count += 1
+        count += len(chunk)
     return True, count, mode
+
+
+def _field_array(spec: SchemeSpec, scalars: list) -> np.ndarray:
+    """Canonical field scalars as an array: int64 when each is an integer that fits, else objects."""
+    values = [c.numerator if c.denominator == 1 else c for c in map(spec.field.of, scalars)]
+    if all(type(v) is int and -(1 << 63) < v < 1 << 63 for v in values):
+        return np.array(values, dtype=np.int64)
+    return np.array(values, dtype=object)
 
 
 def _check_raw_roundtrip(spec, base_points, rng, cap) -> Outcome:
     x = base_points[0]
     count = 0
-    for t in basis_triples(spec):
-        e = Element.basis(spec, t)
-        if from_raw(spec, to_raw(e)) != e:
-            return False, count, f"roundtrip through the raw basis broke at {render_triple(spec, t)}"
-        count += 1
-        if not oracle.mat_eq(
-            oracle.realize_triple(spec, t, x, cap),
-            oracle.realize_raw(spec, to_raw(e), x, cap),
-        ):
-            return False, count, f"raw expansion of {render_triple(spec, t)} realizes differently"
-        count += 1
+    triples = basis_triples(spec)
+    for r in _chunks(len(triples), spec.num_points**2):
+        chunk = triples[r.start : r.stop]
+        elements = [Element.basis(spec, t) for t in chunk]
+        raws = [to_raw(e) for e in elements]
+        ok = np.empty((len(chunk), 2), dtype=bool)  # per triple: roundtrip, then realization
+        ok[:, 0] = [from_raw(spec, raw) == e for raw, e in zip(raws, elements)]
+        nums, d = oracle._realize_combinations(spec, raws, x, cap, raw=True)
+        stack = oracle.realize_stack(spec, chunk, x, cap)
+        ok[:, 1] = _equal_each(nums, stack if d == 1 else stack.astype(object) * d)
+        bad = _first_failure(ok.ravel())
+        if bad is not None:
+            t = render_triple(spec, chunk[bad // 2])
+            if bad % 2 == 0:
+                return False, count + bad, f"roundtrip through the raw basis broke at {t}"
+            return False, count + bad, f"raw expansion of {t} realizes differently"
+        count += ok.size
     return True, count, ""
 
 
@@ -231,11 +270,14 @@ def _check_transpose(spec, base_points, rng, cap) -> Outcome:
     elements = {t: Element.basis(spec, t) for t in triples}
     transposes = {t: e.transpose() for t, e in elements.items()}
     count = 0
-    for t in triples:
-        if not oracle.mat_eq(oracle.realize(spec, transposes[t], x, cap),
-                             oracle.realize(spec, elements[t], x, cap).T):
-            return False, count, f"transpose of {render_triple(spec, t)} realizes wrong"
-        count += 1
+    for r in _chunks(len(triples), spec.num_points**2):
+        chunk = triples[r.start : r.stop]
+        combos = [elements[t].terms for t in chunk] + [transposes[t].terms for t in chunk]
+        nums, _ = oracle._realize_combinations(spec, combos, x, cap)  # over one denominator
+        bad = _first_failure(_equal_each(nums[len(chunk) :], nums[: len(chunk)].transpose(0, 2, 1)))
+        if bad is not None:
+            return False, count + bad, f"transpose of {render_triple(spec, chunk[bad])} realizes wrong"
+        count += len(chunk)
     pairs = itertools.product(triples, triples)
     mode = "exhaustive"
     if len(triples) ** 2 > 4000:
@@ -289,27 +331,30 @@ def _check_intersection_numbers(spec, base_points, rng, cap) -> Outcome:
 
 def _check_center_commutation(spec, base_points, rng, cap) -> Outcome:
     width = 1 << spec.n
-    adjacency = [oracle.adjacency_matrix(spec, h, cap) for h in range(width)]
+    indices = central_indices(spec)
+    # Commutation compares products over the same denominators, so numerators suffice.
+    adjacency = np.stack([oracle.adjacency_matrix(spec, h, cap) for h in range(width)])
+    adjacency = oracle._integer_form(adjacency)[0]
     count = 0
     for x in base_points:
-        duals = [oracle.dual_idempotent(spec, x, h, cap) for h in range(width)]
-        for g in central_indices(spec):
-            cmat = oracle.realize(spec, central_element(spec, g), x, cap)
-            for h in range(width):
-                a = adjacency[h]
-                if not oracle.mat_eq(oracle.mat_mul(spec, cmat, a), oracle.mat_mul(spec, a, cmat)):
-                    return False, count, (
-                        f"center element {render_mask(g, spec.n)} does not commute with"
-                        f" adjacency {render_mask(h, spec.n)} at base point {x}"
-                    )
-                count += 1
-                e = duals[h]
-                if not oracle.mat_eq(oracle.mat_mul(spec, cmat, e), oracle.mat_mul(spec, e, cmat)):
-                    return False, count, (
-                        f"center element {render_mask(g, spec.n)} does not commute with the"
-                        f" dual idempotent at {render_mask(h, spec.n)}, base point {x}"
-                    )
-                count += 1
+        duals = np.stack([oracle.dual_idempotent(spec, x, h, cap) for h in range(width)])
+        duals = oracle._integer_form(duals)[0]
+        centrals, _ = oracle._realize_combinations(
+            spec, [central_element(spec, g).terms for g in indices], x, cap
+        )
+        for chunk in _chunks(len(indices) * width, spec.num_points**2):
+            c, h = np.divmod(np.arange(chunk.start, chunk.stop), width)
+            ok = np.empty((len(chunk), 2), dtype=bool)  # per pair: adjacency, then dual idempotent
+            for col, others in enumerate((adjacency[h], duals[h])):
+                left = oracle.mat_mul(spec, centrals[c], others)
+                ok[:, col] = _equal_each(left, oracle.mat_mul(spec, others, centrals[c]))
+            bad = _first_failure(ok.ravel())
+            if bad is not None:
+                c, h = divmod(chunk[bad // 2], width)
+                g, h = render_mask(indices[c], spec.n), render_mask(h, spec.n)
+                other = f"adjacency {h} at" if bad % 2 == 0 else f"the dual idempotent at {h},"
+                return False, count + bad, f"center element {g} does not commute with {other} base point {x}"
+            count += ok.size
     return True, count, ""
 
 
@@ -419,13 +464,32 @@ def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
     if nonzero is not None:
         names = " * ".join(render_triple(spec, t) for t in nonzero)
         return False, count, f"nonzero product of {index} radical elements: {names}"
-    x = base_points[0]
-    mats = {t: oracle.realize_triple(spec, t, x, cap) for t in dict.fromkeys(itertools.chain(*checked))}
-    for _, acc in _products(checked, mats, partial(oracle.mat_mul, spec), oracle.is_zero_matrix):
-        if not oracle.is_zero_matrix(acc):
-            return False, count, "oracle found a nonzero radical product the engine missed"
-        count += 1
+    used = list(dict.fromkeys(itertools.chain(*checked)))
+    position = {t: k for k, t in enumerate(used)}
+    stack = oracle.realize_stack(spec, used, base_points[0], cap)
+    for r in _chunks(len(checked), spec.num_points**2):
+        seqs = [[position[t] for t in seq] for seq in checked[r.start : r.stop]]
+        nonzero = _nonzero_products(spec, stack, seqs)
+        if nonzero.size:
+            return False, count + int(nonzero[0]), "oracle found a nonzero radical product the engine missed"
+        count += len(r)
     return True, count, mode
+
+
+def _nonzero_products(spec: SchemeSpec, stack: np.ndarray, seqs: list[list[int]]) -> np.ndarray:
+    """The positions of the sequences whose product of stack matrices, left to right, is nonzero.
+
+    All sequences are multiplied one factor at a time as one stack; a sequence
+    leaves the stack as soon as its prefix product is zero.
+    """
+    seqs = np.array(seqs)
+    live, acc = np.arange(len(seqs)), stack[seqs[:, 0]]
+    for k in range(1, seqs.shape[1] + 1):
+        keep = (acc != 0).reshape(len(acc), -1).any(axis=1)
+        live, acc = live[keep], acc[keep]
+        if k == seqs.shape[1] or not live.size:
+            return live
+        acc = oracle.mat_mul(spec, acc, stack[seqs[live, k]])
 
 
 def _first_nonzero_product(
@@ -536,23 +600,28 @@ def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
                         f" in signature {render_mask(b.signature, spec.n)}"
                     )
                 count += 1
+    products: dict[tuple[Triple, Triple], Triple] = {}  # the nonzero products, for the lift sweep
     for t1, t2 in itertools.product(dts, dts):
         s1, s2 = sig[t1], sig[t2]
         if s1 != s2 or t1[2] != t2[0]:
             expected: Optional[Triple] = None
         else:
             expected = lookup[(s1, t1[0], t2[2])]
-        if _quotient_mul(spec, t1, t2) != expected:
+        out = _quotient_mul(spec, t1, t2)
+        if out != expected:
             return False, count, (
                 f"matrix unit law fails at {render_triple(spec, t1)} *"
                 f" {render_triple(spec, t2)}"
             )
+        if out is not None:
+            products[t1, t2] = out
         count += 1
     reps = {t: semisimple_rep(spec, t) for t in dts}
     rights = {t: {u[2] for u in rep.terms} for t, rep in reps.items()}
     lefts = {t: {u[0] for u in rep.terms} for t, rep in reps.items()}
     for t1, t2 in itertools.product(dts, dts):
-        out = _quotient_mul(spec, t1, t2)
+        # the matrix-unit sweep found every product of non-chaining triples zero
+        out = products.get((t1, t2)) if t1[2] == t2[0] else None
         if out is None and rights[t1].isdisjoint(lefts[t2]):
             count += 1  # no term of reps[t1] chains with one of reps[t2]: their product is 0
             continue
@@ -690,10 +759,8 @@ def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
 def _check_base_point_independence(spec, base_points, rng, cap) -> Outcome:
     dims, rad_dims = [], []
     for x in base_points:
-        mats = [oracle.realize_raw_triple(spec, t, x, cap) for t in basis_triples(spec)]
-        dims.append(oracle.span_rank(spec, mats))
-        rad_mats = [oracle.realize_triple(spec, t, x, cap) for t in radical_triples(spec)]
-        rad_dims.append(oracle.span_rank(spec, rad_mats) if rad_mats else 0)
+        dims.append(oracle.span_rank(spec, oracle.realize_stack(spec, basis_triples(spec), x, cap, raw=True)))
+        rad_dims.append(oracle.span_rank(spec, oracle.realize_stack(spec, radical_triples(spec), x, cap)))
     count = 0
     if len(set(dims)) != 1:
         return False, count, f"algebra span ranks differ across base points: {dims}"

@@ -1,0 +1,418 @@
+"""Batched oracle sweeps: realize_stack, chunking, and parity with one-at-a-time loops.
+
+Each converted check is compared with a reference kept here that realizes and
+multiplies one matrix at a time through the public oracle functions.  Engine
+functions are looked up through verify's globals, so a monkeypatched closed
+form breaks the check and its reference alike, and both must report the same
+(passed, count, detail), down to the first failing identity.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from terwilliger import oracle, quotient, verify
+from terwilliger.algebra import Element, basis_triples, render_triple
+from terwilliger.oracle import DEFAULT_ORACLE_CAP, mat_eq, mat_mul, points, relation
+from terwilliger.scheme import SchemeSpec, render_mask
+
+
+def reference(check, spec):
+    return check(spec, verify.pick_base_points(spec, 2), random.Random(0), DEFAULT_ORACLE_CAP)
+
+
+def run_check(name, spec):
+    return reference(dict(verify.ALL_CHECKS)[name], spec)
+
+
+def chunk_of(monkeypatch, entries):
+    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", entries)
+
+
+# --- realize_stack --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sizes, characteristic",
+    [((2, 3), 2), ((2, 3), 0), ((3, 3), 2), ((2, 4), 3), ((2, 2, 3), 5), ((2, 3), 1048583)],
+)
+@pytest.mark.parametrize("raw", [False, True])
+def test_realize_stack_is_the_per_triple_realization(sizes, characteristic, raw):
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    triples = basis_triples(spec)
+    pts = points(spec)
+    one = oracle.realize_raw_triple if raw else oracle.realize_triple
+    for x in (pts[0], pts[-1]):
+        stack = oracle.realize_stack(spec, triples, x, raw=raw)
+        assert stack.dtype == np.uint8 and stack.shape == (len(triples),) + (len(pts),) * 2
+        assert not stack.flags.writeable
+        rel = np.array([[relation(spec, y, z) for z in pts] for y in pts])
+        row = np.array([relation(spec, x, y) for y in pts])
+        for k, (g, h, i) in enumerate(triples):
+            lo = h if raw else g ^ i
+            inside = (rel & lo == lo) & (rel & ~h == 0)
+            assert np.array_equal(stack[k], (row[:, None] == g) & inside & (row[None, :] == i))
+            m = one(spec, (g, h, i), x)
+            assert m.dtype == (np.int64 if 0 < characteristic < 1 << 20 else object)
+            assert mat_eq(m, stack[k])
+
+
+def test_realize_stack_refuses_an_invalid_triple():
+    spec = SchemeSpec(sizes=(2, 3), characteristic=2)
+    with pytest.raises(ValueError):
+        oracle.realize_stack(spec, [(0, 0, 0), (1, 0, 0)])
+    assert oracle.realize_stack(spec, []).shape == (0, 6, 6)
+
+
+# --- one-at-a-time references -----------------------------------------------------------------
+
+
+def ref_oracle_sanity(spec, base_points, rng, cap):
+    ident = oracle.identity_matrix(spec, cap)
+    width = 1 << spec.n
+    count = 1 + width + 1  # the adjacency identities, which the change leaves alone
+    for x in base_points:
+        acc = None
+        for g in range(width):
+            e = oracle.dual_idempotent(spec, x, g, cap)
+            acc = e if acc is None else acc + e
+            for h in range(width):
+                prod = mat_mul(spec, e, oracle.dual_idempotent(spec, x, h, cap))
+                if not (mat_eq(prod, e) if g == h else oracle.is_zero_matrix(prod)):
+                    return False, count, (
+                        f"dual idempotents at {render_mask(g, spec.n)} and"
+                        f" {render_mask(h, spec.n)} break orthogonality at base point {x}"
+                    )
+                count += 1
+        if not mat_eq(acc % spec.characteristic if spec.characteristic else acc, ident):
+            return False, count, f"dual idempotents at base point {x} do not sum to the identity"
+        count += 1
+    return True, count, ""
+
+
+def ref_structure_constants(spec, base_points, rng, cap):
+    triples = basis_triples(spec)
+    x = base_points[0]
+    mats = {t: oracle.realize_triple(spec, t, x, cap) for t in triples}
+    pairs = itertools.product(triples, triples)
+    mode = "exhaustive"
+    if spec.characteristic == 0 and spec.num_points > 20:
+        pairs = verify._sample(triples, 2, rng)
+        mode = f"sampled {verify.SAMPLE_COUNT} of {len(triples) ** 2}"
+    count = 0
+    for t1, t2 in pairs:
+        hit = verify.mul_triples(spec, t1, t2)
+        lhs = mat_mul(spec, mats[t1], mats[t2])
+        if hit is None:
+            ok = oracle.is_zero_matrix(lhs)
+        else:
+            ok = mat_eq(lhs, oracle.realize(spec, Element.basis(spec, hit[1], hit[0]), x, cap))
+        if not ok:
+            return False, count, (
+                f"product {render_triple(spec, t1)} * {render_triple(spec, t2)}"
+                " disagrees with the matrix oracle"
+            )
+        count += 1
+    return True, count, mode
+
+
+def ref_raw_roundtrip(spec, base_points, rng, cap):
+    x = base_points[0]
+    count = 0
+    for t in basis_triples(spec):
+        e = Element.basis(spec, t)
+        if verify.from_raw(spec, verify.to_raw(e)) != e:
+            return False, count, f"roundtrip through the raw basis broke at {render_triple(spec, t)}"
+        count += 1
+        if not mat_eq(oracle.realize_triple(spec, t, x, cap),
+                      oracle.realize_raw(spec, verify.to_raw(e), x, cap)):
+            return False, count, f"raw expansion of {render_triple(spec, t)} realizes differently"
+        count += 1
+    return True, count, ""
+
+
+def ref_transpose_realizations(spec, base_points, rng, cap):
+    """The realization half of transpose; the pair sweep is unchanged and not re-run here."""
+    x = base_points[0]
+    for count, t in enumerate(basis_triples(spec)):
+        e = Element.basis(spec, t)
+        if not mat_eq(oracle.realize(spec, e.transpose(), x, cap), oracle.realize(spec, e, x, cap).T):
+            return False, count, f"transpose of {render_triple(spec, t)} realizes wrong"
+    return None
+
+
+def ref_center_commutation(spec, base_points, rng, cap):
+    width = 1 << spec.n
+    adjacency = [oracle.adjacency_matrix(spec, h, cap) for h in range(width)]
+    count = 0
+    for x in base_points:
+        duals = [oracle.dual_idempotent(spec, x, h, cap) for h in range(width)]
+        for g in verify.central_indices(spec):
+            c = oracle.realize(spec, verify.central_element(spec, g), x, cap)
+            for h in range(width):
+                a = adjacency[h]
+                if not mat_eq(mat_mul(spec, c, a), mat_mul(spec, a, c)):
+                    return False, count, (
+                        f"center element {render_mask(g, spec.n)} does not commute with"
+                        f" adjacency {render_mask(h, spec.n)} at base point {x}"
+                    )
+                count += 1
+                e = duals[h]
+                if not mat_eq(mat_mul(spec, c, e), mat_mul(spec, e, c)):
+                    return False, count, (
+                        f"center element {render_mask(g, spec.n)} does not commute with the"
+                        f" dual idempotent at {render_mask(h, spec.n)}, base point {x}"
+                    )
+                count += 1
+    return True, count, ""
+
+
+def ref_radical_oracle_tail(spec, base_points, rng, cap):
+    """radical-nilpotency with its oracle sequences multiplied out one at a time (exhaustive mode)."""
+    rad = verify.radical_triples(spec)
+    count = 1 + 2 * len(rad) * len(basis_triples(spec))
+    index = verify.nilpotent_index(spec)
+    elements = {r: Element.basis(spec, r) for r in rad}
+    settled, nonzero = verify._first_nonzero_product(rad, index, elements)
+    assert nonzero is None and len(rad) ** index <= verify.EXHAUSTIVE_GATE
+    count += settled
+    x = base_points[0]
+    for seq in itertools.islice(itertools.product(rad, repeat=index), verify.ORACLE_SAMPLE):
+        acc = oracle.realize_triple(spec, seq[0], x, cap)
+        for t in seq[1:]:
+            if oracle.is_zero_matrix(acc):
+                break
+            acc = mat_mul(spec, acc, oracle.realize_triple(spec, t, x, cap))
+        if not oracle.is_zero_matrix(acc):
+            return False, count, "oracle found a nonzero radical product the engine missed"
+        count += 1
+    return True, count, f"exhaustive {len(rad) ** index} sequences"
+
+
+def ref_annihilator_dim(spec, left_ideal, x, cap=DEFAULT_ORACLE_CAP):
+    triples = basis_triples(spec)
+    gens = [oracle.realize(spec, e, x, cap) for e in left_ideal]
+    if not gens:
+        return len(triples)
+    rows = [np.concatenate([mat_mul(spec, g, oracle.realize_triple(spec, t, x, cap)).reshape(-1)
+                            for g in gens]) for t in triples]
+    return len(triples) - oracle.span_rank(spec, rows)
+
+
+# --- failure-path parity ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_oracle_sanity_matches_the_one_at_a_time_sweep(monkeypatch, last):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=3)
+    width, pts = 1 << spec.n, verify.pick_base_points(spec, 2)
+    # A constructor wrong at one mask: twice the projector is not idempotent.
+    target = (pts[-1], width - 1) if last else (pts[0], 0)
+    dual = oracle.dual_idempotent
+    monkeypatch.setattr(
+        oracle, "dual_idempotent",
+        lambda spec, x, g, cap=DEFAULT_ORACLE_CAP: dual(spec, x, g, cap) * (2 if (x, g) == target else 1),
+    )
+    chunk_of(monkeypatch, 3 * spec.num_points**2)  # six chunks of at most three pairs per base point
+    expected = reference(ref_oracle_sanity, spec)
+    # the adjacency identities, then a whole sweep and sum at the first base point when last
+    assert not expected[0] and expected[1] == width + 2 + (width**2 + 1 + width**2 - 1 if last else 0)
+    assert run_check("oracle-sanity", spec) == expected
+
+
+@pytest.mark.parametrize("sizes, characteristic", [((2, 3), 3), ((3, 3, 3), 0)])
+@pytest.mark.parametrize("last", [False, True])
+def test_structure_constants_match_the_one_at_a_time_sweep(monkeypatch, sizes, characteristic, last):
+    # (3,3,3)/0 samples its pairs, so the drawn path is covered too.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    triples = basis_triples(spec)
+    if spec.characteristic == 0:
+        sweep = verify._sample(triples, 2, random.Random(0))
+    else:
+        sweep = list(itertools.product(triples, triples))
+    bad = sweep[-1 if last else 0]
+    law, one = verify.mul_triples, spec.field.one()
+
+    def wrong(spec, t1, t2):
+        hit = law(spec, t1, t2)
+        if (t1, t2) != bad:
+            return hit
+        return (one, t1) if hit is None else (spec.field.add(hit[0], one), hit[1])
+
+    monkeypatch.setattr(verify, "mul_triples", wrong)
+    chunk_of(monkeypatch, 7 * spec.num_points)  # seven pairs a chunk
+    expected = reference(ref_structure_constants, spec)
+    assert not expected[0] and (expected[1] == 0) != last
+    assert run_check("structure-constants", spec) == expected
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_raw_roundtrip_matches_the_one_at_a_time_sweep(monkeypatch, last):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=2)
+    triples = basis_triples(spec)
+    target = Element.basis(spec, triples[-1] if last else triples[0])
+    to_raw, from_raw = verify.to_raw, verify.from_raw
+    if last:
+        # An expansion with a stray raw term that still maps back: only the realization catches it.
+        broken = {**to_raw(target), (0, 0, 0): 1}
+        monkeypatch.setattr(verify, "to_raw", lambda e: broken if e == target else to_raw(e))
+        monkeypatch.setattr(
+            verify, "from_raw", lambda spec, raw: target if raw is broken else from_raw(spec, raw)
+        )
+    else:
+        monkeypatch.setattr(
+            verify, "from_raw", lambda spec, raw: from_raw(spec, raw).scale(0) if raw == to_raw(target)
+            else from_raw(spec, raw),
+        )
+    chunk_of(monkeypatch, 3 * spec.num_points**2)
+    expected = reference(ref_raw_roundtrip, spec)
+    assert not expected[0] and expected[1] == (2 * len(triples) - 1 if last else 0)
+    assert run_check("raw-basis-roundtrip", spec) == expected
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_transpose_realizations_match_the_one_at_a_time_sweep(monkeypatch, last):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=3)
+    triples = basis_triples(spec)
+    target = triples[-1] if last else triples[0]
+    transpose = Element.transpose
+    monkeypatch.setattr(
+        Element, "transpose",
+        lambda e: transpose(e).scale(2) if e.terms.keys() == {target} else transpose(e),
+    )
+    chunk_of(monkeypatch, 3 * spec.num_points**2)
+    expected = reference(ref_transpose_realizations, spec)
+    assert expected[1] == (len(triples) - 1 if last else 0)
+    assert run_check("transpose", spec) == expected
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_center_commutation_matches_the_one_at_a_time_sweep(monkeypatch, last):
+    spec = SchemeSpec(sizes=(3, 3), characteristic=2)
+    indices = verify.central_indices(spec)
+    target = indices[-1] if last else indices[0]
+    central = verify.central_element
+    # A basis element off the diagonal blocks does not commute with the dual idempotents.
+    extra = Element.basis(spec, (0, 1, 1))
+    monkeypatch.setattr(
+        verify, "central_element",
+        lambda spec, g: central(spec, g).add(extra) if g == target else central(spec, g),
+    )
+    width = 1 << spec.n
+    chunk_of(monkeypatch, width * spec.num_points**2)  # one central element a chunk
+    expected = reference(ref_center_commutation, spec)
+    assert not expected[0] and expected[1] // (2 * width) == (len(indices) - 1 if last else 0)
+    assert run_check("center-commutation", spec) == expected
+
+
+@pytest.mark.parametrize("sizes, per_chunk", [((2, 3), 25), ((2, 2, 3), 8)])
+def test_radical_oracle_tail_matches_the_one_at_a_time_sweep(monkeypatch, sizes, per_chunk):
+    # With the index claimed one too small and the engine's sweep told every
+    # product vanishes, only the oracle can object.  The first nonzero product
+    # is sequence 24 of 144 at (2,3), in the first chunk of 25, and sequence
+    # 192 of 200 at (2,2,3), in the last chunk of 8.
+    spec = SchemeSpec(sizes=sizes, characteristic=2)
+    index = verify.nilpotent_index(spec) - 1
+    monkeypatch.setattr(verify, "nilpotent_index", lambda spec: index)
+    monkeypatch.setattr(verify, "_first_nonzero_product", lambda rad, index, elements: (0, None))
+    chunk_of(monkeypatch, per_chunk * spec.num_points**2)
+    expected = reference(ref_radical_oracle_tail, spec)
+    first = 1 + 2 * len(verify.radical_triples(spec)) * len(basis_triples(spec))
+    assert not expected[0] and expected[1] - first == (24 if sizes == (2, 3) else 192)
+    assert run_check("radical-nilpotency", spec) == expected
+
+
+def test_dimension_rank_reads_the_rank_off_the_raw_stack(monkeypatch):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=2)
+    triples = basis_triples(spec)
+    # A repeated triple keeps the count and loses one dimension of the span.
+    monkeypatch.setattr(verify, "basis_triples", lambda spec: triples[:-1] + triples[:1])
+    x = verify.pick_base_points(spec, 2)[0]
+    rank = oracle.span_rank(spec, [oracle.realize_raw_triple(spec, t, x) for t in triples[:-1]])
+    assert run_check("dimension-rank", spec) == (
+        False, 1, f"oracle span rank {rank} differs from dimension {len(triples)}"
+    )
+
+
+def test_base_point_independence_reads_ranks_off_the_stacks(monkeypatch):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=2)
+    rad = verify.radical_triples(spec)
+    monkeypatch.setattr(verify, "radical_triples", lambda spec: rad + rad[:1])
+    assert run_check("base-point-independence", spec) == (
+        False, 2, "realized radical rank differs from the symbolic dimension"
+    )
+
+
+@pytest.mark.parametrize(
+    "sizes, characteristic", [((2, 3), 2), ((3, 3), 2), ((2, 4), 3), ((2, 3), 0), ((2, 3), 1048583)]
+)
+def test_annihilator_dim_matches_the_one_at_a_time_images(monkeypatch, sizes, characteristic):
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    # With two generators or more, each chunk holds the images of one basis matrix.
+    chunk_of(monkeypatch, 2 * spec.num_points**2)
+    x = points(spec)[-1]
+    first = [Element.basis(spec, t) for t in basis_triples(spec)[:3]]
+    for gens in (quotient.frobenius_left_ideal(spec), first):
+        assert oracle.annihilator_dim(spec, gens, x) == ref_annihilator_dim(spec, gens, x)
+
+
+def test_frobenius_check_reports_a_wrong_annihilator_dimension(monkeypatch):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=2)
+    witness = verify.frobenius_witness(spec)
+    monkeypatch.setattr(verify, "frobenius_witness", lambda spec: {**witness, "annihilator_dim": 0})
+    ann = ref_annihilator_dim(spec, verify.frobenius_left_ideal(spec), verify.pick_base_points(spec, 2)[0])
+    assert run_check("frobenius-falsification", spec) == (
+        False, 2, f"oracle annihilator dim {ann} differs from 0"
+    )
+
+
+# --- bounded by chunks, not by pairs ---------------------------------------------------------
+
+
+def test_run_all_multiplies_a_chunk_at_a_time(monkeypatch):
+    # One run_all at (3,3)/2 made 578 oracle products when each pair or
+    # sequence was multiplied on its own (oracle-sanity 32, structure-constants
+    # 169, center-commutation 128, radical-nilpotency 170, frobenius 75,
+    # corner-structure 4).  Every converted sweep fits in one chunk here, so it
+    # makes one product per chunk and factor: 19 in all.
+    spec = SchemeSpec(sizes=(3, 3), characteristic=2)
+    calls = {}
+    current = [None]
+    product = oracle.mat_mul
+
+    def counting(*args):
+        calls[current[0]] = calls.get(current[0], 0) + 1
+        return product(*args)
+
+    monkeypatch.setattr(oracle, "mat_mul", counting)
+    for name, check in verify.ALL_CHECKS:
+        current[0] = name
+        assert check(spec, verify.pick_base_points(spec, 2), random.Random(f"1729:{name}"),
+                     DEFAULT_ORACLE_CAP)[0]
+    index = verify.nilpotent_index(spec)
+    assert calls == {
+        "oracle-sanity": 2,  # one per base point
+        "structure-constants": 1,
+        "center-commutation": 8,  # both orders against both families, per base point
+        # each checked sequence vanishes at its first index - 1 factors, so the
+        # last factor is never multiplied
+        "radical-nilpotency": index - 2,
+        "frobenius-falsification": 1,
+        "corner-structure": 4,  # not batched
+    }
+    assert sum(calls.values()) == 19
+
+
+# --- quotient products evaluated once ----------------------------------------------
+
+
+def test_quotient_matrix_units_evaluates_each_product_once(monkeypatch):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=0)
+    calls = []
+    law = verify._quotient_mul
+    monkeypatch.setattr(verify, "_quotient_mul", lambda spec, t1, t2: calls.append(1) or law(spec, t1, t2))
+    dim_q = len(verify.quotient_triples(spec))
+    assert run_check("quotient-matrix-units", spec) == (True, 20 + 2 * dim_q**2, "")
+    assert len(calls) == dim_q**2
