@@ -16,6 +16,8 @@ from itertools import chain
 from math import lcm
 from typing import Iterable, Mapping, Optional
 
+import numpy as np
+
 from .scheme import (
     GroundField,
     Mask,
@@ -61,8 +63,37 @@ def triples_with_middles(spec: SchemeSpec, middles: list[Mask]) -> list[Triple]:
     canonical order.  The submasks of g & h & large are read from a table of
     the 2^n masks.
     """
-    subs = [submasks(c & spec.large_mask) for c in range(1 << spec.n)]
+    subs = _submask_table(spec)
     return [(g, h, (g ^ h) | sub) for g in all_masks(spec) for h in middles for sub in subs[g & h]]
+
+
+def _submask_table(spec: SchemeSpec) -> list[list[Mask]]:
+    """The submasks of c & large in canonical order, for each of the 2^n masks c."""
+    return [submasks(c & spec.large_mask) for c in range(1 << spec.n)]
+
+
+_NO_TRIPLES = np.zeros(0, dtype=np.int64)
+_NO_TRIPLES.flags.writeable = False
+
+
+def triple_columns(spec: SchemeSpec, middles: list[Mask]) -> tuple[np.ndarray, ...]:
+    """The masks g, h, i of triples_with_middles as three int64 arrays, in the same order.
+
+    The i-parts are read from the same submask table, laid out flat with one
+    offset per c.  Without middles the columns are empty and shared.
+    """
+    if not middles:
+        return _NO_TRIPLES, _NO_TRIPLES, _NO_TRIPLES
+    subs = _submask_table(spec)
+    sizes = np.array([len(row) for row in subs], dtype=np.int64)
+    flat = np.array([sub for row in subs for sub in row], dtype=np.int64)
+    g = np.repeat(np.array(all_masks(spec), dtype=np.int64), len(middles))
+    h = np.tile(np.array(middles, dtype=np.int64), 1 << spec.n)
+    counts = sizes[g & h]
+    # Output k of a pair whose output starts at `start` is flat[k - start + where row g & h starts].
+    shift = np.repeat((np.cumsum(sizes) - sizes)[g & h] - (np.cumsum(counts) - counts), counts)
+    g, h = np.repeat(g, counts), np.repeat(h, counts)
+    return g, h, (g ^ h) | flat[np.arange(len(g)) + shift]
 
 
 def dimension(spec: SchemeSpec) -> int:
@@ -182,11 +213,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[tuple[Triple, Scalar]]:
-        """The terms in canonical order: the lexicographic order of their rendered triples."""
-        spec = self.spec
-        return sorted(self.terms.items(), key=lambda item: triple_json(spec, item[0]))
-
     def _require_same_spec(self, other: Element) -> None:
         if other.spec != self.spec:
             raise ValueError("elements belong to different schemes")
@@ -294,10 +320,7 @@ class Element:
     def __repr__(self) -> str:
         if self.is_zero():
             return "Element(zero)"
-        body = " + ".join(
-            f"{self.spec.field.render(c)}*{render_triple(self.spec, t)}"
-            for t, c in self.sorted_terms()
-        )
+        body = " + ".join(f"{t['coeff']}*({','.join(t['triple'])})" for t in self.to_json())
         return f"Element({body})"
 
     def to_json(self) -> list[dict[str, object]]:

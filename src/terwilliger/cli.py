@@ -44,14 +44,10 @@ MAX_REPORT_DIMENSION = 5**8
 
 
 def parse_sizes(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if not parts or any(not p for p in parts):
-        raise ValueError(f"cannot parse sizes from {text!r}; expected e.g. '2,3,3'")
     try:
-        sizes = tuple(int(p) for p in parts)
+        return tuple(int(p) for p in text.split(","))  # int() strips blanks, refuses empty parts
     except ValueError:
         raise ValueError(f"cannot parse sizes from {text!r}; expected e.g. '2,3,3'") from None
-    return sizes
 
 
 def parse_triple_arg(spec: SchemeSpec, text: str) -> Triple:

@@ -13,7 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Triple, corner_basis, dimension, triple_json, triples_with_middles
+from .algebra import (
+    Triple,
+    corner_basis,
+    dimension,
+    triple_columns,
+    triple_json,
+    triples_with_middles,
+)
 from .scheme import Mask, SchemeSpec, all_masks, p_divides_valency
 
 
@@ -31,42 +38,9 @@ def radical_triples(spec: SchemeSpec) -> list[Triple]:
     return triples_with_middles(spec, [h for h in all_masks(spec) if p_divides_valency(spec, h)])
 
 
-_NO_TRIPLES = np.zeros(0, dtype=np.int64)
-_NO_TRIPLES.flags.writeable = False
-
-
 def radical_columns(spec: SchemeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The radical_triples masks g, h, i as three int64 arrays, in the same order.
-
-    g runs over all_masks, h over the middles of vanishing valency, and the
-    right mask i is g ^ h plus a submask of c = g & h & large.  submasks
-    builds its list from the highest set bit of c down, each bit doubling
-    it, so bit j of the index k of a submask is the j-th highest set bit of
-    c: the k-th submask is made by depositing the bits of k into the set
-    bits of c from the highest down.  Without a vanishing middle the
-    columns are empty and shared, and no array is built.
-    """
-    middles = [h for h in all_masks(spec) if p_divides_valency(spec, h)]
-    if not middles:
-        return _NO_TRIPLES, _NO_TRIPLES, _NO_TRIPLES
-    large = spec.large_mask
-    bits = [a for a in reversed(range(spec.n)) if (large >> a) & 1]
-    pair_g = np.repeat(np.array(all_masks(spec), dtype=np.int64), len(middles))
-    pair_h = np.tile(np.array(middles, dtype=np.int64), 1 << spec.n)
-    pair_c = pair_g & pair_h & large
-    sizes = np.ones_like(pair_c)
-    for a in bits:
-        sizes <<= (pair_c >> a) & 1
-    pair = np.repeat(np.arange(len(pair_c)), sizes)
-    k = np.arange(len(pair), dtype=np.int64) - (np.cumsum(sizes) - sizes)[pair]
-    c = pair_c[pair]
-    sub = np.zeros_like(k)
-    for a in bits:
-        bit = (c >> a) & 1
-        sub |= (k & bit) << a
-        k >>= bit
-    g, h = pair_g[pair], pair_h[pair]
-    return g, h, (g ^ h) | sub
+    """The radical_triples masks g, h, i as three int64 arrays, in the same order."""
+    return triple_columns(spec, [h for h in all_masks(spec) if p_divides_valency(spec, h)])
 
 
 def rad_dim(spec: SchemeSpec) -> int:

@@ -310,24 +310,19 @@ def intersection_number(spec: SchemeSpec, g: Mask, h: Mask, i: Mask) -> int:
 
     Computed coordinatewise: each factor of size s contributes 1 for the
     patterns (0,0,0), (0,1,1), (1,0,1), contributes s-1 for (1,1,0) and
-    s-2 for (1,1,1), and kills the product for any other pattern.
+    s-2 for (1,1,1), and kills the product for any other pattern, i.e.
+    wherever g ^ h ^ i is set outside g & h & i.
     """
     spec.check_mask(g)
     spec.check_mask(h)
     spec.check_mask(i)
-    count = 1
+    ghi = g & h & i
+    if (g ^ h ^ i) & ~ghi:
+        return 0
+    count = valency(spec, g & h & ~i)
     for a, size in enumerate(spec.sizes):
-        pattern = ((g >> a) & 1, (h >> a) & 1, (i >> a) & 1)
-        if pattern in ((0, 0, 0), (0, 1, 1), (1, 0, 1)):
-            continue
-        if pattern == (1, 1, 0):
-            count *= size - 1
-        elif pattern == (1, 1, 1):
+        if (ghi >> a) & 1:
             count *= size - 2
-            if count == 0:
-                return 0
-        else:
-            return 0
     return count
 
 

@@ -14,11 +14,12 @@ in sweep order is reported, with the count a one-at-a-time loop would give.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -66,6 +67,7 @@ from .radical import (
     witness_chain,
 )
 from .scheme import (
+    GroundField,
     SchemeSpec,
     intersection_number,
     p_divides_valency,
@@ -89,13 +91,7 @@ class CheckResult:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "count": self.count,
-            "seconds": round(self.seconds, 3),
-            "detail": self.detail,
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
 def pick_base_points(spec: SchemeSpec, how_many: int) -> list[Point]:
@@ -114,6 +110,28 @@ def _sample(pop: list, length: int, rng: random.Random) -> list[tuple]:
     """SAMPLE_COUNT seeded tuples of `length` draws from pop, drawn left to right."""
     choice = rng.choice
     return [tuple([choice(pop) for _ in range(length)]) for _ in range(SAMPLE_COUNT)]
+
+
+def _sequences(pop: list, length: int, rng: random.Random) -> Iterable[tuple]:
+    """Every length-`length` tuple over pop in lexicographic order, or _sample's above the gate."""
+    if len(pop) ** length <= EXHAUSTIVE_GATE:
+        return itertools.product(pop, repeat=length)
+    return _sample(pop, length, rng)
+
+
+def _chain_vanishes(field: GroundField, seq: tuple, mul: Callable) -> bool:
+    """Whether a chain of basis elements multiplies to zero, multiplying left to right.
+
+    mul(m, a) returns the (scalar, mask) of the product at m times the one
+    at a, or None for zero; so the chain vanishes at its first zero step.
+    """
+    m = seq[0]
+    for a in seq[1:]:
+        hit = mul(m, a)
+        if hit is None or field.is_zero(hit[0]):
+            return True
+        m = hit[1]
+    return False
 
 
 Outcome = tuple[bool, int, str]
@@ -374,10 +392,7 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
                 " disagrees with its closed form"
             )
         count += 1
-        hit = corner_mul(spec, full, g, h)
-        corner_scalar = field.zero() if hit is None else hit[0]
-        corner_union = union if hit is None else hit[1]
-        if (corner_scalar, corner_union) != (scalar, union):
+        if (corner_mul(spec, full, g, h) or (field.zero(), union)) != (scalar, union):
             return False, count, (
                 f"center product and full-corner product disagree at"
                 f" ({render_mask(g, spec.n)}, {render_mask(h, spec.n)})"
@@ -402,24 +417,12 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
         return False, count, "center nilpotent index formula broke"
     count += 1
     if qual:
-        acc_scalar, acc_mask = field.one(), 0
-        for a in qual:
-            s, acc_mask = center_mul(spec, acc_mask, 1 << a)
-            acc_scalar = field.mul(acc_scalar, s)
-        if field.is_zero(acc_scalar):
+        mul = functools.partial(center_mul, spec)
+        if _chain_vanishes(field, [0] + [1 << a for a in qual], mul):
             return False, count, "product of the qualifying center chain vanished early"
         count += 1
-        total = len(rad) ** index
-        if total <= EXHAUSTIVE_GATE:
-            seqs = itertools.product(rad, repeat=index)
-        else:
-            seqs = _sample(rad, index, rng)
-        for seq in seqs:
-            s, m = field.one(), seq[0]
-            for g in seq[1:]:
-                step, m = center_mul(spec, m, g)
-                s = field.mul(s, step)
-            if not field.is_zero(s):
+        for seq in _sequences(rad, index, rng):
+            if not _chain_vanishes(field, seq, mul):
                 return False, count, "a length-index product of center radical elements is nonzero"
             count += 1
     return True, count, ""
@@ -455,7 +458,7 @@ def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
         mode = f"sampled {SAMPLE_COUNT} of {total} sequences"
         seqs = _sample(rad, index, rng)
         nonzero = None
-        for seq, e in _products(seqs, elements, Element.mul, Element.is_zero):
+        for seq, e in _products(seqs, elements):
             if not e.is_zero():
                 nonzero = seq
                 break
@@ -523,27 +526,25 @@ def _first_nonzero_product(
     return settled, None
 
 
-def _products(seqs, factors, mul, is_zero):
-    """Yield (seq, product of its factors, left to right) for each sequence.
+def _products(seqs, factors: dict[Triple, Element]):
+    """Yield (seq, product of its Element factors, left to right) for each sequence.
 
-    Products of proper prefixes are memoized by prefix with their zero-ness,
-    and a zero prefix ends the product: zero times anything is zero.
+    Products of proper prefixes are memoized by prefix, and a zero prefix
+    ends the product: zero times anything is zero.
     """
-    memo = {}
+    memo: dict[tuple, Element] = {}
     for seq in seqs:
-        acc, zero = factors[seq[0]], False
+        acc = factors[seq[0]]
         for k in range(1, len(seq)):
-            if zero:
+            if acc.is_zero():
                 break
             if k + 1 == len(seq):
-                acc = mul(acc, factors[seq[k]])
+                acc = acc.mul(factors[seq[k]])
             else:
                 prefix = seq[: k + 1]
-                hit = memo.get(prefix)
-                if hit is None:
-                    product = mul(acc, factors[seq[k]])
-                    hit = memo[prefix] = (product, is_zero(product))
-                acc, zero = hit
+                if prefix not in memo:
+                    memo[prefix] = acc.mul(factors[seq[k]])
+                acc = memo[prefix]
         yield seq, acc
 
 
@@ -563,9 +564,7 @@ def _check_radical_witness(spec, base_points, rng, cap) -> Outcome:
         if not p_divides_valency(spec, t[1]):
             return False, count, f"witness entry {render_triple(spec, t)} is not radical"
         count += 1
-    prod = Element.basis(spec, chain[0])
-    for t in chain[1:]:
-        prod = prod.mul(Element.basis(spec, t))
+    prod = functools.reduce(Element.mul, [Element.basis(spec, t) for t in chain])
     if prod.is_zero():
         return False, count, "witness chain product vanished symbolically"
     count += 1
@@ -686,11 +685,11 @@ def _check_frobenius_falsification(spec, base_points, rng, cap) -> Outcome:
 def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
     field = spec.field
     x = base_points[0]
-    zero = oracle.realize(spec, Element.zero(spec), x, cap)
+    loops = [t for t in basis_triples(spec) if t[0] == t[2]]
     count = 0
     for g in range(1 << spec.n):
         middles = corner_basis(spec, g)
-        from_triples = [t[1] for t in basis_triples(spec) if t[0] == g and t[2] == g]
+        from_triples = [h for f, h, _ in loops if f == g]
         if sorted(middles) != sorted(from_triples):
             return False, count, f"corner basis at {render_mask(g, spec.n)} disagrees with enumeration"
         count += 1
@@ -704,27 +703,19 @@ def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
             return False, count, f"corner nilpotent index formula fails at {render_mask(g, spec.n)}"
         count += 1
         for h, i in itertools.product(middles, middles):
-            if corner_mul(spec, g, h, i) != corner_mul(spec, g, i, h):
+            hit = corner_mul(spec, g, h, i)
+            if hit != corner_mul(spec, g, i, h):
                 return False, count, f"corner product is not commutative at {render_mask(g, spec.n)}"
             count += 1
-            hit = corner_mul(spec, g, h, i)
             lhs = Element.basis(spec, (g, h, g)).mul(Element.basis(spec, (g, i, g)))
             rhs = Element.zero(spec) if hit is None else Element.basis(spec, (g, hit[1], g), hit[0])
             if lhs != rhs:
                 return False, count, f"corner product disagrees with full product at {render_mask(g, spec.n)}"
             count += 1
         if rad:
-            order = corner_nilpotent_index(spec, g)
-            for seq in itertools.product(rad, repeat=order):
-                s, m = field.one(), seq[0]
-                for a in seq[1:]:
-                    hit = corner_mul(spec, g, m, a)
-                    if hit is None:
-                        s = field.zero()
-                        break
-                    step, m = hit
-                    s = field.mul(s, step)
-                if not field.is_zero(s):
+            mul = functools.partial(corner_mul, spec, g)
+            for seq in _sequences(rad, corner_nilpotent_index(spec, g), rng):
+                if not _chain_vanishes(field, seq, mul):
                     return False, count, f"corner radical at {render_mask(g, spec.n)} is not nilpotent at its index"
                 count += 1
         reps = {a: semisimple_rep(spec, (g, a, g)) for a in surviving}
@@ -739,7 +730,7 @@ def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
                 )
             count += 1
             mat = oracle.mat_mul(spec, mats[a], mats[b])
-            if not oracle.mat_eq(mat, mats[a] if a == b else zero):
+            if not (oracle.mat_eq(mat, mats[a]) if a == b else oracle.is_zero_matrix(mat)):
                 return False, count, f"corner idempotent matrices disagree at {render_mask(g, spec.n)}"
             count += 1
         for h in surviving:

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,9 @@ from terwilliger.algebra import (
     mul_triples,
     render_triple,
     to_raw,
+    triple_columns,
     triple_json,
+    triples_with_middles,
 )
 from terwilliger.scheme import (
     SchemeSpec,
@@ -256,6 +259,14 @@ def test_element_json_roundtrip_golden():
     assert Element.from_json(S23_P5, blob) == x
 
 
+def test_element_repr_lists_terms_in_canonical_order():
+    x = Element(S23, {t(S23, "11,01,11"): Fraction(-3, 4), t(S23, "01,11,11"): 2, (0, 0, 0): 1})
+    assert repr(x) == "Element(1*(00,00,00) + 2*(01,11,11) + -3/4*(11,01,11))"
+    y = Element(S23_P5, {t(S23, "11,01,11"): 7, t(S23, "01,11,11"): 2})
+    assert repr(y) == "Element(2*(01,11,11) + 2*(11,01,11))"
+    assert repr(Element.zero(S23)) == "Element(zero)"
+
+
 @settings(max_examples=80)
 @given(st.data())
 def test_element_json_roundtrip(data):
@@ -352,3 +363,25 @@ def test_inexact_or_foreign_coefficients_are_refused(spec, c):
         Element.basis(spec, triple, c)
     with pytest.raises(ValueError):
         Element.basis(spec, triple).scale(c)
+
+
+@given(st.data())
+def test_triple_columns_list_triples_with_middles(data):
+    spec = data.draw(
+        st.builds(
+            SchemeSpec,
+            sizes=st.lists(st.sampled_from([2, 3, 4, 5, 7]), min_size=1, max_size=5).map(tuple),
+            characteristic=st.sampled_from([0, 2, 3, 5]),
+        )
+    )
+    # A canonically ordered list of middles: any sublist of all_masks, empty included.
+    keep = data.draw(st.lists(st.booleans(), min_size=1 << spec.n, max_size=1 << spec.n))
+    middles = [h for h, kept in zip(all_masks(spec), keep) if kept]
+    columns = triple_columns(spec, middles)
+    assert all(column.dtype == np.int64 for column in columns)
+    assert list(zip(*(column.tolist() for column in columns))) == triples_with_middles(spec, middles)
+
+
+def test_triple_columns_without_middles_are_empty_int64():
+    for column in triple_columns(SchemeSpec(sizes=(2,) * 7), []):
+        assert column.dtype == np.int64 and column.shape == (0,)

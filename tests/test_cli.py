@@ -81,6 +81,18 @@ def test_report_rejects_bad_spec(capsys):
     assert "sizes" in err
 
 
+@pytest.mark.parametrize("sizes", ["", "2,,3", "a,3"])
+def test_unparsable_sizes_are_refused_with_one_message(capsys, sizes):
+    code, out, err = run(capsys, "report", "--sizes", sizes, "--char", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse sizes from {sizes!r}; expected e.g. '2,3,3'\n"
+
+
+def test_sizes_may_carry_blanks_around_each_part(capsys):
+    assert cli.parse_sizes(" 2 , 3 ") == (2, 3)
+    assert run(capsys, "report", "--sizes", " 2 , 3 ", "--char", "5") == (0, REPORT_23_P5, "")
+
+
 def test_mul_golden(capsys):
     code, out, _ = run(capsys, "mul", "--sizes", "2,3", "01,11,11", "11,01,11")
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from terwilliger import algebra, scheme
 from terwilliger.algebra import Element, basis_triples
 from terwilliger.quotient import quotient_triples
 from terwilliger.radical import (
@@ -108,6 +109,17 @@ def test_radical_columns_list_the_radical_triples(spec):
 
 @pytest.mark.parametrize("spec", LADDER, ids=lambda spec: f"{spec.sizes}/{spec.characteristic}")
 def test_radical_columns_list_the_radical_triples_on_the_report_ladder(spec):
+    assert_columns_list_the_radical_triples(spec)
+
+
+@pytest.mark.parametrize("spec", [S33_P2, *LADDER[2:5]], ids=lambda spec: f"{spec.sizes}/{spec.characteristic}")
+def test_radical_columns_follow_the_order_the_submask_table_gives(monkeypatch, spec):
+    # The listing and its columns read one producer of the order: reversing every
+    # submask list reorders both alike.
+    canonical = radical_triples(spec)
+    monkeypatch.setattr(algebra, "submasks", lambda m: scheme.submasks(m)[::-1])
+    reordered = radical_triples(spec)
+    assert reordered != canonical and sorted(reordered) == sorted(canonical)
     assert_columns_list_the_radical_triples(spec)
 
 

@@ -1,5 +1,6 @@
 """Masks, valencies, the ground field, and the combinatorial closed forms."""
 
+import itertools
 from fractions import Fraction
 from math import isqrt
 
@@ -221,6 +222,36 @@ def test_intersection_number_values():
     assert intersection_number(S23, 0b01, 0b01, 0b01) == 0  # size 2: no third point
     assert intersection_number(S23, 0b01, 0b10, 0b11) == 1
     assert intersection_number(S23, 0b10, 0b10, 0b11) == 0
+
+
+def _intersection_number_by_patterns(spec, g, h, i):
+    """The per-coordinate pattern loop: 1 for (0,0,0), (0,1,1), (1,0,1), s-1 for (1,1,0),
+    s-2 for (1,1,1), and 0 for any other pattern of the bits of (g, h, i)."""
+    count = 1
+    for a, size in enumerate(spec.sizes):
+        pattern = ((g >> a) & 1, (h >> a) & 1, (i >> a) & 1)
+        if pattern in ((0, 0, 0), (0, 1, 1), (1, 0, 1)):
+            continue
+        if pattern == (1, 1, 0):
+            count *= size - 1
+        elif pattern == (1, 1, 1):
+            count *= size - 2
+        else:
+            return 0
+    return count
+
+
+@given(
+    st.builds(
+        SchemeSpec,
+        st.lists(st.integers(2, 11), min_size=1, max_size=4).map(tuple),
+        st.sampled_from([0, 2, 3]),
+    )
+)
+def test_intersection_number_matches_the_per_coordinate_patterns(spec):
+    masks = all_masks(spec)
+    for g, h, i in itertools.product(masks, masks, masks):
+        assert intersection_number(spec, g, h, i) == _intersection_number_by_patterns(spec, g, h, i)
 
 
 def test_layer_count_skips_divisible_valencies():

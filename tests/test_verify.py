@@ -225,3 +225,106 @@ def test_quotient_matrix_units_multiplies_only_lifts_whose_terms_chain(monkeypat
     monkeypatch.setattr(Element, "mul", lambda x, y: calls.append(1) or mul(x, y))
     assert run_check("quotient-matrix-units", spec) == (True, 20 + 400 + 400, "")
     assert len(calls) == 104
+
+
+def _multiplied_out(field, seq, mul):
+    """The chain loop center-structure and corner-structure each wrote out: every step's
+    scalar is multiplied in, and only a step that returns None ends the walk early."""
+    s, m = field.one(), seq[0]
+    for a in seq[1:]:
+        hit = mul(m, a)
+        if hit is None:
+            s = field.zero()
+            break
+        step, m = hit
+        s = field.mul(s, step)
+    return field.is_zero(s)
+
+
+def _run_with_one_broken_chain_step(monkeypatch, spec, check, name, pop, wrong, chain_vanishes):
+    """Run a check with verify.<name> returning wrong(*args) wherever that is not None,
+    from the moment the check starts its sweep over pop; earlier calls are left exact."""
+    sequences, mul = verify._sequences, getattr(verify, name)
+    sweeping = []
+
+    def watched(seqs_pop, length, rng):
+        if seqs_pop == pop:
+            sweeping.append(True)
+        return sequences(seqs_pop, length, rng)
+
+    def broken(*args):
+        hit = wrong(*args) if sweeping else None
+        return mul(*args) if hit is None else hit
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_sequences", watched)
+        patch.setattr(verify, name, broken)
+        patch.setattr(verify, "_chain_vanishes", chain_vanishes)
+        return run_check(check, spec)
+
+
+@pytest.mark.parametrize("check, name", [
+    ("corner-structure", "corner_mul"), ("center-structure", "center_mul"),
+])
+def test_chain_sweeps_fail_as_the_multiplied_out_loop_does(monkeypatch, check, name):
+    # Every mask of (3,3,3)/2 qualifies, so a chain of radical masks vanishes as soon as
+    # two factors meet.  The broken step makes (111) * (001) nonzero, deep in the sweep.
+    spec = SchemeSpec(sizes=(3, 3, 3), characteristic=2)
+    full, one = spec.full_mask, spec.field.one()
+    if check == "corner-structure":
+        pop = radical.corner_rad_basis(spec, full)
+        wrong = lambda spec, g, m, a: (one, full) if (g, m, a) == (full, full, 0b001) else None
+        detail = "corner radical at 111 is not nilpotent at its index"
+    else:
+        pop = verify.center_rad_basis(spec)
+        wrong = lambda spec, m, a: (one, full) if (m, a) == (full, 0b001) else None
+        detail = "a length-index product of center radical elements is nonzero"
+    args = (monkeypatch, spec, check, name, pop, wrong)
+    got = _run_with_one_broken_chain_step(*args, verify._chain_vanishes)
+    assert got == _run_with_one_broken_chain_step(*args, _multiplied_out)
+    assert got[0] is False and got[2] == detail
+    passed, exact, _ = run_check(check, spec)
+    assert passed and got[1] < exact
+
+
+def test_corner_radical_sweep_samples_above_the_gate(monkeypatch):
+    spec = SchemeSpec(sizes=(3, 3), characteristic=2)
+    passed, exhaustive, _ = run_check("corner-structure", spec)
+    assert passed
+    monkeypatch.setattr(verify, "EXHAUSTIVE_GATE", 10)
+    calls = []
+    sample = verify._sample
+    monkeypatch.setattr(verify, "_sample", lambda *args: calls.append(args[:2]) or sample(*args))
+    # Only the corner at 11 has more than 10 radical sequences: 3 radical middles, index 3.
+    rad = radical.corner_rad_basis(spec, 0b11)
+    assert (len(rad), radical.corner_nilpotent_index(spec, 0b11)) == (3, 3)
+    assert run_check("corner-structure", spec) == (True, exhaustive - 27 + verify.SAMPLE_COUNT, "")
+    assert calls == [(rad, 3)]
+
+
+def _size_multisets(limit, least=2):
+    """Every non-decreasing tuple of factor sizes >= least whose product is at most limit."""
+    yield ()
+    for size in range(least, limit + 1):
+        for rest in _size_multisets(limit // size, size):
+            yield (size, *rest)
+
+
+def test_chain_sweeps_stay_exhaustive_below_the_default_oracle_cap():
+    # The largest center or corner radical population under the cap is 759,375
+    # (15 radical masks, index 5, e.g. at (2,3,3,3,3)/2), below EXHAUSTIVE_GATE, so the
+    # gate cannot change a record of a spec that verify accepts by default.  Both radicals
+    # are zero unless the characteristic divides some s - 1 < 200.
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    largest = 0
+    for sizes in _size_multisets(verify.DEFAULT_ORACLE_CAP):
+        for p in primes:
+            if sizes and any((size - 1) % p == 0 for size in sizes):
+                spec = SchemeSpec(sizes=sizes, characteristic=p)
+                largest = max(
+                    largest,
+                    len(verify.center_rad_basis(spec)) ** verify.center_nilpotent_index(spec),
+                    *(len(radical.corner_rad_basis(spec, g)) ** radical.corner_nilpotent_index(spec, g)
+                      for g in range(1 << spec.n)),
+                )
+    assert largest == 759_375 < verify.EXHAUSTIVE_GATE
