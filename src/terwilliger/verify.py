@@ -19,7 +19,7 @@ import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -112,26 +112,61 @@ def _sample(pop: list, length: int, rng: random.Random) -> list[tuple]:
     return [tuple([choice(pop) for _ in range(length)]) for _ in range(SAMPLE_COUNT)]
 
 
-def _sequences(pop: list, length: int, rng: random.Random) -> Iterable[tuple]:
-    """Every length-`length` tuple over pop in lexicographic order, or _sample's above the gate."""
-    if len(pop) ** length <= EXHAUSTIVE_GATE:
-        return itertools.product(pop, repeat=length)
-    return _sample(pop, length, rng)
+def _sweep(
+    pop: list, length: int, rng: random.Random, step: Callable
+) -> tuple[int, Optional[tuple], Optional[list[tuple]]]:
+    """Sweep the length-`length` sequences over pop for the first with a nonzero product.
 
-
-def _chain_vanishes(field: GroundField, seq: tuple, mul: Callable) -> bool:
-    """Whether a chain of basis elements multiplies to zero, multiplying left to right.
-
-    mul(m, a) returns the (scalar, mask) of the product at m times the one
-    at a, or None for zero; so the chain vanishes at its first zero step.
+    step(acc, a) returns the running product acc times a, or None once it is zero;
+    acc is None before the first factor.  Up to EXHAUSTIVE_GATE sequences the sweep
+    walks them depth first in lexicographic order, and a zero prefix of length k
+    settles len(pop)**(length - k) of them without multiplying them out.  Above it,
+    it walks _sample's sequences in draw order with proper-prefix products memoized.
+    Returns the count settled before the first nonzero sequence, that sequence (or
+    None) and the sample (None when the sweep was exhaustive).
     """
-    m = seq[0]
-    for a in seq[1:]:
-        hit = mul(m, a)
-        if hit is None or field.is_zero(hit[0]):
-            return True
-        m = hit[1]
-    return False
+    if len(pop) ** length > EXHAUSTIVE_GATE:
+        sample = _sample(pop, length, rng)
+        memo: dict[tuple, object] = {}
+        for settled, seq in enumerate(sample):
+            acc = None
+            for k in range(1, length):
+                if seq[:k] not in memo:
+                    memo[seq[:k]] = step(acc, seq[k - 1])
+                acc = memo[seq[:k]]
+                if acc is None:
+                    break
+            else:
+                if step(acc, seq[-1]) is not None:
+                    return settled, seq, sample
+        return len(sample), None, sample
+    settled = 0
+
+    def walk(prefix: tuple, acc) -> Optional[tuple]:
+        nonlocal settled
+        for a in pop:
+            product = step(acc, a)
+            if product is None:
+                settled += len(pop) ** (length - len(prefix) - 1)
+            elif len(prefix) + 1 == length:
+                return prefix + (a,)
+            else:
+                found = walk(prefix + (a,), product)
+                if found is not None:
+                    return found
+        return None
+
+    found = walk((), None)  # the walk advances settled, so it runs before settled is read
+    return settled, found, None
+
+
+def _mask_step(field: GroundField, mul: Callable, m: Optional[int], a: int) -> Optional[int]:
+    """A _sweep step over masks, bound to field and mul(m, a), which gives the (scalar,
+    mask) of the product at m times the one at a or None for zero; a zero scalar is zero."""
+    if m is None:
+        return a
+    hit = mul(m, a)
+    return None if hit is None or field.is_zero(hit[0]) else hit[1]
 
 
 Outcome = tuple[bool, int, str]
@@ -416,16 +451,19 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
     if len(qual) + 1 != index:
         return False, count, "center nilpotent index formula broke"
     count += 1
-    if qual:
-        mul = functools.partial(center_mul, spec)
-        if _chain_vanishes(field, [0] + [1 << a for a in qual], mul):
-            return False, count, "product of the qualifying center chain vanished early"
-        count += 1
-        for seq in _sequences(rad, index, rng):
-            if not _chain_vanishes(field, seq, mul):
-                return False, count, "a length-index product of center radical elements is nonzero"
-            count += 1
-    return True, count, ""
+    if not qual:
+        return True, count, ""
+    step = functools.partial(_mask_step, field, functools.partial(center_mul, spec))
+    # from the center identity at 0, the chain vanishes early if a step returns None
+    if None in itertools.accumulate([1 << a for a in qual], step, initial=0):
+        return False, count, "product of the qualifying center chain vanished early"
+    count += 1
+    settled, nonzero, sample = _sweep(rad, index, rng, step)
+    count += settled
+    if nonzero is not None:
+        return False, count, "a length-index product of center radical elements is nonzero"
+    mode = "" if sample is None else f"sampled {SAMPLE_COUNT} of {len(rad) ** index} sequences"
+    return True, count, mode
 
 
 def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
@@ -448,22 +486,20 @@ def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
     if not rad:
         return True, count, "radical is zero"
     elements = {r: Element.basis(spec, r) for r in rad}
+
+    def step(acc: Optional[Element], t: Triple) -> Optional[Element]:
+        product = elements[t] if acc is None else acc.mul(elements[t])
+        return None if product.is_zero() else product
+
+    settled, nonzero, sample = _sweep(rad, index, rng, step)
+    count += settled
     total = len(rad) ** index
-    if total <= EXHAUSTIVE_GATE:
+    if sample is None:
         mode = f"exhaustive {total} sequences"
-        settled, nonzero = _first_nonzero_product(rad, index, elements)
-        count += settled
         checked = list(itertools.islice(itertools.product(rad, repeat=index), ORACLE_SAMPLE))
     else:
         mode = f"sampled {SAMPLE_COUNT} of {total} sequences"
-        seqs = _sample(rad, index, rng)
-        nonzero = None
-        for seq, e in _products(seqs, elements):
-            if not e.is_zero():
-                nonzero = seq
-                break
-            count += 1
-        checked = seqs[:ORACLE_SAMPLE]
+        checked = sample[:ORACLE_SAMPLE]
     if nonzero is not None:
         names = " * ".join(render_triple(spec, t) for t in nonzero)
         return False, count, f"nonzero product of {index} radical elements: {names}"
@@ -493,59 +529,6 @@ def _nonzero_products(spec: SchemeSpec, stack: np.ndarray, seqs: list[list[int]]
         if k == seqs.shape[1] or not live.size:
             return live
         acc = oracle.mat_mul(spec, acc, stack[seqs[live, k]])
-
-
-def _first_nonzero_product(
-    rad: list[Triple], index: int, elements: dict[Triple, Element]
-) -> tuple[int, Optional[tuple[Triple, ...]]]:
-    """The first length-index sequence over rad, in lexicographic order, with a nonzero product.
-
-    Returns it (None if every product is zero) with the number of sequences
-    before it.  Prefixes are walked depth first; a zero prefix settles every
-    sequence extending it, which is counted without being multiplied out.
-    """
-    settled = 0
-
-    def walk(prefix: tuple[Triple, ...], e: Element) -> Optional[tuple[Triple, ...]]:
-        nonlocal settled
-        if e.is_zero():
-            settled += len(rad) ** (index - len(prefix))
-            return None
-        if len(prefix) == index:
-            return prefix
-        for t in rad:
-            found = walk(prefix + (t,), e.mul(elements[t]))
-            if found is not None:
-                return found
-        return None
-
-    for t in rad:
-        found = walk((t,), elements[t])
-        if found is not None:
-            return settled, found
-    return settled, None
-
-
-def _products(seqs, factors: dict[Triple, Element]):
-    """Yield (seq, product of its Element factors, left to right) for each sequence.
-
-    Products of proper prefixes are memoized by prefix, and a zero prefix
-    ends the product: zero times anything is zero.
-    """
-    memo: dict[tuple, Element] = {}
-    for seq in seqs:
-        acc = factors[seq[0]]
-        for k in range(1, len(seq)):
-            if acc.is_zero():
-                break
-            if k + 1 == len(seq):
-                acc = acc.mul(factors[seq[k]])
-            else:
-                prefix = seq[: k + 1]
-                if prefix not in memo:
-                    memo[prefix] = acc.mul(factors[seq[k]])
-                acc = memo[prefix]
-        yield seq, acc
 
 
 def _check_radical_witness(spec, base_points, rng, cap) -> Outcome:
@@ -686,7 +669,7 @@ def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
     field = spec.field
     x = base_points[0]
     loops = [t for t in basis_triples(spec) if t[0] == t[2]]
-    count = 0
+    count, sampled = 0, 0
     for g in range(1 << spec.n):
         middles = corner_basis(spec, g)
         from_triples = [h for f, h, _ in loops if f == g]
@@ -713,11 +696,12 @@ def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
                 return False, count, f"corner product disagrees with full product at {render_mask(g, spec.n)}"
             count += 1
         if rad:
-            mul = functools.partial(corner_mul, spec, g)
-            for seq in _sequences(rad, corner_nilpotent_index(spec, g), rng):
-                if not _chain_vanishes(field, seq, mul):
-                    return False, count, f"corner radical at {render_mask(g, spec.n)} is not nilpotent at its index"
-                count += 1
+            step = functools.partial(_mask_step, field, functools.partial(corner_mul, spec, g))
+            settled, nonzero, sample = _sweep(rad, corner_nilpotent_index(spec, g), rng, step)
+            count += settled
+            if nonzero is not None:
+                return False, count, f"corner radical at {render_mask(g, spec.n)} is not nilpotent at its index"
+            sampled += sample is not None
         reps = {a: semisimple_rep(spec, (g, a, g)) for a in surviving}
         mats = {a: oracle.realize(spec, rep, x, cap) for a, rep in reps.items()}
         for a, b in itertools.product(surviving, surviving):
@@ -744,7 +728,8 @@ def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
                         f" {render_mask(i, spec.n)} is wrong at {render_mask(g, spec.n)}"
                     )
                 count += 1
-    return True, count, ""
+    mode = f"radical sequences sampled at {sampled} of {1 << spec.n} corners" if sampled else ""
+    return True, count, mode
 
 
 def _check_base_point_independence(spec, base_points, rng, cap) -> Outcome:

@@ -1,5 +1,6 @@
 """The self-check harness: plumbing, determinism, and the small-scheme sweep."""
 
+import functools
 import itertools
 import random
 
@@ -86,14 +87,15 @@ def test_block_bookkeeping_catches_a_dropped_block_row(monkeypatch):
 
 def test_radical_nilpotency_realizes_each_radical_triple_once(monkeypatch):
     spec = SchemeSpec(sizes=(3, 3), characteristic=2)
-    calls = []
-    realize_triple = verify.oracle.realize_triple
+    given = []
+    realize_stack = verify.oracle.realize_stack
     monkeypatch.setattr(
-        verify.oracle, "realize_triple", lambda *args: calls.append(args[1]) or realize_triple(*args)
+        verify.oracle, "realize_stack",
+        lambda spec, triples, *args: given.extend(triples) or realize_stack(spec, triples, *args),
     )
     passed, count, _ = run_check("radical-nilpotency", spec)
     assert passed and count > verify.ORACLE_SAMPLE
-    assert len(calls) == len(set(calls)) <= len(radical.radical_triples(spec))
+    assert given and len(given) == len(set(given)) <= len(radical.radical_triples(spec))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 1729])
@@ -241,25 +243,91 @@ def _multiplied_out(field, seq, mul):
     return field.is_zero(s)
 
 
-def _run_with_one_broken_chain_step(monkeypatch, spec, check, name, pop, wrong, chain_vanishes):
+def _flat_sweep(pop, length, rng, nonzero):
+    """_sweep's reference: each itertools.product sequence, or each _sample one above the
+    gate, is multiplied out in full by nonzero(seq) until the first nonzero product."""
+    sample = verify._sample(pop, length, rng) if len(pop) ** length > verify.EXHAUSTIVE_GATE else None
+    settled = 0
+    for seq in itertools.product(pop, repeat=length) if sample is None else sample:
+        if nonzero(seq):
+            return settled, seq, sample
+        settled += 1
+    return settled, None, sample
+
+
+def _flat_mask_sweep(pop, length, rng, step):
+    """_sweep for mask steps, each chain multiplied out by the loop the two checks each wrote out."""
+    field, mul = step.args
+    return _flat_sweep(pop, length, rng, lambda seq: not _multiplied_out(field, seq, mul))
+
+
+def _planted(kind, where):
+    """A population none of whose products of two factors is nonzero, a step over it that
+    also makes u * u = u for u = pop[where], and the full product as a nonzero test; so
+    (u, ..., u) is the one sequence with a nonzero product."""
+    if kind == "element":
+        spec = SchemeSpec(sizes=(3, 3), characteristic=2)
+        # no right mask is 01, the left mask of every factor: no two factors chain
+        pop = [t for t in radical.radical_triples(spec) if t[0] == 1 != t[2]]
+        elements = {t: Element.basis(spec, t) for t in pop}
+        e = elements[pop[where]]
+        mul = lambda x, y: x if x == y == e else x.mul(y)
+
+        def step(acc, t):
+            product = elements[t] if acc is None else mul(acc, elements[t])
+            return None if product.is_zero() else product
+
+        nonzero = lambda seq: not functools.reduce(mul, [elements[t] for t in seq]).is_zero()
+        return pop, 3, step, nonzero
+    # The center's radical masks at (3,3,3)/2 are the corner 111's.  Those that contain
+    # 001 meet each other: center_mul gives each pair a zero scalar, corner_mul None.
+    spec = SchemeSpec(sizes=(3, 3, 3), characteristic=2)
+    if kind == "center_mul":
+        real = functools.partial(verify.center_mul, spec)
+    else:
+        real = functools.partial(verify.corner_mul, spec, spec.full_mask)
+    pop = [m for m in verify.center_rad_basis(spec) if m & 1]
+    one = spec.field.one()
+    mul = lambda m, a: (one, m) if m == a == pop[where] else real(m, a)
+    step = functools.partial(verify._mask_step, spec.field, mul)
+    return pop, 4, step, lambda seq: not _multiplied_out(spec.field, seq, mul)
+
+
+@pytest.mark.parametrize("kind", ["center_mul", "corner_mul", "element"])
+@pytest.mark.parametrize("gate", [10**6, 10])  # exhaustive, then sampled
+@pytest.mark.parametrize("where", [0, 2, 3])  # (u, ..., u) first, in the middle, last
+def test_sweep_matches_the_flat_reference(monkeypatch, kind, gate, where):
+    monkeypatch.setattr(verify, "EXHAUSTIVE_GATE", gate)
+    pop, length, step, nonzero = _planted(kind, where)
+    expected = _flat_sweep(pop, length, random.Random(5), nonzero)
+    assert verify._sweep(pop, length, random.Random(5), step) == expected
+    settled, found, sample = expected
+    assert len(pop) == 4 and found == (pop[where],) * length
+    if sample is None:
+        # the lexicographic position of (u, ..., u): 0, its middle entry, the last entry
+        assert settled == where * (len(pop) ** length - 1) // (len(pop) - 1)
+    else:
+        assert settled == sample.index(found)
+
+
+def _run_with_one_broken_chain_step(monkeypatch, spec, check, name, pop, wrong, sweep):
     """Run a check with verify.<name> returning wrong(*args) wherever that is not None,
     from the moment the check starts its sweep over pop; earlier calls are left exact."""
-    sequences, mul = verify._sequences, getattr(verify, name)
+    mul = getattr(verify, name)
     sweeping = []
 
-    def watched(seqs_pop, length, rng):
-        if seqs_pop == pop:
+    def watched(sweep_pop, length, rng, step):
+        if sweep_pop == pop:
             sweeping.append(True)
-        return sequences(seqs_pop, length, rng)
+        return sweep(sweep_pop, length, rng, step)
 
     def broken(*args):
         hit = wrong(*args) if sweeping else None
         return mul(*args) if hit is None else hit
 
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "_sequences", watched)
+        patch.setattr(verify, "_sweep", watched)
         patch.setattr(verify, name, broken)
-        patch.setattr(verify, "_chain_vanishes", chain_vanishes)
         return run_check(check, spec)
 
 
@@ -280,25 +348,64 @@ def test_chain_sweeps_fail_as_the_multiplied_out_loop_does(monkeypatch, check, n
         wrong = lambda spec, m, a: (one, full) if (m, a) == (full, 0b001) else None
         detail = "a length-index product of center radical elements is nonzero"
     args = (monkeypatch, spec, check, name, pop, wrong)
-    got = _run_with_one_broken_chain_step(*args, verify._chain_vanishes)
-    assert got == _run_with_one_broken_chain_step(*args, _multiplied_out)
+    got = _run_with_one_broken_chain_step(*args, verify._sweep)
+    assert got == _run_with_one_broken_chain_step(*args, _flat_mask_sweep)
     assert got[0] is False and got[2] == detail
     passed, exact, _ = run_check(check, spec)
     assert passed and got[1] < exact
 
 
-def test_corner_radical_sweep_samples_above_the_gate(monkeypatch):
-    spec = SchemeSpec(sizes=(3, 3), characteristic=2)
-    passed, exhaustive, _ = run_check("corner-structure", spec)
+@pytest.mark.parametrize("check, name", [
+    ("center-structure", "center_mul"), ("corner-structure", "corner_mul"),
+])
+def test_chain_sweeps_settle_zero_prefixes_without_multiplying(monkeypatch, check, name):
+    # At (3,3,3)/2 two radical masks that meet multiply to zero, so most chains vanish
+    # within two factors: the sweeps make fewer products than they have chains.
+    spec = SchemeSpec(sizes=(3, 3, 3), characteristic=2)
+    if check == "center-structure":
+        chains = len(verify.center_rad_basis(spec)) ** verify.center_nilpotent_index(spec)
+    else:
+        chains = sum(len(radical.corner_rad_basis(spec, g)) ** radical.corner_nilpotent_index(spec, g)
+                     for g in range(1 << spec.n))
+    calls = []
+    mul = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: calls.append(1) or mul(*args))
+    passed, _, _ = run_check(check, spec)
+    assert passed and len(calls) < chains
+
+
+def _sampled_above_a_gate_of_10(monkeypatch, check, spec):
+    """The check's exhaustive count, then its record and _sample calls with the gate at 10."""
+    passed, exhaustive, _ = run_check(check, spec)
     assert passed
     monkeypatch.setattr(verify, "EXHAUSTIVE_GATE", 10)
     calls = []
     sample = verify._sample
     monkeypatch.setattr(verify, "_sample", lambda *args: calls.append(args[:2]) or sample(*args))
+    return exhaustive, run_check(check, spec), calls
+
+
+def test_corner_radical_sweep_samples_above_the_gate(monkeypatch):
+    spec = SchemeSpec(sizes=(3, 3), characteristic=2)
+    exhaustive, got, calls = _sampled_above_a_gate_of_10(monkeypatch, "corner-structure", spec)
     # Only the corner at 11 has more than 10 radical sequences: 3 radical middles, index 3.
     rad = radical.corner_rad_basis(spec, 0b11)
     assert (len(rad), radical.corner_nilpotent_index(spec, 0b11)) == (3, 3)
-    assert run_check("corner-structure", spec) == (True, exhaustive - 27 + verify.SAMPLE_COUNT, "")
+    assert got == (
+        True, exhaustive - 27 + verify.SAMPLE_COUNT, "radical sequences sampled at 1 of 4 corners"
+    )
+    assert calls == [(rad, 3)]
+
+
+def test_center_radical_sweep_samples_above_the_gate(monkeypatch):
+    spec = SchemeSpec(sizes=(3, 3), characteristic=2)
+    exhaustive, got, calls = _sampled_above_a_gate_of_10(monkeypatch, "center-structure", spec)
+    # 3 center radical masks at index 3: 27 sequences.
+    rad = verify.center_rad_basis(spec)
+    assert (len(rad), verify.center_nilpotent_index(spec)) == (3, 3)
+    assert got == (
+        True, exhaustive - 27 + verify.SAMPLE_COUNT, f"sampled {verify.SAMPLE_COUNT} of 27 sequences"
+    )
     assert calls == [(rad, 3)]
 
 

@@ -175,8 +175,13 @@ def ref_radical_oracle_tail(spec, base_points, rng, cap):
     count = 1 + 2 * len(rad) * len(basis_triples(spec))
     index = verify.nilpotent_index(spec)
     elements = {r: Element.basis(spec, r) for r in rad}
-    settled, nonzero = verify._first_nonzero_product(rad, index, elements)
-    assert nonzero is None and len(rad) ** index <= verify.EXHAUSTIVE_GATE
+
+    def step(acc, t):
+        product = elements[t] if acc is None else acc.mul(elements[t])
+        return None if product.is_zero() else product
+
+    settled, nonzero, sample = verify._sweep(rad, index, rng, step)
+    assert nonzero is None and sample is None
     count += settled
     x = base_points[0]
     for seq in itertools.islice(itertools.product(rad, repeat=index), verify.ORACLE_SAMPLE):
@@ -316,7 +321,7 @@ def test_radical_oracle_tail_matches_the_one_at_a_time_sweep(monkeypatch, sizes,
     spec = SchemeSpec(sizes=sizes, characteristic=2)
     index = verify.nilpotent_index(spec) - 1
     monkeypatch.setattr(verify, "nilpotent_index", lambda spec: index)
-    monkeypatch.setattr(verify, "_first_nonzero_product", lambda rad, index, elements: (0, None))
+    monkeypatch.setattr(verify, "_sweep", lambda pop, length, rng, step: (0, None, None))
     chunk_of(monkeypatch, per_chunk * spec.num_points**2)
     expected = reference(ref_radical_oracle_tail, spec)
     first = 1 + 2 * len(verify.radical_triples(spec)) * len(basis_triples(spec))
