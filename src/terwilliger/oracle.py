@@ -12,10 +12,11 @@ a stack at a time.
 At characteristic 0 a realized matrix is an object array of Python ints
 and Fractions, but no arithmetic runs on Fractions: products clear each
 operand's denominators and multiply integer numerators (in int64 when a
-bound proves that exact), and ranks come from fraction-free elimination
-over Python ints, which cross-multiplies rows as in Bareiss' integer-
-preserving elimination.  At prime characteristic matrices are int64 (or
-Python ints for very large primes) reduced mod p.
+bound proves that exact).  At prime characteristic matrices are int64 (or
+Python ints for very large primes) reduced mod p.  Every field shares one
+fraction-free elimination (_pivot_rows), which cross-multiplies rows as in
+Bareiss' integer-preserving elimination: over Python ints at characteristic
+0, in int64 mod p below 2^31.
 The symbolic engine is validated against this module, so the two must not
 share formulas beyond the definition of the relations themselves.
 """
@@ -26,7 +27,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -114,7 +115,11 @@ def _as_matrix(spec: SchemeSpec, nums: np.ndarray, d: int = 1) -> np.ndarray:
 
 
 def _reduce(spec: SchemeSpec, m: np.ndarray) -> np.ndarray:
-    return m % spec.characteristic if spec.characteristic else m
+    """m mod p, over Python ints when p does not fit in int64; m itself at characteristic 0."""
+    p = spec.characteristic
+    if p >= 1 << 63:
+        m = m.astype(object)
+    return m % p if p else m
 
 
 def _integer_form(m: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -305,42 +310,34 @@ def realize_raw(
     return _as_matrix(spec, *_realize_combinations(spec, [raw], base_point, cap, raw=True))[0]
 
 
-def _rank_of_rows(spec: SchemeSpec, rows: list[np.ndarray]) -> int:
-    """Exact row rank by elimination over the ground field.
+def _pivot_rows(spec: SchemeSpec, rows: Iterable[np.ndarray]) -> list[tuple[int, np.ndarray]]:
+    """(col, v) pivot rows spanning the rows, each flattened, v[col] the first nonzero entry.
 
-    At characteristic 0 the elimination is fraction-free over Python ints:
-    each incoming row is scaled by the lcm of its denominators and eliminated
-    by cross-multiplying with each pivot row, and each new pivot row is
-    divided by the gcd of its entries to keep the entries small.  At prime
-    characteristic it is Gaussian elimination mod p.
+    Exact elimination: each row is cleared of denominators and reduced, then
+    cross-multiplied with each pivot, v * pivot[col] - pivot * v[col], and
+    reduced again; a row left nonzero is a new pivot.  At prime characteristic
+    pivot[col] is a unit, so no inverse is needed; rows are int64 below 2^31,
+    where an update stays below 2p^2 < 2^63.  At characteristic 0 rows are
+    Python ints, and a new pivot row is divided by the gcd of its entries.
     """
     p = spec.characteristic
+    dtype = np.int64 if 0 < p < 1 << 31 else object
     pivots: list[tuple[int, np.ndarray]] = []
     for row in rows:
-        if p:
-            v = np.asarray(row).astype(object) % p
-        else:
-            v = _integer_form(np.asarray(row))[0].astype(object)
-        for col, pivot_row in pivots:
+        v = _reduce(spec, _integer_form(np.asarray(row).reshape(-1))[0]).astype(dtype)
+        for col, pivot in pivots:
             c = v[col]
-            if c != 0:
-                v = (v - pivot_row * c) % p if p else v * pivot_row[col] - pivot_row * c
+            if c:
+                v = _reduce(spec, v * pivot[col] - pivot * c)
         nonzero = np.flatnonzero(v)
-        if nonzero.size == 0:
-            continue
-        col = int(nonzero[0])
-        if p:
-            v = v * spec.field.inv(int(v[col])) % p
-        else:
-            v = v // math.gcd(*v.tolist())
-        pivots.append((col, v))
-    return len(pivots)
+        if nonzero.size:
+            pivots.append((int(nonzero[0]), v if p else v // math.gcd(*v.tolist())))
+    return pivots
 
 
 def span_rank(spec: SchemeSpec, mats: Sequence[np.ndarray]) -> int:
-    """Rank of a family of matrices flattened to vectors, by exact elimination."""
-    rows = [np.asarray(m).reshape(-1) for m in mats]
-    return _rank_of_rows(spec, rows)
+    """Rank of a family of matrices flattened to vectors: the number of pivot rows."""
+    return len(_pivot_rows(spec, mats))
 
 
 def triple_intersection_count(
@@ -369,19 +366,20 @@ def annihilator_dim(
 ) -> int:
     """Dimension of the right annihilator of a left ideal inside the realized algebra.
 
-    The candidate space is the realized span of all basis triples; the
-    returned value is the nullity of v -> (G v for every generator G), via
-    the rank of the stacked image vectors.
+    The candidate space is the realized span of all basis triples.  Let P be
+    pivot rows spanning the rows of the J generators stacked into one J*N x N
+    matrix (realized over a common denominator, which spans the same rows).
+    Then G v = 0 for every generator G iff P v = 0, since each row of either
+    is a combination of rows of the other.  So the returned value is the
+    nullity of v -> P v, whose images hold rank(P) * N <= N^2 entries each.
     """
     triples = basis_triples(spec)
-    if not left_ideal:
-        return len(triples)
-    gens = np.stack([realize(spec, e, base_point, cap) for e in left_ideal])
     basis = realize_stack(spec, triples, base_point, cap)
-    step = max(1, _CHUNK_ENTRIES // gens.size)
-    rows: list[np.ndarray] = []
-    for lo in range(0, len(triples), step):
-        # row k holds G v for every generator G, v the k-th basis matrix of the chunk
-        images = mat_mul(spec, gens, basis[lo : lo + step, None])
-        rows.extend(images.reshape(len(images), -1))
-    return len(triples) - _rank_of_rows(spec, rows)
+    gens, _ = _realize_combinations(spec, [e.terms for e in left_ideal], base_point, cap)
+    rows = [v for _, v in _pivot_rows(spec, gens.reshape(-1, basis.shape[-1]))]
+    if not rows:
+        return len(triples)
+    pivots = np.stack(rows)
+    step = max(1, _CHUNK_ENTRIES // basis[0].size)
+    chunks = (mat_mul(spec, pivots, basis[lo : lo + step]) for lo in range(0, len(triples), step))
+    return len(triples) - len(_pivot_rows(spec, itertools.chain.from_iterable(chunks)))

@@ -437,10 +437,11 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
         if not is_central(spec, central_element(spec, g)):
             return False, count, f"center basis element {render_mask(g, spec.n)} fails is_central"
         count += 1
-    elements = [(t, Element.basis(spec, t)) for t in basis_triples(spec)]
-    for t, e in elements:
-        commutes = all(e.mul(u) == u.mul(e) for _, u in elements)
-        if is_central(spec, e) != commutes:
+    # a product of two basis elements is one term, so the triple law decides commutation
+    triples = basis_triples(spec)
+    for t in triples:
+        commutes = all(_mul_triples(spec, t, u) == _mul_triples(spec, u, t) for u in triples)
+        if is_central(spec, Element.basis(spec, t)) != commutes:
             return False, count, (
                 f"is_central({render_triple(spec, t)}) disagrees with commutation"
             )

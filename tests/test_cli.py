@@ -282,7 +282,7 @@ def test_cli_answers_or_refuses_any_argv(data):
         valid = CHECKABLE_SIZES if command == "verify" or with_checks else SIZES
         sizes = mostly(data, valid, JUNK_SIZES)
         argv += ["--sizes", sizes]
-    options = {"--char": [0, 2, 3, 5, 1048583, 10**18 + 3, 4, 1, -3, 2**89 - 1]}
+    options = {"--char": [0, 2, 3, 5, 1048583, 10**18 + 3, 2**64 + 13, 4, 1, -3, 2**89 - 1]}
     if command != "mul":
         options["--base-points"] = [-1, 0, 1, 2, 3, 1000]
         options["--seed"] = [-5, 0, 1729, 10**20]

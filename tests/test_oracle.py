@@ -285,9 +285,10 @@ def test_characteristic_zero_product_equals_the_object_product(data):
     assert got.tolist() == expected.tolist()
 
 
-def _fraction_rank(vectors):
-    """Row rank by Gaussian elimination over Fraction, as a reference."""
-    rows = [[Fraction(v) for v in vec] for vec in vectors]
+def _reference_rank(vectors, p=0):
+    """Row rank by Gaussian elimination over Fraction, or over the integers mod p, as a reference."""
+    canon = (lambda v: v % p) if p else Fraction
+    rows = [[canon(v) for v in vec] for vec in vectors]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
@@ -296,25 +297,42 @@ def _fraction_rank(vectors):
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / rows[rank][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+                if p:
+                    factor = rows[r][col] * pow(rows[rank][col], -1, p)
+                else:
+                    factor = rows[r][col] / rows[rank][col]
+                rows[r] = [canon(x - factor * y) for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+# Characteristic 0 has Fraction rows; 2, 3 and 1048583 int64 rows; 2^61 - 1 and
+# 2^64 + 13 Python-int rows, the latter above int64.
+RANK_CHARACTERISTICS = [0, 2, 3, 1048583, 2**61 - 1, 2**64 + 13]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_characteristic_zero_span_rank_equals_fraction_elimination(data):
+    # Every field shares one elimination, so this covers each prime too.
+    p = data.draw(st.sampled_from(RANK_CHARACTERISTICS))
+    spec = SchemeSpec(sizes=(2, 3), characteristic=p)
     shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)))
     length = shape[0] * shape[1]
-    scalars = st.fractions(-4, 4, max_denominator=6)
+    if p:
+        scalars = st.one_of(st.integers(-4, 4), st.integers(0, p - 1))
+    else:
+        scalars = st.fractions(-4, 4, max_denominator=6)
     base = [[data.draw(scalars) for _ in range(length)] for _ in range(data.draw(st.integers(1, 4)))]
     family = []
     for _ in range(data.draw(st.integers(0, 6))):
         coeffs = [data.draw(st.integers(-3, 3)) for _ in base]
-        family.append([sum(c * vec[j] for c, vec in zip(coeffs, base)) for j in range(length)])
+        combo = [sum(c * vec[j] for c, vec in zip(coeffs, base)) for j in range(length)]
+        family.append([v % p for v in combo] if p else combo)
     mats = [_object_matrix([vec[r * shape[1]:(r + 1) * shape[1]] for r in range(shape[0])]) for vec in family]
-    assert span_rank(S23, mats) == _fraction_rank(family)
+    if 0 < p < 1 << 20:
+        mats = [m.astype(np.int64) for m in mats]  # the oracle's matrix type there
+    assert span_rank(spec, mats) == _reference_rank(family, p)
 
 
 def test_characteristic_zero_results_are_python_ints_and_fractions():

@@ -435,3 +435,30 @@ def test_chain_sweeps_stay_exhaustive_below_the_default_oracle_cap():
                       for g in range(1 << spec.n)),
                 )
     assert largest == 759_375 < verify.EXHAUSTIVE_GATE
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (3, 3)])
+def test_run_all_over_a_prime_beyond_int64_matches_a_small_prime(sizes):
+    # 2^64 + 13 does not fit in int64, so every reduction mod p runs on Python ints.
+    def records(p):
+        return [(r.name, r.passed, r.count, r.detail) for r in run_all(SchemeSpec(sizes=sizes, characteristic=p))]
+
+    assert records(2**64 + 13) == records(1048583)
+
+
+@pytest.mark.parametrize("characteristic", [2, 0])
+def test_center_structure_commutation_agrees_with_element_products(monkeypatch, characteristic):
+    # The check compares triple products; flipping is_central at one basis
+    # element must fail there and nowhere earlier, so at every basis element
+    # the check's commutation verdict is the one Element.mul gives.
+    spec = SchemeSpec(sizes=(2, 3), characteristic=characteristic)
+    elements = [Element.basis(spec, t) for t in basis_triples(spec)]
+    real = verify.is_central
+    assert [real(spec, e) for e in elements] == [all(e.mul(u) == u.mul(e) for u in elements) for e in elements]
+    counts = []
+    for t, target in zip(basis_triples(spec), elements):
+        monkeypatch.setattr(verify, "is_central", lambda spec, e: real(spec, e) != (e == target))
+        passed, count, detail = run_check("center-structure", spec)
+        assert (passed, detail) == (False, f"is_central({render_triple(spec, t)}) disagrees with commutation")
+        counts.append(count)
+    assert counts == list(range(counts[0], counts[0] + len(elements)))

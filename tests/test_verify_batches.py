@@ -351,16 +351,49 @@ def test_base_point_independence_reads_ranks_off_the_stacks(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "sizes, characteristic", [((2, 3), 2), ((3, 3), 2), ((2, 4), 3), ((2, 3), 0), ((2, 3), 1048583)]
+    "sizes, characteristic",
+    [
+        ((2, 3), 2),
+        ((3, 3), 2),
+        ((2, 4), 3),
+        ((2, 3), 0),
+        ((2, 3), 1048583),
+        ((2, 2, 3), 2),
+        ((3, 3), 0),
+        ((2, 3), 2**64 + 13),
+    ],
 )
 def test_annihilator_dim_matches_the_one_at_a_time_images(monkeypatch, sizes, characteristic):
     spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
-    # With two generators or more, each chunk holds the images of one basis matrix.
-    chunk_of(monkeypatch, 2 * spec.num_points**2)
+    # Each chunk holds three basis matrices (the last may hold fewer).
+    chunk_of(monkeypatch, 3 * spec.num_points**2)
     x = points(spec)[-1]
     first = [Element.basis(spec, t) for t in basis_triples(spec)[:3]]
-    for gens in (quotient.frobenius_left_ideal(spec), first):
+    # Fraction coefficients at characteristic 0
+    reps = [quotient.semisimple_rep(spec, t) for t in quotient.quotient_triples(spec)[-4:]]
+    for gens in (quotient.frobenius_left_ideal(spec), first, reps, [Element.zero(spec)], [Element.identity(spec)]):
         assert oracle.annihilator_dim(spec, gens, x) == ref_annihilator_dim(spec, gens, x)
+
+
+def test_annihilator_dim_holds_at_most_n_squared_image_entries_per_basis_matrix(monkeypatch):
+    # Images of the generators stacked one under another held J * N^2 entries
+    # per basis matrix, 7 * N^2 here.
+    spec = SchemeSpec(sizes=(3, 3, 3), characteristic=2)
+    chunk_of(monkeypatch, 4 * spec.num_points**2)
+    product = oracle.mat_mul
+    per_matrix, matrices = [], []
+
+    def watching(*args):
+        out = product(*args)
+        per_matrix.append(out.size // len(out))
+        matrices.append(len(out))
+        return out
+
+    monkeypatch.setattr(oracle, "mat_mul", watching)
+    ann = oracle.annihilator_dim(spec, quotient.frobenius_left_ideal(spec))
+    assert ann == verify.frobenius_witness(spec)["annihilator_dim"]
+    assert per_matrix and max(per_matrix) <= spec.num_points**2
+    assert max(matrices) == 4 and sum(matrices) == len(basis_triples(spec))
 
 
 def test_frobenius_check_reports_a_wrong_annihilator_dimension(monkeypatch):
