@@ -145,6 +145,27 @@ def _product(large: Mask, t1: Triple, t2: Triple) -> tuple[Mask, Triple]:
     return h & i & k, (g, _bracket(large, g, h, i, k, l), l)
 
 
+def _mul_columns(
+    spec: SchemeSpec, t1: tuple[np.ndarray, ...], t2: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """_mul_triples over columns of valid triples t1 = (g, h, i) and t2 = (j, k, l), unchecked.
+
+    The six columns are int64 arrays that broadcast together, one pair per
+    position; t1 and t2 may each be the rows of a 3 x m array.  Returns each pair's coefficient as an int64 array and the
+    product's three triple columns.  The coefficient is the field image of the
+    valency, read from a column of the 2^n valencies (in characteristic 0 the
+    integer itself; a valency is below the point count), and it is 0 where
+    i != j or that image vanishes.  There the triple columns mean nothing.
+    _product uses only & and _bracket, so it states the law for columns too.
+    """
+    p = spec.characteristic
+    valencies = np.array(
+        [valency(spec, m) % p if p else valency(spec, m) for m in range(1 << spec.n)], dtype=np.int64
+    )
+    m, t = _product(spec.large_mask, t1, t2)
+    return np.where(t1[2] == t2[0], valencies[m], 0), t
+
+
 def _integral(items: Iterable[tuple[Triple, Fraction]]) -> tuple[list[tuple[Triple, int]], int]:
     """Characteristic-0 (triple, coefficient) pairs over the integers, and their denominator.
 

@@ -27,13 +27,13 @@ from . import oracle
 from .algebra import (
     Element,
     Triple,
+    _mul_columns,
     _mul_triples,
     basis_triples,
     corner_basis,
     corner_mul,
     dimension,
     from_raw,
-    mul_triples,
     render_triple,
     to_raw,
 )
@@ -80,6 +80,9 @@ EXHAUSTIVE_GATE = 10**6
 SAMPLE_COUNT = 2000
 ORACLE_SAMPLE = 200
 DEFAULT_SEED = 1729
+# run_all refuses a spec whose realized basis, one byte per matrix entry, would
+# outgrow this; under the default cap the largest is (2,2,2,2,2,2,3) at about 755 MB.
+STACK_BYTES_BOUND = 1 << 30
 
 
 @dataclass
@@ -160,9 +163,10 @@ def _sweep(
     return settled, found, None
 
 
-def _mask_step(field: GroundField, mul: Callable, m: Optional[int], a: int) -> Optional[int]:
-    """A _sweep step over masks, bound to field and mul(m, a), which gives the (scalar,
-    mask) of the product at m times the one at a or None for zero; a zero scalar is zero."""
+def _mask_step(field: GroundField, mul: Callable, m, a):
+    """A _sweep step over masks or triples, bound to field and mul(m, a), which gives the
+    (scalar, index) of the product at m times the one at a or None for zero; a zero scalar
+    is zero."""
     if m is None:
         return a
     hit = mul(m, a)
@@ -244,7 +248,11 @@ def _check_dimension_rank(spec, base_points, rng, cap) -> Outcome:
 
 def _check_structure_constants(spec, base_points, rng, cap) -> Outcome:
     triples = basis_triples(spec)
-    index = {t: k for k, t in enumerate(triples)}
+    columns = _columns(triples)
+    # position[key] of each basis triple, -1 elsewhere: 8^n entries, and run_all's
+    # stack bound keeps n at 7 or below.
+    position = np.full(8**spec.n, -1)
+    position[_key(spec, columns)] = np.arange(len(triples))
     stack = oracle.realize_stack(spec, triples, base_points[0], cap)
     # Supports are read off the realized matrices, not off the masks, so the
     # oracle still knows no closed form.  A product whose operands' column and
@@ -256,7 +264,7 @@ def _check_structure_constants(spec, base_points, rng, cap) -> Outcome:
         # drawing positions draws the same pairs as drawing the triples themselves
         drawn = np.array(_sample(range(len(triples)), 2, rng))
         mode = f"sampled {SAMPLE_COUNT} of {total}"
-    count, zero = 0, spec.field.zero()
+    count = 0
     # A pair holds a row of support flags; its product is built only where the
     # supports meet, a stack of at most _CHUNK_ENTRIES entries at a time.
     for chunk in _chunks(total if drawn is None else len(drawn), spec.num_points):
@@ -264,17 +272,17 @@ def _check_structure_constants(spec, base_points, rng, cap) -> Outcome:
             left, right = np.divmod(np.arange(chunk.start, chunk.stop), len(triples))
         else:
             left, right = drawn[chunk.start : chunk.stop].T
-        hits = [mul_triples(spec, triples[a], triples[b]) for a, b in zip(left.tolist(), right.tolist())]
+        coeffs, product = _mul_columns(spec, columns[:, left], columns[:, right])
+        # A zero product is compared with a zero multiple of any basis matrix, and a
+        # nonzero one that names no basis triple (position -1) fails unmultiplied.
+        target = np.where(coeffs == 0, 0, position[_key(spec, product)])
         # Where the supports do not meet, the oracle's product is zero.
-        ok = np.ones(len(hits), dtype=bool)
-        ok[[k for k, hit in enumerate(hits) if hit is not None]] = False
-        meet = np.flatnonzero(np.any(cols[left] & rows[right], axis=1))
+        ok = coeffs == 0
+        meet = np.flatnonzero(np.any(cols[left] & rows[right], axis=1) & (target >= 0))
         for part in _chunks(meet.size, spec.num_points**2):
             k = meet[part.start : part.stop]
             lhs = oracle.mat_mul(spec, stack[left[k]], stack[right[k]])
-            scaled = [(zero, 0) if hits[j] is None else (hits[j][0], index[hits[j][1]]) for j in k]
-            coeffs = _field_array(spec, [c for c, _ in scaled])
-            ok[k] = _equal_each(lhs, coeffs[:, None, None] * stack[[j for _, j in scaled]])
+            ok[k] = _equal_each(lhs, coeffs[k, None, None] * stack[target[k]])
         bad = _first_failure(ok)
         if bad is not None:
             t1, t2 = triples[left[bad]], triples[right[bad]]
@@ -286,12 +294,15 @@ def _check_structure_constants(spec, base_points, rng, cap) -> Outcome:
     return True, count, mode
 
 
-def _field_array(spec: SchemeSpec, scalars: list) -> np.ndarray:
-    """Canonical field scalars as an array: int64 when each is an integer that fits, else objects."""
-    values = [c.numerator if c.denominator == 1 else c for c in map(spec.field.of, scalars)]
-    if all(type(v) is int and -(1 << 63) < v < 1 << 63 for v in values):
-        return np.array(values, dtype=np.int64)
-    return np.array(values, dtype=object)
+def _columns(triples: list[Triple]) -> np.ndarray:
+    """The masks g, h, i of triples as the rows of a 3 x len(triples) int64 array."""
+    return np.array(triples, dtype=np.int64).reshape(-1, 3).T
+
+
+def _key(spec: SchemeSpec, columns) -> np.ndarray:
+    """Each triple of the columns g, h, i as one integer below 8^n."""
+    g, h, i = columns
+    return (g << 2 * spec.n) | (h << spec.n) | i
 
 
 def _check_raw_roundtrip(spec, base_points, rng, cap) -> Outcome:
@@ -320,30 +331,34 @@ def _check_raw_roundtrip(spec, base_points, rng, cap) -> Outcome:
 def _check_transpose(spec, base_points, rng, cap) -> Outcome:
     x = base_points[0]
     triples = basis_triples(spec)
-    elements = {t: Element.basis(spec, t) for t in triples}
-    transposes = {t: e.transpose() for t, e in elements.items()}
     count = 0
     for r in _chunks(len(triples), spec.num_points**2):
-        chunk = triples[r.start : r.stop]
-        combos = [elements[t].terms for t in chunk] + [transposes[t].terms for t in chunk]
+        chunk = [Element.basis(spec, t) for t in triples[r.start : r.stop]]
+        combos = [e.terms for e in chunk] + [e.transpose().terms for e in chunk]
         nums, _ = oracle._realize_combinations(spec, combos, x, cap)  # over one denominator
         bad = _first_failure(_equal_each(nums[len(chunk) :], nums[: len(chunk)].transpose(0, 2, 1)))
         if bad is not None:
-            return False, count + bad, f"transpose of {render_triple(spec, chunk[bad])} realizes wrong"
+            t = render_triple(spec, triples[r.start + bad])
+            return False, count + bad, f"transpose of {t} realizes wrong"
         count += len(chunk)
-    pairs = itertools.product(triples, triples)
     mode = "exhaustive"
     if len(triples) ** 2 > 4000:
-        pairs = _sample(triples, 2, rng)
+        left, right = np.array(_sample(range(len(triples)), 2, rng)).T
         mode = f"pairs sampled {SAMPLE_COUNT}"
-    for t1, t2 in pairs:
-        if elements[t1].mul(elements[t2]).transpose() != transposes[t2].mul(transposes[t1]):
-            return False, count, (
-                f"anti-automorphism fails on {render_triple(spec, t1)},"
-                f" {render_triple(spec, t2)}"
-            )
-        count += 1
-    return True, count, mode
+    else:
+        left, right = np.divmod(np.arange(len(triples) ** 2), len(triples))
+    # (t1 t2)^T = t2^T t1^T, where (g, h, i)^T = (i, h, g): flipping a column array transposes.
+    columns = _columns(triples)
+    c1, product = _mul_columns(spec, columns[:, left], columns[:, right])
+    c2, flipped = _mul_columns(spec, columns[::-1, right], columns[::-1, left])
+    same = np.all(np.array(product[::-1]) == np.array(flipped), axis=0)
+    bad = _first_failure((c1 == c2) & ((c1 == 0) | same))
+    if bad is not None:
+        t1, t2 = triples[left[bad]], triples[right[bad]]
+        return False, count + bad, (
+            f"anti-automorphism fails on {render_triple(spec, t1)}, {render_triple(spec, t2)}"
+        )
+    return True, count + len(left), mode
 
 
 def _check_intersection_numbers(spec, base_points, rng, cap) -> Outcome:
@@ -473,25 +488,29 @@ def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
         return False, 0, "radical basis filter is inconsistent"
     count = 1
     triples = basis_triples(spec)
-    for r in rad:
-        for t in triples:
-            for lhs, rhs in ((t, r), (r, t)):
-                hit = _mul_triples(spec, lhs, rhs)
-                if hit is not None and not p_divides_valency(spec, hit[1][1]):
-                    return False, count, (
-                        f"ideal closure fails: {render_triple(spec, lhs)} *"
-                        f" {render_triple(spec, rhs)} leaves the radical"
-                    )
-                count += 1
+    basis, radical = _columns(triples), _columns(rad)
+    stays = np.array([p_divides_valency(spec, m) for m in range(1 << spec.n)])
+    # The sweep holds (t, r) and then (r, t) for each basis triple t, for each
+    # radical triple r: a block of radical rows is one (rows, D, 2) array of pairs.
+    t = basis[:, None]
+    for block in _chunks(len(rad), 2 * len(triples)):
+        r = radical[:, block.start : block.stop, None]
+        products = (_mul_columns(spec, t, r), _mul_columns(spec, r, t))
+        holds = [(c == 0) | stays[middle] for c, (_, middle, _) in products]
+        bad = _first_failure(np.stack(holds, axis=-1).ravel())
+        if bad is not None:
+            r, q = divmod(bad, 2 * len(triples))
+            t1, t2 = (triples[q // 2], rad[block.start + r])[:: -1 if q % 2 else 1]
+            return False, count + 2 * len(triples) * block.start + bad, (
+                f"ideal closure fails: {render_triple(spec, t1)} *"
+                f" {render_triple(spec, t2)} leaves the radical"
+            )
+    count += 2 * len(rad) * len(triples)
     index = nilpotent_index(spec)
     if not rad:
         return True, count, "radical is zero"
-    elements = {r: Element.basis(spec, r) for r in rad}
-
-    def step(acc: Optional[Element], t: Triple) -> Optional[Element]:
-        product = elements[t] if acc is None else acc.mul(elements[t])
-        return None if product.is_zero() else product
-
+    # A product of basis elements is one nonzero term or zero, so the sweep runs on triples.
+    step = functools.partial(_mask_step, spec.field, functools.partial(_mul_triples, spec))
     settled, nonzero, sample = _sweep(rad, index, rng, step)
     count += settled
     total = len(rad) ** index
@@ -776,12 +795,22 @@ def run_all(
     seed: int = DEFAULT_SEED,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> list[CheckResult]:
-    """Run every check against one spec; raises only for invalid inputs, never on failures."""
+    """Run every check against one spec; raises only for invalid inputs, never on failures.
+
+    A spec above the oracle cap, or whose realized basis stack would exceed
+    STACK_BYTES_BOUND, is refused with ValueError before anything is realized.
+    """
     if base_points < 2:
         raise ValueError("at least two base points are required")
     if spec.num_points > cap:
         raise ValueError(
             f"point set has {spec.num_points} elements, above the oracle cap {cap}"
+        )
+    stack_bytes = dimension(spec) * spec.num_points**2
+    if stack_bytes > STACK_BYTES_BOUND:
+        raise ValueError(
+            f"the realized basis would take about {stack_bytes} bytes ({dimension(spec)} matrices"
+            f" of {spec.num_points}^2 entries), above the bound of {STACK_BYTES_BOUND} bytes"
         )
     pts = pick_base_points(spec, base_points)
     results = []

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from terwilliger.algebra import (
     Element,
+    _mul_columns,
+    _mul_triples,
     basis_triples,
     check_triple,
     corner_basis,
@@ -186,6 +188,28 @@ def test_basis_products_follow_mul_triples_exhaustively(sizes, p):
             hit = mul_triples(spec, t1, t2)
             expected = Element.zero(spec) if hit is None else Element.basis(spec, hit[1], hit[0])
             assert basis[t1].mul(basis[t2]) == expected, (t1, t2)
+
+
+@pytest.mark.parametrize("sizes, p", [
+    ((2, 3), 2), ((2, 4), 3), ((3, 3), 0), ((2, 2, 2), 3), ((4, 4), 3), ((3, 3, 3), 2),
+    ((2, 3), 1048583), ((2, 3), 2**64 + 13),
+])
+def test_column_law_equals_mul_triples_on_every_pair(sizes, p):
+    spec = SchemeSpec(sizes=sizes, characteristic=p)
+    triples = basis_triples(spec)
+    columns = np.array(triples, dtype=np.int64).T
+    left, right = np.divmod(np.arange(len(triples) ** 2), len(triples))
+    coeffs, product = _mul_columns(spec, columns[:, left], columns[:, right])
+    assert coeffs.dtype == np.int64
+    targets = zip(*(col.tolist() for col in product))
+    got = [None if c == 0 else (c, t) for c, t in zip(coeffs.tolist(), targets)]
+    assert got == [_mul_triples(spec, triples[a], triples[b]) for a, b in zip(left.tolist(), right.tolist())]
+    # Columns that broadcast, as a (D, D) grid of pairs, give the same pairs row by row.
+    grid, by_pair = _mul_columns(spec, columns[:, :, None], columns[:, None, :])
+    assert np.array_equal(grid.ravel(), coeffs)
+    nonzero = coeffs != 0
+    for col, flat in zip(by_pair, product):
+        assert np.array_equal(np.broadcast_to(col, grid.shape).ravel()[nonzero], flat[nonzero])
 
 
 @pytest.mark.parametrize("p", [0, 3])

@@ -223,6 +223,16 @@ def test_oracle_cap_flag_is_honored(capsys):
     assert "cap" in err
 
 
+def test_verify_refuses_a_basis_stack_beyond_its_bound_quickly(capsys):
+    # (3,)*6 under a raised cap: 15,625 basis matrices of 729^2 entries, about 8.3 GB.
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--sizes", "3,3,3,3,3,3", "--char", "2", "--oracle-cap", "1000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert "8303765625 bytes" in err
+
+
 def test_one_base_point_is_refused_as_invalid_input(capsys):
     for argv in (
         ["verify", "--sizes", "2,3", "--char", "2", "--base-points", "1"],

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from terwilliger import quotient, radical, verify
-from terwilliger.algebra import Element, basis_triples, render_triple
+from terwilliger.algebra import Element, basis_triples, mul_triples, render_triple
 from terwilliger.scheme import SchemeSpec
 from terwilliger.verify import ALL_CHECKS, CheckResult, pick_base_points, run_all
 
@@ -45,6 +45,15 @@ def test_run_all_rejects_oversized_schemes():
     spec = SchemeSpec(sizes=(2, 3), characteristic=2)
     with pytest.raises(ValueError):
         run_all(spec, cap=4)
+
+
+def test_run_all_admits_every_spec_under_the_default_cap_and_refuses_larger_stacks(monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CHECKS", [])
+    # the largest stack under the default cap: 20,480 matrices of 192^2 entries, about 755 MB
+    assert run_all(SchemeSpec(sizes=(2,) * 6 + (3,), characteristic=2)) == []
+    monkeypatch.setattr(verify, "STACK_BYTES_BOUND", 20 * 6**2 - 1)
+    with pytest.raises(ValueError, match="about 720 bytes"):
+        run_all(SchemeSpec(sizes=(2, 3), characteristic=2))
 
 
 def run_check(name, spec):
@@ -110,50 +119,50 @@ def test_sample_draws_as_randrange_does(seed, pop_size, length):
     assert verify._sample(pop, length, random.Random(seed)) == expected
 
 
-def _break_one_product(monkeypatch, spec, chain):
-    """Make mul_triples wrong on the last pair of the sweep whose masks chain (or do not)."""
+def _break_one_product(break_law, spec, chain):
+    """Make the column law wrong on the last pair of the sweep whose masks chain (or do not)."""
     triples = basis_triples(spec)
     pairs = list(itertools.product(triples, triples))
     position = max(k for k, (t1, t2) in enumerate(pairs) if (t1[2] == t2[0]) == chain and
-                   (not chain or verify.mul_triples(spec, t1, t2) is not None))
+                   (not chain or mul_triples(spec, t1, t2) is not None))
     bad = pairs[position]
-    mul_triples = verify.mul_triples
-    one = spec.field.one()
-
-    def wrong(spec, t1, t2):
-        hit = mul_triples(spec, t1, t2)
-        if (t1, t2) != bad:
-            return hit
-        return (one, t1) if hit is None else (spec.field.add(hit[0], one), hit[1])
-
-    monkeypatch.setattr(verify, "mul_triples", wrong)
+    break_law(bad)
     names = " * ".join(render_triple(spec, t) for t in bad)
     return position, f"product {names} disagrees with the matrix oracle"
 
 
 @pytest.mark.parametrize("chain", [False, True])
-def test_structure_constants_catch_one_wrong_product(monkeypatch, chain):
+def test_structure_constants_catch_one_wrong_product(break_law, chain):
     # With chain False the operands' realized supports are disjoint, so the
     # oracle never multiplies them; the engine's nonzero answer must still fail.
     spec = SchemeSpec(sizes=(2, 3), characteristic=3)
-    position, detail = _break_one_product(monkeypatch, spec, chain)
+    position, detail = _break_one_product(break_law, spec, chain)
     assert run_check("structure-constants", spec) == (False, position, detail)
 
 
-def test_ideal_closure_catches_one_wrong_product(monkeypatch):
-    # The closure sweep runs the unchecked law; one product that leaves the
+def test_structure_constants_catch_a_dropped_product(break_law):
+    # The law answers zero at the first nonzero product, with a triple there that
+    # indexes no basis element; the oracle's product must still be compared with zero.
+    spec = SchemeSpec(sizes=(2, 3), characteristic=3)
+    triples = basis_triples(spec)
+    pairs = list(itertools.product(triples, triples))
+    position = next(k for k, pair in enumerate(pairs) if mul_triples(spec, *pair) is not None)
+    break_law(pairs[position], lambda spec, hit: (0, (1, 0, 0)))
+    names = " * ".join(render_triple(spec, t) for t in pairs[position])
+    assert run_check("structure-constants", spec) == (
+        False, position, f"product {names} disagrees with the matrix oracle"
+    )
+
+
+def test_ideal_closure_catches_one_wrong_product(break_law):
+    # The closure sweep runs the column law; one product that leaves the
     # radical must fail the identity at its place in the sweep and be named.
     spec = SchemeSpec(sizes=(2, 3), characteristic=2)
     triples = basis_triples(spec)
     sweep = [pair for r in radical.radical_triples(spec) for t in triples for pair in ((t, r), (r, t))]
     position = len(sweep) // 2
     bad = sweep[position]
-    law = verify._mul_triples
-    one = spec.field.one()
-    monkeypatch.setattr(
-        verify, "_mul_triples",
-        lambda spec, t1, t2: (one, (0, 0, 0)) if (t1, t2) == bad else law(spec, t1, t2),
-    )
+    break_law(bad, lambda spec, hit: (1, (0, 0, 0)))
     names = " * ".join(render_triple(spec, t) for t in bad)
     assert run_check("radical-nilpotency", spec) == (
         False, 1 + position, f"ideal closure fails: {names} leaves the radical"
@@ -212,10 +221,10 @@ def test_radical_nilpotency_records_match_the_flat_sweep(monkeypatch, sizes, sho
 def test_radical_nilpotency_skips_sequences_with_a_zero_prefix(monkeypatch):
     spec = SchemeSpec(sizes=(2, 2, 3), characteristic=2)
     calls = []
-    mul = Element.mul
-    monkeypatch.setattr(Element, "mul", lambda x, y: calls.append(1) or mul(x, y))
+    law = verify._mul_triples
+    monkeypatch.setattr(verify, "_mul_triples", lambda spec, t1, t2: calls.append(1) or law(spec, t1, t2))
     assert run_check("radical-nilpotency", spec) == (True, 118473, "exhaustive 110592 sequences")
-    assert len(calls) < 10_000
+    assert 0 < len(calls) < 10_000
 
 
 def test_quotient_matrix_units_multiplies_only_lifts_whose_terms_chain(monkeypatch):

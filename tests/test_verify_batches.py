@@ -19,6 +19,14 @@ from terwilliger.oracle import DEFAULT_ORACLE_CAP, mat_eq, mat_mul, points, rela
 from terwilliger.scheme import SchemeSpec, render_mask
 
 
+def law_at(spec, t1, t2):
+    """verify's column law on the one pair (t1, t2), looked up at call time: None for a
+    zero product, else (coefficient, triple), as mul_triples gives it."""
+    coeffs, product = verify._mul_columns(spec, *(np.array([[m] for m in t]) for t in (t1, t2)))
+    c = int(coeffs[0])
+    return None if c == 0 else (c, tuple(int(col[0]) for col in product))
+
+
 def reference(check, spec):
     return check(spec, verify.pick_base_points(spec, 2), random.Random(0), DEFAULT_ORACLE_CAP)
 
@@ -103,7 +111,7 @@ def ref_structure_constants(spec, base_points, rng, cap):
         mode = f"sampled {verify.SAMPLE_COUNT} of {len(triples) ** 2}"
     count = 0
     for t1, t2 in pairs:
-        hit = verify.mul_triples(spec, t1, t2)
+        hit = law_at(spec, t1, t2)
         lhs = mat_mul(spec, mats[t1], mats[t2])
         if hit is None:
             ok = oracle.is_zero_matrix(lhs)
@@ -141,6 +149,42 @@ def ref_transpose_realizations(spec, base_points, rng, cap):
         if not mat_eq(oracle.realize(spec, e.transpose(), x, cap), oracle.realize(spec, e, x, cap).T):
             return False, count, f"transpose of {render_triple(spec, t)} realizes wrong"
     return None
+
+
+def ref_transpose_pairs(spec, base_points, rng, cap):
+    """The pair sweep of transpose, one pair at a time through the column law; the
+    realizations before it pass and are only counted."""
+    triples = basis_triples(spec)
+    pairs, mode = itertools.product(triples, triples), "exhaustive"
+    if len(triples) ** 2 > 4000:
+        pairs, mode = verify._sample(triples, 2, rng), f"pairs sampled {verify.SAMPLE_COUNT}"
+    count = len(triples)
+    for t1, t2 in pairs:
+        hit = law_at(spec, t1, t2)
+        if (hit and (hit[0], hit[1][::-1])) != law_at(spec, t2[::-1], t1[::-1]):
+            return False, count, (
+                f"anti-automorphism fails on {render_triple(spec, t1)}, {render_triple(spec, t2)}"
+            )
+        count += 1
+    return True, count, mode
+
+
+def ref_ideal_closure(spec, base_points, rng, cap):
+    """The ideal-closure sweep of radical-nilpotency, one pair at a time through the column
+    law; it must fail, since the sequence sweep after it is not re-run here."""
+    triples = basis_triples(spec)
+    count = 1
+    for r in verify.radical_triples(spec):
+        for t in triples:
+            for lhs, rhs in ((t, r), (r, t)):
+                hit = law_at(spec, lhs, rhs)
+                if hit is not None and not verify.p_divides_valency(spec, hit[1][1]):
+                    return False, count, (
+                        f"ideal closure fails: {render_triple(spec, lhs)} *"
+                        f" {render_triple(spec, rhs)} leaves the radical"
+                    )
+                count += 1
+    raise AssertionError("the ideal closure held")
 
 
 def ref_center_commutation(spec, base_points, rng, cap):
@@ -229,7 +273,7 @@ def test_oracle_sanity_matches_the_one_at_a_time_sweep(monkeypatch, last):
 
 @pytest.mark.parametrize("sizes, characteristic", [((2, 3), 3), ((3, 3, 3), 0)])
 @pytest.mark.parametrize("last", [False, True])
-def test_structure_constants_match_the_one_at_a_time_sweep(monkeypatch, sizes, characteristic, last):
+def test_structure_constants_match_the_one_at_a_time_sweep(monkeypatch, break_law, sizes, characteristic, last):
     # (3,3,3)/0 samples its pairs, so the drawn path is covered too.
     spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
     triples = basis_triples(spec)
@@ -238,15 +282,7 @@ def test_structure_constants_match_the_one_at_a_time_sweep(monkeypatch, sizes, c
     else:
         sweep = list(itertools.product(triples, triples))
     bad = sweep[-1 if last else 0]
-    law, one = verify.mul_triples, spec.field.one()
-
-    def wrong(spec, t1, t2):
-        hit = law(spec, t1, t2)
-        if (t1, t2) != bad:
-            return hit
-        return (one, t1) if hit is None else (spec.field.add(hit[0], one), hit[1])
-
-    monkeypatch.setattr(verify, "mul_triples", wrong)
+    break_law(bad)
     chunk_of(monkeypatch, 7 * spec.num_points)  # seven pairs a chunk
     expected = reference(ref_structure_constants, spec)
     assert not expected[0] and (expected[1] == 0) != last
@@ -291,6 +327,48 @@ def test_transpose_realizations_match_the_one_at_a_time_sweep(monkeypatch, last)
     expected = reference(ref_transpose_realizations, spec)
     assert expected[1] == (len(triples) - 1 if last else 0)
     assert run_check("transpose", spec) == expected
+
+
+@pytest.mark.parametrize("sizes, characteristic", [((2, 3), 3), ((2, 2, 3), 2)])
+@pytest.mark.parametrize("last", [False, True])
+@pytest.mark.parametrize("part", ["coefficient", "triple"])
+def test_transpose_pairs_match_the_one_at_a_time_sweep(break_law, sizes, characteristic, last, part):
+    # (2,2,3)/2 has 80^2 > 4000 pairs, so it samples them.  A pair equal to its own
+    # flip (t2^T, t1^T) would be broken on both sides of the identity alike, so the
+    # break goes to the first or last pair of the sweep that is not.  A broken
+    # triple is the product's transpose, at a pair whose product is not symmetric.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    triples = basis_triples(spec)
+    if len(triples) ** 2 > 4000:
+        sweep = verify._sample(triples, 2, random.Random(0))
+    else:
+        sweep = list(itertools.product(triples, triples))
+    visible = [(t1, t2) for t1, t2 in sweep if (t2[::-1], t1[::-1]) != (t1, t2)]
+    if part == "triple":
+        visible = [pair for pair in visible if (hit := law_at(spec, *pair)) and hit[1][0] != hit[1][2]]
+    bad = visible[-1 if last else 0]
+    break_law(bad, None if part == "coefficient" else lambda spec, hit: (hit[0], hit[1][::-1]))
+    expected = reference(ref_transpose_pairs, spec)
+    # the identity fails at the broken pair and at its flip, whichever comes first
+    first = min(k for k, pair in enumerate(sweep) if pair in (bad, (bad[1][::-1], bad[0][::-1])))
+    assert expected[:2] == (False, len(triples) + first)
+    assert run_check("transpose", spec) == expected
+
+
+@pytest.mark.parametrize("where", [0, 0.5, 1])
+def test_ideal_closure_matches_the_one_at_a_time_sweep(monkeypatch, break_law, where):
+    # Three radical triples a chunk: the closure's 2 * 80 * 48 pairs span sixteen chunks.
+    spec = SchemeSpec(sizes=(2, 2, 3), characteristic=2)
+    triples, rad = basis_triples(spec), verify.radical_triples(spec)
+    sweep = [pair for r in rad for t in triples for pair in ((t, r), (r, t))]
+    assert len(sweep) == 2 * 80 * 48
+    chunk_of(monkeypatch, 3 * 2 * len(triples))
+    bad = sweep[round(where * (len(sweep) - 1))]
+    break_law(bad, lambda spec, hit: (1, (0, 0, 0)))
+    expected = reference(ref_ideal_closure, spec)
+    # the last pair is (r, r) for the last triple, which also comes just before it as (t, r)
+    assert expected[:2] == (False, 1 + sweep.index(bad))
+    assert run_check("radical-nilpotency", spec) == expected
 
 
 @pytest.mark.parametrize("last", [False, True])
