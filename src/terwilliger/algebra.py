@@ -12,6 +12,7 @@ cross-checks against the dense matrix oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import lcm
 from typing import Iterable, Mapping, Optional
@@ -145,25 +146,46 @@ def _product(large: Mask, t1: Triple, t2: Triple) -> tuple[Mask, Triple]:
     return h & i & k, (g, _bracket(large, g, h, i, k, l), l)
 
 
+@lru_cache(maxsize=8)
+def _valency_column(spec: SchemeSpec) -> np.ndarray:
+    """The field image of the valency of each of the 2^n masks, as a read-only int64 column.
+
+    In characteristic 0 it is the integer itself; a valency is below the point count.
+    """
+    p = spec.characteristic
+    column = np.array(
+        [valency(spec, m) % p if p else valency(spec, m) for m in range(1 << spec.n)], dtype=np.int64
+    )
+    column.flags.writeable = False
+    return column
+
+
 def _mul_columns(
     spec: SchemeSpec, t1: tuple[np.ndarray, ...], t2: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """_mul_triples over columns of valid triples t1 = (g, h, i) and t2 = (j, k, l), unchecked.
 
     The six columns are int64 arrays that broadcast together, one pair per
-    position; t1 and t2 may each be the rows of a 3 x m array.  Returns each pair's coefficient as an int64 array and the
-    product's three triple columns.  The coefficient is the field image of the
-    valency, read from a column of the 2^n valencies (in characteristic 0 the
-    integer itself; a valency is below the point count), and it is 0 where
-    i != j or that image vanishes.  There the triple columns mean nothing.
+    position; t1 and t2 may each be the rows of a 3 x m array.  Returns each
+    pair's coefficient as an int64 array, read from _valency_column, and the
+    product's three triple columns.  The coefficient is 0 where i != j or the
+    valency image vanishes, and there the triple columns mean nothing.
     _product uses only & and _bracket, so it states the law for columns too.
     """
-    p = spec.characteristic
-    valencies = np.array(
-        [valency(spec, m) % p if p else valency(spec, m) for m in range(1 << spec.n)], dtype=np.int64
-    )
     m, t = _product(spec.large_mask, t1, t2)
-    return np.where(t1[2] == t2[0], valencies[m], 0), t
+    return np.where(t1[2] == t2[0], _valency_column(spec)[m], 0), t
+
+
+def _mask_columns(
+    spec: SchemeSpec, m: tuple[np.ndarray], a: tuple[np.ndarray]
+) -> tuple[np.ndarray, tuple[np.ndarray]]:
+    """The law of corner_mul and center_mul over one-column tuples of masks m and a, unchecked.
+
+    Returns each pair's coefficient, the valency image of m & a read from
+    _valency_column (0 where it vanishes), and the product's column m | a.
+    """
+    (m,), (a,) = m, a
+    return _valency_column(spec)[m & a], (m | a,)
 
 
 def _integral(items: Iterable[tuple[Triple, Fraction]]) -> tuple[list[tuple[Triple, int]], int]:

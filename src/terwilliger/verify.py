@@ -27,6 +27,7 @@ from . import oracle
 from .algebra import (
     Element,
     Triple,
+    _mask_columns,
     _mul_columns,
     _mul_triples,
     basis_triples,
@@ -67,7 +68,6 @@ from .radical import (
     witness_chain,
 )
 from .scheme import (
-    GroundField,
     SchemeSpec,
     intersection_number,
     p_divides_valency,
@@ -83,6 +83,10 @@ DEFAULT_SEED = 1729
 # run_all refuses a spec whose realized basis, one byte per matrix entry, would
 # outgrow this; under the default cap the largest is (2,2,2,2,2,2,3) at about 755 MB.
 STACK_BYTES_BOUND = 1 << 30
+# run_all refuses a spec above this many points whatever the cap.  One dense int64
+# oracle product is N^3 multiply-adds, about 0.18 s at 500 points and 1.8 s at 1000
+# on a 2-CPU host, and every run makes dozens of them per base point.
+ORACLE_POINT_BOUND = 500
 
 
 @dataclass
@@ -109,68 +113,65 @@ def pick_base_points(spec: SchemeSpec, how_many: int) -> list[Point]:
     return [pts[k] for k in idx]
 
 
-def _sample(pop: list, length: int, rng: random.Random) -> list[tuple]:
-    """SAMPLE_COUNT seeded tuples of `length` draws from pop, drawn left to right."""
-    choice = rng.choice
-    return [tuple([choice(pop) for _ in range(length)]) for _ in range(SAMPLE_COUNT)]
+def _sample(size: int, length: int, rng: random.Random) -> np.ndarray:
+    """SAMPLE_COUNT seeded sequences of `length` positions below size, as an int64 array.
+
+    They are the positions SAMPLE_COUNT * length calls of rng.choice on a size-element
+    population draw, row by row, and rng is left as those calls leave it.  Each call is
+    Random._randbelow(size): the top size.bit_length() bits of the next 32-bit word,
+    drawn again while they are size or more.  The words come from getrandbits blocks,
+    and rng is then rewound and advanced by the words used.
+    """
+    if not 0 < size < 1 << 32:
+        raise ValueError(f"cannot draw positions below {size}: a draw reads one 32-bit word")
+    need, shift = SAMPLE_COUNT * length, 32 - size.bit_length()
+    state, values = rng.getstate(), np.zeros(0, dtype=np.uint32)
+    while (kept := np.flatnonzero(values < size)).size < need:
+        words = 2 * (need - kept.size) + 1024  # more than half of all words are kept
+        block = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        values = np.concatenate([values, np.frombuffer(block, dtype="<u4") >> shift])
+    rng.setstate(state)
+    rng.getrandbits(32 * (int(kept[need - 1]) + 1))
+    return values[kept[:need]].astype(np.int64).reshape(SAMPLE_COUNT, length)
 
 
 def _sweep(
-    pop: list, length: int, rng: random.Random, step: Callable
-) -> tuple[int, Optional[tuple], Optional[list[tuple]]]:
+    pop: tuple[np.ndarray, ...], length: int, rng: random.Random, step: Callable
+) -> tuple[int, Optional[tuple[int, ...]], Optional[np.ndarray]]:
     """Sweep the length-`length` sequences over pop for the first with a nonzero product.
 
-    step(acc, a) returns the running product acc times a, or None once it is zero;
-    acc is None before the first factor.  Up to EXHAUSTIVE_GATE sequences the sweep
-    walks them depth first in lexicographic order, and a zero prefix of length k
-    settles len(pop)**(length - k) of them without multiplying them out.  Above it,
-    it walks _sample's sequences in draw order with proper-prefix products memoized.
-    Returns the count settled before the first nonzero sequence, that sequence (or
-    None) and the sample (None when the sweep was exhaustive).
+    pop holds the factors as int64 columns, and step(acc, nxt) gives the coefficient
+    column of the products acc times nxt, 0 where one vanishes, and their columns.  Up
+    to EXHAUSTIVE_GATE sequences the sweep takes all of them in lexicographic order,
+    above it _sample's.  It advances a level at a time, each live prefix held as its
+    rank (lexicographic, or its sample row) and its product's columns: one step extends
+    every live prefix by every position, or by its sample row's next one, and rows whose
+    product vanished are dropped, which settles every sequence extending them.  Returns
+    the count settled before the first nonzero sequence (the rank of the first live
+    full-length row), that sequence as positions in pop or None, and the sample or None.
     """
-    if len(pop) ** length > EXHAUSTIVE_GATE:
-        sample = _sample(pop, length, rng)
-        memo: dict[tuple, object] = {}
-        for settled, seq in enumerate(sample):
-            acc = None
-            for k in range(1, length):
-                if seq[:k] not in memo:
-                    memo[seq[:k]] = step(acc, seq[k - 1])
-                acc = memo[seq[:k]]
-                if acc is None:
-                    break
-            else:
-                if step(acc, seq[-1]) is not None:
-                    return settled, seq, sample
-        return len(sample), None, sample
-    settled = 0
-
-    def walk(prefix: tuple, acc) -> Optional[tuple]:
-        nonlocal settled
-        for a in pop:
-            product = step(acc, a)
-            if product is None:
-                settled += len(pop) ** (length - len(prefix) - 1)
-            elif len(prefix) + 1 == length:
-                return prefix + (a,)
-            else:
-                found = walk(prefix + (a,), product)
-                if found is not None:
-                    return found
-        return None
-
-    found = walk((), None)  # the walk advances settled, so it runs before settled is read
-    return settled, found, None
-
-
-def _mask_step(field: GroundField, mul: Callable, m, a):
-    """A _sweep step over masks or triples, bound to field and mul(m, a), which gives the
-    (scalar, index) of the product at m times the one at a or None for zero; a zero scalar
-    is zero."""
-    if m is None:
-        return a
-    hit = mul(m, a)
-    return None if hit is None or field.is_zero(hit[0]) else hit[1]
+    size = len(pop[0])
+    sample = _sample(size, length, rng) if size**length > EXHAUSTIVE_GATE else None
+    if sample is None:
+        rank, acc = np.arange(size), pop
+    else:
+        rank, acc = np.arange(SAMPLE_COUNT), tuple(col[sample[:, 0]] for col in pop)
+    for k in range(1, length):
+        if not rank.size:
+            break
+        if sample is None:
+            prefix, at = np.divmod(np.arange(len(rank) * size), size)
+            rank, acc = rank[prefix] * size + at, tuple(col[prefix] for col in acc)
+        else:
+            at = sample[rank, k]
+        coeffs, product = step(acc, tuple(col[at] for col in pop))
+        live = coeffs != 0
+        rank, acc = rank[live], tuple(col[live] for col in product)
+    if not rank.size:
+        return size**length if sample is None else SAMPLE_COUNT, None, sample
+    first = int(rank[0])
+    found = np.unravel_index(first, (size,) * length) if sample is None else sample[first]
+    return first, tuple(int(a) for a in found), sample
 
 
 Outcome = tuple[bool, int, str]
@@ -262,7 +263,7 @@ def _check_structure_constants(spec, base_points, rng, cap) -> Outcome:
     mode, drawn = "exhaustive", None
     if spec.characteristic == 0 and spec.num_points > 20:
         # drawing positions draws the same pairs as drawing the triples themselves
-        drawn = np.array(_sample(range(len(triples)), 2, rng))
+        drawn = _sample(len(triples), 2, rng)
         mode = f"sampled {SAMPLE_COUNT} of {total}"
     count = 0
     # A pair holds a row of support flags; its product is built only where the
@@ -343,7 +344,7 @@ def _check_transpose(spec, base_points, rng, cap) -> Outcome:
         count += len(chunk)
     mode = "exhaustive"
     if len(triples) ** 2 > 4000:
-        left, right = np.array(_sample(range(len(triples)), 2, rng)).T
+        left, right = _sample(len(triples), 2, rng).T
         mode = f"pairs sampled {SAMPLE_COUNT}"
     else:
         left, right = np.divmod(np.arange(len(triples) ** 2), len(triples))
@@ -469,12 +470,14 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
     count += 1
     if not qual:
         return True, count, ""
-    step = functools.partial(_mask_step, field, functools.partial(center_mul, spec))
-    # from the center identity at 0, the chain vanishes early if a step returns None
-    if None in itertools.accumulate([1 << a for a in qual], step, initial=0):
-        return False, count, "product of the qualifying center chain vanished early"
+    m = 0  # from the center identity at 0, the chain must stay nonzero at every step
+    for a in qual:
+        scalar, m = center_mul(spec, m, 1 << a)
+        if field.is_zero(scalar):
+            return False, count, "product of the qualifying center chain vanished early"
     count += 1
-    settled, nonzero, sample = _sweep(rad, index, rng, step)
+    step = functools.partial(_mask_columns, spec)
+    settled, nonzero, sample = _sweep((np.array(rad, dtype=np.int64),), index, rng, step)
     count += settled
     if nonzero is not None:
         return False, count, "a length-index product of center radical elements is nonzero"
@@ -510,38 +513,35 @@ def _check_radical_nilpotency(spec, base_points, rng, cap) -> Outcome:
     if not rad:
         return True, count, "radical is zero"
     # A product of basis elements is one nonzero term or zero, so the sweep runs on triples.
-    step = functools.partial(_mask_step, spec.field, functools.partial(_mul_triples, spec))
-    settled, nonzero, sample = _sweep(rad, index, rng, step)
+    settled, nonzero, sample = _sweep(tuple(radical), index, rng, functools.partial(_mul_columns, spec))
     count += settled
     total = len(rad) ** index
     if sample is None:
         mode = f"exhaustive {total} sequences"
-        checked = list(itertools.islice(itertools.product(rad, repeat=index), ORACLE_SAMPLE))
+        checked = np.transpose(np.unravel_index(np.arange(min(total, ORACLE_SAMPLE)), (len(rad),) * index))
     else:
         mode = f"sampled {SAMPLE_COUNT} of {total} sequences"
         checked = sample[:ORACLE_SAMPLE]
     if nonzero is not None:
-        names = " * ".join(render_triple(spec, t) for t in nonzero)
+        names = " * ".join(render_triple(spec, rad[k]) for k in nonzero)
         return False, count, f"nonzero product of {index} radical elements: {names}"
-    used = list(dict.fromkeys(itertools.chain(*checked)))
-    position = {t: k for k, t in enumerate(used)}
-    stack = oracle.realize_stack(spec, used, base_points[0], cap)
+    used, seqs = np.unique(checked, return_inverse=True)
+    stack = oracle.realize_stack(spec, [rad[k] for k in used], base_points[0], cap)
+    seqs = seqs.reshape(checked.shape)
     for r in _chunks(len(checked), spec.num_points**2):
-        seqs = [[position[t] for t in seq] for seq in checked[r.start : r.stop]]
-        nonzero = _nonzero_products(spec, stack, seqs)
+        nonzero = _nonzero_products(spec, stack, seqs[r.start : r.stop])
         if nonzero.size:
             return False, count + int(nonzero[0]), "oracle found a nonzero radical product the engine missed"
         count += len(r)
     return True, count, mode
 
 
-def _nonzero_products(spec: SchemeSpec, stack: np.ndarray, seqs: list[list[int]]) -> np.ndarray:
-    """The positions of the sequences whose product of stack matrices, left to right, is nonzero.
+def _nonzero_products(spec: SchemeSpec, stack: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+    """The rows of seqs whose product of stack matrices, left to right, is nonzero.
 
     All sequences are multiplied one factor at a time as one stack; a sequence
     leaves the stack as soon as its prefix product is zero.
     """
-    seqs = np.array(seqs)
     live, acc = np.arange(len(seqs)), stack[seqs[:, 0]]
     for k in range(1, seqs.shape[1] + 1):
         keep = (acc != 0).reshape(len(acc), -1).any(axis=1)
@@ -688,6 +688,7 @@ def _check_frobenius_falsification(spec, base_points, rng, cap) -> Outcome:
 def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
     field = spec.field
     x = base_points[0]
+    step = functools.partial(_mask_columns, spec)
     loops = [t for t in basis_triples(spec) if t[0] == t[2]]
     count, sampled = 0, 0
     for g in range(1 << spec.n):
@@ -716,8 +717,8 @@ def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
                 return False, count, f"corner product disagrees with full product at {render_mask(g, spec.n)}"
             count += 1
         if rad:
-            step = functools.partial(_mask_step, field, functools.partial(corner_mul, spec, g))
-            settled, nonzero, sample = _sweep(rad, corner_nilpotent_index(spec, g), rng, step)
+            index = corner_nilpotent_index(spec, g)
+            settled, nonzero, sample = _sweep((np.array(rad, dtype=np.int64),), index, rng, step)
             count += settled
             if nonzero is not None:
                 return False, count, f"corner radical at {render_mask(g, spec.n)} is not nilpotent at its index"
@@ -797,8 +798,9 @@ def run_all(
 ) -> list[CheckResult]:
     """Run every check against one spec; raises only for invalid inputs, never on failures.
 
-    A spec above the oracle cap, or whose realized basis stack would exceed
-    STACK_BYTES_BOUND, is refused with ValueError before anything is realized.
+    A spec above the oracle cap, whose realized basis stack would exceed
+    STACK_BYTES_BOUND, or above ORACLE_POINT_BOUND points is refused with
+    ValueError before anything is realized.
     """
     if base_points < 2:
         raise ValueError("at least two base points are required")
@@ -811,6 +813,12 @@ def run_all(
         raise ValueError(
             f"the realized basis would take about {stack_bytes} bytes ({dimension(spec)} matrices"
             f" of {spec.num_points}^2 entries), above the bound of {STACK_BYTES_BOUND} bytes"
+        )
+    if spec.num_points > ORACLE_POINT_BOUND:
+        raise ValueError(
+            f"one dense oracle product at {spec.num_points} points takes {spec.num_points}^3 ="
+            f" {spec.num_points**3} multiply-adds, above the bound of {ORACLE_POINT_BOUND}^3 ="
+            f" {ORACLE_POINT_BOUND**3} ({ORACLE_POINT_BOUND} points)"
         )
     pts = pick_base_points(spec, base_points)
     results = []

@@ -233,6 +233,17 @@ def test_verify_refuses_a_basis_stack_beyond_its_bound_quickly(capsys):
     assert "8303765625 bytes" in err
 
 
+def test_verify_refuses_oracle_work_beyond_its_point_bound_quickly(capsys):
+    # (50,50) under a raised cap: a 156 MB stack, within its bound, but every dense
+    # product of 2500 x 2500 matrices takes 2500^3 multiply-adds.
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--sizes", "50,50", "--char", "2", "--oracle-cap", "5000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert "15625000000 multiply-adds" in err
+
+
 def test_one_base_point_is_refused_as_invalid_input(capsys):
     for argv in (
         ["verify", "--sizes", "2,3", "--char", "2", "--base-points", "1"],

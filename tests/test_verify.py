@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from terwilliger import quotient, radical, verify
@@ -54,6 +55,13 @@ def test_run_all_admits_every_spec_under_the_default_cap_and_refuses_larger_stac
     monkeypatch.setattr(verify, "STACK_BYTES_BOUND", 20 * 6**2 - 1)
     with pytest.raises(ValueError, match="about 720 bytes"):
         run_all(SchemeSpec(sizes=(2, 3), characteristic=2))
+
+
+def test_run_all_refuses_dense_products_beyond_the_point_bound(monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CHECKS", [])
+    assert run_all(SchemeSpec(sizes=(20, 25), characteristic=2), cap=5000) == []
+    with pytest.raises(ValueError, match=r"501\^3 = 125751501 multiply-adds"):
+        run_all(SchemeSpec(sizes=(3, 167), characteristic=2), cap=5000)
 
 
 def run_check(name, spec):
@@ -108,15 +116,27 @@ def test_radical_nilpotency_realizes_each_radical_triple_once(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 1729])
-@pytest.mark.parametrize("pop_size, length", [(1, 3), (7, 2), (48, 3), (117, 6), (300, 1)])
-def test_sample_draws_as_randrange_does(seed, pop_size, length):
-    pop = [(k, 2 * k, 3 * k) for k in range(pop_size)]
+@pytest.mark.parametrize("size, length", [
+    (1, 3), (7, 2), (48, 3), (117, 6), (300, 1),
+    (2, 2), (8, 4), (9, 3), (2**16, 2), (2**17 + 3, 1), (2**32 - 1, 1),
+])
+def test_sample_draws_as_randrange_does(seed, size, length):
+    # At size 8 half of all words are rejected.  corner-structure draws again from the
+    # same rng at its next sampled corner, so the state afterwards must match too.
     rng = random.Random(seed)
-    expected = [
-        tuple(pop[rng.randrange(len(pop))] for _ in range(length))
-        for _ in range(verify.SAMPLE_COUNT)
-    ]
-    assert verify._sample(pop, length, random.Random(seed)) == expected
+    expected = [[rng.randrange(size) for _ in range(length)] for _ in range(verify.SAMPLE_COUNT)]
+    drawn = random.Random(seed)
+    got = verify._sample(size, length, drawn)
+    assert got.dtype == np.int64 and got.tolist() == expected
+    assert drawn.getstate() == rng.getstate()
+
+
+def test_sample_refuses_a_size_beyond_one_32_bit_word_before_drawing():
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="4294967296"):
+        verify._sample(2**32, 2, rng)
+    assert rng.getstate() == state
 
 
 def _break_one_product(break_law, spec, chain):
@@ -179,7 +199,7 @@ def _flat_radical_nilpotency(spec, base_points, rng, cap):
         seqs = list(itertools.product(rad, repeat=index))
         mode = f"exhaustive {total} sequences"
     else:
-        seqs = verify._sample(rad, index, rng)
+        seqs = [tuple(rad[k] for k in row) for row in verify._sample(len(rad), index, rng)]
         mode = f"sampled {verify.SAMPLE_COUNT} of {total} sequences"
     elements = {r: Element.basis(spec, r) for r in rad}
     for seq in seqs:
@@ -219,12 +239,17 @@ def test_radical_nilpotency_records_match_the_flat_sweep(monkeypatch, sizes, sho
 
 
 def test_radical_nilpotency_skips_sequences_with_a_zero_prefix(monkeypatch):
+    # Past the ideal closure's 2 * rad * dim T pairs, the sequence sweep multiplies a
+    # prefix only while its product is nonzero: 5,376 rows, not 110,592 sequences.
     spec = SchemeSpec(sizes=(2, 2, 3), characteristic=2)
-    calls = []
-    law = verify._mul_triples
-    monkeypatch.setattr(verify, "_mul_triples", lambda spec, t1, t2: calls.append(1) or law(spec, t1, t2))
+    rows = []
+    law = verify._mul_columns
+    monkeypatch.setattr(
+        verify, "_mul_columns", lambda spec, t1, t2: rows.append(np.broadcast(*t1, *t2).size) or law(spec, t1, t2)
+    )
     assert run_check("radical-nilpotency", spec) == (True, 118473, "exhaustive 110592 sequences")
-    assert 0 < len(calls) < 10_000
+    closure = 2 * len(radical.radical_triples(spec)) * len(basis_triples(spec))
+    assert 0 < sum(rows) - closure < 10_000
 
 
 def test_quotient_matrix_units_multiplies_only_lifts_whose_terms_chain(monkeypatch):
@@ -254,26 +279,44 @@ def _multiplied_out(field, seq, mul):
 
 def _flat_sweep(pop, length, rng, nonzero):
     """_sweep's reference: each itertools.product sequence, or each _sample one above the
-    gate, is multiplied out in full by nonzero(seq) until the first nonzero product."""
-    sample = verify._sample(pop, length, rng) if len(pop) ** length > verify.EXHAUSTIVE_GATE else None
+    gate mapped back to pop, is multiplied out in full by nonzero(seq) until the first
+    nonzero product.  Returns the count before it, that sequence and _sample's positions."""
+    sample = verify._sample(len(pop), length, rng) if len(pop) ** length > verify.EXHAUSTIVE_GATE else None
+    seqs = itertools.product(pop, repeat=length) if sample is None else (
+        tuple(pop[k] for k in row) for row in sample
+    )
     settled = 0
-    for seq in itertools.product(pop, repeat=length) if sample is None else sample:
+    for seq in seqs:
         if nonzero(seq):
             return settled, seq, sample
         settled += 1
     return settled, None, sample
 
 
-def _flat_mask_sweep(pop, length, rng, step):
-    """_sweep for mask steps, each chain multiplied out by the loop the two checks each wrote out."""
-    field, mul = step.args
-    return _flat_sweep(pop, length, rng, lambda seq: not _multiplied_out(field, seq, mul))
+def _flat_mask_sweep(field, mul):
+    """A stand-in for _sweep over mask columns that maps each sequence back to its masks and
+    multiplies it out by the loop the two checks each wrote out, one mul(m, a) a step."""
+    def sweep(pop, length, rng, step):
+        return _flat_sweep(pop[0].tolist(), length, rng, lambda seq: not _multiplied_out(field, seq, mul))
+
+    return sweep
+
+
+def _idempotent_at(law, u):
+    """The column law law(acc, nxt), except that u * u = u with coefficient 1."""
+    def step(acc, nxt):
+        coeffs, product = law(acc, nxt)
+        at = np.logical_and.reduce([col == m for col, m in zip((*acc, *nxt), u + u)])
+        return np.where(at, 1, coeffs), tuple(np.where(at, m, col) for col, m in zip(product, u))
+
+    return step
 
 
 def _planted(kind, where):
-    """A population none of whose products of two factors is nonzero, a step over it that
-    also makes u * u = u for u = pop[where], and the full product as a nonzero test; so
-    (u, ..., u) is the one sequence with a nonzero product."""
+    """A population none of whose products of two factors is nonzero, a column step over it
+    that also makes u * u = u for u = pop[where], and the full product as a nonzero test
+    that multiplies out one factor at a time; so (u, ..., u) is the one sequence with a
+    nonzero product."""
     if kind == "element":
         spec = SchemeSpec(sizes=(3, 3), characteristic=2)
         # no right mask is 01, the left mask of every factor: no two factors chain
@@ -281,13 +324,8 @@ def _planted(kind, where):
         elements = {t: Element.basis(spec, t) for t in pop}
         e = elements[pop[where]]
         mul = lambda x, y: x if x == y == e else x.mul(y)
-
-        def step(acc, t):
-            product = elements[t] if acc is None else mul(acc, elements[t])
-            return None if product.is_zero() else product
-
         nonzero = lambda seq: not functools.reduce(mul, [elements[t] for t in seq]).is_zero()
-        return pop, 3, step, nonzero
+        return pop, 3, _idempotent_at(functools.partial(verify._mul_columns, spec), pop[where]), nonzero
     # The center's radical masks at (3,3,3)/2 are the corner 111's.  Those that contain
     # 001 meet each other: center_mul gives each pair a zero scalar, corner_mul None.
     spec = SchemeSpec(sizes=(3, 3, 3), characteristic=2)
@@ -298,46 +336,30 @@ def _planted(kind, where):
     pop = [m for m in verify.center_rad_basis(spec) if m & 1]
     one = spec.field.one()
     mul = lambda m, a: (one, m) if m == a == pop[where] else real(m, a)
-    step = functools.partial(verify._mask_step, spec.field, mul)
+    step = _idempotent_at(functools.partial(verify._mask_columns, spec), (pop[where],))
     return pop, 4, step, lambda seq: not _multiplied_out(spec.field, seq, mul)
 
 
 @pytest.mark.parametrize("kind", ["center_mul", "corner_mul", "element"])
-@pytest.mark.parametrize("gate", [10**6, 10])  # exhaustive, then sampled
+# exhaustive, sampled, and the gate's edge: exhaustive at the sequence count, sampled one above
+@pytest.mark.parametrize("gate", [10**6, 10, "total", "total-1"])
 @pytest.mark.parametrize("where", [0, 2, 3])  # (u, ..., u) first, in the middle, last
 def test_sweep_matches_the_flat_reference(monkeypatch, kind, gate, where):
-    monkeypatch.setattr(verify, "EXHAUSTIVE_GATE", gate)
     pop, length, step, nonzero = _planted(kind, where)
+    total = len(pop) ** length
+    gate = {"total": total, "total-1": total - 1}.get(gate, gate)
+    monkeypatch.setattr(verify, "EXHAUSTIVE_GATE", gate)
     expected = _flat_sweep(pop, length, random.Random(5), nonzero)
-    assert verify._sweep(pop, length, random.Random(5), step) == expected
-    settled, found, sample = expected
-    assert len(pop) == 4 and found == (pop[where],) * length
+    columns = tuple(np.array(pop, dtype=np.int64).reshape(len(pop), -1).T)
+    settled, found, sample = verify._sweep(columns, length, random.Random(5), step)
+    assert (settled, tuple(pop[k] for k in found)) == expected[:2]
+    assert (sample is None) == (expected[2] is None) == (gate >= total)
+    assert len(pop) == 4 and found == (where,) * length
     if sample is None:
         # the lexicographic position of (u, ..., u): 0, its middle entry, the last entry
-        assert settled == where * (len(pop) ** length - 1) // (len(pop) - 1)
+        assert settled == where * (total - 1) // (len(pop) - 1)
     else:
-        assert settled == sample.index(found)
-
-
-def _run_with_one_broken_chain_step(monkeypatch, spec, check, name, pop, wrong, sweep):
-    """Run a check with verify.<name> returning wrong(*args) wherever that is not None,
-    from the moment the check starts its sweep over pop; earlier calls are left exact."""
-    mul = getattr(verify, name)
-    sweeping = []
-
-    def watched(sweep_pop, length, rng, step):
-        if sweep_pop == pop:
-            sweeping.append(True)
-        return sweep(sweep_pop, length, rng, step)
-
-    def broken(*args):
-        hit = wrong(*args) if sweeping else None
-        return mul(*args) if hit is None else hit
-
-    with monkeypatch.context() as patch:
-        patch.setattr(verify, "_sweep", watched)
-        patch.setattr(verify, name, broken)
-        return run_check(check, spec)
+        assert np.array_equal(sample, expected[2]) and settled == sample.tolist().index([where] * length)
 
 
 @pytest.mark.parametrize("check, name", [
@@ -345,20 +367,30 @@ def _run_with_one_broken_chain_step(monkeypatch, spec, check, name, pop, wrong, 
 ])
 def test_chain_sweeps_fail_as_the_multiplied_out_loop_does(monkeypatch, check, name):
     # Every mask of (3,3,3)/2 qualifies, so a chain of radical masks vanishes as soon as
-    # two factors meet.  The broken step makes (111) * (001) nonzero, deep in the sweep.
+    # two factors meet.  The broken law makes (111) * (001) nonzero, deep in the sweep;
+    # the reference multiplies each chain out by the closed form, broken at that pair.
     spec = SchemeSpec(sizes=(3, 3, 3), characteristic=2)
     full, one = spec.full_mask, spec.field.one()
+    # every corner's radical masks are also the full corner's
+    real = functools.partial(getattr(verify, name), spec, *([full] if name == "corner_mul" else []))
     if check == "corner-structure":
-        pop = radical.corner_rad_basis(spec, full)
-        wrong = lambda spec, g, m, a: (one, full) if (g, m, a) == (full, full, 0b001) else None
         detail = "corner radical at 111 is not nilpotent at its index"
     else:
-        pop = verify.center_rad_basis(spec)
-        wrong = lambda spec, m, a: (one, full) if (m, a) == (full, 0b001) else None
         detail = "a length-index product of center radical elements is nonzero"
-    args = (monkeypatch, spec, check, name, pop, wrong)
-    got = _run_with_one_broken_chain_step(*args, verify._sweep)
-    assert got == _run_with_one_broken_chain_step(*args, _flat_mask_sweep)
+    wrong = lambda m, a: (one, full) if (m, a) == (full, 0b001) else real(m, a)
+    law = verify._mask_columns
+
+    def broken(spec, m, a):
+        coeffs, (product,) = law(spec, m, a)
+        at = (m[0] == full) & (a[0] == 0b001)
+        return np.where(at, 1, coeffs), (np.where(at, full, product),)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_mask_columns", broken)
+        got = run_check(check, spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_sweep", _flat_mask_sweep(spec.field, wrong))
+        assert got == run_check(check, spec)
     assert got[0] is False and got[2] == detail
     passed, exact, _ = run_check(check, spec)
     assert passed and got[1] < exact
@@ -369,18 +401,18 @@ def test_chain_sweeps_fail_as_the_multiplied_out_loop_does(monkeypatch, check, n
 ])
 def test_chain_sweeps_settle_zero_prefixes_without_multiplying(monkeypatch, check, name):
     # At (3,3,3)/2 two radical masks that meet multiply to zero, so most chains vanish
-    # within two factors: the sweeps make fewer products than they have chains.
+    # within two factors: the sweeps multiply fewer rows than they have chains.
     spec = SchemeSpec(sizes=(3, 3, 3), characteristic=2)
     if check == "center-structure":
         chains = len(verify.center_rad_basis(spec)) ** verify.center_nilpotent_index(spec)
     else:
         chains = sum(len(radical.corner_rad_basis(spec, g)) ** radical.corner_nilpotent_index(spec, g)
                      for g in range(1 << spec.n))
-    calls = []
-    mul = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda *args: calls.append(1) or mul(*args))
+    rows = []
+    law = verify._mask_columns
+    monkeypatch.setattr(verify, "_mask_columns", lambda spec, m, a: rows.append(m[0].size) or law(spec, m, a))
     passed, _, _ = run_check(check, spec)
-    assert passed and len(calls) < chains
+    assert passed and 0 < sum(rows) < chains
 
 
 def _sampled_above_a_gate_of_10(monkeypatch, check, spec):
@@ -403,7 +435,7 @@ def test_corner_radical_sweep_samples_above_the_gate(monkeypatch):
     assert got == (
         True, exhaustive - 27 + verify.SAMPLE_COUNT, "radical sequences sampled at 1 of 4 corners"
     )
-    assert calls == [(rad, 3)]
+    assert calls == [(len(rad), 3)]
 
 
 def test_center_radical_sweep_samples_above_the_gate(monkeypatch):
@@ -415,7 +447,7 @@ def test_center_radical_sweep_samples_above_the_gate(monkeypatch):
     assert got == (
         True, exhaustive - 27 + verify.SAMPLE_COUNT, f"sampled {verify.SAMPLE_COUNT} of 27 sequences"
     )
-    assert calls == [(rad, 3)]
+    assert calls == [(len(rad), 3)]
 
 
 def _size_multisets(limit, least=2):

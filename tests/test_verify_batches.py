@@ -107,7 +107,7 @@ def ref_structure_constants(spec, base_points, rng, cap):
     pairs = itertools.product(triples, triples)
     mode = "exhaustive"
     if spec.characteristic == 0 and spec.num_points > 20:
-        pairs = verify._sample(triples, 2, rng)
+        pairs = [(triples[a], triples[b]) for a, b in verify._sample(len(triples), 2, rng)]
         mode = f"sampled {verify.SAMPLE_COUNT} of {len(triples) ** 2}"
     count = 0
     for t1, t2 in pairs:
@@ -157,7 +157,8 @@ def ref_transpose_pairs(spec, base_points, rng, cap):
     triples = basis_triples(spec)
     pairs, mode = itertools.product(triples, triples), "exhaustive"
     if len(triples) ** 2 > 4000:
-        pairs, mode = verify._sample(triples, 2, rng), f"pairs sampled {verify.SAMPLE_COUNT}"
+        pairs = [(triples[a], triples[b]) for a, b in verify._sample(len(triples), 2, rng)]
+        mode = f"pairs sampled {verify.SAMPLE_COUNT}"
     count = len(triples)
     for t1, t2 in pairs:
         hit = law_at(spec, t1, t2)
@@ -214,21 +215,24 @@ def ref_center_commutation(spec, base_points, rng, cap):
 
 
 def ref_radical_oracle_tail(spec, base_points, rng, cap):
-    """radical-nilpotency with its oracle sequences multiplied out one at a time (exhaustive mode)."""
+    """radical-nilpotency with its sequences multiplied out one at a time (exhaustive mode):
+    the engine's through the column law, a pair at a time, then the oracle's."""
     rad = verify.radical_triples(spec)
     count = 1 + 2 * len(rad) * len(basis_triples(spec))
     index = verify.nilpotent_index(spec)
-    elements = {r: Element.basis(spec, r) for r in rad}
-
-    def step(acc, t):
-        product = elements[t] if acc is None else acc.mul(elements[t])
-        return None if product.is_zero() else product
-
-    settled, nonzero, sample = verify._sweep(rad, index, rng, step)
-    assert nonzero is None and sample is None
-    count += settled
+    seqs = list(itertools.product(rad, repeat=index))
+    for seq in seqs:
+        acc = seq[0]
+        for t in seq[1:]:
+            hit = law_at(spec, acc, t)
+            if hit is None:
+                break
+            acc = hit[1]
+        else:
+            raise AssertionError("the engine found a nonzero product")
+        count += 1
     x = base_points[0]
-    for seq in itertools.islice(itertools.product(rad, repeat=index), verify.ORACLE_SAMPLE):
+    for seq in seqs[: verify.ORACLE_SAMPLE]:
         acc = oracle.realize_triple(spec, seq[0], x, cap)
         for t in seq[1:]:
             if oracle.is_zero_matrix(acc):
@@ -237,7 +241,7 @@ def ref_radical_oracle_tail(spec, base_points, rng, cap):
         if not oracle.is_zero_matrix(acc):
             return False, count, "oracle found a nonzero radical product the engine missed"
         count += 1
-    return True, count, f"exhaustive {len(rad) ** index} sequences"
+    return True, count, f"exhaustive {len(seqs)} sequences"
 
 
 def ref_annihilator_dim(spec, left_ideal, x, cap=DEFAULT_ORACLE_CAP):
@@ -278,7 +282,7 @@ def test_structure_constants_match_the_one_at_a_time_sweep(monkeypatch, break_la
     spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
     triples = basis_triples(spec)
     if spec.characteristic == 0:
-        sweep = verify._sample(triples, 2, random.Random(0))
+        sweep = [(triples[a], triples[b]) for a, b in verify._sample(len(triples), 2, random.Random(0))]
     else:
         sweep = list(itertools.product(triples, triples))
     bad = sweep[-1 if last else 0]
@@ -340,7 +344,7 @@ def test_transpose_pairs_match_the_one_at_a_time_sweep(break_law, sizes, charact
     spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
     triples = basis_triples(spec)
     if len(triples) ** 2 > 4000:
-        sweep = verify._sample(triples, 2, random.Random(0))
+        sweep = [(triples[a], triples[b]) for a, b in verify._sample(len(triples), 2, random.Random(0))]
     else:
         sweep = list(itertools.product(triples, triples))
     visible = [(t1, t2) for t1, t2 in sweep if (t2[::-1], t1[::-1]) != (t1, t2)]
@@ -392,17 +396,24 @@ def test_center_commutation_matches_the_one_at_a_time_sweep(monkeypatch, last):
 
 @pytest.mark.parametrize("sizes, per_chunk", [((2, 3), 25), ((2, 2, 3), 8)])
 def test_radical_oracle_tail_matches_the_one_at_a_time_sweep(monkeypatch, sizes, per_chunk):
-    # With the index claimed one too small and the engine's sweep told every
-    # product vanishes, only the oracle can object.  The first nonzero product
-    # is sequence 24 of 144 at (2,3), in the first chunk of 25, and sequence
-    # 192 of 200 at (2,2,3), in the last chunk of 8.
+    # With the index claimed one too small and the engine's column law told every
+    # product vanishes, only the oracle can object.  The first nonzero product is
+    # sequence 24 of 144 at (2,3), in the first chunk of 25, and sequence 192 of 200
+    # at (2,2,3), in the last chunk of 8.
     spec = SchemeSpec(sizes=sizes, characteristic=2)
     index = verify.nilpotent_index(spec) - 1
     monkeypatch.setattr(verify, "nilpotent_index", lambda spec: index)
-    monkeypatch.setattr(verify, "_sweep", lambda pop, length, rng, step: (0, None, None))
+    law = verify._mul_columns
+
+    def vanishing(spec, t1, t2):
+        coeffs, product = law(spec, t1, t2)
+        return 0 * coeffs, product
+
+    monkeypatch.setattr(verify, "_mul_columns", vanishing)
     chunk_of(monkeypatch, per_chunk * spec.num_points**2)
     expected = reference(ref_radical_oracle_tail, spec)
-    first = 1 + 2 * len(verify.radical_triples(spec)) * len(basis_triples(spec))
+    rad = verify.radical_triples(spec)
+    first = 1 + 2 * len(rad) * len(basis_triples(spec)) + len(rad) ** index
     assert not expected[0] and expected[1] - first == (24 if sizes == (2, 3) else 192)
     assert run_check("radical-nilpotency", spec) == expected
 
