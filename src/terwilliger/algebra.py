@@ -192,7 +192,8 @@ def _integral(items: Iterable[tuple[Triple, Fraction]]) -> tuple[list[tuple[Trip
     """Characteristic-0 (triple, coefficient) pairs over the integers, and their denominator.
 
     Each Fraction is scaled by the lcm d of the denominators, so the pairs
-    stand for the element times d.
+    stand for the element times d.  Residues at prime characteristic are
+    ints, which come back unchanged with d = 1.
     """
     d = lcm(*(c.denominator for _, c in items))
     if d == 1:

@@ -10,6 +10,12 @@ Oracle sweeps realize their basis matrices as one stack and multiply
 chunks of pairs or sequences as stacks, at most oracle._CHUNK_ENTRIES
 entries at a time.  A chunk is judged whole and the first failing identity
 in sweep order is reported, with the count a one-at-a-time loop would give.
+The engine side of pair sweeps evaluates the product law over int64 triple
+columns (algebra._mul_columns).  Products of linear combinations, such as
+the semisimple representatives of quotient-matrix-units and
+corner-structure, go through one kernel, _products_agree, over integer
+numerators; corner-structure realizes every corner's representatives as
+one stack and multiplies their pairs as stacks.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +34,10 @@ from .algebra import (
     Element,
     Triple,
     _mask_columns,
+    _integral,
     _mul_columns,
     _mul_triples,
+    _valency_column,
     basis_triples,
     corner_basis,
     corner_mul,
@@ -60,7 +68,6 @@ from .quotient import (
 from .radical import (
     corner_nilpotent_index,
     corner_rad_basis,
-    in_radical,
     nilpotent_index,
     qualifying_coordinates,
     rad_dim,
@@ -68,6 +75,7 @@ from .radical import (
     witness_chain,
 )
 from .scheme import (
+    Scalar,
     SchemeSpec,
     intersection_number,
     p_divides_valency,
@@ -184,6 +192,77 @@ def _chunks(total: int, entries: int) -> Iterator[range]:
     oracle._CHUNK_ENTRIES."""
     step = max(1, oracle._CHUNK_ENTRIES // entries)
     return (range(lo, min(lo + step, total)) for lo in range(0, total, step))
+
+
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each position k repeated counts[k] times, and the offsets 0 to counts[k] - 1 beside it."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _products_agree(
+    spec: SchemeSpec,
+    combos: Sequence[Mapping[Triple, Scalar]],
+    left: np.ndarray,
+    right: np.ndarray,
+    expect: np.ndarray,
+    scale: Sequence[int],
+    modulo_radical: bool = False,
+) -> np.ndarray:
+    """Whether combos[left[j]] * combos[right[j]] equals scale[j] * combos[expect[j]], for each j.
+
+    expect[j] = -1 stands for zero, and scale[j] is a field element given as an
+    int.  With modulo_radical the two sides may differ by a radical element, as
+    in_radical states it: every term of the difference has a middle of vanishing
+    valency.  The combos' terms become triple columns with integer numerators
+    over one common denominator d (1 at prime characteristic), so the sides are
+    compared times d^2: each pair's term pairs that chain are multiplied by
+    _mul_columns, its expected terms times scale * d are subtracted, and each
+    sum per (pair, product triple) must vanish, mod p at prime characteristic.
+    Numerators are int64 below p = 2^31, reduced after each product, and at
+    characteristic 0 while a bound on every sum stays below 2^63; Python ints
+    otherwise.  A chunk of pairs holds at most oracle._CHUNK_ENTRIES term pairs.
+    """
+    p, n = spec.characteristic, spec.n
+    items, d = _integral([item for combo in combos for item in combo.items()])
+    size = np.array([len(combo) for combo in combos], dtype=np.int64)
+    terms = int(size.max(initial=0))
+    scale = np.asarray(scale).tolist()
+    top = max((abs(c) for _, c in items), default=0)
+    # at characteristic 0 each sum is at most |a b v| over a pair's term pairs plus |scale d c|
+    bound = terms**2 * top**2 * int(_valency_column(spec).max()) + max(map(abs, scale), default=0) * d * top
+    dtype = np.int64 if 0 < p < 1 << 31 or (not p and bound < 1 << 63) else object
+    nums, scale = np.array([c for _, c in items], dtype=dtype), np.array(scale, dtype=dtype)
+    columns = _columns([t for t, _ in items])
+    start = np.cumsum(size) - size
+    if modulo_radical:
+        stays = np.array([p_divides_valency(spec, m) for m in range(1 << n)])
+    ok = np.ones(len(left), dtype=bool)
+    for chunk in _chunks(len(left), max(1, terms * (terms + 1))):
+        lo = chunk.start
+        l, r, e = left[lo : chunk.stop], right[lo : chunk.stop], expect[lo : chunk.stop]
+        # term pair k of pair j is term k // size[r] of its left combo and k % size[r] of its right
+        rows, k = _spread(size[l] * size[r])
+        s, t = start[l][rows] + k // size[r][rows], start[r][rows] + k % size[r][rows]
+        chain = columns[2, s] == columns[0, t]
+        rows, s, t = rows[chain], s[chain], t[chain]
+        factor, product = _mul_columns(spec, columns[:, s], columns[:, t])
+        lhs = nums[s] * nums[t] % p * factor % p if p else nums[s] * nums[t] * factor
+        at, k = _spread(np.where(e < 0, 0, size[e]))
+        u = start[e][at] + k
+        rhs = scale[lo + at] * nums[u] % p if p else scale[lo + at] * d * nums[u]
+        keys = np.concatenate([rows << 3 * n | _key(spec, product), at << 3 * n | _key(spec, columns[:, u])])
+        if not keys.size:
+            continue
+        order = np.argsort(keys)
+        keys, values = keys[order], np.concatenate([lhs, -rhs])[order]
+        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        sums = np.add.reduceat(values, first)
+        off = (sums % p if p else sums) != 0
+        if modulo_radical:
+            off &= ~stays[keys[first] >> n & spec.full_mask]
+        ok[lo + (keys[first][off] >> 3 * n)] = False
+    return ok
 
 
 def _first_failure(ok: np.ndarray) -> Optional[int]:
@@ -332,16 +411,21 @@ def _check_raw_roundtrip(spec, base_points, rng, cap) -> Outcome:
 def _check_transpose(spec, base_points, rng, cap) -> Outcome:
     x = base_points[0]
     triples = basis_triples(spec)
+    # The transpose of a basis element must be one term with coefficient 1, whose
+    # basis matrix is the transposed one.
+    one = spec.field.one()
+    flips = [Element.basis(spec, t).transpose().terms for t in triples]
+    single = np.array([len(terms) == 1 and one in terms.values() for terms in flips])
+    flips = [next(iter(terms)) if ok else t for terms, ok, t in zip(flips, single, triples)]
     count = 0
-    for r in _chunks(len(triples), spec.num_points**2):
-        chunk = [Element.basis(spec, t) for t in triples[r.start : r.stop]]
-        combos = [e.terms for e in chunk] + [e.transpose().terms for e in chunk]
-        nums, _ = oracle._realize_combinations(spec, combos, x, cap)  # over one denominator
-        bad = _first_failure(_equal_each(nums[len(chunk) :], nums[: len(chunk)].transpose(0, 2, 1)))
+    for r in _chunks(len(triples), 2 * spec.num_points**2):
+        stack = oracle.realize_stack(spec, triples[r.start : r.stop] + flips[r.start : r.stop], x, cap)
+        flipped = _equal_each(stack[len(r) :], stack[: len(r)].transpose(0, 2, 1))
+        bad = _first_failure(single[r.start : r.stop] & flipped)
         if bad is not None:
             t = render_triple(spec, triples[r.start + bad])
             return False, count + bad, f"transpose of {t} realizes wrong"
-        count += len(chunk)
+        count += len(r)
     mode = "exhaustive"
     if len(triples) ** 2 > 4000:
         left, right = _sample(len(triples), 2, rng).T
@@ -602,7 +686,8 @@ def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
                         f" in signature {render_mask(b.signature, spec.n)}"
                     )
                 count += 1
-    products: dict[tuple[Triple, Triple], Triple] = {}  # the nonzero products, for the lift sweep
+    position = {t: k for k, t in enumerate(dts)}
+    expect = []  # position of each pair's nonzero product, -1 for zero, for the lift sweep
     for t1, t2 in itertools.product(dts, dts):
         s1, s2 = sig[t1], sig[t2]
         if s1 != s2 or t1[2] != t2[0]:
@@ -615,28 +700,20 @@ def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
                 f"matrix unit law fails at {render_triple(spec, t1)} *"
                 f" {render_triple(spec, t2)}"
             )
-        if out is not None:
-            products[t1, t2] = out
+        expect.append(-1 if out is None else position[out])
         count += 1
-    reps = {t: semisimple_rep(spec, t) for t in dts}
-    rights = {t: {u[2] for u in rep.terms} for t, rep in reps.items()}
-    lefts = {t: {u[0] for u in rep.terms} for t, rep in reps.items()}
-    for t1, t2 in itertools.product(dts, dts):
-        # the matrix-unit sweep found every product of non-chaining triples zero
-        out = products.get((t1, t2)) if t1[2] == t2[0] else None
-        if out is None and rights[t1].isdisjoint(lefts[t2]):
-            count += 1  # no term of reps[t1] chains with one of reps[t2]: their product is 0
-            continue
-        diff = reps[t1].mul(reps[t2])
-        if out is not None:
-            diff = diff.sub(reps[out])
-        if not in_radical(spec, diff):
-            return False, count, (
-                f"lifted product at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
-                " differs from the representative beyond the radical"
-            )
-        count += 1
-    return True, count, ""
+    reps = [semisimple_rep(spec, t).terms for t in dts]
+    left, right = np.divmod(np.arange(len(dts) ** 2), len(dts))
+    expect = np.array(expect, dtype=np.int64)
+    ok = _products_agree(spec, reps, left, right, expect, [1] * len(left), modulo_radical=True)
+    bad = _first_failure(ok)
+    if bad is not None:
+        t1, t2 = dts[left[bad]], dts[right[bad]]
+        return False, count + bad, (
+            f"lifted product at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
+            " differs from the representative beyond the radical"
+        )
+    return True, count + len(left), ""
 
 
 def _check_block_bookkeeping(spec, base_points, rng, cap) -> Outcome:
@@ -686,70 +763,117 @@ def _check_frobenius_falsification(spec, base_points, rng, cap) -> Outcome:
 
 
 def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
-    field = spec.field
-    x = base_points[0]
+    field, n = spec.field, spec.n
     step = functools.partial(_mask_columns, spec)
     loops = [t for t in basis_triples(spec) if t[0] == t[2]]
-    count, sampled = 0, 0
-    for g in range(1 << spec.n):
+    # Corner by corner the bookkeeping and the radical sweep run at once, up to the first
+    # failure, and each product identity is gathered with its position in loop order, the
+    # count a one-at-a-time loop reaches it at.  The products are then judged as stacks,
+    # and of the failures found the one with the least position is reported.
+    count, sampled, failure = 0, 0, None
+    squares = []  # (g, h, i, corner_mul's answer, position) of the full-product identities
+    reps = []  # the terms of every corner's representatives, corner by corner
+    pairs = []  # (rep a, rep b, position, g, a, b); the matrix identity follows the symbolic one
+    actions = []  # (g, h, rep i, scale, position, i)
+    for g in range(1 << n):
+        at = render_mask(g, n)
         middles = corner_basis(spec, g)
-        from_triples = [h for f, h, _ in loops if f == g]
-        if sorted(middles) != sorted(from_triples):
-            return False, count, f"corner basis at {render_mask(g, spec.n)} disagrees with enumeration"
+        if sorted(middles) != sorted(h for f, h, _ in loops if f == g):
+            failure = count, f"corner basis at {at} disagrees with enumeration"
+            break
         count += 1
         rad = corner_rad_basis(spec, g)
         surviving = [a for a in middles if not p_divides_valency(spec, a)]
         if len(middles) != len(rad) + len(surviving):
-            return False, count, f"corner dimension split fails at {render_mask(g, spec.n)}"
+            failure = count, f"corner dimension split fails at {at}"
+            break
         count += 1
-        expect_index = 1 + sum(1 for a in rad if bin(a).count("1") == 1)
-        if corner_nilpotent_index(spec, g) != expect_index:
-            return False, count, f"corner nilpotent index formula fails at {render_mask(g, spec.n)}"
+        index = corner_nilpotent_index(spec, g)
+        if index != 1 + sum(1 for a in rad if bin(a).count("1") == 1):
+            failure = count, f"corner nilpotent index formula fails at {at}"
+            break
         count += 1
         for h, i in itertools.product(middles, middles):
             hit = corner_mul(spec, g, h, i)
             if hit != corner_mul(spec, g, i, h):
-                return False, count, f"corner product is not commutative at {render_mask(g, spec.n)}"
-            count += 1
-            lhs = Element.basis(spec, (g, h, g)).mul(Element.basis(spec, (g, i, g)))
-            rhs = Element.zero(spec) if hit is None else Element.basis(spec, (g, hit[1], g), hit[0])
-            if lhs != rhs:
-                return False, count, f"corner product disagrees with full product at {render_mask(g, spec.n)}"
-            count += 1
+                failure = count, f"corner product is not commutative at {at}"
+                break
+            squares.append((g, h, i, hit, count + 1))
+            count += 2
+        if failure is not None:
+            break
         if rad:
-            index = corner_nilpotent_index(spec, g)
             settled, nonzero, sample = _sweep((np.array(rad, dtype=np.int64),), index, rng, step)
             count += settled
             if nonzero is not None:
-                return False, count, f"corner radical at {render_mask(g, spec.n)} is not nilpotent at its index"
+                failure = count, f"corner radical at {at} is not nilpotent at its index"
+                break
             sampled += sample is not None
-        reps = {a: semisimple_rep(spec, (g, a, g)) for a in surviving}
-        mats = {a: oracle.realize(spec, rep, x, cap) for a, rep in reps.items()}
-        for a, b in itertools.product(surviving, surviving):
-            prod = reps[a].mul(reps[b])
-            expect = reps[a] if a == b else Element.zero(spec)
-            if prod != expect:
-                return False, count, (
-                    f"corner representatives at {render_mask(g, spec.n)} are not orthogonal"
-                    f" idempotents ({render_mask(a, spec.n)}, {render_mask(b, spec.n)})"
-                )
+        first = len(reps)
+        reps += [semisimple_rep(spec, (g, a, g)).terms for a in surviving]
+        for (ka, a), (kb, b) in itertools.product(enumerate(surviving, first), repeat=2):
+            pairs.append((ka, kb, count, g, a, b))
+            count += 2
+        for h, (ki, i) in itertools.product(surviving, enumerate(surviving, first)):
+            scale = int(field.of(valency(spec, h))) if subset_of(spec, h, i) else 0
+            actions.append((g, h, ki, scale, count, i))
             count += 1
-            mat = oracle.mat_mul(spec, mats[a], mats[b])
-            if not (oracle.mat_eq(mat, mats[a]) if a == b else oracle.is_zero_matrix(mat)):
-                return False, count, f"corner idempotent matrices disagree at {render_mask(g, spec.n)}"
-            count += 1
-        for h in surviving:
-            for i in surviving:
-                lhs = Element.basis(spec, (g, h, g)).mul(reps[i])
-                rhs_scalar = field.of(valency(spec, h)) if subset_of(spec, h, i) else field.zero()
-                rhs = reps[i].scale(rhs_scalar)
-                if lhs != rhs or lhs != reps[i].mul(Element.basis(spec, (g, h, g))):
-                    return False, count, (
-                        f"corner action of {render_mask(h, spec.n)} on the representative at"
-                        f" {render_mask(i, spec.n)} is wrong at {render_mask(g, spec.n)}"
-                    )
-                count += 1
-    mode = f"radical sequences sampled at {sampled} of {1 << spec.n} corners" if sampled else ""
+    found = [] if failure is None else [failure]
+    if squares:
+        g, h, i, hits, where = zip(*squares)
+        g, h, i = (np.array(col, dtype=np.int64) for col in (g, h, i))
+        # a product of two basis elements is one term: its coefficient and triple
+        coeffs, product = _mul_columns(spec, (g, h, g), (g, i, g))
+        want = np.array([0 if hit is None else field.of(hit[0]) for hit in hits], dtype=object)
+        middle = np.array([-1 if hit is None else hit[1] for hit in hits], dtype=np.int64)
+        same = np.all(np.array(product) == np.array([g, middle, g]), axis=0)
+        bad = _first_failure((coeffs == want) & ((coeffs == 0) | same))
+        if bad is not None:
+            at = render_mask(g[bad], n)
+            found.append((where[bad], f"corner product disagrees with full product at {at}"))
+    if pairs:
+        ka, kb = (np.array([pair[k] for pair in pairs], dtype=np.int64) for k in (0, 1))
+        ki = np.array([action[2] for action in actions], dtype=np.int64)
+        scale = [action[3] for action in actions]
+        units = np.arange(len(reps), len(reps) + len(actions))  # the basis elements (g, h, g) acting
+        one = field.one()
+        combos = reps + [{(g, h, g): one} for g, h, *_ in actions]
+        ok = _products_agree(
+            spec,
+            combos,
+            np.concatenate([ka, units, ki]),
+            np.concatenate([kb, ki, units]),
+            np.concatenate([np.where(ka == kb, ka, -1), ki, ki]),
+            [1] * len(pairs) + scale + scale,
+        )
+        # N_a N_b = delta_ab d N_a for the realized numerators N over their denominator d
+        nums, d = oracle._realize_combinations(spec, reps, base_points[0], cap)
+        matrices = np.empty(len(pairs), dtype=bool)
+        for chunk in _chunks(len(pairs), spec.num_points**2):
+            a, b = ka[chunk.start : chunk.stop], kb[chunk.start : chunk.stop]
+            prods = oracle.mat_mul(spec, nums[a], nums[b])
+            matrices[chunk.start : chunk.stop] = _equal_each(prods, nums[a] * (d * (a == b))[:, None, None])
+        bad = _first_failure(np.stack([ok[: len(pairs)], matrices], axis=-1).ravel())
+        if bad is not None:
+            _, _, where, g, a, b = pairs[bad // 2]
+            if bad % 2 == 0:
+                found.append((where, (
+                    f"corner representatives at {render_mask(g, n)} are not orthogonal"
+                    f" idempotents ({render_mask(a, n)}, {render_mask(b, n)})"
+                )))
+            else:
+                found.append((where + 1, f"corner idempotent matrices disagree at {render_mask(g, n)}"))
+        acting = ok[len(pairs) :]
+        bad = _first_failure(acting[: len(actions)] & acting[len(actions) :])
+        if bad is not None:
+            g, h, _, _, where, i = actions[bad]
+            found.append((where, (
+                f"corner action of {render_mask(h, n)} on the representative at"
+                f" {render_mask(i, n)} is wrong at {render_mask(g, n)}"
+            )))
+    if found:
+        return (False, *min(found))
+    mode = f"radical sequences sampled at {sampled} of {1 << n} corners" if sampled else ""
     return True, count, mode
 
 

@@ -1,11 +1,13 @@
 """The package surface: the README's library example, the names the benchmark tracer rebinds,
-and the imports of each module."""
+the imports of each module, and the numpy calls that would bring in a float."""
 
 import ast
 import importlib.util
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import terwilliger
 
@@ -105,3 +107,55 @@ def test_modules_import_only_the_standard_library_and_numpy():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) <= {"numpy"}
+
+
+def float_uses(source):
+    """Lines where a module brings a float into numpy: a weights= keyword (bincount sums
+    weights in float64), np.mean, np.average or np.true_divide, and float or a np.float*
+    type as a value, or a float dtype named by a string.  Annotations are exempt, so
+    `seconds: float` and the time.perf_counter readings it holds pass."""
+    tree = ast.parse(source)
+    notes = [getattr(node, field) for node in ast.walk(tree) for field in ("annotation", "returns")
+             if getattr(node, field, None) is not None]
+    exempt = {id(node) for note in notes for node in ast.walk(note)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.keyword) and node.arg == "weights":
+            found.add(node.value.lineno)
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in {"mean", "average", "true_divide"} or node.attr.startswith("float")
+        ):
+            found.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            named = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+                named += node.args[:1]
+            for value in named:
+                if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                    if np.dtype(value.value).kind in "fc":
+                        found.add(value.lineno)
+    return sorted(found)
+
+
+def test_no_module_brings_a_float_into_numpy():
+    source = (
+        "import time\nimport numpy as np\n"
+        "seconds: float = time.perf_counter()\n"  # 3: exempt
+        "np.bincount(a, weights=b)\n"  # 4
+        "np.mean(a)\n"  # 5
+        "a.astype(float)\n"  # 6
+        "np.zeros(3, dtype=np.float64)\n"  # 7
+        "b.astype('f8')\n"  # 8
+        "np.ones(2, dtype='int64')\n"  # 9: an integer dtype
+        "np.true_divide(a, b)\n"  # 10
+        "def f(x: float) -> float:\n    return np.average(x)\n"  # 11 exempt, 12
+    )
+    assert float_uses(source) == [4, 5, 6, 7, 8, 10, 12]
+    modules = sorted((ROOT / "src" / "terwilliger").glob("*.py"))
+    assert modules
+    found = {path.name: float_uses(path.read_text()) for path in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}

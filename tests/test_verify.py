@@ -253,14 +253,20 @@ def test_radical_nilpotency_skips_sequences_with_a_zero_prefix(monkeypatch):
 
 
 def test_quotient_matrix_units_multiplies_only_lifts_whose_terms_chain(monkeypatch):
-    # At (2,3)/0 the lift sweep has 20 x 20 pairs; only the 104 whose representatives
-    # have a right mask meeting a left mask are multiplied, and every pair is still counted.
+    # At (2,3)/0 the lift sweep has 20 x 20 pairs of representatives, 576 pairs of their
+    # terms.  Only the 160 term pairs whose right and left masks meet are given to the
+    # column law, from the 104 lifts that have any, and every pair is still counted.
     spec = SchemeSpec(sizes=(2, 3), characteristic=0)
-    calls = []
-    mul = Element.mul
-    monkeypatch.setattr(Element, "mul", lambda x, y: calls.append(1) or mul(x, y))
+    rows = []
+    law = verify._mul_columns
+    monkeypatch.setattr(
+        verify, "_mul_columns", lambda spec, t1, t2: rows.append(np.broadcast(*t1, *t2).size) or law(spec, t1, t2)
+    )
     assert run_check("quotient-matrix-units", spec) == (True, 20 + 400 + 400, "")
-    assert len(calls) == 104
+    reps = [quotient.semisimple_rep(spec, t) for t in quotient.quotient_triples(spec)]
+    chaining = [sum(s[2] == t[0] for s in x.terms for t in y.terms) for x, y in itertools.product(reps, reps)]
+    assert sum(rows) == sum(chaining) == 160
+    assert sum(map(bool, chaining)) == 104
 
 
 def _multiplied_out(field, seq, mul):

@@ -7,8 +7,10 @@ form breaks the check and its reference alike, and both must report the same
 (passed, count, detail), down to the first failing identity.
 """
 
+import functools
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from terwilliger import oracle, quotient, verify
 from terwilliger.algebra import Element, basis_triples, render_triple
 from terwilliger.oracle import DEFAULT_ORACLE_CAP, mat_eq, mat_mul, points, relation
+from terwilliger.radical import in_radical
 from terwilliger.scheme import SchemeSpec, render_mask
 
 
@@ -254,6 +257,187 @@ def ref_annihilator_dim(spec, left_ideal, x, cap=DEFAULT_ORACLE_CAP):
     return len(triples) - oracle.span_rank(spec, rows)
 
 
+def ref_quotient_matrix_units(spec, base_points, rng, cap):
+    """quotient-matrix-units with every lifted product multiplied out by Element.mul."""
+    dts = verify.quotient_triples(spec)
+    sig = {t: verify._signature(spec.large_mask, t) for t in dts}
+    lookup = {}
+    count = 0
+    for b in verify.wedderburn_blocks(spec):
+        for t in (t for t in dts if sig[t] == b.signature):
+            key = (b.signature, t[0], t[2])
+            if key in lookup:
+                return False, count, (
+                    f"two triples share the block slot {render_mask(t[0], spec.n)},"
+                    f" {render_mask(t[2], spec.n)} in signature {render_mask(b.signature, spec.n)}"
+                )
+            lookup[key] = t
+        for g in b.rows:
+            for i in b.rows:
+                if (b.signature, g, i) not in lookup:
+                    return False, count, (
+                        f"missing block slot ({render_mask(g, spec.n)}, {render_mask(i, spec.n)})"
+                        f" in signature {render_mask(b.signature, spec.n)}"
+                    )
+                count += 1
+    products = {}
+    for t1, t2 in itertools.product(dts, dts):
+        s1, s2 = sig[t1], sig[t2]
+        expected = None if s1 != s2 or t1[2] != t2[0] else lookup[(s1, t1[0], t2[2])]
+        out = verify._quotient_mul(spec, t1, t2)
+        if out != expected:
+            return False, count, (
+                f"matrix unit law fails at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
+            )
+        if out is not None:
+            products[t1, t2] = out
+        count += 1
+    reps = {t: verify.semisimple_rep(spec, t) for t in dts}
+    for t1, t2 in itertools.product(dts, dts):
+        out = products.get((t1, t2)) if t1[2] == t2[0] else None
+        diff = reps[t1].mul(reps[t2])
+        if out is not None:
+            diff = diff.sub(reps[out])
+        if not in_radical(spec, diff):
+            return False, count, (
+                f"lifted product at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
+                " differs from the representative beyond the radical"
+            )
+        count += 1
+    return True, count, ""
+
+
+def ref_corner_structure(spec, base_points, rng, cap):
+    """corner-structure one corner, one product and one realized representative at a time."""
+    field = spec.field
+    x = base_points[0]
+    loops = [t for t in basis_triples(spec) if t[0] == t[2]]
+    count, sampled = 0, 0
+    for g in range(1 << spec.n):
+        middles = verify.corner_basis(spec, g)
+        if sorted(middles) != sorted(h for f, h, _ in loops if f == g):
+            return False, count, f"corner basis at {render_mask(g, spec.n)} disagrees with enumeration"
+        count += 1
+        rad = verify.corner_rad_basis(spec, g)
+        surviving = [a for a in middles if not verify.p_divides_valency(spec, a)]
+        if len(middles) != len(rad) + len(surviving):
+            return False, count, f"corner dimension split fails at {render_mask(g, spec.n)}"
+        count += 1
+        expect_index = 1 + sum(1 for a in rad if bin(a).count("1") == 1)
+        if verify.corner_nilpotent_index(spec, g) != expect_index:
+            return False, count, f"corner nilpotent index formula fails at {render_mask(g, spec.n)}"
+        count += 1
+        for h, i in itertools.product(middles, middles):
+            hit = verify.corner_mul(spec, g, h, i)
+            if hit != verify.corner_mul(spec, g, i, h):
+                return False, count, f"corner product is not commutative at {render_mask(g, spec.n)}"
+            count += 1
+            lhs = Element.basis(spec, (g, h, g)).mul(Element.basis(spec, (g, i, g)))
+            rhs = Element.zero(spec) if hit is None else Element.basis(spec, (g, hit[1], g), hit[0])
+            if lhs != rhs:
+                return False, count, f"corner product disagrees with full product at {render_mask(g, spec.n)}"
+            count += 1
+        if rad:
+            step = functools.partial(verify._mask_columns, spec)
+            index = verify.corner_nilpotent_index(spec, g)
+            settled, nonzero, sample = verify._sweep((np.array(rad, dtype=np.int64),), index, rng, step)
+            count += settled
+            if nonzero is not None:
+                return False, count, f"corner radical at {render_mask(g, spec.n)} is not nilpotent at its index"
+            sampled += sample is not None
+        reps = {a: verify.semisimple_rep(spec, (g, a, g)) for a in surviving}
+        mats = {a: oracle.realize(spec, rep, x, cap) for a, rep in reps.items()}
+        for a, b in itertools.product(surviving, surviving):
+            if reps[a].mul(reps[b]) != (reps[a] if a == b else Element.zero(spec)):
+                return False, count, (
+                    f"corner representatives at {render_mask(g, spec.n)} are not orthogonal"
+                    f" idempotents ({render_mask(a, spec.n)}, {render_mask(b, spec.n)})"
+                )
+            count += 1
+            mat = mat_mul(spec, mats[a], mats[b])
+            if not (mat_eq(mat, mats[a]) if a == b else oracle.is_zero_matrix(mat)):
+                return False, count, f"corner idempotent matrices disagree at {render_mask(g, spec.n)}"
+            count += 1
+        for h in surviving:
+            for i in surviving:
+                lhs = Element.basis(spec, (g, h, g)).mul(reps[i])
+                rhs_scalar = field.of(verify.valency(spec, h)) if verify.subset_of(spec, h, i) else field.zero()
+                rhs = reps[i].scale(rhs_scalar)
+                if lhs != rhs or lhs != reps[i].mul(Element.basis(spec, (g, h, g))):
+                    return False, count, (
+                        f"corner action of {render_mask(h, spec.n)} on the representative at"
+                        f" {render_mask(i, spec.n)} is wrong at {render_mask(g, spec.n)}"
+                    )
+                count += 1
+    mode = f"radical sequences sampled at {sampled} of {1 << spec.n} corners" if sampled else ""
+    return True, count, mode
+
+
+# --- the product kernel ---------------------------------------------------------------------
+
+
+def random_element(spec, triples, rng, terms, big=False):
+    """An element on `terms` random basis triples: Fractions over small denominators at
+    characteristic 0 (one numerator past 2^64 when big), residues below p otherwise."""
+    p = spec.characteristic
+    coeffs = {}
+    for t in rng.sample(triples, terms):
+        if p:
+            coeffs[t] = rng.randrange(p)
+        else:
+            coeffs[t] = Fraction(rng.randint(-9, 9) * (2**70 if big else 1), rng.choice([1, 2, 3, 4, 6]))
+    return Element(spec, coeffs)
+
+
+@pytest.mark.parametrize(
+    "sizes, characteristic",
+    [((2, 3), 0), ((2, 2, 3), 2), ((3, 3), 3), ((2, 3), 1048583), ((2, 5), 2**31 - 1), ((2, 3), 2**64 + 13)],
+)
+@pytest.mark.parametrize("big", [False, True])
+@pytest.mark.parametrize("entries", [1 << 16, 40])
+def test_products_agree_is_mul_sub_and_in_radical(monkeypatch, sizes, characteristic, big, entries):
+    # Fractions past 2^64 at characteristic 0, and residues of 2^64 + 13, take the
+    # Python-int path; the rest run in int64, where two residues of 2^31 - 1 multiply
+    # to nearly 2^62 before a valency of 4 scales them.  entries = 40 gives chunks of
+    # a pair or two.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    field = spec.field
+    chunk_of(monkeypatch, entries)
+    rng = random.Random(f"{sizes}:{characteristic}:{big}")
+    triples = basis_triples(spec)
+    elements = [random_element(spec, triples, rng, rng.choice([0, 1, 2, 5]), big) for _ in range(12)]
+    # Products of some pairs, each over a random unit, with and without a radical term:
+    # the kernel must tell them apart exactly and agree with them modulo the radical.
+    radical = verify.radical_triples(spec)
+    pairs = []
+    for _ in range(8):
+        a, b = rng.randrange(12), rng.randrange(12)
+        s = rng.randrange(1, characteristic) if characteristic else rng.randint(1, 5)
+        product = elements[a].mul(elements[b]).scale(field.inv(field.of(s)))
+        pairs.append((a, b, len(elements), s))
+        elements.append(product)
+        if radical:
+            pairs.append((a, b, len(elements), s))
+            elements.append(product.add(Element.basis(spec, rng.choice(radical))))
+    pairs += [(rng.randrange(len(elements)), rng.randrange(len(elements)), rng.randrange(-1, len(elements)),
+               rng.randrange(characteristic) if characteristic else rng.randint(0, 5)) for _ in range(40)]
+    combos = [e.terms for e in elements]
+    left, right, expect, scale = (np.array([pair[k] for pair in pairs], dtype=object if k == 3 else np.int64)
+                                  for k in range(4))
+    lhs = [elements[a].mul(elements[b]) for a, b, _, _ in pairs]
+    rhs = [Element.zero(spec) if e < 0 else elements[e].scale(s) for _, _, e, s in pairs]
+    exact = verify._products_agree(spec, combos, left, right, expect, scale)
+    modulo = verify._products_agree(spec, combos, left, right, expect, scale, modulo_radical=True)
+    assert exact.tolist() == [x == y for x, y in zip(lhs, rhs)]
+    assert modulo.tolist() == [in_radical(spec, x.sub(y)) for x, y in zip(lhs, rhs)]
+    assert exact.any() and not exact.all()
+    assert not radical or (modulo & ~exact).any()
+    none = np.zeros(0, dtype=np.int64)
+    assert verify._products_agree(spec, combos, none, none, none, none).shape == (0,)
+    zeros = [{}, {}]
+    assert verify._products_agree(spec, zeros, *(np.array([0, 1, 1]),) * 2, np.array([-1, 0, 1]), [1, 1, 0]).all()
+
+
 # --- failure-path parity ----------------------------------------------------------------------
 
 
@@ -418,6 +602,122 @@ def test_radical_oracle_tail_matches_the_one_at_a_time_sweep(monkeypatch, sizes,
     assert run_check("radical-nilpotency", spec) == expected
 
 
+SEMISIMPLE_SPECS = [((3, 3), 0), ((3, 4), 2), ((3, 4), 3)]
+POSITIONS = [0, 0.5, 1]  # the first, a middle and the last position
+
+
+def at_position(items, where):
+    return items[round(where * (len(items) - 1))]
+
+
+def break_rep(monkeypatch, spec, target, extra):
+    """semisimple_rep, looked up through verify, gains the basis element at extra at target alone."""
+    rep = verify.semisimple_rep
+    monkeypatch.setattr(
+        verify, "semisimple_rep",
+        lambda spec, t: rep(spec, t).add(Element.basis(spec, extra)) if t == target else rep(spec, t),
+    )
+
+
+def corner_reps(spec):
+    """The triples (g, a, g) of corner-structure's representatives, in loop order."""
+    return [(g, a, g) for g in range(1 << spec.n) for a in verify.corner_basis(spec, g)
+            if not verify.p_divides_valency(spec, a)]
+
+
+@pytest.mark.parametrize("sizes, characteristic", SEMISIMPLE_SPECS)
+@pytest.mark.parametrize("where", POSITIONS)
+@pytest.mark.parametrize("broken", ["semisimple_rep", "_quotient_mul"])
+def test_quotient_matrix_units_match_the_one_at_a_time_sweep(monkeypatch, sizes, characteristic, where, broken):
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    dts = verify.quotient_triples(spec)
+    if broken == "semisimple_rep":
+        target = at_position(dts, where)
+        break_rep(monkeypatch, spec, target, target)
+    else:
+        # a zero product where the law has one, and the left factor where it has none
+        bad = at_position(list(itertools.product(dts, dts)), where)
+        law = verify._quotient_mul
+        monkeypatch.setattr(
+            verify, "_quotient_mul",
+            lambda spec, t1, t2: (None if law(spec, t1, t2) else t1) if (t1, t2) == bad else law(spec, t1, t2),
+        )
+    chunk_of(monkeypatch, 3 * spec.num_points**2)  # about a dozen lifted pairs a chunk
+    expected = reference(ref_quotient_matrix_units, spec)
+    assert not expected[0]
+    assert run_check("quotient-matrix-units", spec) == expected
+
+
+@pytest.mark.parametrize("sizes, characteristic", SEMISIMPLE_SPECS[1:])
+@pytest.mark.parametrize("where", POSITIONS)
+def test_quotient_matrix_units_lift_modulo_the_radical(monkeypatch, sizes, characteristic, where):
+    # A representative moved by a radical element still lifts its matrix unit, since the
+    # radical is an ideal; an exact comparison would refuse it.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    target = at_position(verify.quotient_triples(spec), where)
+    assert verify.p_divides_valency(spec, spec.full_mask)
+    break_rep(monkeypatch, spec, target, (target[0], spec.full_mask, target[0] ^ spec.full_mask))
+    chunk_of(monkeypatch, 3 * spec.num_points**2)
+    expected = reference(ref_quotient_matrix_units, spec)
+    assert expected[0]
+    assert run_check("quotient-matrix-units", spec) == expected
+
+
+@pytest.mark.parametrize("sizes, characteristic", SEMISIMPLE_SPECS)
+@pytest.mark.parametrize("where", POSITIONS)
+@pytest.mark.parametrize(
+    "broken", ["semisimple_rep", "corner_mul", "corner_mul both orders", "corner_mul middle", "realized"]
+)
+def test_corner_structure_matches_the_one_at_a_time_sweep(monkeypatch, sizes, characteristic, where, broken):
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    field = spec.field
+    if broken == "semisimple_rep":
+        # A corner over F_2 holds no other idempotent to break one into, so the
+        # representative gains a term outside its corner.
+        g = at_position(corner_reps(spec), where)[0]
+        break_rep(monkeypatch, spec, at_position(corner_reps(spec), where), (g, spec.full_mask, g ^ spec.full_mask))
+    elif broken.startswith("corner_mul"):
+        # Broken at one order only, the commutativity identity catches it; at both, only
+        # the full product does.  The coefficient gains 1, or the middle loses or gains
+        # the lowest coordinate of g & large, at a nonzero product in such a corner.
+        law = verify.corner_mul
+        squares = [(g, h, i) for g in range(1 << spec.n)
+                   for h, i in itertools.product(verify.corner_basis(spec, g), repeat=2)]
+        if broken.endswith("middle"):
+            squares = [(g, h, i) for g, h, i in squares if g & spec.large_mask and law(spec, g, h, i)]
+        g, h, i = at_position(squares, where)
+        bad = {(g, h, i)} if broken == "corner_mul" else {(g, h, i), (g, i, h)}
+
+        def corner_mul(spec, g, h, i):
+            hit = law(spec, g, h, i)
+            if (g, h, i) not in bad:
+                return hit
+            if broken.endswith("middle"):
+                low = g & spec.large_mask & -(g & spec.large_mask)
+                return hit[0], hit[1] ^ low
+            return (field.one(), h | i) if hit is None else (field.add(hit[0], 1), hit[1])
+
+        monkeypatch.setattr(verify, "corner_mul", corner_mul)
+    else:
+        # the realized numerators of one representative gain the all-ones matrix
+        target = verify.semisimple_rep(spec, at_position(corner_reps(spec), where)).terms
+        realize = oracle._realize_combinations
+
+        def realize_combinations(spec, combos, *args):
+            nums, d = realize(spec, combos, *args)
+            nums = nums.copy()
+            for k, combo in enumerate(combos):
+                if combo == target:
+                    nums[k] = oracle._reduce(spec, nums[k] + 1)
+            return nums, d
+
+        monkeypatch.setattr(oracle, "_realize_combinations", realize_combinations)
+    chunk_of(monkeypatch, 3 * spec.num_points**2)  # three representative pairs a stacked product
+    expected = reference(ref_corner_structure, spec)
+    assert not expected[0]
+    assert run_check("corner-structure", spec) == expected
+
+
 def test_dimension_rank_reads_the_rank_off_the_raw_stack(monkeypatch):
     spec = SchemeSpec(sizes=(2, 3), characteristic=2)
     triples = basis_triples(spec)
@@ -503,7 +803,7 @@ def test_run_all_multiplies_a_chunk_at_a_time(monkeypatch):
     # sequence was multiplied on its own (oracle-sanity 32, structure-constants
     # 169, center-commutation 128, radical-nilpotency 170, frobenius 75,
     # corner-structure 4).  Every converted sweep fits in one chunk here, so it
-    # makes one product per chunk and factor: 19 in all.
+    # makes one product per chunk and factor: 16 in all.
     spec = SchemeSpec(sizes=(3, 3), characteristic=2)
     calls = {}
     current = [None]
@@ -527,9 +827,9 @@ def test_run_all_multiplies_a_chunk_at_a_time(monkeypatch):
         # last factor is never multiplied
         "radical-nilpotency": index - 2,
         "frobenius-falsification": 1,
-        "corner-structure": 4,  # not batched
+        "corner-structure": 1,  # every corner's representative pairs as one stack
     }
-    assert sum(calls.values()) == 19
+    assert sum(calls.values()) == 16
 
 
 # --- quotient products evaluated once ----------------------------------------------
