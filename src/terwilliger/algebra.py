@@ -7,6 +7,13 @@ basis elements, so arbitrary products reduce to exact bookkeeping over
 triple-indexed coefficient maps.  A second basis, the raw products (dual
 idempotent times adjacency times dual idempotent), is kept for
 cross-checks against the dense matrix oracle.
+
+The law is stated once over int64 triple columns, _mul_columns, and one
+kernel, _chained_pairs, lists the term pairs that chain in products of
+linear combinations held as columns, without enumerating all pairs.
+Element.mul runs on it when its operands have KERNEL_PAIRS term pairs or
+more (2^14, the crossover measured against its per-pair loop), and so do
+verify's products of the semisimple representatives.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -25,7 +33,7 @@ from .scheme import (
     Scalar,
     SchemeSpec,
     _bracket,
-    _in_window,
+    _off_window,
     all_masks,
     is_basis_triple,
     mask_product,
@@ -188,17 +196,183 @@ def _mask_columns(
     return _valency_column(spec)[m & a], (m | a,)
 
 
-def _integral(items: Iterable[tuple[Triple, Fraction]]) -> tuple[list[tuple[Triple, int]], int]:
-    """Characteristic-0 (triple, coefficient) pairs over the integers, and their denominator.
+def _columns(triples: list[Triple]) -> np.ndarray:
+    """The masks g, h, i of triples as the rows of a 3 x len(triples) int64 array."""
+    return np.fromiter(chain.from_iterable(triples), np.int64, 3 * len(triples)).reshape(-1, 3).T
 
-    Each Fraction is scaled by the lcm d of the denominators, so the pairs
-    stand for the element times d.  Residues at prime characteristic are
-    ints, which come back unchanged with d = 1.
+
+def _key(spec: SchemeSpec, columns) -> np.ndarray:
+    """Each triple of the columns g, h, i as one integer below 8^n."""
+    g, h, i = columns
+    return (g << 2 * spec.n) | (h << spec.n) | i
+
+
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each position k repeated counts[k] times, and the offsets 0 to counts[k] - 1 beside it."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _chained_pairs(
+    spec: SchemeSpec, columns: np.ndarray, size: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The term pairs that chain in each product combo[left[j]] * combo[right[j]].
+
+    columns is a 3 x T int64 array of triples holding the terms of every
+    combination one after another, size[c] of them for combination c.  The
+    terms are sorted by combination and left mask with one argsort, and each
+    term of a left combination finds the right combination's terms whose
+    left mask equals its right mask with np.searchsorted, so only pairs with
+    i = j are listed, never all |x| * |y| of them.  Returns, per chaining
+    pair, its j (rows) and its two term positions s and t into columns;
+    _mul_columns on columns[:, s] and columns[:, t] evaluates them.
     """
-    d = lcm(*(c.denominator for _, c in items))
-    if d == 1:
-        return [(t, c.numerator) for t, c in items], 1
-    return [(t, c.numerator * (d // c.denominator)) for t, c in items], d
+    n = spec.n
+    start = np.cumsum(size) - size
+    keys = np.repeat(np.arange(len(size)), size) << n | columns[0]
+    order = np.argsort(keys)
+    keys = keys[order]
+    rows, k = _spread(size[left])
+    s = start[left][rows] + k
+    want = right[rows] << n | columns[2, s]
+    lo = np.searchsorted(keys, want)
+    at, k = _spread(np.searchsorted(keys, want, side="right") - lo)
+    return rows[at], s[at], order[lo[at] + k]
+
+
+def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of a nonempty int64 array in increasing order, and the sum of values at each.
+
+    Sums are exact in values' dtype: a sort and np.add.reduceat, never a float.
+    """
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
+    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return keys[first], np.add.reduceat(values, first)
+
+
+def _numerator_dtype(p: int, bound: int):
+    """int64 where integer numerators stay exact in it, object (Python ints) otherwise.
+
+    Residues below p = 2^31 stay exact when reduced after each product; at
+    characteristic 0, bound bounds every sum taken.
+    """
+    return np.int64 if 0 < p < 1 << 31 or (not p and bound < 1 << 63) else object
+
+
+_RATIO = attrgetter("numerator", "denominator")
+
+
+def _integral(values: Iterable[Scalar]) -> tuple[list[int], int]:
+    """Characteristic-0 coefficients as integer numerators over their least common denominator d.
+
+    Each Fraction is scaled by d, so the numerators stand for the element
+    times d.  Residues at prime characteristic are ints, which come back
+    unchanged with d = 1.
+    """
+    ratios = list(map(_RATIO, values))
+    if not ratios:
+        return [], 1
+    nums, dens = zip(*ratios)
+    d = lcm(*set(dens))
+    return (list(nums), 1) if d == 1 else ([a * (d // b) for a, b in ratios], d)
+
+
+def _check_terms(spec: SchemeSpec, items: Iterable[tuple[Triple, Scalar]]) -> None:
+    """Raise ValueError at the first term that is not canonical, naming what is wrong.
+
+    A triple must be a basis triple (check_triple names its window or the
+    mask out of range), and a coefficient an int in [0, p) at characteristic
+    p, or an int or a Fraction at characteristic 0: a float or any other
+    value written into terms is refused.
+    """
+    full, large, p = spec.full_mask, spec.large_mask, spec.characteristic
+    for t, c in items:
+        g, h, i = t
+        if (g | h | i) & ~full or _off_window(large, g, h, i):
+            check_triple(spec, t)  # raises, naming the window
+        if not (type(c) is int and 0 <= c < p if p else type(c) is int or type(c) is Fraction):
+            raise ValueError(f"coefficient {c!r} is not a canonical scalar of {spec.field!r}")
+
+
+# Element.mul goes through _chained_pairs when |x| * |y| reaches this many
+# term pairs, and through its per-pair loop below it, where the kernel's
+# fixed numpy cost loses: on m-term operands at characteristics 0 and 3 the
+# kernel took 0.7 to 1.6 times the loop's time at m^2 = 4,096 and 0.7 to 1.1
+# times it at 16,384 (the sweep is in CHANGES.md).
+KERNEL_PAIRS = 1 << 14
+
+
+def _mul_by_columns(spec: SchemeSpec, x: dict[Triple, Scalar], y: dict[Triple, Scalar]) -> dict[Triple, Scalar]:
+    """The terms of Element.mul on x and y over int64 columns, through _chained_pairs.
+
+    The operand terms are validated as whole columns and lists, and
+    _check_terms runs only when they hold an offender, to name the first
+    one as the loop would.  Numerators are integers as in the loop:
+    residues at characteristic p, in int64 below p = 2^31; at
+    characteristic 0 each operand times the lcm of its denominators, in
+    int64 while |x| * |y| times the largest numerator of each side and the
+    largest valency stays below 2^63.  Python ints otherwise.  Sums per
+    product triple come from one sort and np.add.reduceat.
+    """
+    p, n, full = spec.characteristic, spec.n, spec.full_mask
+    combos = [x] if x is y else [x, y]
+    triples = [t for combo in combos for t in combo]
+    coeffs = [c for combo in combos for c in combo.values()]
+    kinds = set(map(type, coeffs))
+    # the sum of the masks is an int only if no mask is a float, which _columns would truncate
+    valid = type(sum(chain.from_iterable(triples))) is int and (
+        kinds <= {int} and 0 <= min(coeffs) and max(coeffs) < p if p else kinds <= {int, Fraction}
+    )
+    if valid:
+        try:
+            columns = _columns(triples)
+            g, h, i = columns
+            valid = not ((g | h | i) & ~full | _off_window(spec.large_mask, g, h, i)).any()
+        except OverflowError:  # a mask beyond int64
+            valid = False
+    if not valid:
+        _check_terms(spec, zip(triples, coeffs))  # raises at the first offender; other valid masks pass
+        columns = _columns(triples)
+    if p:
+        nums, d, bound = coeffs, 1, 0
+    else:
+        scaled = [_integral(combo.values()) for combo in combos]
+        nums, d = [part for part, _ in scaled], scaled[0][1] * scaled[-1][1]
+        # every sum is at most |x| |y| times the largest numerator of each side and valency
+        top = int(_valency_column(spec).max()) * max(map(abs, nums[0])) * max(map(abs, nums[-1]))
+        bound = len(x) * len(y) * top
+        nums = list(chain.from_iterable(nums))
+    nums = np.array(nums, dtype=_numerator_dtype(p, bound))
+    size = np.array([len(combo) for combo in combos], dtype=np.int64)
+    _, s, t = _chained_pairs(spec, columns, size, np.array([0]), np.array([len(combos) - 1]))
+    if not s.size:
+        return {}
+    factor, product = _mul_columns(spec, columns[:, s], columns[:, t])
+    values = nums[s] * nums[t] % p * factor % p if p else nums[s] * nums[t] * factor
+    keys, sums = _sum_by_key(_key(spec, product), values)
+    if p:
+        sums %= p
+    keep = sums != 0
+    keys, sums = keys[keep], sums[keep].tolist()
+    triples = zip((keys >> 2 * n).tolist(), (keys >> n & full).tolist(), (keys & full).tolist())
+    return dict(zip(triples, sums)) if p else _fraction_terms(d, zip(triples, sums))
+
+
+def _fraction_terms(d: int, items: Iterable[tuple[Triple, int]]) -> dict[Triple, Fraction]:
+    """The terms of (triple, integer numerator) pairs over the denominator d, zeros dropped.
+
+    One Fraction is made per distinct numerator.
+    """
+    terms: dict[Triple, Fraction] = {}
+    made: dict[int, Fraction] = {}
+    for t, c in items:
+        if c:
+            q = made.get(c)
+            if q is None:
+                q = made[c] = Fraction(c, d)
+            terms[t] = q
+    return terms
 
 
 def _accumulate(field: GroundField, acc: dict[Triple, Scalar], t: Triple, c: Scalar) -> None:
@@ -286,40 +460,48 @@ class Element:
     def mul(self, other: Element) -> Element:
         """The product, summed over pairs of terms by the law of mul_triples.
 
-        A pair (g, h, i), (j, k, l) contributes only when i = j, so the terms
-        of other are grouped by their left mask once, as (k, l, c) tuples,
-        and each term of self visits only the group at its right mask.  The
-        law is evaluated inline, with what does not depend on k and l taken
-        once per left term: since l distributes over the last two terms of
-        _bracket(large, g, h, i, k, l), the middle mask equals
-        (g ^ l) | (l & (gl | ((h | k) & gil))) with gl = g & large & ~i and
-        gil = g & i & large.  Coefficients multiply as integers: in
-        characteristic 0 each operand is scaled by the lcm of its
-        denominators first, and one Fraction is made per distinct output
-        numerator; in characteristic p each output term is reduced once.
-        Terms that sum to zero are dropped.  The valency of each coefficient
-        mask is taken once per call.  Unless no pair matches, every operand
-        term is validated once per call, so a non-basis triple written into
-        terms raises ValueError.
+        A pair (g, h, i), (j, k, l) contributes only when i = j.  When
+        |self| * |other| reaches KERNEL_PAIRS, the pairs that chain are found
+        over int64 columns by _chained_pairs, the kernel verify's
+        _products_agree shares, and evaluated by _mul_columns
+        (_mul_by_columns).  Below it a per-pair loop wins on numpy's fixed
+        cost: the terms of other are grouped by their left mask once, as
+        (k, l, c) tuples, and each term of self visits only the group at its
+        right mask.  The loop evaluates the law inline, with what does not
+        depend on k and l taken once per left term: since l distributes over
+        the last two terms of _bracket(large, g, h, i, k, l), the middle mask
+        equals (g ^ l) | (l & (gl | ((h | k) & gil))) with
+        gl = g & large & ~i and gil = g & i & large.  On both paths
+        coefficients multiply as integers: in characteristic 0 each operand
+        is scaled by the lcm of its denominators first, and one Fraction is
+        made per distinct output numerator; in characteristic p each output
+        term is reduced once.  Terms that sum to zero are dropped.  Every
+        operand term is validated once per call (on the loop path unless no
+        pair matches): a non-basis triple written into terms raises
+        ValueError naming its window, and a coefficient that is not an int
+        in [0, p), or at characteristic 0 an int or a Fraction, raises
+        ValueError naming it.
         """
         spec = self.spec
         if other.spec is not spec:
             self._require_same_spec(other)
+        if len(self.terms) * len(other.terms) >= KERNEL_PAIRS:
+            return Element._with_terms(spec, _mul_by_columns(spec, self.terms, other.terms))
         lefts = {t2[0] for t2 in other.terms}
         left = [(t1, c1) for t1, c1 in self.terms.items() if t1[2] in lefts]
         if not left:
             return Element._with_terms(spec, {})
-        full, large = spec.full_mask, spec.large_mask
-        for t in chain(self.terms, other.terms):
-            g, h, i = t
-            if (g | h | i) & ~full or not _in_window(large, g, h, i):
-                check_triple(spec, t)  # raises, naming the window
+        _check_terms(spec, chain(self.terms.items(), other.terms.items()))
+        large = spec.large_mask
         p = spec.characteristic
         right = other.terms.items()
         dx = dy = 1
         if not p:
-            left, dx = _integral(left)
-            right, dy = _integral(right)
+            triples, coeffs = zip(*left)
+            nums, dx = _integral(coeffs)
+            left = zip(triples, nums)
+            nums, dy = _integral(other.terms.values())
+            right = zip(other.terms, nums)
         by_left: dict[Mask, list[tuple[Mask, Mask, int]]] = {}
         for (j, k, l), c2 in right:
             by_left.setdefault(j, []).append((k, l, c2))
@@ -336,21 +518,13 @@ class Element:
                 if v:
                     t = (g, (g ^ l) | (l & (gl | ((h | k) & gil))), l)
                     acc[t] = get(t, 0) + c1 * c2 * v
+        if not p:
+            return Element._with_terms(spec, _fraction_terms(dx * dy, acc.items()))
         terms: dict[Triple, Scalar] = {}
-        if p:
-            for t, c in acc.items():
-                c %= p
-                if c:
-                    terms[t] = c
-        else:
-            d = dx * dy
-            fractions: dict[int, Fraction] = {}
-            for t, c in acc.items():
-                if c:
-                    q = fractions.get(c)
-                    if q is None:
-                        q = fractions[c] = Fraction(c, d)
-                    terms[t] = q
+        for t, c in acc.items():
+            c %= p
+            if c:
+                terms[t] = c
         return Element._with_terms(spec, terms)
 
     def transpose(self) -> Element:

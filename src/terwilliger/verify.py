@@ -14,8 +14,10 @@ The engine side of pair sweeps evaluates the product law over int64 triple
 columns (algebra._mul_columns).  Products of linear combinations, such as
 the semisimple representatives of quotient-matrix-units and
 corner-structure, go through one kernel, _products_agree, over integer
-numerators; corner-structure realizes every corner's representatives as
-one stack and multiplies their pairs as stacks.
+numerators; it finds each product's chaining term pairs with
+algebra._chained_pairs, the kernel Element.mul runs on large operands.
+corner-structure realizes every corner's representatives as one stack and
+multiplies their pairs as stacks.
 """
 
 from __future__ import annotations
@@ -33,10 +35,16 @@ from . import oracle
 from .algebra import (
     Element,
     Triple,
-    _mask_columns,
+    _chained_pairs,
+    _columns,
     _integral,
+    _key,
+    _mask_columns,
     _mul_columns,
     _mul_triples,
+    _numerator_dtype,
+    _spread,
+    _sum_by_key,
     _valency_column,
     basis_triples,
     corner_basis,
@@ -194,12 +202,6 @@ def _chunks(total: int, entries: int) -> Iterator[range]:
     return (range(lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
-def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each position k repeated counts[k] times, and the offsets 0 to counts[k] - 1 beside it."""
-    rows = np.repeat(np.arange(len(counts)), counts)
-    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 def _products_agree(
     spec: SchemeSpec,
     combos: Sequence[Mapping[Triple, Scalar]],
@@ -216,24 +218,26 @@ def _products_agree(
     in_radical states it: every term of the difference has a middle of vanishing
     valency.  The combos' terms become triple columns with integer numerators
     over one common denominator d (1 at prime characteristic), so the sides are
-    compared times d^2: each pair's term pairs that chain are multiplied by
-    _mul_columns, its expected terms times scale * d are subtracted, and each
-    sum per (pair, product triple) must vanish, mod p at prime characteristic.
-    Numerators are int64 below p = 2^31, reduced after each product, and at
-    characteristic 0 while a bound on every sum stays below 2^63; Python ints
-    otherwise.  A chunk of pairs holds at most oracle._CHUNK_ENTRIES term pairs.
+    compared times d^2: each pair's term pairs that chain, found by
+    _chained_pairs, are multiplied by _mul_columns, its expected terms times
+    scale * d are subtracted, and each sum per (pair, product triple) must
+    vanish, mod p at prime characteristic.  Numerators are int64 below
+    p = 2^31, reduced after each product, and at characteristic 0 while a
+    bound on every sum stays below 2^63; Python ints otherwise
+    (_numerator_dtype).  A chunk of pairs has at most oracle._CHUNK_ENTRIES
+    term pairs, chaining or not.
     """
     p, n = spec.characteristic, spec.n
-    items, d = _integral([item for combo in combos for item in combo.items()])
+    nums, d = _integral(c for combo in combos for c in combo.values())
     size = np.array([len(combo) for combo in combos], dtype=np.int64)
     terms = int(size.max(initial=0))
     scale = np.asarray(scale).tolist()
-    top = max((abs(c) for _, c in items), default=0)
+    top = max(map(abs, nums), default=0)
     # at characteristic 0 each sum is at most |a b v| over a pair's term pairs plus |scale d c|
     bound = terms**2 * top**2 * int(_valency_column(spec).max()) + max(map(abs, scale), default=0) * d * top
-    dtype = np.int64 if 0 < p < 1 << 31 or (not p and bound < 1 << 63) else object
-    nums, scale = np.array([c for _, c in items], dtype=dtype), np.array(scale, dtype=dtype)
-    columns = _columns([t for t, _ in items])
+    dtype = _numerator_dtype(p, bound)
+    nums, scale = np.array(nums, dtype=dtype), np.array(scale, dtype=dtype)
+    columns = _columns([t for combo in combos for t in combo])
     start = np.cumsum(size) - size
     if modulo_radical:
         stays = np.array([p_divides_valency(spec, m) for m in range(1 << n)])
@@ -241,11 +245,7 @@ def _products_agree(
     for chunk in _chunks(len(left), max(1, terms * (terms + 1))):
         lo = chunk.start
         l, r, e = left[lo : chunk.stop], right[lo : chunk.stop], expect[lo : chunk.stop]
-        # term pair k of pair j is term k // size[r] of its left combo and k % size[r] of its right
-        rows, k = _spread(size[l] * size[r])
-        s, t = start[l][rows] + k // size[r][rows], start[r][rows] + k % size[r][rows]
-        chain = columns[2, s] == columns[0, t]
-        rows, s, t = rows[chain], s[chain], t[chain]
+        rows, s, t = _chained_pairs(spec, columns, size, l, r)
         factor, product = _mul_columns(spec, columns[:, s], columns[:, t])
         lhs = nums[s] * nums[t] % p * factor % p if p else nums[s] * nums[t] * factor
         at, k = _spread(np.where(e < 0, 0, size[e]))
@@ -254,14 +254,11 @@ def _products_agree(
         keys = np.concatenate([rows << 3 * n | _key(spec, product), at << 3 * n | _key(spec, columns[:, u])])
         if not keys.size:
             continue
-        order = np.argsort(keys)
-        keys, values = keys[order], np.concatenate([lhs, -rhs])[order]
-        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        sums = np.add.reduceat(values, first)
+        keys, sums = _sum_by_key(keys, np.concatenate([lhs, -rhs]))
         off = (sums % p if p else sums) != 0
         if modulo_radical:
-            off &= ~stays[keys[first] >> n & spec.full_mask]
-        ok[lo + (keys[first][off] >> 3 * n)] = False
+            off &= ~stays[keys >> n & spec.full_mask]
+        ok[lo + (keys[off] >> 3 * n)] = False
     return ok
 
 
@@ -372,17 +369,6 @@ def _check_structure_constants(spec, base_points, rng, cap) -> Outcome:
             )
         count += len(chunk)
     return True, count, mode
-
-
-def _columns(triples: list[Triple]) -> np.ndarray:
-    """The masks g, h, i of triples as the rows of a 3 x len(triples) int64 array."""
-    return np.array(triples, dtype=np.int64).reshape(-1, 3).T
-
-
-def _key(spec: SchemeSpec, columns) -> np.ndarray:
-    """Each triple of the columns g, h, i as one integer below 8^n."""
-    g, h, i = columns
-    return (g << 2 * spec.n) | (h << spec.n) | i
 
 
 def _check_raw_roundtrip(spec, base_points, rng, cap) -> Outcome:

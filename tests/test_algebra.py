@@ -1,6 +1,7 @@
 """Basis triples, products, transposition, and the change of basis."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from terwilliger import algebra
 from terwilliger.algebra import (
+    KERNEL_PAIRS,
     Element,
     _mul_columns,
     _mul_triples,
@@ -212,18 +215,37 @@ def test_column_law_equals_mul_triples_on_every_pair(sizes, p):
         assert np.array_equal(np.broadcast_to(col, grid.shape).ravel()[nonzero], flat[nonzero])
 
 
-@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("p", [0, 3, 2**61 - 1])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_product_of_large_operands_matches_the_all_pairs_definition(p, seed):
+def test_product_of_large_operands_matches_the_all_pairs_definition(monkeypatch, p, seed):
     # 150 terms each on 16 left masks, with few distinct coefficients, so
-    # that left-mask groups are long and output numerators repeat.
+    # that left-mask groups are long and output numerators repeat.  150^2
+    # term pairs reach KERNEL_PAIRS, so the product runs over columns.
+    # Residues of 2^61 - 1 (three of them) are multiplied as Python ints.
     spec = SchemeSpec(sizes=(3, 3, 3, 3), characteristic=p)
     rng = random.Random(seed)
     triples = basis_triples(spec)
     coeff = (lambda: rng.choice(SMALL_FRACTIONS)) if p == 0 else (lambda: rng.randrange(1, p))
+    if p > 3:
+        coeff = (lambda: p - rng.randrange(1, 4))
+    dtypes = []  # the numerator dtype of each product over columns
+    numerator_dtype = algebra._numerator_dtype
+
+    def spy(*args):
+        dtypes.append(numerator_dtype(*args))
+        return dtypes[-1]
+
+    monkeypatch.setattr(algebra, "_numerator_dtype", spy)
     x, y = (Element(spec, {trip: coeff() for trip in rng.sample(triples, 150)}) for _ in range(2))
+    assert len(x.terms) * len(y.terms) >= KERNEL_PAIRS
     got = x.mul(y)
     assert got.terms == all_pairs_product(x, y)
+    assert dtypes == [np.int64 if p < 1 << 31 else object]
+    if p == 0:
+        # Numerators scaled by 2^33, so that their products pass 2^63: the Python-int path.
+        big = [Element(spec, {t: c * 2**33 for t, c in e.terms.items()}) for e in (x, y)]
+        assert big[0].mul(big[1]).terms == all_pairs_product(*big)
+        assert dtypes[-1] is object
     values = list(got.terms.values())
     assert len(set(values)) < len(values)
     for c in values:
@@ -256,6 +278,50 @@ def test_product_refuses_a_non_basis_term_it_multiplies(bad):
     x.terms = {(0b100, 0, 0b100): Fraction(1)}
     with pytest.raises(ValueError, match="out of range"):
         x.mul(x)
+
+
+@pytest.mark.parametrize("bad", [(0b11, 0b11, 0b11), (0b11, 0b00, 0b01)])
+def test_product_refuses_a_non_basis_term_over_columns(monkeypatch, bad):
+    # Every operand pair reaches the lowered constant, so each product takes the kernel path.
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1)
+    test_product_refuses_a_non_basis_term_it_multiplies(bad)
+
+
+@pytest.mark.parametrize("kernel_pairs", [1, 1 << 62])  # the kernel, then the loop
+@pytest.mark.parametrize(
+    "p, bad",
+    [(3, 1.5), (3, 3), (3, -1), (3, Fraction(1, 2)), (3, True), (2**61 - 1, 2**61 - 1), (0, 1.5), (0, "1")],
+)
+def test_product_refuses_a_coefficient_written_into_terms(monkeypatch, kernel_pairs, p, bad):
+    # Only an int in [0, p) at characteristic p, or an int or a Fraction at
+    # characteristic 0, is a coefficient; anything else is named, on both paths.
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", kernel_pairs)
+    spec = SchemeSpec(sizes=(3,), characteristic=p)
+    x = Element.basis(spec, (0, 0, 0))
+    x.terms[(0, 0, 0)] = bad
+    for left, right in ((x, x), (x, Element.basis(spec, (0, 0, 0))), (Element.basis(spec, (0, 0, 0)), x)):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            left.mul(right)
+    if p == 0:
+        x.terms[(0, 0, 0)] = 3
+        assert x.mul(x).terms == {(0, 0, 0): Fraction(9)}
+
+
+@pytest.mark.parametrize("p", [0, 2, 5, 2**61 - 1])
+@pytest.mark.parametrize("terms", [24, 180])  # 576 term pairs, below KERNEL_PAIRS, and 32,400 above
+def test_loop_and_kernel_give_identical_terms(monkeypatch, p, terms):
+    spec = SchemeSpec(sizes=(2, 3, 3, 4), characteristic=p)
+    rng = random.Random(f"{p}:{terms}")
+    triples = basis_triples(spec)
+    coeff = (lambda: rng.choice(SMALL_FRACTIONS)) if p == 0 else (lambda: rng.randrange(1, p))
+    x, y = (Element(spec, {trip: coeff() for trip in rng.sample(triples, terms)}) for _ in range(2))
+    assert (terms**2 >= KERNEL_PAIRS) == (terms == 180)
+    results = []
+    for kernel_pairs in (1, 1 << 62):
+        monkeypatch.setattr(algebra, "KERNEL_PAIRS", kernel_pairs)
+        results.append([{t: (type(c), c) for t, c in a.mul(b).terms.items()} for a, b in ((x, y), (x, x), (y, x))])
+    assert results[0] == results[1]
+    assert all(results[0])
 
 
 def test_transpose_is_an_antiautomorphism():

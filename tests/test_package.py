@@ -109,6 +109,36 @@ def test_modules_import_only_the_standard_library_and_numpy():
     assert imported - set(sys.stdlib_module_names) <= {"numpy"}
 
 
+def third_party_imports(source):
+    """The top-level names of the modules a source imports outside the standard library:
+    import and from-import statements, and importlib.import_module or __import__ calls
+    on a constant name.  Relative imports stay inside the package and are skipped."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called in {"import_module", "__import__"} and isinstance(node.args[0].value, str):
+                names.add(node.args[0].value)
+    return {name.split(".")[0] for name in names} - set(sys.stdlib_module_names)
+
+
+def test_the_only_third_party_import_is_numpy():
+    # scipy and sympy may be installed where the package runs, but numpy is its only dependency.
+    source = (
+        "import os, numpy as np\nimport scipy.linalg\nfrom sympy import Matrix\nfrom . import algebra\n"
+        "from .oracle import mat_mul\nimportlib.import_module('networkx')\n__import__('fractions')\n"
+    )
+    assert third_party_imports(source) == {"numpy", "scipy", "sympy", "networkx"}
+    modules = sorted((ROOT / "src" / "terwilliger").glob("*.py"))
+    assert modules
+    assert set().union(*(third_party_imports(path.read_text()) for path in modules)) == {"numpy"}
+
+
 def float_uses(source):
     """Lines where a module brings a float into numpy: a weights= keyword (bincount sums
     weights in float64), np.mean, np.average or np.true_divide, and float or a np.float*
