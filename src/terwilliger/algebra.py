@@ -9,11 +9,12 @@ idempotent times adjacency times dual idempotent), is kept for
 cross-checks against the dense matrix oracle.
 
 The law is stated once over int64 triple columns, _mul_columns, and one
-kernel, _chained_pairs, lists the term pairs that chain in products of
+kernel, _chained_ranges, finds the term pairs that chain in products of
 linear combinations held as columns, without enumerating all pairs.
 Element.mul runs on it when its operands have KERNEL_PAIRS term pairs or
-more (2^14, the crossover measured against its per-pair loop), and so do
-verify's products of the semisimple representatives.
+more (2^14, the crossover measured against its per-pair loop) and the
+spec has at most KERNEL_FACTORS (12) factors with valencies in int64, and
+so do verify's products of the semisimple representatives.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import lcm
+from math import lcm, prod
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
@@ -33,7 +34,7 @@ from .scheme import (
     Scalar,
     SchemeSpec,
     _bracket,
-    _off_window,
+    _in_window,
     all_masks,
     is_basis_triple,
     mask_product,
@@ -159,11 +160,14 @@ def _valency_column(spec: SchemeSpec) -> np.ndarray:
     """The field image of the valency of each of the 2^n masks, as a read-only int64 column.
 
     In characteristic 0 it is the integer itself; a valency is below the point count.
+    The table doubles once per factor: the masks that hold factor a are those
+    without it, times size - 1.
     """
+    valencies = [1]
+    for size in spec.sizes:
+        valencies += [v * (size - 1) for v in valencies]
     p = spec.characteristic
-    column = np.array(
-        [valency(spec, m) % p if p else valency(spec, m) for m in range(1 << spec.n)], dtype=np.int64
-    )
+    column = np.array([v % p for v in valencies] if p else valencies, dtype=np.int64)
     column.flags.writeable = False
     return column
 
@@ -213,19 +217,20 @@ def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _chained_pairs(
+def _chained_ranges(
     spec: SchemeSpec, columns: np.ndarray, size: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """The term pairs that chain in each product combo[left[j]] * combo[right[j]].
+    """Where the terms chaining with each left term lie, in each product combo[left[j]] * combo[right[j]].
 
     columns is a 3 x T int64 array of triples holding the terms of every
     combination one after another, size[c] of them for combination c.  The
     terms are sorted by combination and left mask with one argsort, and each
     term of a left combination finds the right combination's terms whose
     left mask equals its right mask with np.searchsorted, so only pairs with
-    i = j are listed, never all |x| * |y| of them.  Returns, per chaining
-    pair, its j (rows) and its two term positions s and t into columns;
-    _mul_columns on columns[:, s] and columns[:, t] evaluates them.
+    i = j are ever listed, never all |x| * |y| of them.  Returns, per left
+    term, its j (rows) and its position s into columns, then order, the
+    positions of all terms in sorted order, and the start lo and count of
+    the left term's chaining terms within order.
     """
     n = spec.n
     start = np.cumsum(size) - size
@@ -236,7 +241,20 @@ def _chained_pairs(
     s = start[left][rows] + k
     want = right[rows] << n | columns[2, s]
     lo = np.searchsorted(keys, want)
-    at, k = _spread(np.searchsorted(keys, want, side="right") - lo)
+    return rows, s, order, lo, np.searchsorted(keys, want, side="right") - lo
+
+
+def _chained_pairs(
+    spec: SchemeSpec, columns: np.ndarray, size: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The term pairs that chain in each product combo[left[j]] * combo[right[j]], all at once.
+
+    The ranges of _chained_ranges, listed.  Returns, per chaining pair, its j
+    (rows) and its two term positions s and t into columns; _mul_columns on
+    columns[:, s] and columns[:, t] evaluates them.
+    """
+    rows, s, order, lo, count = _chained_ranges(spec, columns, size, left, right)
+    at, k = _spread(count)
     return rows[at], s[at], order[lo[at] + k]
 
 
@@ -289,51 +307,87 @@ def _check_terms(spec: SchemeSpec, items: Iterable[tuple[Triple, Scalar]]) -> No
     full, large, p = spec.full_mask, spec.large_mask, spec.characteristic
     for t, c in items:
         g, h, i = t
-        if (g | h | i) & ~full or _off_window(large, g, h, i):
+        if (g | h | i) & ~full or not _in_window(large, g, h, i):
             check_triple(spec, t)  # raises, naming the window
         if not (type(c) is int and 0 <= c < p if p else type(c) is int or type(c) is Fraction):
             raise ValueError(f"coefficient {c!r} is not a canonical scalar of {spec.field!r}")
 
 
-# Element.mul goes through _chained_pairs when |x| * |y| reaches this many
+def _canonical_columns(spec: SchemeSpec, triples: list[Triple], coeffs: list[Scalar]) -> np.ndarray:
+    """_columns(triples), once every term is known canonical as _check_terms defines it.
+
+    The terms are scanned at C speed rather than one by one: the type of the
+    masks' sum (a float or any other non-int mask makes it a non-int, and
+    np.fromiter would truncate it), the coefficients' types and extremes,
+    then the ranges and windows over the columns.  Only when a scan fails
+    does _check_terms walk the terms, raising at the first offender as the
+    loop path does.  On the 512 terms of a (3,)^6 product the scans take
+    about 110 us where _check_terms and _columns take about 175 us.
+    """
+    p, full = spec.characteristic, spec.full_mask
+    kinds = set(map(type, coeffs))
+    if type(sum(chain.from_iterable(triples))) is int and (
+        kinds <= {int} and 0 <= min(coeffs) and max(coeffs) < p if p else kinds <= {int, Fraction}
+    ):
+        try:
+            g, h, i = columns = _columns(triples)
+        except OverflowError:  # a mask beyond int64, so out of range
+            pass
+        else:
+            if not ((g | h | i) & ~full).any() and _in_window(spec.large_mask, g, h, i).all():
+                return columns
+    _check_terms(spec, zip(triples, coeffs))  # raises at the first offender
+    return _columns(triples)  # masks such as True that _check_terms lets pass
+
+
+# Element.mul goes through _chained_ranges when |x| * |y| reaches this many
 # term pairs, and through its per-pair loop below it, where the kernel's
 # fixed numpy cost loses: on m-term operands at characteristics 0 and 3 the
 # kernel took 0.7 to 1.6 times the loop's time at m^2 = 4,096 and 0.7 to 1.1
 # times it at 16,384 (the sweep is in CHANGES.md).
 KERNEL_PAIRS = 1 << 14
 
+# The kernel path reads valencies from _valency_column, one int64 for each of
+# the 2^n masks, so it serves specs of at most KERNEL_FACTORS factors (a table
+# of at most 4,096 entries, built in well under a millisecond) whose valency
+# images all fit in int64; larger specs stay on the loop at every size.
+KERNEL_FACTORS = 12
+
+# A chunk of the kernel path holds about this many chaining pairs, each of
+# them about a dozen int64 entries, as oracle._CHUNK_ENTRIES bounds its batches.
+_CHUNK_PAIRS = 1 << 16
+
+
+def _on_columns(spec: SchemeSpec) -> bool:
+    """Whether Element.mul's kernel path serves spec: at most KERNEL_FACTORS factors, valencies in int64.
+
+    The largest valency is that of the full mask, the product of size - 1; a
+    residue mod p is below p.
+    """
+    top = prod(size - 1 for size in spec.sizes)
+    p = spec.characteristic
+    return spec.n <= KERNEL_FACTORS and min(top, p - 1 if p else top) < 1 << 63
+
 
 def _mul_by_columns(spec: SchemeSpec, x: dict[Triple, Scalar], y: dict[Triple, Scalar]) -> dict[Triple, Scalar]:
-    """The terms of Element.mul on x and y over int64 columns, through _chained_pairs.
+    """The terms of Element.mul on x and y over int64 columns, through _chained_ranges.
 
-    The operand terms are validated as whole columns and lists, and
-    _check_terms runs only when they hold an offender, to name the first
-    one as the loop would.  Numerators are integers as in the loop:
-    residues at characteristic p, in int64 below p = 2^31; at
-    characteristic 0 each operand times the lcm of its denominators, in
-    int64 while |x| * |y| times the largest numerator of each side and the
-    largest valency stays below 2^63.  Python ints otherwise.  Sums per
-    product triple come from one sort and np.add.reduceat.
+    The operand terms are validated over columns by _canonical_columns.
+    Numerators are integers as in the loop: residues at characteristic p, in
+    int64 below p = 2^31; at characteristic 0 each operand times the lcm of
+    its denominators, in int64 while |x| * |y| times the largest numerator of
+    each side and the largest valency stays below 2^63.  Python ints
+    otherwise.  The left terms are taken in chunks of about _CHUNK_PAIRS
+    chaining pairs, counted before any pair is listed, so memory follows the
+    chunk and the distinct outputs, not every chaining pair; each chunk's
+    sums per product triple come from one sort and np.add.reduceat, merged
+    with the sums so far.
     """
     p, n, full = spec.characteristic, spec.n, spec.full_mask
     combos = [x] if x is y else [x, y]
     triples = [t for combo in combos for t in combo]
     coeffs = [c for combo in combos for c in combo.values()]
-    kinds = set(map(type, coeffs))
-    # the sum of the masks is an int only if no mask is a float, which _columns would truncate
-    valid = type(sum(chain.from_iterable(triples))) is int and (
-        kinds <= {int} and 0 <= min(coeffs) and max(coeffs) < p if p else kinds <= {int, Fraction}
-    )
-    if valid:
-        try:
-            columns = _columns(triples)
-            g, h, i = columns
-            valid = not ((g | h | i) & ~full | _off_window(spec.large_mask, g, h, i)).any()
-        except OverflowError:  # a mask beyond int64
-            valid = False
-    if not valid:
-        _check_terms(spec, zip(triples, coeffs))  # raises at the first offender; other valid masks pass
-        columns = _columns(triples)
+    columns = _canonical_columns(spec, triples, coeffs)
     if p:
         nums, d, bound = coeffs, 1, 0
     else:
@@ -345,14 +399,23 @@ def _mul_by_columns(spec: SchemeSpec, x: dict[Triple, Scalar], y: dict[Triple, S
         nums = list(chain.from_iterable(nums))
     nums = np.array(nums, dtype=_numerator_dtype(p, bound))
     size = np.array([len(combo) for combo in combos], dtype=np.int64)
-    _, s, t = _chained_pairs(spec, columns, size, np.array([0]), np.array([len(combos) - 1]))
-    if not s.size:
+    _, s, order, lo, count = _chained_ranges(spec, columns, size, np.array([0]), np.array([len(combos) - 1]))
+    ends = np.cumsum(count)
+    if not ends[-1]:
         return {}
-    factor, product = _mul_columns(spec, columns[:, s], columns[:, t])
-    values = nums[s] * nums[t] % p * factor % p if p else nums[s] * nums[t] * factor
-    keys, sums = _sum_by_key(_key(spec, product), values)
-    if p:
-        sums %= p
+    # a chunk takes the left terms whose pairs end within the next _CHUNK_PAIRS
+    stops = np.searchsorted(ends, np.arange(_CHUNK_PAIRS, ends[-1] + _CHUNK_PAIRS, _CHUNK_PAIRS), side="right")
+    keys, sums = _NO_TRIPLES, nums[:0]
+    for a, b in zip(chain([0], stops), stops):
+        at, k = _spread(count[a:b])
+        if not at.size:
+            continue
+        u, t = s[a:b][at], order[lo[a:b][at] + k]
+        factor, product = _mul_columns(spec, columns[:, u], columns[:, t])
+        values = nums[u] * nums[t] % p * factor % p if p else nums[u] * nums[t] * factor
+        keys, sums = _sum_by_key(np.concatenate([keys, _key(spec, product)]), np.concatenate([sums, values]))
+        if p:
+            sums %= p
     keep = sums != 0
     keys, sums = keys[keep], sums[keep].tolist()
     triples = zip((keys >> 2 * n).tolist(), (keys >> n & full).tolist(), (keys & full).tolist())
@@ -461,10 +524,12 @@ class Element:
         """The product, summed over pairs of terms by the law of mul_triples.
 
         A pair (g, h, i), (j, k, l) contributes only when i = j.  When
-        |self| * |other| reaches KERNEL_PAIRS, the pairs that chain are found
-        over int64 columns by _chained_pairs, the kernel verify's
-        _products_agree shares, and evaluated by _mul_columns
-        (_mul_by_columns).  Below it a per-pair loop wins on numpy's fixed
+        |self| * |other| reaches KERNEL_PAIRS, on specs of at most
+        KERNEL_FACTORS factors whose valencies fit in int64, the pairs that
+        chain are found over int64 columns by _chained_ranges, the kernel
+        verify's _products_agree shares, and evaluated by _mul_columns a
+        chunk of left terms at a time (_mul_by_columns).  Otherwise a
+        per-pair loop runs, which below KERNEL_PAIRS wins on numpy's fixed
         cost: the terms of other are grouped by their left mask once, as
         (k, l, c) tuples, and each term of self visits only the group at its
         right mask.  The loop evaluates the law inline, with what does not
@@ -475,7 +540,7 @@ class Element:
         coefficients multiply as integers: in characteristic 0 each operand
         is scaled by the lcm of its denominators first, and one Fraction is
         made per distinct output numerator; in characteristic p each output
-        term is reduced once.  Terms that sum to zero are dropped.  Every
+        sum is reduced mod p.  Terms that sum to zero are dropped.  Every
         operand term is validated once per call (on the loop path unless no
         pair matches): a non-basis triple written into terms raises
         ValueError naming its window, and a coefficient that is not an int
@@ -485,7 +550,7 @@ class Element:
         spec = self.spec
         if other.spec is not spec:
             self._require_same_spec(other)
-        if len(self.terms) * len(other.terms) >= KERNEL_PAIRS:
+        if len(self.terms) * len(other.terms) >= KERNEL_PAIRS and _on_columns(spec):
             return Element._with_terms(spec, _mul_by_columns(spec, self.terms, other.terms))
         lefts = {t2[0] for t2 in other.terms}
         left = [(t1, c1) for t1, c1 in self.terms.items() if t1[2] in lefts]

@@ -274,18 +274,16 @@ def is_basis_triple(spec: SchemeSpec, g: Mask, h: Mask, i: Mask) -> bool:
     spec.check_mask(g)
     spec.check_mask(h)
     spec.check_mask(i)
-    return not _off_window(spec.large_mask, g, h, i)
+    return _in_window(spec.large_mask, g, h, i)
 
 
-def _off_window(large: Mask, g: Mask, h: Mask, i: Mask) -> Mask:
-    """The coordinates where h leaves its window g^i <= h <= (g^i) | (g & i & large).
+def _in_window(large: Mask, g: Mask, h: Mask, i: Mask) -> bool:
+    """is_basis_triple on masks already known to be in range; large is the spec's large_mask.
 
-    It is 0 exactly when masks already known to be in range form a basis
-    triple; large is the spec's large_mask.  Only & | ^ ~ are used, so it
-    works on int64 columns of masks as well.
+    Only & | ^ ~ and == are used, so it also works elementwise on int64 columns of masks.
     """
     lo = g ^ i
-    return (lo & ~h) | (h & ~(lo | (g & i & large)))
+    return (lo & ~h | h & ~(lo | (g & i & large))) == 0
 
 
 def bracket(spec: SchemeSpec, g: Mask, h: Mask, i: Mask, j: Mask, k: Mask) -> Mask:

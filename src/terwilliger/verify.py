@@ -15,7 +15,8 @@ columns (algebra._mul_columns).  Products of linear combinations, such as
 the semisimple representatives of quotient-matrix-units and
 corner-structure, go through one kernel, _products_agree, over integer
 numerators; it finds each product's chaining term pairs with
-algebra._chained_pairs, the kernel Element.mul runs on large operands.
+algebra._chained_pairs, which lists the ranges of algebra._chained_ranges,
+the kernel Element.mul runs on large operands.
 corner-structure realizes every corner's representatives as one stack and
 multiplies their pairs as stacks.
 """

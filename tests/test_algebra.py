@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -317,11 +318,84 @@ def test_loop_and_kernel_give_identical_terms(monkeypatch, p, terms):
     x, y = (Element(spec, {trip: coeff() for trip in rng.sample(triples, terms)}) for _ in range(2))
     assert (terms**2 >= KERNEL_PAIRS) == (terms == 180)
     results = []
-    for kernel_pairs in (1, 1 << 62):
+    # the kernel in one chunk, the kernel a left term per chunk, then the loop
+    for kernel_pairs, chunk_pairs in ((1, 1 << 62), (1, 1), (1 << 62, 1)):
         monkeypatch.setattr(algebra, "KERNEL_PAIRS", kernel_pairs)
+        monkeypatch.setattr(algebra, "_CHUNK_PAIRS", chunk_pairs)
         results.append([{t: (type(c), c) for t, c in a.mul(b).terms.items()} for a, b in ((x, y), (x, x), (y, x))])
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
     assert all(results[0])
+
+
+def spy_on_columns(monkeypatch):
+    """The operand sizes of every product that takes the kernel path from here on."""
+    calls = []
+    mul_by_columns = algebra._mul_by_columns
+
+    def spy(spec, x, y):
+        calls.append((len(x), len(y)))
+        return mul_by_columns(spec, x, y)
+
+    monkeypatch.setattr(algebra, "_mul_by_columns", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p", [0, 2**64 - 59])
+def test_product_whose_valencies_pass_int64_matches_the_all_pairs_definition(monkeypatch, p):
+    # At (2^16,)^4 the full mask's valency (2^16 - 1)^4 passes 2^63, and so
+    # does its residue mod the prime 2^64 - 59: no valency column fits int64,
+    # so 130-term operands, above KERNEL_PAIRS, are multiplied by the loop.
+    spec = SchemeSpec(sizes=(2**16,) * 4, characteristic=p)
+    top = valency(spec, spec.full_mask)
+    assert (top % p if p else top) >= 1 << 63
+    rng = random.Random(p)
+    triples = basis_triples(spec)
+    coeff = (lambda: rng.choice(SMALL_FRACTIONS)) if p == 0 else (lambda: rng.randrange(1, p))
+    x, y = (Element(spec, {trip: coeff() for trip in rng.sample(triples, 130)}) for _ in range(2))
+    assert len(x.terms) * len(y.terms) >= KERNEL_PAIRS
+    calls = spy_on_columns(monkeypatch)
+    for a, b in ((x, y), (x, x), (y, x)):
+        assert a.mul(b).terms == all_pairs_product(a, b)
+    assert calls == []
+
+
+def test_product_on_more_than_kernel_factors_takes_the_loop(monkeypatch):
+    # 2^13 masks: above KERNEL_FACTORS, so no 2^n valency column is built even
+    # for operands above KERNEL_PAIRS.  Right masks 0 and 1 make most pairs chain.
+    spec = SchemeSpec(sizes=(2,) * 13)
+    assert spec.n > algebra.KERNEL_FACTORS
+    rng = random.Random(13)
+    masks = [rng.randrange(1 << 13) for _ in range(130)]
+    x = Element(spec, {(g, g ^ (g & 1), g & 1): rng.choice(SMALL_FRACTIONS) for g in masks})
+    y = Element(spec, {(l & 1, l ^ (l & 1), l): rng.choice(SMALL_FRACTIONS) for l in masks})
+    assert len(x.terms) * len(y.terms) >= KERNEL_PAIRS
+    calls = spy_on_columns(monkeypatch)
+    assert x.mul(y).terms == all_pairs_product(x, y)
+    assert calls == []
+
+
+def test_product_over_columns_holds_a_chunk_of_pairs_at_a_time(monkeypatch):
+    # x * x, with x the sum of all 3,125 basis triples at (3,)^5, chains 13^5 =
+    # 371,293 term pairs: listed at once they take about a dozen int64 arrays
+    # of that length, some 35 MB.  With 2^12 pairs per chunk the product's
+    # traced peak stays near a chunk, the operands and the 3,125 outputs.
+    spec = SchemeSpec(sizes=(3,) * 5, characteristic=3)
+    x = Element(spec, {trip: 1 for trip in basis_triples(spec)})
+    calls = spy_on_columns(monkeypatch)
+    monkeypatch.setattr(algebra, "_CHUNK_PAIRS", 1 << 12)
+    tracemalloc.start()
+    try:
+        got = x.mul(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [(3125, 3125)]
+    assert peak < 4 << 20
+    monkeypatch.setattr(algebra, "_CHUNK_PAIRS", 1 << 62)
+    assert x.mul(x).terms == got.terms
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1 << 62)
+    assert x.mul(x).terms == got.terms
+    assert len(calls) == 2
 
 
 def test_transpose_is_an_antiautomorphism():

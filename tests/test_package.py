@@ -96,19 +96,6 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
-def test_modules_import_only_the_standard_library_and_numpy():
-    modules = sorted((ROOT / "src" / "terwilliger").glob("*.py"))
-    assert modules
-    imported = set()
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
-    assert imported - set(sys.stdlib_module_names) <= {"numpy"}
-
-
 def third_party_imports(source):
     """The top-level names of the modules a source imports outside the standard library:
     import and from-import statements, and importlib.import_module or __import__ calls
@@ -127,7 +114,7 @@ def third_party_imports(source):
     return {name.split(".")[0] for name in names} - set(sys.stdlib_module_names)
 
 
-def test_the_only_third_party_import_is_numpy():
+def test_modules_import_only_the_standard_library_and_numpy():
     # scipy and sympy may be installed where the package runs, but numpy is its only dependency.
     source = (
         "import os, numpy as np\nimport scipy.linalg\nfrom sympy import Matrix\nfrom . import algebra\n"
@@ -136,7 +123,7 @@ def test_the_only_third_party_import_is_numpy():
     assert third_party_imports(source) == {"numpy", "scipy", "sympy", "networkx"}
     modules = sorted((ROOT / "src" / "terwilliger").glob("*.py"))
     assert modules
-    assert set().union(*(third_party_imports(path.read_text()) for path in modules)) == {"numpy"}
+    assert set().union(*(third_party_imports(path.read_text()) for path in modules)) <= {"numpy"}
 
 
 def float_uses(source):
