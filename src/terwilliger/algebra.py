@@ -24,6 +24,7 @@ from functools import lru_cache
 from itertools import chain
 from math import lcm, prod
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -34,7 +35,6 @@ from .scheme import (
     Scalar,
     SchemeSpec,
     _bracket,
-    _in_window,
     all_masks,
     is_basis_triple,
     mask_product,
@@ -49,6 +49,8 @@ Triple = tuple[Mask, Mask, Mask]
 
 def check_triple(spec: SchemeSpec, t: Triple) -> Triple:
     g, h, i = t
+    if not (type(g) is type(h) is type(i) is int):  # a float, bool or numpy mask is refused
+        raise ValueError(f"{t!r} is not a triple of int masks")
     if not is_basis_triple(spec, g, h, i):
         lo = g ^ i
         hi = lo | (g & i & spec.large_mask)
@@ -296,50 +298,6 @@ def _integral(values: Iterable[Scalar]) -> tuple[list[int], int]:
     return (list(nums), 1) if d == 1 else ([a * (d // b) for a, b in ratios], d)
 
 
-def _check_terms(spec: SchemeSpec, items: Iterable[tuple[Triple, Scalar]]) -> None:
-    """Raise ValueError at the first term that is not canonical, naming what is wrong.
-
-    A triple must be a basis triple (check_triple names its window or the
-    mask out of range), and a coefficient an int in [0, p) at characteristic
-    p, or an int or a Fraction at characteristic 0: a float or any other
-    value written into terms is refused.
-    """
-    full, large, p = spec.full_mask, spec.large_mask, spec.characteristic
-    for t, c in items:
-        g, h, i = t
-        if (g | h | i) & ~full or not _in_window(large, g, h, i):
-            check_triple(spec, t)  # raises, naming the window
-        if not (type(c) is int and 0 <= c < p if p else type(c) is int or type(c) is Fraction):
-            raise ValueError(f"coefficient {c!r} is not a canonical scalar of {spec.field!r}")
-
-
-def _canonical_columns(spec: SchemeSpec, triples: list[Triple], coeffs: list[Scalar]) -> np.ndarray:
-    """_columns(triples), once every term is known canonical as _check_terms defines it.
-
-    The terms are scanned at C speed rather than one by one: the type of the
-    masks' sum (a float or any other non-int mask makes it a non-int, and
-    np.fromiter would truncate it), the coefficients' types and extremes,
-    then the ranges and windows over the columns.  Only when a scan fails
-    does _check_terms walk the terms, raising at the first offender as the
-    loop path does.  On the 512 terms of a (3,)^6 product the scans take
-    about 110 us where _check_terms and _columns take about 175 us.
-    """
-    p, full = spec.characteristic, spec.full_mask
-    kinds = set(map(type, coeffs))
-    if type(sum(chain.from_iterable(triples))) is int and (
-        kinds <= {int} and 0 <= min(coeffs) and max(coeffs) < p if p else kinds <= {int, Fraction}
-    ):
-        try:
-            g, h, i = columns = _columns(triples)
-        except OverflowError:  # a mask beyond int64, so out of range
-            pass
-        else:
-            if not ((g | h | i) & ~full).any() and _in_window(spec.large_mask, g, h, i).all():
-                return columns
-    _check_terms(spec, zip(triples, coeffs))  # raises at the first offender
-    return _columns(triples)  # masks such as True that _check_terms lets pass
-
-
 # Element.mul goes through _chained_ranges when |x| * |y| reaches this many
 # term pairs, and through its per-pair loop below it, where the kernel's
 # fixed numpy cost loses: on m-term operands at characteristics 0 and 3 the
@@ -369,25 +327,27 @@ def _on_columns(spec: SchemeSpec) -> bool:
     return spec.n <= KERNEL_FACTORS and min(top, p - 1 if p else top) < 1 << 63
 
 
-def _mul_by_columns(spec: SchemeSpec, x: dict[Triple, Scalar], y: dict[Triple, Scalar]) -> dict[Triple, Scalar]:
+def _mul_by_columns(
+    spec: SchemeSpec, x: Mapping[Triple, Scalar], y: Mapping[Triple, Scalar]
+) -> dict[Triple, Scalar]:
     """The terms of Element.mul on x and y over int64 columns, through _chained_ranges.
 
-    The operand terms are validated over columns by _canonical_columns.
-    Numerators are integers as in the loop: residues at characteristic p, in
-    int64 below p = 2^31; at characteristic 0 each operand times the lcm of
-    its denominators, in int64 while |x| * |y| times the largest numerator of
-    each side and the largest valency stays below 2^63.  Python ints
-    otherwise.  The left terms are taken in chunks of about _CHUNK_PAIRS
-    chaining pairs, counted before any pair is listed, so memory follows the
-    chunk and the distinct outputs, not every chaining pair; each chunk's
-    sums per product triple come from one sort and np.add.reduceat, merged
-    with the sums so far.
+    The operand terms are canonical, so their triples become columns as they
+    are; x is y when an element multiplies itself.  Numerators are integers
+    as in the loop: residues at characteristic p, in int64 below p = 2^31;
+    at characteristic 0 each operand times the lcm of its denominators, in
+    int64 while |x| * |y| times the largest numerator of each side and the
+    largest valency stays below 2^63.  Python ints otherwise.  The left
+    terms are taken in chunks of about _CHUNK_PAIRS chaining pairs, counted
+    before any pair is listed, so memory follows the chunk and the distinct
+    outputs, not every chaining pair; each chunk's sums per product triple
+    come from one sort and np.add.reduceat, merged with the sums so far.
     """
     p, n, full = spec.characteristic, spec.n, spec.full_mask
     combos = [x] if x is y else [x, y]
     triples = [t for combo in combos for t in combo]
     coeffs = [c for combo in combos for c in combo.values()]
-    columns = _canonical_columns(spec, triples, coeffs)
+    columns = _columns(triples)
     if p:
         nums, d, bound = coeffs, 1, 0
     else:
@@ -451,27 +411,41 @@ def _accumulate(field: GroundField, acc: dict[Triple, Scalar], t: Triple, c: Sca
 class Element:
     """An algebra element: a canonical map from basis triples to nonzero scalars.
 
-    Every coefficient passed in is canonicalized by the ground field, which
-    refuses floats and any other inexact or foreign value.
+    The constructor refuses a triple that is not a basis triple and
+    canonicalizes every coefficient through the ground field, which refuses
+    floats and any other inexact or foreign value.  The terms are read-only
+    (a types.MappingProxyType, one per element, behind a property without a
+    setter), so they stay canonical for the element's life and no operation
+    checks them again.
     """
 
     def __init__(self, spec: SchemeSpec, terms: Optional[Mapping[Triple, Scalar]] = None) -> None:
-        self.spec = spec
-        self.terms: dict[Triple, Scalar] = {}
+        field = spec.field
+        canonical: dict[Triple, Scalar] = {}
         if terms:
             for t, c in terms.items():
                 check_triple(spec, t)
-                c = spec.field.of(c)
-                if not spec.field.is_zero(c):
-                    self.terms[t] = c
+                c = field.of(c)
+                if not field.is_zero(c):
+                    canonical[t] = c
+        self.spec = spec
+        self._terms = MappingProxyType(canonical)
 
     @classmethod
     def _with_terms(cls, spec: SchemeSpec, terms: dict[Triple, Scalar]) -> Element:
-        """An element that takes over terms already canonical and nonzero, unchecked."""
+        """An element that takes over terms already canonical and nonzero, unchecked.
+
+        The caller hands terms over: it keeps no other reference to the dict.
+        """
         out = object.__new__(cls)
         out.spec = spec
-        out.terms = terms
+        out._terms = MappingProxyType(terms)
         return out
+
+    @property
+    def terms(self) -> Mapping[Triple, Scalar]:
+        """The nonzero coefficient of each basis triple, canonical and read-only."""
+        return self._terms
 
     @classmethod
     def zero(cls, spec: SchemeSpec) -> Element:
@@ -540,33 +514,30 @@ class Element:
         coefficients multiply as integers: in characteristic 0 each operand
         is scaled by the lcm of its denominators first, and one Fraction is
         made per distinct output numerator; in characteristic p each output
-        sum is reduced mod p.  Terms that sum to zero are dropped.  Every
-        operand term is validated once per call (on the loop path unless no
-        pair matches): a non-basis triple written into terms raises
-        ValueError naming its window, and a coefficient that is not an int
-        in [0, p), or at characteristic 0 an int or a Fraction, raises
-        ValueError naming it.
+        sum is reduced mod p.  Terms that sum to zero are dropped.  Neither
+        path checks the operand terms: they are read-only and were made
+        canonical when each element was built.
         """
         spec = self.spec
         if other.spec is not spec:
             self._require_same_spec(other)
-        if len(self.terms) * len(other.terms) >= KERNEL_PAIRS and _on_columns(spec):
-            return Element._with_terms(spec, _mul_by_columns(spec, self.terms, other.terms))
-        lefts = {t2[0] for t2 in other.terms}
-        left = [(t1, c1) for t1, c1 in self.terms.items() if t1[2] in lefts]
+        x, y = self._terms, other._terms
+        if len(x) * len(y) >= KERNEL_PAIRS and _on_columns(spec):
+            return Element._with_terms(spec, _mul_by_columns(spec, x, y))
+        lefts = {t2[0] for t2 in y}
+        left = [(t1, c1) for t1, c1 in x.items() if t1[2] in lefts]
         if not left:
             return Element._with_terms(spec, {})
-        _check_terms(spec, chain(self.terms.items(), other.terms.items()))
         large = spec.large_mask
         p = spec.characteristic
-        right = other.terms.items()
+        right = y.items()
         dx = dy = 1
         if not p:
             triples, coeffs = zip(*left)
             nums, dx = _integral(coeffs)
             left = zip(triples, nums)
-            nums, dy = _integral(other.terms.values())
-            right = zip(other.terms, nums)
+            nums, dy = _integral(y.values())
+            right = zip(y, nums)
         by_left: dict[Mask, list[tuple[Mask, Mask, int]]] = {}
         for (j, k, l), c2 in right:
             by_left.setdefault(j, []).append((k, l, c2))
@@ -615,15 +586,15 @@ class Element:
     @classmethod
     def from_json(cls, spec: SchemeSpec, data: Iterable[Mapping[str, object]]) -> Element:
         field = spec.field
-        out = cls(spec)
+        terms: dict[Triple, Scalar] = {}
         for item in data:
             raw = item["triple"]
             if not isinstance(raw, (list, tuple)) or len(raw) != 3:
                 raise ValueError(f"expected a three-part triple, got {raw!r}")
             t = tuple(parse_mask(str(part), spec.n) for part in raw)
             check_triple(spec, t)
-            _accumulate(field, out.terms, t, field.parse(str(item["coeff"])))
-        return out
+            _accumulate(field, terms, t, field.parse(str(item["coeff"])))
+        return cls._with_terms(spec, terms)
 
 
 def _interval(t: Triple) -> list[Mask]:

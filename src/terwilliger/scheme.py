@@ -274,16 +274,8 @@ def is_basis_triple(spec: SchemeSpec, g: Mask, h: Mask, i: Mask) -> bool:
     spec.check_mask(g)
     spec.check_mask(h)
     spec.check_mask(i)
-    return _in_window(spec.large_mask, g, h, i)
-
-
-def _in_window(large: Mask, g: Mask, h: Mask, i: Mask) -> bool:
-    """is_basis_triple on masks already known to be in range; large is the spec's large_mask.
-
-    Only & | ^ ~ and == are used, so it also works elementwise on int64 columns of masks.
-    """
     lo = g ^ i
-    return (lo & ~h | h & ~(lo | (g & i & large))) == 0
+    return (lo & ~h | h & ~(lo | (g & i & spec.large_mask))) == 0
 
 
 def bracket(spec: SchemeSpec, g: Mask, h: Mask, i: Mask, j: Mask, k: Mask) -> Mask:

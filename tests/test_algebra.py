@@ -268,44 +268,85 @@ def test_product_drops_terms_that_cancel():
 
 
 @pytest.mark.parametrize("bad", [(0b11, 0b11, 0b11), (0b11, 0b00, 0b01)])
-def test_product_refuses_a_non_basis_term_it_multiplies(bad):
-    g, _, i = bad
+def test_a_non_basis_term_cannot_enter_an_element(bad):
+    # Terms are read-only, so the constructor is the only way in, and it names the triple.
     x = Element.basis(S23, (0, 0, 0))
-    x.terms[bad] = Fraction(1)
-    with pytest.raises(ValueError, match="does not index a basis element"):
-        x.mul(Element.basis(S23, (i, 0, i)))
-    with pytest.raises(ValueError, match="does not index a basis element"):
-        Element.basis(S23, (g, 0, g)).mul(x)
-    x.terms = {(0b100, 0, 0b100): Fraction(1)}
+    with pytest.raises(TypeError):
+        x.terms[bad] = Fraction(1)
+    with pytest.raises(AttributeError):
+        x.terms = {(0b100, 0, 0b100): Fraction(1)}
+    assert x.terms == {(0, 0, 0): Fraction(1)}
+    named = re.escape(render_triple(S23, bad)) + " does not index a basis element"
+    with pytest.raises(ValueError, match=named):
+        Element(S23, {(0, 0, 0): 1, bad: 1})
     with pytest.raises(ValueError, match="out of range"):
-        x.mul(x)
+        Element(S23, {(0b100, 0, 0b100): 1})
 
 
-@pytest.mark.parametrize("bad", [(0b11, 0b11, 0b11), (0b11, 0b00, 0b01)])
-def test_product_refuses_a_non_basis_term_over_columns(monkeypatch, bad):
-    # Every operand pair reaches the lowered constant, so each product takes the kernel path.
-    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1)
-    test_product_refuses_a_non_basis_term_it_multiplies(bad)
+@pytest.mark.parametrize("bad", [(1.0, 0, 1.0), (True, 0, True), (np.int64(1), 0, np.int64(1))])
+def test_a_mask_that_is_not_an_int_is_refused(bad):
+    for make in (lambda: Element(S23, {bad: 1}), lambda: mul_triples(S23, bad, bad)):
+        with pytest.raises(ValueError, match="not a triple of int masks"):
+            make()
 
 
-@pytest.mark.parametrize("kernel_pairs", [1, 1 << 62])  # the kernel, then the loop
 @pytest.mark.parametrize(
-    "p, bad",
-    [(3, 1.5), (3, 3), (3, -1), (3, Fraction(1, 2)), (3, True), (2**61 - 1, 2**61 - 1), (0, 1.5), (0, "1")],
+    "p, bad, canonical",
+    [
+        (3, 1.5, None), (3, "1", None), (3, Fraction(1, 2), None), (0, 1.5, None), (0, "1", None),
+        (3, 3, 0), (3, -1, 2), (3, True, 1), (2**61 - 1, 2**61 - 1, 0), (0, 3, Fraction(3)),
+    ],
 )
-def test_product_refuses_a_coefficient_written_into_terms(monkeypatch, kernel_pairs, p, bad):
-    # Only an int in [0, p) at characteristic p, or an int or a Fraction at
-    # characteristic 0, is a coefficient; anything else is named, on both paths.
-    monkeypatch.setattr(algebra, "KERNEL_PAIRS", kernel_pairs)
+def test_element_canonicalizes_or_refuses_each_coefficient(monkeypatch, p, bad, canonical):
+    # Only an int in [0, p) at characteristic p, or a Fraction at characteristic
+    # 0, is stored: the constructor reduces ints and names anything else, and
+    # the terms cannot be written afterwards.
     spec = SchemeSpec(sizes=(3,), characteristic=p)
     x = Element.basis(spec, (0, 0, 0))
-    x.terms[(0, 0, 0)] = bad
-    for left, right in ((x, x), (x, Element.basis(spec, (0, 0, 0))), (Element.basis(spec, (0, 0, 0)), x)):
+    with pytest.raises(TypeError):
+        x.terms[(0, 0, 0)] = bad
+    if canonical is None:
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            left.mul(right)
-    if p == 0:
-        x.terms[(0, 0, 0)] = 3
-        assert x.mul(x).terms == {(0, 0, 0): Fraction(9)}
+            Element(spec, {(0, 0, 0): bad})
+        return
+    y = Element(spec, {(0, 0, 0): bad, (1, 1, 1): 1})
+    assert y.terms == ({(0, 0, 0): canonical} if canonical else {}) | {(1, 1, 1): spec.field.one()}
+    assert [type(c) for c in y.terms.values()] == [int if p else Fraction] * len(y.terms)
+    for kernel_pairs in (1, 1 << 62):  # the kernel, then the loop
+        monkeypatch.setattr(algebra, "KERNEL_PAIRS", kernel_pairs)
+        assert y.mul(y).terms == all_pairs_product(y, y)
+
+
+def test_every_element_holds_read_only_terms(monkeypatch):
+    # One mapping per element, from every constructor and operation; the
+    # kernel path of x * x gets that one mapping as both operands.
+    spec = SchemeSpec(sizes=(2, 3), characteristic=5)
+    x = Element(spec, {(0b01, 0b01, 0b00): 2, (0b00, 0b00, 0b00): 3, (0b10, 0b10, 0b10): 4})
+    y = Element(spec, {(0b10, 0b00, 0b10): 1, (0b00, 0b01, 0b01): 2})
+    operands = []
+    mul_by_columns = algebra._mul_by_columns
+
+    def spy(spec, a, b):
+        operands.append((a, b))
+        return mul_by_columns(spec, a, b)
+
+    monkeypatch.setattr(algebra, "_mul_by_columns", spy)
+    results = [
+        x, x.add(y), x.neg(), x.sub(y), x.scale(3), x.scale(0), x.transpose(),
+        Element.from_json(spec, x.to_json()), from_raw(spec, to_raw(x)), Element.identity(spec),
+    ]
+    for kernel_pairs in (1, 1 << 62):  # the kernel, then the loop
+        monkeypatch.setattr(algebra, "KERNEL_PAIRS", kernel_pairs)
+        results += [x.mul(x), x.mul(y)]
+    assert [(a is x.terms, b is x.terms) for a, b in operands] == [(True, True), (True, False)]
+    assert results[-4] == results[-2] and results[-3] == results[-1]
+    assert not any(e.is_zero() for e in results[-4:])
+    for e in results:
+        assert e.terms is e.terms
+        with pytest.raises(TypeError):
+            e.terms[(0, 0, 0)] = 1
+        with pytest.raises(AttributeError):
+            e.terms = {}
 
 
 @pytest.mark.parametrize("p", [0, 2, 5, 2**61 - 1])

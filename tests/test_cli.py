@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -140,12 +141,12 @@ def test_mul_validates_each_operand_once(capsys, monkeypatch):
     assert calls == [(0b11, 0b00, 0b11), (0b11, 0b10, 0b11)]
 
 
-def call(argv):
+def call(argv, main=None):
     """Exit code, stdout and stderr of one main call, with check timings blanked."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            code = (main or cli.main)(argv)
         except SystemExit as exc:
             code = exc.code
     return code, re.sub(r"\(\d+\.\d+s\)", "(s)", out.getvalue()), err.getvalue()
@@ -290,9 +291,8 @@ def mostly(data, valid, junk):
     return data.draw(st.sampled_from(junk) if data.draw(st.integers(0, 3)) == 0 else valid)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_cli_answers_or_refuses_any_argv(data):
+def any_argv(data):
+    """An argv for one command, with each option present or not and one draw in four junk."""
     command = data.draw(st.sampled_from(["report", "verify", "mul"]))
     argv = [command]
     with_checks = command == "report" and data.draw(st.booleans())
@@ -317,6 +317,13 @@ def test_cli_answers_or_refuses_any_argv(data):
         masks = st.lists(st.text(alphabet="01", min_size=n, max_size=n), min_size=3, max_size=3)
         count = data.draw(st.sampled_from([2, 2, 2, 1, 3]))
         argv += [mostly(data, masks.map(",".join), JUNK_SIZES) for _ in range(count)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_answers_or_refuses_any_argv(data):
+    argv = any_argv(data)
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -325,6 +332,60 @@ def test_cli_answers_or_refuses_any_argv(data):
         code = exc.code
         assert code == 2, argv
     assert code in (0, 2), argv
+
+
+def parsed_whole(argv):
+    """main as it was before each command parsed its own arguments: the whole parser reads argv."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+MUL_ARGV = ["mul", "--sizes", "2,3", "01,11,11", "11,01,11"]
+PARITY_ARGVS = [
+    [], ["-h"], ["--help"], ["mul", "-h"], ["report", "--sizes", "2", "-h", "bogus"], ["frob"], ["mu"],
+    ["--", *MUL_ARGV], MUL_ARGV + ["extra"], MUL_ARGV[:3] + ["--"] + MUL_ARGV[3:],
+    ["mul", "--", *MUL_ARGV[1:]],
+    ["report"], ["mul", "01,11,11", "11,01,11"], ["report", "--sizes", "2", "--char", "x"], MUL_ARGV,
+    ["report", "--sizes=2,3", "--json", "--text"], ["verify", "--sizes", "2,2", "--char", "2", "--seed", "7"],
+]
+
+
+def assert_answers_alike(argv):
+    """main and parsed_whole give one exit code, stdout and stderr, check timings aside."""
+    seconds = re.compile(r'"seconds": [0-9.e-]+')
+    got, want = (call(argv, main) for main in (cli.main, parsed_whole))
+    assert [seconds.sub("", str(part)) for part in got] == [seconds.sub("", str(part)) for part in want], argv
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=map(" ".join, PARITY_ARGVS))
+def test_main_answers_as_the_whole_parser_does(argv):
+    assert_answers_alike(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_main_answers_any_argv_as_the_whole_parser_does(data):
+    assert_answers_alike(any_argv(data))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--sizes", "2,2,2,2,2,2,2", "--char", "3"],
+    ["report", "--sizes", "2,2,2,2,2,2,2", "--char", "3", "--with-checks"],
+])
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 2.00 GiB")])
+def test_running_out_of_memory_is_refused_with_the_command_and_spec(monkeypatch, argv, exc):
+    def run_all(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_all", run_all)
+    code, out, err = call(argv)
+    detail = f": {exc}" if str(exc) else ""
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} ran out of memory at sizes 2,2,2,2,2,2,2, characteristic 3{detail}\n"
 
 
 def test_report_refuses_algebras_beyond_the_dimension_bound_quickly(capsys):
