@@ -14,7 +14,11 @@ linear combinations held as columns, without enumerating all pairs.
 Element.mul runs on it when its operands have KERNEL_PAIRS term pairs or
 more (2^14, the crossover measured against its per-pair loop) and the
 spec has at most KERNEL_FACTORS (12) factors with valencies in int64, and
-so do verify's products of the semisimple representatives.
+so do verify's products of the semisimple representatives.  There each
+element caches its terms as columns and integer numerators (_Form), and
+a product hands its own over, so a chain of products never rebuilds
+them; both column products keep char-0 numerators in int64 under one
+rule, _sum_bound below 2^63.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -327,42 +331,59 @@ def _on_columns(spec: SchemeSpec) -> bool:
     return spec.n <= KERNEL_FACTORS and min(top, p - 1 if p else top) < 1 << 63
 
 
-def _mul_by_columns(
-    spec: SchemeSpec, x: Mapping[Triple, Scalar], y: Mapping[Triple, Scalar]
-) -> dict[Triple, Scalar]:
-    """The terms of Element.mul on x and y over int64 columns, through _chained_ranges.
+def _sum_bound(spec: SchemeSpec, norms: int) -> int:
+    """A bound on every partial sum of a column product's numerators at characteristic 0.
 
-    The operand terms are canonical, so their triples become columns as they
-    are; x is y when an element multiplies itself.  Numerators are integers
-    as in the loop: residues at characteristic p, in int64 below p = 2^31;
-    at characteristic 0 each operand times the lcm of its denominators, in
-    int64 while |x| * |y| times the largest numerator of each side and the
-    largest valency stays below 2^63.  Python ints otherwise.  The left
+    norms is L1(x) * L1(y), the product of the L1 norms of the two sides'
+    integer numerators: any sum of products a * b * valency over term pairs
+    of x and y is at most the largest valency times norms in absolute value.
+    """
+    return int(_valency_column(spec).max()) * norms
+
+
+class _Form(NamedTuple):
+    """An element's terms in the form the column kernel reads.
+
+    columns holds the triples as the rows of a 3 x m int64 array, in terms
+    order; nums their integer numerators over d, the lcm of the denominators
+    (residues and d = 1 at prime characteristic), as an int64 array or, where
+    they may not fit in int64, an object array of Python ints; l1 is the sum
+    of their absolute values.
+    """
+
+    columns: np.ndarray
+    nums: np.ndarray
+    d: int
+    l1: int
+
+
+def _mul_by_columns(x: Element, y: Element) -> Element:
+    """Element.mul on x and y over int64 columns, through _chained_ranges.
+
+    The operands' cached forms (Element._column_form) give the triple
+    columns and integer numerators; x is y when an element multiplies
+    itself.  Numerators are integers as in the loop: residues at
+    characteristic p, in int64 below p = 2^31; at characteristic 0 each
+    operand times the lcm of its denominators, in int64 while _sum_bound of
+    the two L1 norms stays below 2^63, Python ints otherwise.  The left
     terms are taken in chunks of about _CHUNK_PAIRS chaining pairs, counted
     before any pair is listed, so memory follows the chunk and the distinct
     outputs, not every chaining pair; each chunk's sums per product triple
     come from one sort and np.add.reduceat, merged with the sums so far.
+    The sums in key order are the product's form: at characteristic 0 they
+    are divided by G = gcd(d, every sum), so that d / G is the lcm of the
+    output's denominators, and one Fraction is made per distinct value.
     """
+    spec = x.spec
     p, n, full = spec.characteristic, spec.n, spec.full_mask
-    combos = [x] if x is y else [x, y]
-    triples = [t for combo in combos for t in combo]
-    coeffs = [c for combo in combos for c in combo.values()]
-    columns = _columns(triples)
-    if p:
-        nums, d, bound = coeffs, 1, 0
-    else:
-        scaled = [_integral(combo.values()) for combo in combos]
-        nums, d = [part for part, _ in scaled], scaled[0][1] * scaled[-1][1]
-        # every sum is at most |x| |y| times the largest numerator of each side and valency
-        top = int(_valency_column(spec).max()) * max(map(abs, nums[0])) * max(map(abs, nums[-1]))
-        bound = len(x) * len(y) * top
-        nums = list(chain.from_iterable(nums))
-    nums = np.array(nums, dtype=_numerator_dtype(p, bound))
-    size = np.array([len(combo) for combo in combos], dtype=np.int64)
-    _, s, order, lo, count = _chained_ranges(spec, columns, size, np.array([0]), np.array([len(combos) - 1]))
+    forms = [x._column_form()] if x is y else [x._column_form(), y._column_form()]
+    d = forms[0].d * forms[-1].d
+    dtype = _numerator_dtype(p, _sum_bound(spec, forms[0].l1 * forms[-1].l1))
+    columns = np.concatenate([form.columns for form in forms], axis=1)
+    nums = np.concatenate([form.nums for form in forms]).astype(dtype, copy=False)
+    size = np.array([form.columns.shape[1] for form in forms], dtype=np.int64)
+    _, s, order, lo, count = _chained_ranges(spec, columns, size, np.array([0]), np.array([len(forms) - 1]))
     ends = np.cumsum(count)
-    if not ends[-1]:
-        return {}
     # a chunk takes the left terms whose pairs end within the next _CHUNK_PAIRS
     stops = np.searchsorted(ends, np.arange(_CHUNK_PAIRS, ends[-1] + _CHUNK_PAIRS, _CHUNK_PAIRS), side="right")
     keys, sums = _NO_TRIPLES, nums[:0]
@@ -377,9 +398,19 @@ def _mul_by_columns(
         if p:
             sums %= p
     keep = sums != 0
-    keys, sums = keys[keep], sums[keep].tolist()
-    triples = zip((keys >> 2 * n).tolist(), (keys >> n & full).tolist(), (keys & full).tolist())
-    return dict(zip(triples, sums)) if p else _fraction_terms(d, zip(triples, sums))
+    keys, sums = keys[keep], sums[keep]
+    columns = np.stack([keys >> 2 * n, keys >> n & full, keys & full])
+    if p:
+        coeffs = sums.tolist()
+    else:
+        g = gcd(d, int(np.gcd.reduce(sums)))
+        # with no sum left g is d, which need not fit the sums' dtype
+        sums, d = sums // g if sums.size else sums, d // g
+        distinct, inverse = np.unique(sums, return_inverse=True)
+        coeffs = np.array([Fraction(c, d) for c in distinct.tolist()], dtype=object)[inverse].tolist()
+    out = Element._with_terms(spec, dict(zip(zip(*columns.tolist()), coeffs)))
+    out._form = _Form(columns, sums, d, int(np.abs(sums).sum()))
+    return out
 
 
 def _fraction_terms(d: int, items: Iterable[tuple[Triple, int]]) -> dict[Triple, Fraction]:
@@ -416,8 +447,14 @@ class Element:
     floats and any other inexact or foreign value.  The terms are read-only
     (a types.MappingProxyType, one per element, behind a property without a
     setter), so they stay canonical for the element's life and no operation
-    checks them again.
+    checks them again.  For the same reason the element's _Form, the column
+    form the kernel product reads, is cached on the element and never goes
+    stale.
     """
+
+    # The _Form of the terms, built by _column_form on first use or handed
+    # over by the kernel product that made the element.
+    _form: Optional[_Form] = None
 
     def __init__(self, spec: SchemeSpec, terms: Optional[Mapping[Triple, Scalar]] = None) -> None:
         field = spec.field
@@ -446,6 +483,15 @@ class Element:
     def terms(self) -> Mapping[Triple, Scalar]:
         """The nonzero coefficient of each basis triple, canonical and read-only."""
         return self._terms
+
+    def _column_form(self) -> _Form:
+        """The terms as a _Form, built from _columns and _integral once and cached."""
+        if self._form is None:
+            nums, d = _integral(self._terms.values())
+            l1 = sum(map(abs, nums))
+            dtype = np.int64 if l1 < 1 << 63 else object
+            self._form = _Form(_columns(list(self._terms)), np.array(nums, dtype=dtype), d, l1)
+        return self._form
 
     @classmethod
     def zero(cls, spec: SchemeSpec) -> Element:
@@ -502,7 +548,8 @@ class Element:
         KERNEL_FACTORS factors whose valencies fit in int64, the pairs that
         chain are found over int64 columns by _chained_ranges, the kernel
         verify's _products_agree shares, and evaluated by _mul_columns a
-        chunk of left terms at a time (_mul_by_columns).  Otherwise a
+        chunk of left terms at a time (_mul_by_columns), on the operands'
+        cached forms; the product comes back with its own.  Otherwise a
         per-pair loop runs, which below KERNEL_PAIRS wins on numpy's fixed
         cost: the terms of other are grouped by their left mask once, as
         (k, l, c) tuples, and each term of self visits only the group at its
@@ -512,18 +559,19 @@ class Element:
         equals (g ^ l) | (l & (gl | ((h | k) & gil))) with
         gl = g & large & ~i and gil = g & i & large.  On both paths
         coefficients multiply as integers: in characteristic 0 each operand
-        is scaled by the lcm of its denominators first, and one Fraction is
-        made per distinct output numerator; in characteristic p each output
-        sum is reduced mod p.  Terms that sum to zero are dropped.  Neither
-        path checks the operand terms: they are read-only and were made
-        canonical when each element was built.
+        is scaled by the lcm of its denominators first (in int64 on the
+        kernel path while _sum_bound of their L1 norms is below 2^63), and
+        one Fraction is made per distinct output numerator; in
+        characteristic p each output sum is reduced mod p.  Terms that sum
+        to zero are dropped.  Neither path checks the operand terms: they
+        are read-only and were made canonical when each element was built.
         """
         spec = self.spec
         if other.spec is not spec:
             self._require_same_spec(other)
         x, y = self._terms, other._terms
         if len(x) * len(y) >= KERNEL_PAIRS and _on_columns(spec):
-            return Element._with_terms(spec, _mul_by_columns(spec, x, y))
+            return _mul_by_columns(self, other)
         lefts = {t2[0] for t2 in y}
         left = [(t1, c1) for t1, c1 in x.items() if t1[2] in lefts]
         if not left:

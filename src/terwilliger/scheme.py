@@ -218,7 +218,7 @@ def render_mask(m: Mask, n: int) -> str:
 
 
 def parse_mask(text: str, n: int) -> Mask:
-    if len(text) != n or any(ch not in "01" for ch in text):
+    if len(text) != n or text.strip("01"):  # one C-level scan: any other character is left over
         raise ValueError(f"expected a length-{n} bitstring, got {text!r}")
     return int(text[::-1], 2)
 

@@ -45,8 +45,8 @@ from .algebra import (
     _mul_triples,
     _numerator_dtype,
     _spread,
+    _sum_bound,
     _sum_by_key,
-    _valency_column,
     basis_triples,
     corner_basis,
     corner_mul,
@@ -234,12 +234,16 @@ def _products_agree(
     terms = int(size.max(initial=0))
     scale = np.asarray(scale).tolist()
     top = max(map(abs, nums), default=0)
-    # at characteristic 0 each sum is at most |a b v| over a pair's term pairs plus |scale d c|
-    bound = terms**2 * top**2 * int(_valency_column(spec).max()) + max(map(abs, scale), default=0) * d * top
+    start = np.cumsum(size) - size
+    l1 = [sum(map(abs, nums[a : a + k])) for a, k in zip(start.tolist(), size.tolist())]
+    norms = max((l1[a] * l1[b] for a, b in zip(left.tolist(), right.tolist())), default=0)
+    high = max(map(abs, scale), default=0)
+    # at characteristic 0 a value held is a numerator, a scale, or a sum of
+    # at most a product's _sum_bound plus |scale d c|
+    bound = max(top, high, _sum_bound(spec, norms) + high * d * top)
     dtype = _numerator_dtype(p, bound)
     nums, scale = np.array(nums, dtype=dtype), np.array(scale, dtype=dtype)
     columns = _columns([t for combo in combos for t in combo])
-    start = np.cumsum(size) - size
     if modulo_radical:
         stays = np.array([p_divides_valency(spec, m) for m in range(1 << n)])
     ok = np.ones(len(left), dtype=bool)

@@ -267,6 +267,67 @@ def test_product_drops_terms_that_cancel():
     assert x.mul(z).terms == {(1, 1, 1): Fraction(5, 6)}
 
 
+def assert_form_of_terms(x):
+    """x's cached form is the one _columns and _integral build from its terms."""
+    nums, d = algebra._integral(x.terms.values())
+    form = x._form
+    assert form.columns.dtype == np.int64
+    assert np.array_equal(form.columns, algebra._columns(list(x.terms)))
+    assert (form.nums.tolist(), form.d, form.l1) == (nums, d, sum(map(abs, nums)))
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_kernel_product_hands_over_the_form_of_its_terms(monkeypatch, p):
+    # x * x sums 2 (1,1,1) over d = 4 at characteristic 0, so the form holds
+    # the sums divided by G = 2 over the lcm 2; at characteristic 3 its
+    # (1,1,1) sum cancels.  (1,1,1) * y cancels in both fields, and nothing
+    # of (0,0,0) * y chains.
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1)
+    spec = SchemeSpec(sizes=(3,), characteristic=p)
+    half = Fraction(1, 2) if p == 0 else 2
+    x = Element(spec, {(1, 1, 1): half, (0, 0, 0): 1, (1, 0, 1): 1})
+    y = Element(spec, {(1, 0, 1): 1, (1, 1, 1): -half})
+    products = [(x, x), (x, y), (Element.basis(spec, (1, 1, 1)), y), (Element.basis(spec, (0, 0, 0)), y)]
+    outs = [a.mul(b) for a, b in products]
+    for (a, b), out in zip(products, outs):
+        assert out.terms == all_pairs_product(a, b)
+        assert_form_of_terms(out)
+    assert [len(out.terms) for out in outs] == [3 if p == 0 else 2, 2, 0, 0]
+    if p == 0:
+        assert outs[0].terms[(1, 1, 1)] == Fraction(3, 2) and outs[0]._form.d == 2
+        # (1,1,1) * y again over d = 2^80, past int64: nothing is left, and d becomes 1
+        tiny = Element(spec, {t: c / 2**40 for t, c in y.terms.items()})
+        zero = Element.basis(spec, (1, 1, 1), Fraction(1, 2**40)).mul(tiny)
+        assert zero.is_zero()
+        assert_form_of_terms(zero)
+    # a product of kernel outputs reads their forms and hands over its own
+    again = outs[0].mul(outs[1])
+    assert again.terms == all_pairs_product(outs[0], outs[1])
+    assert_form_of_terms(again)
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_product_at_the_int64_bound_matches_the_all_pairs_definition(monkeypatch, over):
+    # At (3,3)/0 the largest valency is 4, that of the full mask, and the
+    # one term pair of x * y chains there, so its sum is the bound
+    # 4 * L1(x) * L1(y) itself: 2^63 - 4 in int64, or 2^63, one past int64,
+    # on Python ints.
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1)
+    dtypes = []
+    numerator_dtype = algebra._numerator_dtype
+    monkeypatch.setattr(algebra, "_numerator_dtype", lambda *args: dtypes.append(numerator_dtype(*args)) or dtypes[-1])
+    spec = SchemeSpec(sizes=(3, 3))
+    big = 2**61 if over else 2**61 - 1
+    x = Element(spec, {(3, 3, 3): Fraction(big, 3)})
+    y = Element(spec, {(3, 3, 3): Fraction(-1, 5)})
+    assert algebra._sum_bound(spec, x._column_form().l1 * y._column_form().l1) == 4 * big
+    got = x.mul(y)
+    assert got.terms == all_pairs_product(x, y)
+    assert list(got.terms.values()) == [Fraction(-4 * big, 15)]
+    assert dtypes == [object if over else np.int64]
+    assert_form_of_terms(got)
+
+
 @pytest.mark.parametrize("bad", [(0b11, 0b11, 0b11), (0b11, 0b00, 0b01)])
 def test_a_non_basis_term_cannot_enter_an_element(bad):
     # Terms are read-only, so the constructor is the only way in, and it names the triple.
@@ -319,16 +380,16 @@ def test_element_canonicalizes_or_refuses_each_coefficient(monkeypatch, p, bad, 
 
 def test_every_element_holds_read_only_terms(monkeypatch):
     # One mapping per element, from every constructor and operation; the
-    # kernel path of x * x gets that one mapping as both operands.
+    # kernel path of x * x gets that one element as both operands.
     spec = SchemeSpec(sizes=(2, 3), characteristic=5)
     x = Element(spec, {(0b01, 0b01, 0b00): 2, (0b00, 0b00, 0b00): 3, (0b10, 0b10, 0b10): 4})
     y = Element(spec, {(0b10, 0b00, 0b10): 1, (0b00, 0b01, 0b01): 2})
     operands = []
     mul_by_columns = algebra._mul_by_columns
 
-    def spy(spec, a, b):
+    def spy(a, b):
         operands.append((a, b))
-        return mul_by_columns(spec, a, b)
+        return mul_by_columns(a, b)
 
     monkeypatch.setattr(algebra, "_mul_by_columns", spy)
     results = [
@@ -338,7 +399,7 @@ def test_every_element_holds_read_only_terms(monkeypatch):
     for kernel_pairs in (1, 1 << 62):  # the kernel, then the loop
         monkeypatch.setattr(algebra, "KERNEL_PAIRS", kernel_pairs)
         results += [x.mul(x), x.mul(y)]
-    assert [(a is x.terms, b is x.terms) for a, b in operands] == [(True, True), (True, False)]
+    assert [(a is x, b is x) for a, b in operands] == [(True, True), (True, False)]
     assert results[-4] == results[-2] and results[-3] == results[-1]
     assert not any(e.is_zero() for e in results[-4:])
     for e in results:
@@ -373,9 +434,9 @@ def spy_on_columns(monkeypatch):
     calls = []
     mul_by_columns = algebra._mul_by_columns
 
-    def spy(spec, x, y):
-        calls.append((len(x), len(y)))
-        return mul_by_columns(spec, x, y)
+    def spy(x, y):
+        calls.append((len(x.terms), len(y.terms)))
+        return mul_by_columns(x, y)
 
     monkeypatch.setattr(algebra, "_mul_by_columns", spy)
     return calls

@@ -118,6 +118,14 @@ def test_parse_mask_refuses_integer_literal_syntax(text):
         parse_mask(text, len(text))
 
 
+@pytest.mark.parametrize("text, n", [("10", 3), ("2", 1), (" ", 1), ("", 1), ("0_1", 3), ("+1", 2), ("\uff11", 1)])
+def test_parse_mask_refuses_all_but_n_binary_digits(text, n):
+    # a wrong length, a digit that is not binary, a blank, a separator, a sign and a full-width one
+    with pytest.raises(ValueError) as err:
+        parse_mask(text, n)
+    assert str(err.value) == f"expected a length-{n} bitstring, got {text!r}"
+
+
 def test_canonical_mask_order_is_bitstring_order():
     masks = all_masks(S23)
     rendered = [render_mask(m, 2) for m in masks]
