@@ -84,8 +84,15 @@ def triples_with_middles(spec: SchemeSpec, middles: list[Mask]) -> list[Triple]:
 
 
 def _submask_table(spec: SchemeSpec) -> list[list[Mask]]:
-    """The submasks of c & large in canonical order, for each of the 2^n masks c."""
-    return [submasks(c & spec.large_mask) for c in range(1 << spec.n)]
+    """The submasks of c & large in canonical order, for each of the 2^n masks c.
+
+    A row depends only on c & large, so each distinct row is built once and
+    shared by every c that reads it; callers only read the rows.
+    """
+    large = spec.large_mask
+    parts = submasks(large)
+    rows = dict(zip(parts, map(submasks, parts)))
+    return [rows[c & large] for c in range(1 << spec.n)]
 
 
 _NO_TRIPLES = np.zeros(0, dtype=np.int64)

@@ -16,7 +16,10 @@ bound proves that exact).  At prime characteristic matrices are int64 (or
 Python ints for very large primes) reduced mod p.  Every field shares one
 fraction-free elimination (_pivot_rows), which cross-multiplies rows as in
 Bareiss' integer-preserving elimination: over Python ints at characteristic
-0, in int64 mod p below 2^31.
+0, in int64 mod p below 2^31.  It takes rows a block of at most
+_CHUNK_ENTRIES entries at a time (_blocks), clears and casts each block once
+and applies each pivot to a whole block.  Triple intersection counts are
+read off the rows of the table for many (x, y, z, g, h, i) at once.
 The symbolic engine is validated against this module, so the two must not
 share formulas beyond the definition of the relations themselves.
 """
@@ -27,7 +30,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -105,6 +108,15 @@ def _point_index(spec: SchemeSpec, x: Point) -> int:
     for xa, size in zip(check_point(spec, x), spec.sizes):
         k = k * size + xa
     return k
+
+
+def _point_indices(spec: SchemeSpec, pts: Sequence[Point] | np.ndarray) -> np.ndarray:
+    """The positions of points in points() order, from a sequence of points or an int array of shape (k, n)."""
+    at = np.asarray(pts, dtype=np.int64)
+    if at.shape != (len(at), spec.n) or ((at < 0) | (at >= spec.sizes)).any():
+        for x in pts:
+            check_point(spec, tuple(x))
+    return np.ravel_multi_index(tuple(at.reshape(len(at), spec.n).T), spec.sizes)
 
 
 def _as_matrix(spec: SchemeSpec, nums: np.ndarray, d: int = 1) -> np.ndarray:
@@ -310,34 +322,90 @@ def realize_raw(
     return _as_matrix(spec, *_realize_combinations(spec, [raw], base_point, cap, raw=True))[0]
 
 
-def _pivot_rows(spec: SchemeSpec, rows: Iterable[np.ndarray]) -> list[tuple[int, np.ndarray]]:
-    """(col, v) pivot rows spanning the rows, each flattened, v[col] the first nonzero entry.
+def _blocks(stack: np.ndarray) -> Iterator[np.ndarray]:
+    """The matrices of a stack flattened to rows, in blocks of at most _CHUNK_ENTRIES entries.
 
-    Exact elimination: each row is cleared of denominators and reduced, then
-    cross-multiplied with each pivot, v * pivot[col] - pivot * v[col], and
-    reduced again; a row left nonzero is a new pivot.  At prime characteristic
-    pivot[col] is a unit, so no inverse is needed; rows are int64 below 2^31,
-    where an update stays below 2p^2 < 2^63.  At characteristic 0 rows are
-    Python ints, and a new pivot row is divided by the gcd of its entries.
+    A block holds at least one row, so a row longer than _CHUNK_ENTRIES is a
+    block of its own.  An empty stack gives no blocks.
+    """
+    width = math.prod(stack.shape[1:])
+    rows = stack.reshape(len(stack), width)
+    step = max(1, _CHUNK_ENTRIES // max(width, 1))
+    return (rows[lo : lo + step] for lo in range(0, len(rows), step))
+
+
+def _eliminate(spec: SchemeSpec, rows: np.ndarray, col: int, pivot: np.ndarray) -> None:
+    """Clear column col of every row of a block with the pivot row, in place.
+
+    Each row v with v[col] != 0 becomes v * pivot[col] - pivot * v[col], reduced;
+    the other rows are left as they are, so no row grows without need.
+    """
+    hit = np.flatnonzero(rows[:, col])
+    if hit.size:
+        rows[hit] = _reduce(spec, rows[hit] * pivot[col] - rows[hit, col, None] * pivot)
+
+
+def _pivot_rows(spec: SchemeSpec, blocks: Iterable[np.ndarray]) -> list[tuple[int, np.ndarray]]:
+    """(col, v) pivot rows spanning the rows of the blocks, v[col] the first nonzero entry.
+
+    Each block is a 2-D array of rows, such as _blocks cuts from a stack.
+    Exact elimination: a block is cleared of denominators, reduced and cast
+    once; then every pivot found so far is applied to all of its rows at once
+    (_eliminate), and its rows are taken in order, a row left nonzero becoming
+    a new pivot that is applied to the rows after it.  So each row meets the
+    pivots in the order a row-by-row elimination would, and the pivots are
+    the same.  At prime characteristic pivot[col] is a unit, so no inverse is
+    needed; rows are int64 below 2^31, where an update stays below 2p^2 < 2^63.
+    At characteristic 0 rows are Python ints, and a new pivot row is divided
+    by the gcd of its entries.
     """
     p = spec.characteristic
     dtype = np.int64 if 0 < p < 1 << 31 else object
     pivots: list[tuple[int, np.ndarray]] = []
-    for row in rows:
-        v = _reduce(spec, _integer_form(np.asarray(row).reshape(-1))[0]).astype(dtype)
+    for block in blocks:
+        rows = _reduce(spec, _integer_form(block)[0]).astype(dtype)
         for col, pivot in pivots:
-            c = v[col]
-            if c:
-                v = _reduce(spec, v * pivot[col] - pivot * c)
-        nonzero = np.flatnonzero(v)
-        if nonzero.size:
-            pivots.append((int(nonzero[0]), v if p else v // math.gcd(*v.tolist())))
+            _eliminate(spec, rows, col, pivot)
+        for r, v in enumerate(rows):
+            nonzero = np.flatnonzero(v)
+            if nonzero.size:
+                col = int(nonzero[0])
+                pivots.append((col, v if p else v // math.gcd(*v.tolist())))
+                _eliminate(spec, rows[r + 1 :], col, pivots[-1][1])
     return pivots
 
 
-def span_rank(spec: SchemeSpec, mats: Sequence[np.ndarray]) -> int:
-    """Rank of a family of matrices flattened to vectors: the number of pivot rows."""
-    return len(_pivot_rows(spec, mats))
+def span_rank(spec: SchemeSpec, mats: Sequence[np.ndarray] | np.ndarray) -> int:
+    """Rank of a family of matrices flattened to vectors: the number of pivot rows.
+
+    The family is a stack, or a sequence of arrays of one shape; it is
+    eliminated a block of _blocks at a time.
+    """
+    return len(_pivot_rows(spec, _blocks(np.asarray(mats))))
+
+
+def triple_intersection_counts(
+    spec: SchemeSpec,
+    xs: Sequence[Point] | np.ndarray,
+    ys: Sequence[Point] | np.ndarray,
+    zs: Sequence[Point] | np.ndarray,
+    g: Sequence[Mask] | np.ndarray,
+    h: Sequence[Mask] | np.ndarray,
+    i: Sequence[Mask] | np.ndarray,
+    cap: int = DEFAULT_ORACLE_CAP,
+) -> np.ndarray:
+    """For each k, the points related to xs[k] by g[k], to ys[k] by h[k] and to zs[k] by i[k], by brute force.
+
+    Points are sequences of points or int arrays of shape (k, n).  Returns an
+    int64 array of the k counts, read off the rows of the relation table.
+    """
+    masks = np.array([g, h, i], dtype=np.int64).reshape(3, -1)
+    if masks.size and not 0 <= masks.min() <= masks.max() <= spec.full_mask:
+        for m in masks.T.ravel().tolist():
+            spec.check_mask(m)
+    table = relation_matrix(spec, cap)
+    rows = [table[_point_indices(spec, w)] == m[:, None] for w, m in zip((xs, ys, zs), masks)]
+    return np.count_nonzero(rows[0] & rows[1] & rows[2], axis=1)
 
 
 def triple_intersection_count(
@@ -350,12 +418,8 @@ def triple_intersection_count(
     i: Mask,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> int:
-    """Count points related to x by g, to y by h, and to z by i, by brute force."""
-    for m in (g, h, i):
-        spec.check_mask(m)
-    table = relation_matrix(spec, cap)
-    hits = [table[_point_index(spec, w)] == m for w, m in ((x, g), (y, h), (z, i))]
-    return int(np.count_nonzero(np.all(hits, axis=0)))
+    """Count points related to x by g, to y by h, and to z by i: triple_intersection_counts for one row."""
+    return int(triple_intersection_counts(spec, [x], [y], [z], [g], [h], [i], cap)[0])
 
 
 def annihilator_dim(
@@ -376,10 +440,10 @@ def annihilator_dim(
     triples = basis_triples(spec)
     basis = realize_stack(spec, triples, base_point, cap)
     gens, _ = _realize_combinations(spec, [e.terms for e in left_ideal], base_point, cap)
-    rows = [v for _, v in _pivot_rows(spec, gens.reshape(-1, basis.shape[-1]))]
+    rows = [v for _, v in _pivot_rows(spec, _blocks(gens.reshape(-1, basis.shape[-1])))]
     if not rows:
         return len(triples)
     pivots = np.stack(rows)
     step = max(1, _CHUNK_ENTRIES // basis[0].size)
     chunks = (mat_mul(spec, pivots, basis[lo : lo + step]) for lo in range(0, len(triples), step))
-    return len(triples) - len(_pivot_rows(spec, itertools.chain.from_iterable(chunks)))
+    return len(triples) - len(_pivot_rows(spec, (c.reshape(len(c), -1) for c in chunks)))

@@ -18,7 +18,11 @@ numerators; it finds each product's chaining term pairs with
 algebra._chained_pairs, which lists the ranges of algebra._chained_ranges,
 the kernel Element.mul runs on large operands.
 corner-structure realizes every corner's representatives as one stack and
-multiplies their pairs as stacks.
+multiplies their pairs as stacks.  Ranks (dimension-rank,
+frobenius-falsification, base-point-independence) eliminate realized stacks
+a block of rows at a time.  intersection-numbers makes its triple-regularity
+draws one at a time, as each bounds the next, and then picks every drawn
+triple and compares all triple counts as arrays.
 """
 
 from __future__ import annotations
@@ -454,23 +458,41 @@ def _check_intersection_numbers(spec, base_points, rng, cap) -> Outcome:
                         f" {render_mask(h, spec.n)}, {render_mask(i, spec.n)}) is wrong"
                     )
                 count += 1
-    pts = points(spec)
+    # The draws are made one at a time, as the bound of each draw's rng.randrange is
+    # that draw's count of triples (x2, y2, z2) related like (x1, y1, z1); which
+    # triple each draw hits, and the triple counts, are then read off for all at once.
+    draws, per_x2 = [], []
     for _ in range(20):
         x1, y1, z1 = (rng.randrange(size) for _ in range(3))
-        xy, xz, yz = (table == table[u, v] for u, v in ((x1, y1), (x1, z1), (y1, z1)))
-        # Triples (x2, y2, z2) related like (x1, y1, z1), listed in lexicographic order:
-        # count them per x2 without listing them, then list the one x2 slice the draw hits.
-        per_x2 = ((xy.astype(np.int64) @ yz) * xz).sum(axis=1)
-        k = rng.randrange(int(per_x2.sum()))
-        x2 = int(np.searchsorted(np.cumsum(per_x2), k, side="right"))
-        k -= int(per_x2[:x2].sum())
-        y2, z2 = np.argwhere(xy[x2][:, None] & xz[x2][None, :] & yz)[k]
-        g, h, i = (rng.randrange(width) for _ in range(3))
-        if oracle.triple_intersection_count(spec, pts[x1], pts[y1], pts[z1], g, h, i, cap) != \
-                oracle.triple_intersection_count(spec, pts[x2], pts[y2], pts[z2], g, h, i, cap):
-            return False, count, "triple intersection count is not triply regular"
-        count += 1
-    return True, count, ""
+        rel = table[x1, y1], table[x1, z1], table[y1, z1]
+        xy, xz, yz = (table == r for r in rel)
+        # the triples per x2, counted without listing them
+        per_x2.append(((xy.astype(np.int64) @ yz) * xz).sum(axis=1))
+        k = rng.randrange(int(per_x2[-1].sum()))
+        draws.append((x1, y1, z1, *rel, k, *(rng.randrange(width) for _ in range(3))))
+    x1, y1, z1, rxy, rxz, ryz, k, g, h, i = np.array(draws, dtype=np.int64).T
+    # Listed in lexicographic order, triple k lies in the slice of x2, then at row y2 of it.
+    x2, k = _pick(np.array(per_x2), k)
+    rows = table[x2]
+    hits = (rows == rxy[:, None])[:, :, None] & (rows == rxz[:, None])[:, None, :] & (table == ryz[:, None, None])
+    y2, k = _pick(hits.sum(axis=2), k)
+    z2, _ = _pick(hits[np.arange(len(k)), y2], k)
+    pts = np.array(points(spec))
+    xs, ys, zs = (pts[np.concatenate(ws)] for ws in ((x1, x2), (y1, y2), (z1, z2)))
+    counts = oracle.triple_intersection_counts(spec, xs, ys, zs, *(np.tile(m, 2) for m in (g, h, i)), cap)
+    bad = _first_failure(counts[: len(k)] == counts[len(k) :])
+    if bad is not None:
+        return False, count + bad, "triple intersection count is not triply regular"
+    return True, count + len(k), ""
+
+
+def _pick(counts: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of counts, the position holding the k-th unit counted left to right
+    from 0, and k less the units before that position."""
+    ends = np.cumsum(counts, axis=1)
+    at = np.count_nonzero(ends <= k[:, None], axis=1)
+    rows = np.arange(len(k))
+    return at, k - ends[rows, at] + counts[rows, at]
 
 
 def _check_center_commutation(spec, base_points, rng, cap) -> Outcome:
@@ -738,7 +760,7 @@ def _check_frobenius_falsification(spec, base_points, rng, cap) -> Outcome:
     gens = frobenius_left_ideal(spec)
     count = 1
     x = base_points[0]
-    rank = oracle.span_rank(spec, [oracle.realize(spec, e, x, cap) for e in gens])
+    rank = oracle.span_rank(spec, oracle._realize_combinations(spec, [e.terms for e in gens], x, cap)[0])
     if rank != witness["left_ideal_dim"]:
         return False, count, f"left ideal rank {rank} differs from {witness['left_ideal_dim']}"
     count += 1

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terwilliger import algebra
+from terwilliger import algebra, scheme
 from terwilliger.algebra import (
     KERNEL_PAIRS,
     Element,
@@ -651,3 +651,18 @@ def test_triple_columns_list_triples_with_middles(data):
 def test_triple_columns_without_middles_are_empty_int64():
     for column in triple_columns(SchemeSpec(sizes=(2,) * 7), []):
         assert column.dtype == np.int64 and column.shape == (0,)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 3, 3, 4, 5), (3, 3, 3, 3), (2, 2), (2, 3)])
+def test_submask_table_builds_each_distinct_row_once(monkeypatch, sizes):
+    # A row depends only on c & large: one submasks call per submask of large
+    # (after the one listing them), and every c reading it shares the list.
+    spec = SchemeSpec(sizes=sizes, characteristic=3)
+    large = spec.large_mask
+    expected = [scheme.submasks(c & large) for c in range(1 << spec.n)]
+    calls = []
+    monkeypatch.setattr(algebra, "submasks", lambda m: calls.append(m) or scheme.submasks(m))
+    table = algebra._submask_table(spec)
+    assert table == expected
+    assert calls == [large] + scheme.submasks(large)
+    assert all(table[c] is table[c & large] for c in range(1 << spec.n))

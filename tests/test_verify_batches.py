@@ -103,6 +103,41 @@ def ref_oracle_sanity(spec, base_points, rng, cap):
     return True, count, ""
 
 
+def ref_intersection_numbers(spec, base_points, rng, cap):
+    """intersection-numbers with one triple-regularity draw at a time, each hit triple
+    listed from its x2 slice and each pair of triple counts taken on its own."""
+    table = oracle.relation_matrix(spec, cap)
+    size, width = len(table), 1 << spec.n
+    count = 0
+    for i in range(width):
+        y = int(np.argmax(table[0] == i))
+        brute = np.bincount(table[0] * width + table[:, y], minlength=width * width)
+        brute = brute.reshape(width, width)
+        for g in range(width):
+            for h in range(width):
+                if brute[g, h] != verify.intersection_number(spec, g, h, i):
+                    return False, count, (
+                        f"intersection number at ({render_mask(g, spec.n)},"
+                        f" {render_mask(h, spec.n)}, {render_mask(i, spec.n)}) is wrong"
+                    )
+                count += 1
+    pts = points(spec)
+    for _ in range(20):
+        x1, y1, z1 = (rng.randrange(size) for _ in range(3))
+        xy, xz, yz = (table == table[u, v] for u, v in ((x1, y1), (x1, z1), (y1, z1)))
+        per_x2 = ((xy.astype(np.int64) @ yz) * xz).sum(axis=1)
+        k = rng.randrange(int(per_x2.sum()))
+        x2 = int(np.searchsorted(np.cumsum(per_x2), k, side="right"))
+        k -= int(per_x2[:x2].sum())
+        y2, z2 = np.argwhere(xy[x2][:, None] & xz[x2][None, :] & yz)[k]
+        g, h, i = (rng.randrange(width) for _ in range(3))
+        if oracle.triple_intersection_count(spec, pts[x1], pts[y1], pts[z1], g, h, i, cap) != \
+                oracle.triple_intersection_count(spec, pts[x2], pts[y2], pts[z2], g, h, i, cap):
+            return False, count, "triple intersection count is not triply regular"
+        count += 1
+    return True, count, ""
+
+
 def ref_structure_constants(spec, base_points, rng, cap):
     triples = basis_triples(spec)
     x = base_points[0]
@@ -843,3 +878,190 @@ def test_quotient_matrix_units_evaluates_each_product_once(monkeypatch):
     dim_q = len(verify.quotient_triples(spec))
     assert run_check("quotient-matrix-units", spec) == (True, 20 + 2 * dim_q**2, "")
     assert len(calls) == dim_q**2
+
+
+# --- triple-regularity draws batched -------------------------------------------------------
+
+INTERSECTION_SPECS = [((2, 3), 2), ((3, 3), 0), ((2, 2, 3), 2), ((4, 4), 3), ((3, 4, 5), 2)]
+
+
+def seeded(check, spec, seed):
+    return check(spec, verify.pick_base_points(spec, 2), random.Random(seed), DEFAULT_ORACLE_CAP)
+
+
+def rows_of(xs, ys, zs, g, h, i):
+    """The (x, y, z, g, h, i) rows of a stacked triple count, points as tuples."""
+    points_of = (map(tuple, np.asarray(w).tolist()) for w in (xs, ys, zs))
+    return list(zip(*points_of, *(np.asarray(m).tolist() for m in (g, h, i))))
+
+
+@pytest.mark.parametrize("sizes, characteristic", INTERSECTION_SPECS)
+def test_intersection_numbers_match_the_one_at_a_time_draws(monkeypatch, sizes, characteristic):
+    # Same record, and the same 20 pairs of triples counted, in the same order.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    one_row, stacked = oracle.triple_intersection_count, oracle.triple_intersection_counts
+    for seed in (0, 1, "1729:intersection-numbers", 99):
+        drawn, counted = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "triple_intersection_count", lambda spec, *a: drawn.append(a[:6]) or one_row(spec, *a))
+            expected = seeded(ref_intersection_numbers, spec, seed)
+        assert expected == (True, (1 << spec.n) ** 3 + 20, "")
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "triple_intersection_counts", lambda spec, *a: counted.extend(rows_of(*a[:6])) or stacked(spec, *a))
+            assert seeded(verify._check_intersection_numbers, spec, seed) == expected
+        assert counted[:20] == drawn[0::2] and counted[20:] == drawn[1::2]
+
+
+@pytest.mark.parametrize("sizes, characteristic", [((2, 3), 2), ((2, 2, 3), 2), ((3, 4, 5), 2)])
+@pytest.mark.parametrize("draw", [0, 10, 19])
+def test_intersection_numbers_matches_the_one_at_a_time_sweep(monkeypatch, sizes, characteristic, draw):
+    # The stacked count gains 1 on the second triple of one draw, found by recording
+    # the reference's one-row calls; both sides must fail at that draw.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    seed = 5
+    calls = []
+    one_row = oracle.triple_intersection_count
+
+    def recording(spec, *args):
+        calls.append(tuple(args[:6]))
+        return one_row(spec, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "triple_intersection_count", recording)
+        assert seeded(ref_intersection_numbers, spec, seed)[0]
+    first, target = calls[2 * draw], calls[2 * draw + 1]
+    assert first != target  # else the fault would cancel
+    counts = oracle.triple_intersection_counts
+
+    def faulty(spec, xs, ys, zs, g, h, i, cap=DEFAULT_ORACLE_CAP):
+        return counts(spec, xs, ys, zs, g, h, i, cap) + [row == target for row in rows_of(xs, ys, zs, g, h, i)]
+
+    monkeypatch.setattr(oracle, "triple_intersection_counts", faulty)
+    expected = seeded(ref_intersection_numbers, spec, seed)
+    assert expected == (False, (1 << spec.n) ** 3 + draw, "triple intersection count is not triply regular")
+    assert seeded(verify._check_intersection_numbers, spec, seed) == expected
+
+
+def test_triple_intersection_counts_is_the_one_row_count_per_row():
+    spec = SchemeSpec(sizes=(2, 3), characteristic=2)
+    pts = points(spec)
+    rng = random.Random(3)
+    rows = [(*rng.sample(pts, 3), *(rng.randrange(4) for _ in range(3))) for _ in range(30)]
+    xs, ys, zs, g, h, i = zip(*rows)
+    counts = oracle.triple_intersection_counts(spec, xs, ys, zs, g, h, i)
+    brute = [sum(relation(spec, x, w) == a and relation(spec, y, w) == b and relation(spec, z, w) == c for w in pts)
+             for x, y, z, a, b, c in rows]
+    assert counts.tolist() == brute == [oracle.triple_intersection_count(spec, *row) for row in rows]
+    assert oracle.triple_intersection_counts(spec, np.array(xs), ys, zs, g, h, i).tolist() == counts.tolist()
+    assert oracle.triple_intersection_counts(spec, [], [], [], [], [], []).tolist() == []
+    with pytest.raises(ValueError, match="not a point"):
+        oracle.triple_intersection_counts(spec, xs[:1], [(0, 3)], zs[:1], [0], [0], [0])
+    with pytest.raises(ValueError, match="not a point"):
+        oracle.triple_intersection_count(spec, (0, 0, 0), (0, 0), (0, 0), 0, 0, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        oracle.triple_intersection_counts(spec, xs[:2], ys[:2], zs[:2], [0, 0], [0, 4], [0, 0])
+
+
+# --- elimination a block of rows at a time ---------------------------------------------------
+
+
+def dependent_family(spec, rng, rank, extra):
+    """rank independent elements (triangular over distinct basis triples) and extra
+    combinations of them, shuffled, with the zero element among them."""
+    def scalar():
+        if spec.characteristic:
+            return rng.randrange(1, spec.characteristic)
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 7), rng.randrange(1, 7))
+
+    triples = rng.sample(basis_triples(spec), rank)
+    gens = []
+    for k, t in enumerate(triples):
+        e = Element.basis(spec, t, scalar())
+        for u in triples[k + 1 :]:
+            if rng.random() < 0.5:
+                e = e.add(Element.basis(spec, u, scalar()))
+        gens.append(e)
+    family = gens + [Element.zero(spec)]
+    for _ in range(extra):
+        e = Element.zero(spec)
+        for g in rng.sample(gens, rng.randrange(1, rank + 1)):
+            e = e.add(g.scale(scalar()))
+        family.append(e)
+    rng.shuffle(family)
+    return family
+
+
+@pytest.mark.parametrize("characteristic", [0, 3, 2**31 + 11])
+@pytest.mark.parametrize("sizes", [(2, 3), (3, 3)])
+def test_span_rank_of_a_stack_is_the_rank_of_its_matrices(monkeypatch, sizes, characteristic):
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    rng = random.Random(f"{sizes}:{characteristic}")
+    x = points(spec)[-1]
+    for rank, extra in ((1, 2), (6, 5), (12, 12)):
+        family = dependent_family(spec, rng, rank, extra)
+        mats = [oracle.realize(spec, e, x) for e in family]
+        stack = np.stack(mats)
+        assert stack.dtype == (np.int64 if characteristic == 3 else object)
+        assert oracle.span_rank(spec, stack) == oracle.span_rank(spec, mats) == rank
+        pivots = oracle._pivot_rows(spec, oracle._blocks(stack))
+        for entries in (1, 3 * spec.num_points**2, 5 * spec.num_points**2 + 1):
+            # one row a block, three rows, and five rows a block
+            with monkeypatch.context() as patch:
+                chunk_of(patch, entries)
+                assert oracle.span_rank(spec, mats) == rank
+                again = oracle._pivot_rows(spec, oracle._blocks(stack))
+            assert [c for c, _ in again] == [c for c, _ in pivots]
+            assert all(a.tolist() == b.tolist() for (_, a), (_, b) in zip(again, pivots))
+    empty = oracle.realize_stack(spec, [], x)
+    assert empty.shape == (0,) + (spec.num_points,) * 2
+    assert oracle.span_rank(spec, empty) == oracle.span_rank(spec, []) == 0
+
+
+def test_verify_takes_an_empty_radical_stack(capsys):
+    from terwilliger import cli
+
+    spec = SchemeSpec(sizes=(2, 2), characteristic=0)
+    assert verify.radical_triples(spec) == []
+    assert run_check("base-point-independence", spec) == (True, 3, "dim 16, radical 0, 2 base points")
+    assert cli.main(["verify", "--sizes", "2,2", "--char", "0"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("all checks passed")
+
+
+@pytest.mark.parametrize("sizes, characteristic", [((3, 3), 2), ((2, 4), 3), ((2, 3), 0)])
+def test_elimination_blocks_hold_at_most_a_chunk_of_entries(monkeypatch, sizes, characteristic):
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    names = ["dimension-rank", "frobenius-falsification", "base-point-independence"]
+    expected = [run_check(name, spec) for name in names]
+    entries = 3 * spec.num_points**2 + 7
+    chunk_of(monkeypatch, entries)
+    blocks = []
+    pivot_rows = oracle._pivot_rows
+
+    def watching(spec, given):
+        def each():
+            for block in given:
+                blocks.append(block.shape)
+                yield block
+        return pivot_rows(spec, each())
+
+    monkeypatch.setattr(oracle, "_pivot_rows", watching)
+    assert [run_check(name, spec) for name in names] == expected
+    assert blocks and all(len(shape) == 2 for shape in blocks)
+    assert all(rows * width <= entries or rows == 1 for rows, width in blocks)
+    assert max(rows for rows, _ in blocks) > 1
+
+
+def test_frobenius_check_ranks_its_generators_as_one_stack(monkeypatch):
+    spec = SchemeSpec(sizes=(3, 3), characteristic=2)
+    expected = run_check("frobenius-falsification", spec)
+    realized, ranked = [], []
+    combinations, span_rank = oracle._realize_combinations, oracle.span_rank
+    monkeypatch.setattr(oracle, "realize", lambda *args: pytest.fail("realized one element at a time"))
+    monkeypatch.setattr(
+        oracle, "_realize_combinations", lambda spec, combos, *a: realized.append(len(combos)) or combinations(spec, combos, *a)
+    )
+    monkeypatch.setattr(oracle, "span_rank", lambda spec, mats: ranked.append(type(mats)) or span_rank(spec, mats))
+    assert run_check("frobenius-falsification", spec) == expected
+    gens = len(verify.frobenius_left_ideal(spec))
+    assert realized == [gens, gens]  # the rank's stack, then annihilator_dim's
+    assert ranked == [np.ndarray]
