@@ -8,7 +8,7 @@ formulas; membership of an arbitrary element is decided by an exact solve.
 
 from __future__ import annotations
 
-from .algebra import Element
+from .algebra import Element, Triple, _accumulate
 from .scheme import Mask, Scalar, SchemeSpec, p_divides_valency, render_mask, submasks, valency
 
 
@@ -28,13 +28,18 @@ def check_central(spec: SchemeSpec, g: Mask) -> Mask:
 def central_element(spec: SchemeSpec, g: Mask) -> Element:
     """The center basis element at g: sum over all h of k(g minus h) times the element at (h, g&h, h)."""
     check_central(spec, g)
+    return Element._with_terms(spec, _central_terms(spec, g))
+
+
+def _central_terms(spec: SchemeSpec, g: Mask) -> dict[Triple, Scalar]:
+    """The terms of central_element at a central g, canonical and in order of h.
+
+    A coefficient depends only on g minus h, a submask of g, so each of the
+    2^|g| distinct values is made once.
+    """
     field = spec.field
-    terms = {}
-    for h in range(1 << spec.n):
-        c = field.of(valency(spec, g & ~h))
-        if not field.is_zero(c):
-            terms[(h, g & h, h)] = c
-    return Element(spec, terms)
+    coeffs = {s: c for s in submasks(g) if not field.is_zero(c := field.of(valency(spec, s)))}
+    return {(h, g & h, h): coeffs[g & ~h] for h in range(1 << spec.n) if g & ~h in coeffs}
 
 
 def center_mul(spec: SchemeSpec, g: Mask, h: Mask) -> tuple[Scalar, Mask]:
@@ -64,13 +69,14 @@ def is_central(spec: SchemeSpec, x: Element) -> bool:
     """
     if x.spec != spec:
         raise ValueError("element belongs to a different scheme")
-    full = spec.full_mask
-    candidate = Element.zero(spec)
+    field, full = spec.field, spec.full_mask
+    candidate: dict[Triple, Scalar] = {}
     for g in central_indices(spec):
-        c = x.coeff((full, g, full))
-        if not spec.field.is_zero(c):
-            candidate = candidate.add(central_element(spec, g).scale(c))
-    return candidate == x
+        c = x.terms.get((full, g, full))
+        if c is not None:
+            for t, v in _central_terms(spec, g).items():
+                _accumulate(field, candidate, t, field.mul(c, v))
+    return candidate == x.terms
 
 
 def center_summary(spec: SchemeSpec) -> dict:

@@ -397,14 +397,23 @@ def triple_intersection_counts(
     """For each k, the points related to xs[k] by g[k], to ys[k] by h[k] and to zs[k] by i[k], by brute force.
 
     Points are sequences of points or int arrays of shape (k, n).  Returns an
-    int64 array of the k counts, read off the rows of the relation table.
+    int64 array of the k counts, _triple_counts at the points' table positions.
     """
     masks = np.array([g, h, i], dtype=np.int64).reshape(3, -1)
     if masks.size and not 0 <= masks.min() <= masks.max() <= spec.full_mask:
         for m in masks.T.ravel().tolist():
             spec.check_mask(m)
+    return _triple_counts(spec, [_point_indices(spec, w) for w in (xs, ys, zs)], masks, cap)
+
+
+def _triple_counts(
+    spec: SchemeSpec, at: Sequence[np.ndarray], masks: Sequence[np.ndarray], cap: int = DEFAULT_ORACLE_CAP
+) -> np.ndarray:
+    """triple_intersection_counts at table positions, unchecked: for each k, the points
+    related to the points at positions at[0][k], at[1][k] and at[2][k] by masks[0][k],
+    masks[1][k] and masks[2][k], read off the rows of the relation table."""
     table = relation_matrix(spec, cap)
-    rows = [table[_point_indices(spec, w)] == m[:, None] for w, m in zip((xs, ys, zs), masks)]
+    rows = [table[w] == m[:, None] for w, m in zip(at, masks)]
     return np.count_nonzero(rows[0] & rows[1] & rows[2], axis=1)
 
 

@@ -26,8 +26,6 @@ from .algebra import (
 from .scheme import (
     Mask,
     SchemeSpec,
-    layer,
-    layer_count,
     mask_product,
     p_divides_valency,
     render_mask,
@@ -80,18 +78,21 @@ def semisimple_rep(spec: SchemeSpec, t: Triple) -> Element:
     layer k contributes (-1)^k times the inverse of k(i & l) times the
     basis element at (g, l, i) for each layer member l.  All inverses
     exist because the layers only hold masks of nonvanishing valency.
+    The members of layer k are h | s for the submasks s with k bits of
+    mask_product(g, i) minus h and the qualifying mask (scheme.layer), so
+    one stable sort of those submasks by bit count walks the layers in
+    order, each in canonical order; every term is a basis triple with a
+    canonical nonzero coefficient.
     """
     check_quotient_triple(spec, t)
     g, h, i = t
     field = spec.field
-    top = mask_product(spec, g, i)
+    free = mask_product(spec, g, i) & ~h & ~spec.qualifying_mask
     terms = {}
-    sign = field.one()
-    for k in range(layer_count(spec, top, h) + 1):
-        for l in layer(spec, top, h, k):
-            terms[(g, l, i)] = field.mul(sign, field.inv(field.of(valency(spec, i & l))))
-        sign = field.neg(sign)
-    return Element(spec, terms)
+    for s in sorted(submasks(free), key=int.bit_count):
+        c = field.inv(valency(spec, i & (h | s)))
+        terms[(g, h | s, i)] = field.neg(c) if s.bit_count() & 1 else c
+    return Element._with_terms(spec, terms)
 
 
 def quotient_mul(spec: SchemeSpec, t1: Triple, t2: Triple) -> Optional[Triple]:

@@ -11,12 +11,14 @@ chunks of pairs or sequences as stacks, at most oracle._CHUNK_ENTRIES
 entries at a time.  A chunk is judged whole and the first failing identity
 in sweep order is reported, with the count a one-at-a-time loop would give.
 The engine side of pair sweeps evaluates the product law over int64 triple
-columns (algebra._mul_columns).  Products of linear combinations, such as
-the semisimple representatives of quotient-matrix-units and
-corner-structure, go through one kernel, _products_agree, over integer
-numerators; it finds each product's chaining term pairs with
-algebra._chained_pairs, which lists the ranges of algebra._chained_ranges,
-the kernel Element.mul runs on large operands.
+columns (algebra._mul_columns).  Products of linear combinations (the
+central elements of center-structure, the semisimple representatives of
+quotient-matrix-units and corner-structure) go through one kernel,
+_products_agree, over integer numerators; it finds each product's chaining
+term pairs with algebra._chained_pairs, which lists the ranges of
+algebra._chained_ranges, the kernel Element.mul runs on large operands.
+quotient-matrix-units builds its pairs and their expected products one
+chunk at a time.
 corner-structure realizes every corner's representatives as one stack and
 multiplies their pairs as stacks.  Ranks (dimension-rank,
 frobenius-falsification, base-point-independence) eliminate realized stacks
@@ -31,7 +33,7 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -88,6 +90,7 @@ from .radical import (
     witness_chain,
 )
 from .scheme import (
+    GroundField,
     Scalar,
     SchemeSpec,
     intersection_number,
@@ -119,7 +122,13 @@ class CheckResult:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {**asdict(self), "seconds": round(self.seconds, 3)}
+        return {
+            "name": self.name,
+            "passed": self.passed,
+            "count": self.count,
+            "seconds": round(self.seconds, 3),
+            "detail": self.detail,
+        }
 
 
 def pick_base_points(spec: SchemeSpec, how_many: int) -> list[Point]:
@@ -232,49 +241,71 @@ def _products_agree(
     (_numerator_dtype).  A chunk of pairs has at most oracle._CHUNK_ENTRIES
     term pairs, chaining or not.
     """
+    return _agreement(spec, combos, modulo_radical)(left, right, expect, scale)
+
+
+def _agreement(
+    spec: SchemeSpec, combos: Sequence[Mapping[Triple, Scalar]], modulo_radical: bool = False
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray, Sequence[int]], np.ndarray]:
+    """_products_agree on combos as a function of (left, right, expect, scale), so that a
+    sweep judging its pairs a chunk at a time builds the combos' columns and numerators once."""
     p, n = spec.characteristic, spec.n
     nums, d = _integral(c for combo in combos for c in combo.values())
     size = np.array([len(combo) for combo in combos], dtype=np.int64)
     terms = int(size.max(initial=0))
-    scale = np.asarray(scale).tolist()
     top = max(map(abs, nums), default=0)
     start = np.cumsum(size) - size
     l1 = [sum(map(abs, nums[a : a + k])) for a, k in zip(start.tolist(), size.tolist())]
-    norms = max((l1[a] * l1[b] for a, b in zip(left.tolist(), right.tolist())), default=0)
-    high = max(map(abs, scale), default=0)
-    # at characteristic 0 a value held is a numerator, a scale, or a sum of
-    # at most a product's _sum_bound plus |scale d c|
-    bound = max(top, high, _sum_bound(spec, norms) + high * d * top)
-    dtype = _numerator_dtype(p, bound)
-    nums, scale = np.array(nums, dtype=dtype), np.array(scale, dtype=dtype)
+    l1 = np.array(l1, dtype=np.int64 if max(l1, default=0) < 1 << 63 else object)
+    nums = np.array(nums, dtype=np.int64 if top < 1 << 63 else object)
     columns = _columns([t for combo in combos for t in combo])
-    if modulo_radical:
-        stays = np.array([p_divides_valency(spec, m) for m in range(1 << n)])
-    ok = np.ones(len(left), dtype=bool)
-    for chunk in _chunks(len(left), max(1, terms * (terms + 1))):
-        lo = chunk.start
-        l, r, e = left[lo : chunk.stop], right[lo : chunk.stop], expect[lo : chunk.stop]
-        rows, s, t = _chained_pairs(spec, columns, size, l, r)
-        factor, product = _mul_columns(spec, columns[:, s], columns[:, t])
-        lhs = nums[s] * nums[t] % p * factor % p if p else nums[s] * nums[t] * factor
-        at, k = _spread(np.where(e < 0, 0, size[e]))
-        u = start[e][at] + k
-        rhs = scale[lo + at] * nums[u] % p if p else scale[lo + at] * d * nums[u]
-        keys = np.concatenate([rows << 3 * n | _key(spec, product), at << 3 * n | _key(spec, columns[:, u])])
-        if not keys.size:
-            continue
-        keys, sums = _sum_by_key(keys, np.concatenate([lhs, -rhs]))
-        off = (sums % p if p else sums) != 0
-        if modulo_radical:
-            off &= ~stays[keys >> n & spec.full_mask]
-        ok[lo + (keys[off] >> 3 * n)] = False
-    return ok
+    stays = np.array([p_divides_valency(spec, m) for m in range(1 << n)]) if modulo_radical else None
+
+    def agree(left: np.ndarray, right: np.ndarray, expect: np.ndarray, scale: Sequence[int]) -> np.ndarray:
+        scale = np.asarray(scale).tolist()
+        # a pair's product of L1 norms is at most the largest left norm times the largest right one
+        norms = int(l1[left].max(initial=0)) * int(l1[right].max(initial=0))
+        high = max(map(abs, scale), default=0)
+        # at characteristic 0 a value held is a numerator, a scale, or a sum of
+        # at most a product's _sum_bound plus |scale d c|
+        dtype = _numerator_dtype(p, max(top, high, _sum_bound(spec, norms) + high * d * top))
+        held, scale = nums.astype(dtype, copy=False), np.array(scale, dtype=dtype)
+        ok = np.ones(len(left), dtype=bool)
+        for chunk in _chunks(len(left), max(1, terms * (terms + 1))):
+            lo = chunk.start
+            l, r, e = left[lo : chunk.stop], right[lo : chunk.stop], expect[lo : chunk.stop]
+            rows, s, t = _chained_pairs(spec, columns, size, l, r)
+            factor, product = _mul_columns(spec, columns[:, s], columns[:, t])
+            lhs = held[s] * held[t] % p * factor % p if p else held[s] * held[t] * factor
+            at, k = _spread(np.where(e < 0, 0, size[e]))
+            u = start[e][at] + k
+            rhs = scale[lo + at] * held[u] % p if p else scale[lo + at] * d * held[u]
+            keys = np.concatenate([rows << 3 * n | _key(spec, product), at << 3 * n | _key(spec, columns[:, u])])
+            if not keys.size:
+                continue
+            keys, sums = _sum_by_key(keys, np.concatenate([lhs, -rhs]))
+            off = (sums % p if p else sums) != 0
+            if stays is not None:
+                off &= ~stays[keys >> n & spec.full_mask]
+            ok[lo + (keys[off] >> 3 * n)] = False
+        return ok
+
+    return agree
 
 
 def _first_failure(ok: np.ndarray) -> Optional[int]:
     """The position of the first False in a flat array of identity verdicts, or None."""
     bad = np.flatnonzero(~ok)
     return int(bad[0]) if bad.size else None
+
+
+def _integer(field: GroundField, c: object) -> Optional[int]:
+    """c as an int when it is a field element of integer value, else None."""
+    try:
+        c = field.of(c)
+    except ValueError:
+        return None
+    return int(c) if field.characteristic or c.denominator == 1 else None
 
 
 def _equal_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -531,23 +562,32 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
         return False, 0, f"{len(indices)} central indices, formula gives {2 ** spec.n2}"
     count = 1
     full = spec.full_mask
+    position = {g: k for k, g in enumerate(indices)}
+    elements = [central_element(spec, g) for g in indices]
+    # Per pair: its closed form (scalar, union) as an expected combination and int
+    # scale, and whether the product and full-corner identities hold.  A union that
+    # is no central index, or a scalar that is no integer field element, fails the
+    # product identity.
+    expect, scale, named, corner = [], [], [], []
     for g, h in itertools.product(indices, indices):
         scalar, union = center_mul(spec, g, h)
-        lhs = central_element(spec, g).mul(central_element(spec, h))
-        if lhs != central_element(spec, union).scale(scalar):
-            return False, count, (
-                f"center product at ({render_mask(g, spec.n)}, {render_mask(h, spec.n)})"
-                " disagrees with its closed form"
-            )
-        count += 1
-        if (corner_mul(spec, full, g, h) or (field.zero(), union)) != (scalar, union):
-            return False, count, (
-                f"center product and full-corner product disagree at"
-                f" ({render_mask(g, spec.n)}, {render_mask(h, spec.n)})"
-            )
-        count += 1
-    for g in indices:
-        if not is_central(spec, central_element(spec, g)):
+        c = _integer(field, scalar)
+        named.append(union in position and c is not None)
+        expect.append(position[union] if named[-1] else -1)
+        scale.append(c if named[-1] else 0)
+        corner.append((corner_mul(spec, full, g, h) or (field.zero(), union)) == (scalar, union))
+    left, right = np.divmod(np.arange(len(indices) ** 2), len(indices))
+    terms = [e.terms for e in elements]
+    products = _products_agree(spec, terms, left, right, np.array(expect, dtype=np.int64), scale) & named
+    bad = _first_failure(np.stack([products, corner], axis=-1).ravel())
+    if bad is not None:
+        g, h = render_mask(indices[left[bad // 2]], spec.n), render_mask(indices[right[bad // 2]], spec.n)
+        if bad % 2 == 0:
+            return False, count + bad, f"center product at ({g}, {h}) disagrees with its closed form"
+        return False, count + bad, f"center product and full-corner product disagree at ({g}, {h})"
+    count += 2 * len(left)
+    for g, element in zip(indices, elements):
+        if not is_central(spec, element):
             return False, count, f"center basis element {render_mask(g, spec.n)} fails is_central"
         count += 1
     # a product of two basis elements is one term, so the triple law decides commutation
@@ -676,57 +716,72 @@ def _check_radical_witness(spec, base_points, rng, cap) -> Outcome:
 
 
 def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
+    n = spec.n
     dts = quotient_triples(spec)
-    sig = {t: _signature(spec.large_mask, t) for t in dts}
-    blocks = wedderburn_blocks(spec)
-    lookup: dict[tuple[int, int, int], Triple] = {}
+    sig = [_signature(spec.large_mask, t) for t in dts]
+    members: dict[int, list[int]] = {}  # the positions in dts of each signature's triples
+    for k, s in enumerate(sig):
+        members.setdefault(s, []).append(k)
+    slots: dict[tuple[int, int, int], int] = {}  # (signature, g, i) -> position in dts
     count = 0
-    for b in blocks:
-        members = [t for t in dts if sig[t] == b.signature]
-        for t in members:
-            key = (b.signature, t[0], t[2])
-            if key in lookup:
+    for b in wedderburn_blocks(spec):
+        for k in members.get(b.signature, []):
+            key = (b.signature, dts[k][0], dts[k][2])
+            if key in slots:
                 return False, count, (
-                    f"two triples share the block slot {render_mask(t[0], spec.n)},"
-                    f" {render_mask(t[2], spec.n)} in signature {render_mask(b.signature, spec.n)}"
+                    f"two triples share the block slot {render_mask(key[1], n)},"
+                    f" {render_mask(key[2], n)} in signature {render_mask(b.signature, n)}"
                 )
-            lookup[key] = t
+            slots[key] = k
         for g in b.rows:
             for i in b.rows:
-                if (b.signature, g, i) not in lookup:
+                if (b.signature, g, i) not in slots:
                     return False, count, (
-                        f"missing block slot ({render_mask(g, spec.n)}, {render_mask(i, spec.n)})"
-                        f" in signature {render_mask(b.signature, spec.n)}"
+                        f"missing block slot ({render_mask(g, n)}, {render_mask(i, n)})"
+                        f" in signature {render_mask(b.signature, n)}"
                     )
                 count += 1
-    position = {t: k for k, t in enumerate(dts)}
-    expect = []  # position of each pair's nonzero product, -1 for zero, for the lift sweep
-    for t1, t2 in itertools.product(dts, dts):
-        s1, s2 = sig[t1], sig[t2]
-        if s1 != s2 or t1[2] != t2[0]:
-            expected: Optional[Triple] = None
-        else:
-            expected = lookup[(s1, t1[0], t2[2])]
-        out = _quotient_mul(spec, t1, t2)
-        if out != expected:
-            return False, count, (
-                f"matrix unit law fails at {render_triple(spec, t1)} *"
-                f" {render_triple(spec, t2)}"
+    # The slots as sorted keys (signature, g, i) of 3n bits, closed by one key above
+    # them all, so that every search lands on an entry.
+    keys = np.array([s << 2 * n | g << n | i for s, g, i in slots] + [1 << 3 * n], dtype=np.int64)
+    order = np.argsort(keys)
+    keys, held = keys[order], np.array([*slots.values(), -2], dtype=np.int64)[order]
+    sigs, (outer, _, inner) = np.array(sig, dtype=np.int64), _columns(dts)
+
+    @functools.lru_cache(maxsize=1)  # one chunk serves both sweeps at small D_q
+    def pairs(chunk: range) -> tuple[np.ndarray, ...]:
+        """The chunk's pairs of positions in dts, and the position of the product the
+        block structure gives each: -1 for zero, -2 for a slot no block holds."""
+        left, right = np.divmod(np.arange(chunk.start, chunk.stop), len(dts))
+        want = sigs[left] << 2 * n | outer[left] << n | inner[right]
+        at = np.searchsorted(keys, want)
+        expect = np.where(keys[at] == want, held[at], -2)
+        return left, right, np.where((sigs[left] == sigs[right]) & (inner[left] == outer[right]), expect, -1)
+
+    # expect -1 names None and -2 an object no product equals; a chunk's pairs take
+    # about 16 int64 entries each in pairs()
+    named = [*dts, object(), None]
+    for chunk in _chunks(len(dts) ** 2, 16):
+        left, right, expect = pairs(chunk)
+        for k, (a, b, e) in enumerate(zip(left.tolist(), right.tolist(), expect.tolist())):
+            if _quotient_mul(spec, dts[a], dts[b]) != named[e]:
+                return False, count + chunk.start + k, (
+                    f"matrix unit law fails at {render_triple(spec, dts[a])} *"
+                    f" {render_triple(spec, dts[b])}"
+                )
+    count += len(dts) ** 2
+    agree = _agreement(spec, [semisimple_rep(spec, t).terms for t in dts], modulo_radical=True)
+    for chunk in _chunks(len(dts) ** 2, 16):
+        left, right, expect = pairs(chunk)
+        ok = agree(left, right, expect, [1] * len(left))
+        bad = _first_failure(ok)
+        if bad is not None:
+            t1, t2 = dts[left[bad]], dts[right[bad]]
+            return False, count + chunk.start + bad, (
+                f"lifted product at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
+                " differs from the representative beyond the radical"
             )
-        expect.append(-1 if out is None else position[out])
-        count += 1
-    reps = [semisimple_rep(spec, t).terms for t in dts]
-    left, right = np.divmod(np.arange(len(dts) ** 2), len(dts))
-    expect = np.array(expect, dtype=np.int64)
-    ok = _products_agree(spec, reps, left, right, expect, [1] * len(left), modulo_radical=True)
-    bad = _first_failure(ok)
-    if bad is not None:
-        t1, t2 = dts[left[bad]], dts[right[bad]]
-        return False, count + bad, (
-            f"lifted product at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
-            " differs from the representative beyond the radical"
-        )
-    return True, count + len(left), ""
+    return True, count + len(dts) ** 2, ""
 
 
 def _check_block_bookkeeping(spec, base_points, rng, cap) -> Outcome:

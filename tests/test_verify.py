@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ def test_check_result_json():
     assert got["passed"] is True
     assert got["count"] == 3
     assert isinstance(got["seconds"], float)
+
+
+def test_check_result_json_keys_are_the_fields_in_order():
+    r = CheckResult(name="sample", passed=False, count=7, seconds=1.23456, detail="why")
+    got = r.to_json()
+    assert list(got) == [f.name for f in fields(CheckResult)]
+    assert got == {"name": "sample", "passed": False, "count": 7, "seconds": 1.235, "detail": "why"}
 
 
 def test_pick_base_points_spread():

@@ -10,6 +10,7 @@ form breaks the check and its reference alike, and both must report the same
 import functools
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +251,36 @@ def ref_center_commutation(spec, base_points, rng, cap):
                     )
                 count += 1
     return True, count, ""
+
+
+def ref_center_structure(spec, base_points, rng, cap):
+    """center-structure's product identities with every product multiplied out by
+    Element.mul, then is_central on each central element; it must fail, since the rest of
+    the check is not re-run here.  A closed form whose union names no central element, or
+    whose scalar Element.scale refuses, fails its product identity."""
+    field = spec.field
+    indices = verify.central_indices(spec)
+    full = spec.full_mask
+    count = 1
+    for g, h in itertools.product(indices, indices):
+        at = f"({render_mask(g, spec.n)}, {render_mask(h, spec.n)})"
+        scalar, union = verify.center_mul(spec, g, h)
+        lhs = verify.central_element(spec, g).mul(verify.central_element(spec, h))
+        try:
+            rhs = verify.central_element(spec, union).scale(scalar) if union in indices else None
+        except ValueError:
+            rhs = None
+        if lhs != rhs:
+            return False, count, f"center product at {at} disagrees with its closed form"
+        count += 1
+        if (verify.corner_mul(spec, full, g, h) or (field.zero(), union)) != (scalar, union):
+            return False, count, f"center product and full-corner product disagree at {at}"
+        count += 1
+    for g in indices:
+        if not verify.is_central(spec, verify.central_element(spec, g)):
+            return False, count, f"center basis element {render_mask(g, spec.n)} fails is_central"
+        count += 1
+    raise AssertionError("the center product law held")
 
 
 def ref_radical_oracle_tail(spec, base_points, rng, cap):
@@ -753,6 +784,58 @@ def test_corner_structure_matches_the_one_at_a_time_sweep(monkeypatch, sizes, ch
     assert run_check("corner-structure", spec) == expected
 
 
+@pytest.mark.parametrize("sizes, characteristic", [((2, 3, 3), 0), ((2, 3, 3), 2)])
+@pytest.mark.parametrize("where", POSITIONS)
+@pytest.mark.parametrize(
+    "broken", ["scalar plus one", "scalar a half", "union moved", "union off the center", "corner", "extra term"]
+)
+def test_center_structure_matches_the_one_at_a_time_sweep(monkeypatch, sizes, characteristic, where, broken):
+    # At one pair center_mul's scalar gains 1 or becomes 1/2 (no element of F_2), its
+    # union moves to another central index or onto the size-2 coordinate, or the full
+    # corner's coefficient gains 1; or one central element gains a term off the center.
+    # A moved union is sought among the pairs of nonzero scalar, since a zero product
+    # names no union.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    field = spec.field
+    indices = verify.central_indices(spec)
+    if broken == "extra term":
+        target = at_position(indices, where)
+        central = verify.central_element
+        monkeypatch.setattr(
+            verify, "central_element",
+            lambda spec, g: central(spec, g).add(Element.basis(spec, (0, 1, 1))) if g == target else central(spec, g),
+        )
+    else:
+        law = verify.center_mul
+        pairs = list(itertools.product(indices, indices))
+        if broken == "union moved":
+            pairs = [(g, h) for g, h in pairs if not field.is_zero(law(spec, g, h)[0])]
+        bad = at_position(pairs, where)
+
+        def center_mul(spec, g, h):
+            scalar, union = law(spec, g, h)
+            if (g, h) != bad or broken == "corner":
+                return scalar, union
+            if broken.startswith("scalar"):
+                return (field.add(scalar, field.one()) if broken.endswith("one") else Fraction(1, 2)), union
+            low = spec.large_mask & -spec.large_mask
+            return scalar, union ^ low if broken == "union moved" else union | 1
+
+        corner = verify.corner_mul
+
+        def corner_mul(spec, g, h, i):
+            hit = corner(spec, g, h, i)
+            if (h, i) != bad or broken != "corner":
+                return hit
+            return (field.one(), h | i) if hit is None else (field.add(hit[0], 1), hit[1])
+
+        monkeypatch.setattr(verify, "center_mul", center_mul)
+        monkeypatch.setattr(verify, "corner_mul", corner_mul)
+    expected = reference(ref_center_structure, spec)
+    assert not expected[0]
+    assert run_check("center-structure", spec) == expected
+
+
 def test_dimension_rank_reads_the_rank_off_the_raw_stack(monkeypatch):
     spec = SchemeSpec(sizes=(2, 3), characteristic=2)
     triples = basis_triples(spec)
@@ -880,6 +963,47 @@ def test_quotient_matrix_units_evaluates_each_product_once(monkeypatch):
     assert len(calls) == dim_q**2
 
 
+@pytest.mark.parametrize("sizes, characteristic", [((3, 3), 0), ((2, 3, 3), 2)])
+def test_center_structure_makes_no_element_product(monkeypatch, sizes, characteristic):
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    calls = []
+    mul = Element.mul
+    monkeypatch.setattr(Element, "mul", lambda x, y: calls.append(1) or mul(x, y))
+    assert run_check("center-structure", spec)[0]
+    assert not calls
+
+
+def test_quotient_matrix_units_fails_a_product_no_block_holds(monkeypatch):
+    # Without its last block, the products of that signature name no slot: the law fails
+    # at the first of them, where the block structure gives no product to compare.
+    spec = SchemeSpec(sizes=(3, 3), characteristic=0)
+    blocks = verify.wedderburn_blocks(spec)
+    monkeypatch.setattr(verify, "wedderburn_blocks", lambda spec: blocks[:-1])
+    dts = verify.quotient_triples(spec)
+    last = [k for k, t in enumerate(dts) if verify._signature(spec.large_mask, t) == blocks[-1].signature]
+    first = min(a * len(dts) + b for a in last for b in last if dts[a][2] == dts[b][0])
+    slots = sum(b.size**2 for b in blocks[:-1])
+    t1, t2 = dts[first // len(dts)], dts[first % len(dts)]
+    detail = f"matrix unit law fails at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
+    assert run_check("quotient-matrix-units", spec) == (False, slots + first, detail)
+
+
+def test_quotient_matrix_units_holds_a_chunk_of_pairs(monkeypatch):
+    # (2,2,2,2)/3 has 256 one-term representatives and 65,536 pairs.  With chunks of 64
+    # pairs the check's traced peak stays near its representatives, while arrays and
+    # lists of every pair's positions and expected product take megabytes.
+    spec = SchemeSpec(sizes=(2, 2, 2, 2), characteristic=3)
+    chunk_of(monkeypatch, 1 << 10)
+    tracemalloc.start()
+    try:
+        got = run_check("quotient-matrix-units", spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (True, 256 + 2 * 256**2, "")  # 256 block slots, then the law and the lift per pair
+    assert peak < 1 << 20
+
+
 # --- triple-regularity draws batched -------------------------------------------------------
 
 INTERSECTION_SPECS = [((2, 3), 2), ((3, 3), 0), ((2, 2, 3), 2), ((4, 4), 3), ((3, 4, 5), 2)]
@@ -940,6 +1064,24 @@ def test_intersection_numbers_matches_the_one_at_a_time_sweep(monkeypatch, sizes
     expected = seeded(ref_intersection_numbers, spec, seed)
     assert expected == (False, (1 << spec.n) ** 3 + draw, "triple intersection count is not triply regular")
     assert seeded(verify._check_intersection_numbers, spec, seed) == expected
+
+
+@pytest.mark.parametrize("sizes, characteristic", [((2, 3), 2), ((3, 3), 0), ((2, 2, 3), 5)])
+def test_triple_counts_at_positions_are_the_counts_at_points(sizes, characteristic):
+    # Half the rows take the relations of three points to a fourth as their masks, so
+    # their counts are at least 1; the rest take random masks.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    pts = points(spec)
+    rng = random.Random(f"{sizes}:{characteristic}")
+    rows = []
+    for k in range(40):
+        at = [rng.randrange(len(pts)) for _ in range(4)]
+        masks = [relation(spec, pts[a], pts[at[3]]) if k % 2 else rng.randrange(1 << spec.n) for a in at[:3]]
+        rows.append(at[:3] + masks)
+    at, masks = np.array(rows).T[:3], np.array(rows).T[3:]
+    counts = oracle.triple_intersection_counts(spec, *([pts[k] for k in w] for w in at), *masks)
+    assert oracle._triple_counts(spec, at, masks).tolist() == counts.tolist()
+    assert counts[1::2].all()
 
 
 def test_triple_intersection_counts_is_the_one_row_count_per_row():
