@@ -554,8 +554,8 @@ class Element:
         |self| * |other| reaches KERNEL_PAIRS, on specs of at most
         KERNEL_FACTORS factors whose valencies fit in int64, the pairs that
         chain are found over int64 columns by _chained_ranges, the kernel
-        verify's _products_agree shares, and evaluated by _mul_columns a
-        chunk of left terms at a time (_mul_by_columns), on the operands'
+        verify's product judge _agreement shares, and evaluated by _mul_columns
+        a chunk of left terms at a time (_mul_by_columns), on the operands'
         cached forms; the product comes back with its own.  Otherwise a
         per-pair loop runs, which below KERNEL_PAIRS wins on numpy's fixed
         cost: the terms of other are grouped by their left mask once, as

@@ -107,14 +107,23 @@ def quotient_mul(spec: SchemeSpec, t1: Triple, t2: Triple) -> Optional[Triple]:
     return _quotient_mul(spec, t1, t2)
 
 
+def _quotient_law(large: Mask, t1: Triple, t2: Triple) -> tuple[bool, Triple]:
+    """The law of quotient_mul on surviving triples, unchecked: whether the product is
+    nonzero, and its triple, which means nothing where it is zero.
+
+    It is nonzero when the inner masks chain and the signatures agree.  Being
+    bitwise, it takes two 3-row int64 column sets as well, one pair per position,
+    and then the verdict is a bool column.  large is the spec's large_mask.
+    """
+    live = (t1[2] == t2[0]) & (_signature(large, t1) == _signature(large, t2))
+    return live, _product(large, t1, t2)[1]
+
+
 def _quotient_mul(spec: SchemeSpec, t1: Triple, t2: Triple) -> Optional[Triple]:
-    """The law of quotient_mul on surviving triples, unchecked; a product outside the set raises."""
-    if t1[2] != t2[0]:
+    """_quotient_law on one pair, as quotient_mul gives it; a product outside the set raises."""
+    live, out = _quotient_law(spec.large_mask, t1, t2)
+    if not live:
         return None
-    large = spec.large_mask
-    if _signature(large, t1) != _signature(large, t2):
-        return None
-    out = _product(large, t1, t2)[1]
     if not is_quotient_triple(spec, out):
         raise RuntimeError(
             f"internal consistency failure: product of {render_triple(spec, t1)} and"

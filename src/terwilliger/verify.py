@@ -13,12 +13,13 @@ in sweep order is reported, with the count a one-at-a-time loop would give.
 The engine side of pair sweeps evaluates the product law over int64 triple
 columns (algebra._mul_columns).  Products of linear combinations (the
 central elements of center-structure, the semisimple representatives of
-quotient-matrix-units and corner-structure) go through one kernel,
-_products_agree, over integer numerators; it finds each product's chaining
+quotient-matrix-units and corner-structure) go through one product judge,
+_agreement, over integer numerators; it finds each product's chaining
 term pairs with algebra._chained_pairs, which lists the ranges of
 algebra._chained_ranges, the kernel Element.mul runs on large operands.
-quotient-matrix-units builds its pairs and their expected products one
-chunk at a time.
+quotient-matrix-units sweeps its pairs once, a chunk at a time, judging the
+matrix-unit law over triple columns (quotient._quotient_law) and the lift
+of each product through _agreement.
 corner-structure realizes every corner's representatives as one stack and
 multiplies their pairs as stacks.  Ranks (dimension-rank,
 frobenius-falsification, base-point-independence) eliminate realized stacks
@@ -71,7 +72,7 @@ from .center import (
 )
 from .oracle import DEFAULT_ORACLE_CAP, Point, points
 from .quotient import (
-    _quotient_mul,
+    _quotient_law,
     _signature,
     frobenius_left_ideal,
     frobenius_witness,
@@ -216,39 +217,27 @@ def _chunks(total: int, entries: int) -> Iterator[range]:
     return (range(lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
-def _products_agree(
-    spec: SchemeSpec,
-    combos: Sequence[Mapping[Triple, Scalar]],
-    left: np.ndarray,
-    right: np.ndarray,
-    expect: np.ndarray,
-    scale: Sequence[int],
-    modulo_radical: bool = False,
-) -> np.ndarray:
-    """Whether combos[left[j]] * combos[right[j]] equals scale[j] * combos[expect[j]], for each j.
-
-    expect[j] = -1 stands for zero, and scale[j] is a field element given as an
-    int.  With modulo_radical the two sides may differ by a radical element, as
-    in_radical states it: every term of the difference has a middle of vanishing
-    valency.  The combos' terms become triple columns with integer numerators
-    over one common denominator d (1 at prime characteristic), so the sides are
-    compared times d^2: each pair's term pairs that chain, found by
-    _chained_pairs, are multiplied by _mul_columns, its expected terms times
-    scale * d are subtracted, and each sum per (pair, product triple) must
-    vanish, mod p at prime characteristic.  Numerators are int64 below
-    p = 2^31, reduced after each product, and at characteristic 0 while a
-    bound on every sum stays below 2^63; Python ints otherwise
-    (_numerator_dtype).  A chunk of pairs has at most oracle._CHUNK_ENTRIES
-    term pairs, chaining or not.
-    """
-    return _agreement(spec, combos, modulo_radical)(left, right, expect, scale)
-
-
 def _agreement(
     spec: SchemeSpec, combos: Sequence[Mapping[Triple, Scalar]], modulo_radical: bool = False
 ) -> Callable[[np.ndarray, np.ndarray, np.ndarray, Sequence[int]], np.ndarray]:
-    """_products_agree on combos as a function of (left, right, expect, scale), so that a
-    sweep judging its pairs a chunk at a time builds the combos' columns and numerators once."""
+    """The product judge on combos: a function of (left, right, expect, scale) giving whether
+    combos[left[j]] * combos[right[j]] equals scale[j] * combos[expect[j]], for each j.
+
+    The combos' columns and numerators are built once, so a sweep may judge its
+    pairs a chunk at a time.  expect[j] = -1 stands for zero, and scale[j] is a
+    field element given as an int.  With modulo_radical the two sides may differ
+    by a radical element, as in_radical states it: every term of the difference
+    has a middle of vanishing valency.  The combos' terms become triple columns
+    with integer numerators over one common denominator d (1 at prime
+    characteristic), so the sides are compared times d^2: each pair's term pairs
+    that chain, found by _chained_pairs, are multiplied by _mul_columns, its
+    expected terms times scale * d are subtracted, and each sum per (pair,
+    product triple) must vanish, mod p at prime characteristic.  Numerators are
+    int64 below p = 2^31, reduced after each product, and at characteristic 0
+    while a bound on every sum stays below 2^63; Python ints otherwise
+    (_numerator_dtype).  A chunk of pairs has at most oracle._CHUNK_ENTRIES term
+    pairs, chaining or not.
+    """
     p, n = spec.characteristic, spec.n
     nums, d = _integral(c for combo in combos for c in combo.values())
     size = np.array([len(combo) for combo in combos], dtype=np.int64)
@@ -508,9 +497,8 @@ def _check_intersection_numbers(spec, base_points, rng, cap) -> Outcome:
     hits = (rows == rxy[:, None])[:, :, None] & (rows == rxz[:, None])[:, None, :] & (table == ryz[:, None, None])
     y2, k = _pick(hits.sum(axis=2), k)
     z2, _ = _pick(hits[np.arange(len(k)), y2], k)
-    pts = np.array(points(spec))
-    xs, ys, zs = (pts[np.concatenate(ws)] for ws in ((x1, x2), (y1, y2), (z1, z2)))
-    counts = oracle.triple_intersection_counts(spec, xs, ys, zs, *(np.tile(m, 2) for m in (g, h, i)), cap)
+    at = [np.concatenate(ws) for ws in ((x1, x2), (y1, y2), (z1, z2))]
+    counts = oracle._triple_counts(spec, at, [np.tile(m, 2) for m in (g, h, i)], cap)
     bad = _first_failure(counts[: len(k)] == counts[len(k) :])
     if bad is not None:
         return False, count + bad, "triple intersection count is not triply regular"
@@ -578,7 +566,7 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
         corner.append((corner_mul(spec, full, g, h) or (field.zero(), union)) == (scalar, union))
     left, right = np.divmod(np.arange(len(indices) ** 2), len(indices))
     terms = [e.terms for e in elements]
-    products = _products_agree(spec, terms, left, right, np.array(expect, dtype=np.int64), scale) & named
+    products = _agreement(spec, terms)(left, right, np.array(expect, dtype=np.int64), scale) & named
     bad = _first_failure(np.stack([products, corner], axis=-1).ravel())
     if bad is not None:
         g, h = render_mask(indices[left[bad // 2]], spec.n), render_mask(indices[right[bad // 2]], spec.n)
@@ -746,42 +734,36 @@ def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
     keys = np.array([s << 2 * n | g << n | i for s, g, i in slots] + [1 << 3 * n], dtype=np.int64)
     order = np.argsort(keys)
     keys, held = keys[order], np.array([*slots.values(), -2], dtype=np.int64)[order]
-    sigs, (outer, _, inner) = np.array(sig, dtype=np.int64), _columns(dts)
-
-    @functools.lru_cache(maxsize=1)  # one chunk serves both sweeps at small D_q
-    def pairs(chunk: range) -> tuple[np.ndarray, ...]:
-        """The chunk's pairs of positions in dts, and the position of the product the
-        block structure gives each: -1 for zero, -2 for a slot no block holds."""
+    sigs, columns = np.array(sig, dtype=np.int64), _columns(dts)
+    agree = _agreement(spec, [semisimple_rep(spec, t).terms for t in dts], modulo_radical=True)
+    # Each chunk's pairs are judged by the law, then, up to the first lift failure, by the
+    # lift; that failure is reported once every law identity holds.  A chunk's pairs take
+    # about 16 int64 entries each.
+    lift = None
+    for chunk in _chunks(len(dts) ** 2, 16):
         left, right = np.divmod(np.arange(chunk.start, chunk.stop), len(dts))
-        want = sigs[left] << 2 * n | outer[left] << n | inner[right]
+        a, b = columns[:, left], columns[:, right]
+        # the position in dts of the product the block structure gives each pair: -1 for
+        # zero, -2 for a slot no block holds
+        want = sigs[left] << 2 * n | a[0] << n | b[2]
         at = np.searchsorted(keys, want)
         expect = np.where(keys[at] == want, held[at], -2)
-        return left, right, np.where((sigs[left] == sigs[right]) & (inner[left] == outer[right]), expect, -1)
-
-    # expect -1 names None and -2 an object no product equals; a chunk's pairs take
-    # about 16 int64 entries each in pairs()
-    named = [*dts, object(), None]
-    for chunk in _chunks(len(dts) ** 2, 16):
-        left, right, expect = pairs(chunk)
-        for k, (a, b, e) in enumerate(zip(left.tolist(), right.tolist(), expect.tolist())):
-            if _quotient_mul(spec, dts[a], dts[b]) != named[e]:
-                return False, count + chunk.start + k, (
-                    f"matrix unit law fails at {render_triple(spec, dts[a])} *"
-                    f" {render_triple(spec, dts[b])}"
-                )
-    count += len(dts) ** 2
-    agree = _agreement(spec, [semisimple_rep(spec, t).terms for t in dts], modulo_radical=True)
-    for chunk in _chunks(len(dts) ** 2, 16):
-        left, right, expect = pairs(chunk)
-        ok = agree(left, right, expect, [1] * len(left))
-        bad = _first_failure(ok)
+        expect = np.where((sigs[left] == sigs[right]) & (a[2] == b[0]), expect, -1)
+        live, product = _quotient_law(spec.large_mask, a, b)
+        same = np.all(np.array(product) == columns[:, expect], axis=0)
+        bad = _first_failure(np.where(expect == -1, ~live, live & same & (expect >= 0)))
         if bad is not None:
             t1, t2 = dts[left[bad]], dts[right[bad]]
             return False, count + chunk.start + bad, (
+                f"matrix unit law fails at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
+            )
+        if lift is None and (bad := _first_failure(agree(left, right, expect, [1] * len(left)))) is not None:
+            t1, t2 = dts[left[bad]], dts[right[bad]]
+            lift = count + len(dts) ** 2 + chunk.start + bad, (
                 f"lifted product at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
                 " differs from the representative beyond the radical"
             )
-    return True, count + len(dts) ** 2, ""
+    return (False, *lift) if lift else (True, count + 2 * len(dts) ** 2, "")
 
 
 def _check_block_bookkeeping(spec, base_points, rng, cap) -> Outcome:
@@ -906,9 +888,7 @@ def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
         units = np.arange(len(reps), len(reps) + len(actions))  # the basis elements (g, h, g) acting
         one = field.one()
         combos = reps + [{(g, h, g): one} for g, h, *_ in actions]
-        ok = _products_agree(
-            spec,
-            combos,
+        ok = _agreement(spec, combos)(
             np.concatenate([ka, units, ki]),
             np.concatenate([kb, ki, units]),
             np.concatenate([np.where(ka == kb, ka, -1), ki, ki]),

@@ -1,11 +1,12 @@
 """The semisimple quotient: representatives, matrix units, blocks, verdicts."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from terwilliger import quotient
-from terwilliger.algebra import Element, basis_triples
+from terwilliger.algebra import Element, _columns, basis_triples
 from terwilliger.quotient import (
     frobenius_left_ideal,
     frobenius_witness,
@@ -98,6 +99,25 @@ def test_quotient_matrix_unit_law():
                     assert sig[got] == sig[t1]
                 else:
                     assert got is None
+
+
+@pytest.mark.parametrize("sizes, characteristic", [((2, 3), 0), ((3, 3), 2), ((2, 2, 3), 3)])
+def test_quotient_law_over_columns_is_the_law_per_pair(sizes, characteristic):
+    # Every pair of surviving triples at once, as two column sets, against the one-pair
+    # law on ints and against quotient_mul.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    large, dts = spec.large_mask, quotient_triples(spec)
+    columns = _columns(dts)
+    left, right = np.divmod(np.arange(len(dts) ** 2), len(dts))
+    live, product = quotient._quotient_law(large, columns[:, left], columns[:, right])
+    assert live.dtype == bool and live.any() and not live.all()
+    product = np.array(product).T.tolist()
+    for a, b, alive, out in zip(left.tolist(), right.tolist(), live.tolist(), product):
+        one_live, one_out = quotient._quotient_law(large, dts[a], dts[b])
+        assert one_live == alive
+        assert quotient_mul(spec, dts[a], dts[b]) == (tuple(out) if alive else None)
+        if alive:
+            assert one_out == tuple(out)
 
 
 def test_quotient_mul_lifts_agree_modulo_radical():

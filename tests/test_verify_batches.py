@@ -31,6 +31,11 @@ def law_at(spec, t1, t2):
     return None if c == 0 else (c, tuple(int(col[0]) for col in product))
 
 
+def is_pair(t1, t2, pair):
+    """Whether (t1, t2) is pair: for two int triples, or at each position of two 3-row column sets."""
+    return np.all(np.array(t1).T == pair[0], axis=-1) & np.all(np.array(t2).T == pair[1], axis=-1)
+
+
 def reference(check, spec):
     return check(spec, verify.pick_base_points(spec, 2), random.Random(0), DEFAULT_ORACLE_CAP)
 
@@ -350,7 +355,8 @@ def ref_quotient_matrix_units(spec, base_points, rng, cap):
     for t1, t2 in itertools.product(dts, dts):
         s1, s2 = sig[t1], sig[t2]
         expected = None if s1 != s2 or t1[2] != t2[0] else lookup[(s1, t1[0], t2[2])]
-        out = verify._quotient_mul(spec, t1, t2)
+        live, out = verify._quotient_law(spec.large_mask, t1, t2)
+        out = out if live else None
         if out != expected:
             return False, count, (
                 f"matrix unit law fails at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
@@ -492,16 +498,16 @@ def test_products_agree_is_mul_sub_and_in_radical(monkeypatch, sizes, characteri
                                   for k in range(4))
     lhs = [elements[a].mul(elements[b]) for a, b, _, _ in pairs]
     rhs = [Element.zero(spec) if e < 0 else elements[e].scale(s) for _, _, e, s in pairs]
-    exact = verify._products_agree(spec, combos, left, right, expect, scale)
-    modulo = verify._products_agree(spec, combos, left, right, expect, scale, modulo_radical=True)
+    exact = verify._agreement(spec, combos)(left, right, expect, scale)
+    modulo = verify._agreement(spec, combos, modulo_radical=True)(left, right, expect, scale)
     assert exact.tolist() == [x == y for x, y in zip(lhs, rhs)]
     assert modulo.tolist() == [in_radical(spec, x.sub(y)) for x, y in zip(lhs, rhs)]
     assert exact.any() and not exact.all()
     assert not radical or (modulo & ~exact).any()
     none = np.zeros(0, dtype=np.int64)
-    assert verify._products_agree(spec, combos, none, none, none, none).shape == (0,)
+    assert verify._agreement(spec, combos)(none, none, none, none).shape == (0,)
     zeros = [{}, {}]
-    assert verify._products_agree(spec, zeros, *(np.array([0, 1, 1]),) * 2, np.array([-1, 0, 1]), [1, 1, 0]).all()
+    assert verify._agreement(spec, zeros)(*(np.array([0, 1, 1]),) * 2, np.array([-1, 0, 1]), [1, 1, 0]).all()
 
 
 # --- failure-path parity ----------------------------------------------------------------------
@@ -703,14 +709,40 @@ def test_quotient_matrix_units_match_the_one_at_a_time_sweep(monkeypatch, sizes,
     else:
         # a zero product where the law has one, and the left factor where it has none
         bad = at_position(list(itertools.product(dts, dts)), where)
-        law = verify._quotient_mul
-        monkeypatch.setattr(
-            verify, "_quotient_mul",
-            lambda spec, t1, t2: (None if law(spec, t1, t2) else t1) if (t1, t2) == bad else law(spec, t1, t2),
-        )
+        law = verify._quotient_law
+
+        def broken(large, t1, t2):
+            live, out = law(large, t1, t2)
+            hit = is_pair(t1, t2, bad)
+            if np.ndim(hit) == 0:  # one pair, as the reference asks
+                return (not live, t1) if hit else (live, out)
+            return live ^ hit, tuple(np.where(hit, a, b) for a, b in zip(t1, out))
+
+        monkeypatch.setattr(verify, "_quotient_law", broken)
     chunk_of(monkeypatch, 3 * spec.num_points**2)  # about a dozen lifted pairs a chunk
     expected = reference(ref_quotient_matrix_units, spec)
     assert not expected[0]
+    assert run_check("quotient-matrix-units", spec) == expected
+
+
+@pytest.mark.parametrize("sizes, characteristic", SEMISIMPLE_SPECS)
+def test_quotient_matrix_units_reports_a_late_law_failure_before_an_early_lift(monkeypatch, sizes, characteristic):
+    # The one sweep meets the lift failure at the first pair, chunks before the law
+    # failure at the last; the record is still the law's, as in a law sweep then a lift sweep.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    dts = verify.quotient_triples(spec)
+    break_rep(monkeypatch, spec, dts[0], dts[0])
+    last, law = (dts[-1], dts[-1]), verify._quotient_law
+
+    def broken(large, t1, t2):
+        live, out = law(large, t1, t2)
+        return live ^ is_pair(t1, t2, last), out
+
+    monkeypatch.setattr(verify, "_quotient_law", broken)
+    chunk_of(monkeypatch, 3 * spec.num_points**2)
+    slots = sum(b.size**2 for b in verify.wedderburn_blocks(spec))
+    expected = reference(ref_quotient_matrix_units, spec)
+    assert expected[:2] == (False, slots + len(dts) ** 2 - 1)
     assert run_check("quotient-matrix-units", spec) == expected
 
 
@@ -950,17 +982,27 @@ def test_run_all_multiplies_a_chunk_at_a_time(monkeypatch):
     assert sum(calls.values()) == 16
 
 
-# --- quotient products evaluated once ----------------------------------------------
+# --- the quotient law judged a chunk at a time ------------------------------------
 
 
-def test_quotient_matrix_units_evaluates_each_product_once(monkeypatch):
-    spec = SchemeSpec(sizes=(2, 3), characteristic=0)
-    calls = []
-    law = verify._quotient_mul
-    monkeypatch.setattr(verify, "_quotient_mul", lambda spec, t1, t2: calls.append(1) or law(spec, t1, t2))
-    dim_q = len(verify.quotient_triples(spec))
-    assert run_check("quotient-matrix-units", spec) == (True, 20 + 2 * dim_q**2, "")
-    assert len(calls) == dim_q**2
+@pytest.mark.parametrize("sizes, characteristic", [((2, 3), 0), ((2, 2, 2), 3)])
+def test_quotient_matrix_units_judges_the_law_once_per_chunk(monkeypatch, sizes, characteristic):
+    # No product goes through the one-pair law; each chunk of pairs is one column call,
+    # the chunks in sweep order.  Chunks of 4 pairs at (2,3)/0 and 64 at (2,2,2)/3.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    chunk_of(monkeypatch, 1 << 6 if characteristic == 0 else 1 << 10)
+    one_pair, calls, law = [], [], verify._quotient_law
+    mul = quotient._quotient_mul
+    monkeypatch.setattr(quotient, "_quotient_mul", lambda *a: one_pair.append(1) or mul(*a))
+    monkeypatch.setattr(verify, "_quotient_law", lambda large, t1, t2: calls.append(t1) or law(large, t1, t2))
+    results = verify.run_all(spec)
+    assert all(r.passed for r in results)
+    assert not one_pair
+    dts = verify.quotient_triples(spec)
+    step = max(1, oracle._CHUNK_ENTRIES // 16)
+    assert len(calls) == len(range(0, len(dts) ** 2, step)) > 1
+    left = np.concatenate([verify._key(spec, t1) for t1 in calls])
+    assert left.tolist() == [verify._key(spec, dts[k // len(dts)]) for k in range(len(dts) ** 2)]
 
 
 @pytest.mark.parametrize("sizes, characteristic", [((3, 3), 0), ((2, 3, 3), 2)])
@@ -988,6 +1030,35 @@ def test_quotient_matrix_units_fails_a_product_no_block_holds(monkeypatch):
     assert run_check("quotient-matrix-units", spec) == (False, slots + first, detail)
 
 
+@pytest.mark.parametrize("where", POSITIONS)
+def test_quotient_matrix_units_fails_a_product_outside_the_surviving_set(monkeypatch, where):
+    # The law's product at one nonzero pair gains a qualifying coordinate in its middle,
+    # so it leaves the surviving set: the check fails at that pair, and run_all returns
+    # its record, where the one-pair law raises.
+    spec = SchemeSpec(sizes=(3, 4), characteristic=3)
+    dts = verify.quotient_triples(spec)
+    pairs = list(itertools.product(dts, dts))
+    bad = at_position([k for k, (t1, t2) in enumerate(pairs) if quotient.quotient_mul(spec, t1, t2)], where)
+    t1, t2 = pairs[bad]
+    q, law = 1 << verify.qualifying_coordinates(spec)[0], quotient._quotient_law
+
+    def moved(large, a, b):
+        live, (g, h, i) = law(large, a, b)
+        hit = is_pair(a, b, (t1, t2))
+        h = np.where(hit, h | q, h)
+        return live, (g, h if np.ndim(hit) else int(h), i)
+
+    monkeypatch.setattr(verify, "_quotient_law", moved)
+    monkeypatch.setattr(quotient, "_quotient_law", moved)
+    with pytest.raises(RuntimeError, match="left the surviving set"):
+        quotient.quotient_mul(spec, t1, t2)
+    slots = sum(b.size**2 for b in verify.wedderburn_blocks(spec))
+    detail = f"matrix unit law fails at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
+    assert reference(ref_quotient_matrix_units, spec) == (False, slots + bad, detail)
+    got = {r.name: r for r in verify.run_all(spec)}["quotient-matrix-units"]
+    assert (got.passed, got.count, got.detail) == (False, slots + bad, detail)
+
+
 def test_quotient_matrix_units_holds_a_chunk_of_pairs(monkeypatch):
     # (2,2,2,2)/3 has 256 one-term representatives and 65,536 pairs.  With chunks of 64
     # pairs the check's traced peak stays near its representatives, while arrays and
@@ -1013,17 +1084,18 @@ def seeded(check, spec, seed):
     return check(spec, verify.pick_base_points(spec, 2), random.Random(seed), DEFAULT_ORACLE_CAP)
 
 
-def rows_of(xs, ys, zs, g, h, i):
-    """The (x, y, z, g, h, i) rows of a stacked triple count, points as tuples."""
-    points_of = (map(tuple, np.asarray(w).tolist()) for w in (xs, ys, zs))
-    return list(zip(*points_of, *(np.asarray(m).tolist() for m in (g, h, i))))
+def rows_of(spec, at, masks):
+    """The (x, y, z, g, h, i) rows of a triple count at table positions, points as tuples."""
+    pts = points(spec)
+    points_of = ([pts[k] for k in np.asarray(w).tolist()] for w in at)
+    return list(zip(*points_of, *(np.asarray(m).tolist() for m in masks)))
 
 
 @pytest.mark.parametrize("sizes, characteristic", INTERSECTION_SPECS)
 def test_intersection_numbers_match_the_one_at_a_time_draws(monkeypatch, sizes, characteristic):
     # Same record, and the same 20 pairs of triples counted, in the same order.
     spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
-    one_row, stacked = oracle.triple_intersection_count, oracle.triple_intersection_counts
+    one_row, stacked = oracle.triple_intersection_count, oracle._triple_counts
     for seed in (0, 1, "1729:intersection-numbers", 99):
         drawn, counted = [], []
         with monkeypatch.context() as patch:
@@ -1031,7 +1103,7 @@ def test_intersection_numbers_match_the_one_at_a_time_draws(monkeypatch, sizes, 
             expected = seeded(ref_intersection_numbers, spec, seed)
         assert expected == (True, (1 << spec.n) ** 3 + 20, "")
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "triple_intersection_counts", lambda spec, *a: counted.extend(rows_of(*a[:6])) or stacked(spec, *a))
+            patch.setattr(oracle, "_triple_counts", lambda spec, *a: counted.extend(rows_of(spec, *a[:2])) or stacked(spec, *a))
             assert seeded(verify._check_intersection_numbers, spec, seed) == expected
         assert counted[:20] == drawn[0::2] and counted[20:] == drawn[1::2]
 
@@ -1055,12 +1127,12 @@ def test_intersection_numbers_matches_the_one_at_a_time_sweep(monkeypatch, sizes
         assert seeded(ref_intersection_numbers, spec, seed)[0]
     first, target = calls[2 * draw], calls[2 * draw + 1]
     assert first != target  # else the fault would cancel
-    counts = oracle.triple_intersection_counts
+    counts = oracle._triple_counts
 
-    def faulty(spec, xs, ys, zs, g, h, i, cap=DEFAULT_ORACLE_CAP):
-        return counts(spec, xs, ys, zs, g, h, i, cap) + [row == target for row in rows_of(xs, ys, zs, g, h, i)]
+    def faulty(spec, at, masks, cap=DEFAULT_ORACLE_CAP):
+        return counts(spec, at, masks, cap) + [row == target for row in rows_of(spec, at, masks)]
 
-    monkeypatch.setattr(oracle, "triple_intersection_counts", faulty)
+    monkeypatch.setattr(oracle, "_triple_counts", faulty)
     expected = seeded(ref_intersection_numbers, spec, seed)
     assert expected == (False, (1 << spec.n) ** 3 + draw, "triple intersection count is not triply regular")
     assert seeded(verify._check_intersection_numbers, spec, seed) == expected
