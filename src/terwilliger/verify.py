@@ -49,7 +49,6 @@ from .algebra import (
     _key,
     _mask_columns,
     _mul_columns,
-    _mul_triples,
     _numerator_dtype,
     _spread,
     _sum_bound,
@@ -217,26 +216,32 @@ def _chunks(total: int, entries: int) -> Iterator[range]:
     return (range(lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
+def _int_column(values: Sequence[int]) -> np.ndarray:
+    """Integers as an int64 column, or as an object column of Python ints where one does not fit."""
+    return np.array(values, dtype=np.int64 if max(map(abs, values), default=0) < 1 << 63 else object)
+
+
 def _agreement(
     spec: SchemeSpec, combos: Sequence[Mapping[Triple, Scalar]], modulo_radical: bool = False
-) -> Callable[[np.ndarray, np.ndarray, np.ndarray, Sequence[int]], np.ndarray]:
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray, int | np.ndarray], np.ndarray]:
     """The product judge on combos: a function of (left, right, expect, scale) giving whether
     combos[left[j]] * combos[right[j]] equals scale[j] * combos[expect[j]], for each j.
 
     The combos' columns and numerators are built once, so a sweep may judge its
-    pairs a chunk at a time.  expect[j] = -1 stands for zero, and scale[j] is a
-    field element given as an int.  With modulo_radical the two sides may differ
-    by a radical element, as in_radical states it: every term of the difference
-    has a middle of vanishing valency.  The combos' terms become triple columns
-    with integer numerators over one common denominator d (1 at prime
-    characteristic), so the sides are compared times d^2: each pair's term pairs
-    that chain, found by _chained_pairs, are multiplied by _mul_columns, its
-    expected terms times scale * d are subtracted, and each sum per (pair,
-    product triple) must vanish, mod p at prime characteristic.  Numerators are
-    int64 below p = 2^31, reduced after each product, and at characteristic 0
-    while a bound on every sum stays below 2^63; Python ints otherwise
-    (_numerator_dtype).  A chunk of pairs has at most oracle._CHUNK_ENTRIES term
-    pairs, chaining or not.
+    pairs a chunk at a time.  expect[j] = -1 stands for zero.  scale is a field
+    element given as one int for every pair, or a column of them, one per pair:
+    int64 from _int_column, or Python ints where a residue does not fit.  With
+    modulo_radical the two sides may differ by a radical element, as in_radical
+    states it: every term of the difference has a middle of vanishing valency.
+    The combos' terms become triple columns with integer numerators over one
+    common denominator d (1 at prime characteristic), so the sides are compared
+    times d^2: each pair's term pairs that chain, found by _chained_pairs, are
+    multiplied by _mul_columns, its expected terms times scale * d are
+    subtracted, and each sum per (pair, product triple) must vanish, mod p at
+    prime characteristic.  Numerators are int64 below p = 2^31, reduced after
+    each product, and at characteristic 0 while a bound on every sum stays below
+    2^63; Python ints otherwise (_numerator_dtype).  A chunk of pairs has at most
+    oracle._CHUNK_ENTRIES term pairs, chaining or not.
     """
     p, n = spec.characteristic, spec.n
     nums, d = _integral(c for combo in combos for c in combo.values())
@@ -244,21 +249,22 @@ def _agreement(
     terms = int(size.max(initial=0))
     top = max(map(abs, nums), default=0)
     start = np.cumsum(size) - size
-    l1 = [sum(map(abs, nums[a : a + k])) for a, k in zip(start.tolist(), size.tolist())]
-    l1 = np.array(l1, dtype=np.int64 if max(l1, default=0) < 1 << 63 else object)
-    nums = np.array(nums, dtype=np.int64 if top < 1 << 63 else object)
+    l1 = _int_column([sum(map(abs, nums[a : a + k])) for a, k in zip(start.tolist(), size.tolist())])
+    nums = _int_column(nums)
     columns = _columns([t for combo in combos for t in combo])
     stays = np.array([p_divides_valency(spec, m) for m in range(1 << n)]) if modulo_radical else None
 
-    def agree(left: np.ndarray, right: np.ndarray, expect: np.ndarray, scale: Sequence[int]) -> np.ndarray:
-        scale = np.asarray(scale).tolist()
+    def agree(left: np.ndarray, right: np.ndarray, expect: np.ndarray, scale: int | np.ndarray) -> np.ndarray:
+        column = not isinstance(scale, int)  # else one int, which numpy arithmetic broadcasts
+        scale = np.asarray(scale) if column else scale
         # a pair's product of L1 norms is at most the largest left norm times the largest right one
         norms = int(l1[left].max(initial=0)) * int(l1[right].max(initial=0))
-        high = max(map(abs, scale), default=0)
+        high = int(np.abs(scale).max(initial=0)) if column else abs(scale)
         # at characteristic 0 a value held is a numerator, a scale, or a sum of
         # at most a product's _sum_bound plus |scale d c|
         dtype = _numerator_dtype(p, max(top, high, _sum_bound(spec, norms) + high * d * top))
-        held, scale = nums.astype(dtype, copy=False), np.array(scale, dtype=dtype)
+        held = nums.astype(dtype, copy=False)
+        scale = scale.astype(dtype, copy=False) if column else scale
         ok = np.ones(len(left), dtype=bool)
         for chunk in _chunks(len(left), max(1, terms * (terms + 1))):
             lo = chunk.start
@@ -268,7 +274,8 @@ def _agreement(
             lhs = held[s] * held[t] % p * factor % p if p else held[s] * held[t] * factor
             at, k = _spread(np.where(e < 0, 0, size[e]))
             u = start[e][at] + k
-            rhs = scale[lo + at] * held[u] % p if p else scale[lo + at] * d * held[u]
+            c = scale[lo + at] if column else scale
+            rhs = c * held[u] % p if p else c * d * held[u]
             keys = np.concatenate([rows << 3 * n | _key(spec, product), at << 3 * n | _key(spec, columns[:, u])])
             if not keys.size:
                 continue
@@ -566,7 +573,8 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
         corner.append((corner_mul(spec, full, g, h) or (field.zero(), union)) == (scalar, union))
     left, right = np.divmod(np.arange(len(indices) ** 2), len(indices))
     terms = [e.terms for e in elements]
-    products = _agreement(spec, terms)(left, right, np.array(expect, dtype=np.int64), scale) & named
+    expect, scale = np.array(expect, dtype=np.int64), _int_column(scale)
+    products = _agreement(spec, terms)(left, right, expect, scale) & named
     bad = _first_failure(np.stack([products, corner], axis=-1).ravel())
     if bad is not None:
         g, h = render_mask(indices[left[bad // 2]], spec.n), render_mask(indices[right[bad // 2]], spec.n)
@@ -578,11 +586,27 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
         if not is_central(spec, element):
             return False, count, f"center basis element {render_mask(g, spec.n)} fails is_central"
         count += 1
-    # a product of two basis elements is one term, so the triple law decides commutation
-    triples = basis_triples(spec)
-    for t in triples:
-        commutes = all(_mul_triples(spec, t, u) == _mul_triples(spec, u, t) for u in triples)
-        if is_central(spec, Element.basis(spec, t)) != commutes:
+    # A product of two basis elements is one term, so the triple law decides commutation.
+    # Every triple t meets the triples u a block at a time, in order, and only the t that
+    # commute with every u so far meet the next block, which holds at most
+    # oracle._CHUNK_ENTRIES pairs (one u at least), as the one-at-a-time loop stopped at
+    # a t's first u that does not commute.  Where a block is the whole square, the
+    # products u * t are the transpose of t * u.
+    triples, one = basis_triples(spec), field.one()
+    columns = _columns(triples)
+    live, lo = np.arange(len(triples)), 0
+    while live.size and lo < len(triples):
+        hi = min(len(triples), lo + max(1, oracle._CHUNK_ENTRIES // live.size))
+        ts, us = columns[:, live, None], columns[:, None, lo:hi]
+        tu, a = _mul_columns(spec, ts, us)
+        whole = live.size == hi - lo == len(triples)
+        ut, b = (tu.T, [x.T for x in a]) if whole else _mul_columns(spec, us, ts)
+        same = (a[0] == b[0]) & (a[1] == b[1]) & (a[2] == b[2])
+        live, lo = live[np.all((tu == ut) & ((tu == 0) | same), axis=1)], hi
+    commutes = np.zeros(len(triples), dtype=bool)
+    commutes[live] = True
+    for t, central in zip(triples, commutes.tolist()):
+        if is_central(spec, Element._with_terms(spec, {t: one})) != central:
             return False, count, (
                 f"is_central({render_triple(spec, t)}) disagrees with commutation"
             )
@@ -757,7 +781,7 @@ def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
             return False, count + chunk.start + bad, (
                 f"matrix unit law fails at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
             )
-        if lift is None and (bad := _first_failure(agree(left, right, expect, [1] * len(left)))) is not None:
+        if lift is None and (bad := _first_failure(agree(left, right, expect, 1))) is not None:
             t1, t2 = dts[left[bad]], dts[right[bad]]
             lift = count + len(dts) ** 2 + chunk.start + bad, (
                 f"lifted product at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
@@ -892,7 +916,7 @@ def _check_corner_structure(spec, base_points, rng, cap) -> Outcome:
             np.concatenate([ka, units, ki]),
             np.concatenate([kb, ki, units]),
             np.concatenate([np.where(ka == kb, ka, -1), ki, ki]),
-            [1] * len(pairs) + scale + scale,
+            _int_column([1] * len(pairs) + scale + scale),
         )
         # N_a N_b = delta_ab d N_a for the realized numerators N over their denominator d
         nums, d = oracle._realize_combinations(spec, reps, base_points[0], cap)

@@ -490,6 +490,50 @@ def test_report_json_is_the_same_when_the_listing_spans_several_writes(monkeypat
     assert_same_long_text("".join(writes), json.dumps(reference_report(spec), indent=2) + "\n")
 
 
+def listing_writes(monkeypatch, spec, rows=None):
+    """The writes of spec's JSON report, checked against json.dumps of the full report,
+    with the listing written `rows` triples at a time (the default slice when None)."""
+    if rows is not None:
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows)
+    writes = Writes()
+    with contextlib.redirect_stdout(writes):
+        assert cli.main(report_argv(spec, "--json")) == 0
+    assert_same_long_text("".join(writes), json.dumps(reference_report(spec), indent=2) + "\n")
+    return writes
+
+
+# rad_dim 15, 12 and 21: one row below, at, and one row above a multiple of 4
+@pytest.mark.parametrize("sizes, char", [((3, 4), 3), ((2, 3), 2), ((3, 3), 2)])
+def test_report_json_listing_ends_next_to_a_slice_boundary(monkeypatch, sizes, char):
+    spec = SchemeSpec(sizes=sizes, characteristic=char)
+    writes = listing_writes(monkeypatch, spec, 4)
+    # the head, a write per slice of 4 triples, the tail
+    assert len(writes) == -(-radical.rad_dim(spec) // 4) + 2
+
+
+def test_report_json_listing_one_triple_per_write(monkeypatch):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=2)
+    writes = listing_writes(monkeypatch, spec, 1)
+    assert len(writes) == 12 + 2
+    assert writes[1] == '      [\n        "00",\n        "01",\n        "01"\n      ],\n'
+    assert writes[-2].endswith('"\n      ]')
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2, 3])
+def test_report_json_listing_of_one_coordinate(monkeypatch, rows):
+    spec = SchemeSpec(sizes=(3,), characteristic=2)
+    writes = listing_writes(monkeypatch, spec, rows)
+    assert json.loads("".join(writes))["radical"]["basis"] == [["0", "1", "1"], ["1", "1", "0"], ["1", "1", "1"]]
+    assert len(writes) == -(-3 // (rows or cli._ROWS_PER_WRITE)) + 2
+
+
+def test_report_json_top_benchmark_rung_goes_out_in_default_slices(monkeypatch):
+    spec = SchemeSpec(sizes=(3,) * 6, characteristic=2)
+    writes = listing_writes(monkeypatch, spec)
+    assert radical.rad_dim(spec) == 15561
+    assert len(writes) == -(-15561 // cli._ROWS_PER_WRITE) + 2
+
+
 def test_report_json_refuses_a_wrong_rad_dim_before_writing(monkeypatch):
     build = cli.build_report
 

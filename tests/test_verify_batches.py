@@ -510,6 +510,31 @@ def test_products_agree_is_mul_sub_and_in_radical(monkeypatch, sizes, characteri
     assert verify._agreement(spec, zeros)(*(np.array([0, 1, 1]),) * 2, np.array([-1, 0, 1]), [1, 1, 0]).all()
 
 
+@pytest.mark.parametrize("sizes, characteristic", [((2, 3), 0), ((2, 3), 3), ((2, 3), 2**64 + 13)])
+@pytest.mark.parametrize("s", [0, 1, 2, 2**62 + 1, 2**64 + 1])
+def test_products_agree_takes_one_int_for_every_pair(sizes, characteristic, s):
+    # One int scale stands for a column repeating it.  At characteristic 0, 2^62 + 1 and
+    # 2^64 + 1 push the sums past int64; at 2^64 + 13 the residues are Python ints.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    field = spec.field
+    s = int(field.of(s))
+    rng = random.Random(f"{sizes}:{characteristic}:{s}")
+    triples = basis_triples(spec)
+    elements = [random_element(spec, triples, rng, rng.choice([1, 2, 5])) for _ in range(6)]
+    pairs = [(a, b, rng.randrange(-1, 6)) for a in range(6) for b in range(6)]
+    if not field.is_zero(field.of(s)):
+        for a, b in [(0, 1), (2, 2), (4, 3)]:  # a product over s, so the pair agrees
+            pairs.append((a, b, len(elements)))
+            elements.append(elements[a].mul(elements[b]).scale(field.inv(field.of(s))))
+    left, right, expect = (np.array([pair[k] for pair in pairs], dtype=np.int64) for k in range(3))
+    agree = verify._agreement(spec, [e.terms for e in elements])
+    got = agree(left, right, expect, s)
+    want = [elements[a].mul(elements[b]) == (Element.zero(spec) if e < 0 else elements[e].scale(s)) for a, b, e in pairs]
+    assert got.tolist() == want
+    assert got.any() and (s == 0 or not got.all())
+    assert agree(left, right, expect, verify._int_column([s] * len(pairs))).tolist() == want
+
+
 # --- failure-path parity ----------------------------------------------------------------------
 
 
@@ -1003,6 +1028,110 @@ def test_quotient_matrix_units_judges_the_law_once_per_chunk(monkeypatch, sizes,
     assert len(calls) == len(range(0, len(dts) ** 2, step)) > 1
     left = np.concatenate([verify._key(spec, t1) for t1 in calls])
     assert left.tolist() == [verify._key(spec, dts[k // len(dts)]) for k in range(len(dts) ** 2)]
+
+
+def swap_law_at(monkeypatch, target, off=None):
+    """verify's column law answers target * u with u * target, for every u.  With off set,
+    each nonzero product it answers so changes there: its coefficient gains 1, or its
+    column off (0, 1 or 2) moves off the masks."""
+    law = verify._mul_columns
+
+    def swapped(spec, t1, t2):
+        (c, product), (rc, reverse) = law(spec, t1, t2), law(spec, t2, t1)
+        if off == "coefficient":
+            rc = np.where(rc != 0, rc + 1, 0)
+        elif off is not None:
+            reverse = tuple(np.where(rc != 0, y + (1 << spec.n), y) if k == off else y for k, y in enumerate(reverse))
+        at = np.logical_and.reduce([col == m for col, m in zip(t1, target)])
+        return np.where(at, rc, c), tuple(np.where(at, y, x) for x, y in zip(product, reverse))
+
+    monkeypatch.setattr(verify, "_mul_columns", swapped)
+
+
+# (3,3)/2 has one central basis triple, (3,3,3); at the others none is central
+COMMUTATION_SPECS = [((2, 3), 0), ((2, 3), 2), ((2, 2, 3), 2), ((3, 3), 2)]
+
+
+@pytest.mark.parametrize("sizes, characteristic", COMMUTATION_SPECS)
+@pytest.mark.parametrize("where", POSITIONS)
+@pytest.mark.parametrize("fault", ["is_central", "law"])
+@pytest.mark.parametrize("per_block", [3, None])
+def test_center_structure_commutation_fails_at_the_broken_triple(
+    monkeypatch, sizes, characteristic, where, fault, per_block
+):
+    # In blocks of at most 3 D pairs, or the whole square at once, either is_central is
+    # flipped at one basis triple t, or the column law answers t * u with u * t for every
+    # u, so that t alone comes to commute (here every triple fails to commute with at
+    # least two others).  Either way the check fails at t, with the count a one-at-a-time
+    # loop reaches it at.  t is no central element, whose is_central the check asks first.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    triples = basis_triples(spec)
+    centrals = [verify.central_element(spec, g) for g in verify.central_indices(spec)]
+    target = at_position([t for t in triples if Element.basis(spec, t) not in centrals], where)
+    if fault == "is_central":
+        real = verify.is_central
+        monkeypatch.setattr(verify, "is_central", lambda spec, e: real(spec, e) != (e == Element.basis(spec, target)))
+    else:
+        swap_law_at(monkeypatch, target)
+    if per_block:
+        chunk_of(monkeypatch, per_block * len(triples))
+    k = len(centrals)
+    detail = f"is_central({render_triple(spec, target)}) disagrees with commutation"
+    assert run_check("center-structure", spec) == (False, 1 + 2 * k * k + k + triples.index(target), detail)
+
+
+@pytest.mark.parametrize("sizes, characteristic", COMMUTATION_SPECS[:3])
+@pytest.mark.parametrize("where", POSITIONS)
+@pytest.mark.parametrize("off", ["coefficient", 0, 1, 2])
+@pytest.mark.parametrize("per_block", [3, None])
+def test_center_structure_commutation_compares_whole_products(
+    monkeypatch, sizes, characteristic, where, off, per_block
+):
+    # t * u and u * t now agree for every u but in their coefficient, or in one column
+    # of their triple, wherever they are nonzero: t still fails to commute, and the
+    # check, which finds no central basis triple here, passes as before.  t is a term of
+    # no central element, so the center product law is untouched.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    whole = run_check("center-structure", spec)
+    held = {t for g in verify.central_indices(spec) for t in verify.central_element(spec, g).terms}
+    swap_law_at(monkeypatch, at_position([t for t in basis_triples(spec) if t not in held], where), off)
+    if per_block:
+        chunk_of(monkeypatch, per_block * len(basis_triples(spec)))
+    assert run_check("center-structure", spec) == whole
+
+
+@pytest.mark.parametrize("sizes, characteristic", COMMUTATION_SPECS[2:])
+@pytest.mark.parametrize("entries", [1, 50, 1 << 16])
+def test_center_structure_commutation_holds_a_block_of_pairs(monkeypatch, sizes, characteristic, entries):
+    # Every basis triple t meets the triples u in blocks of at most `entries` pairs (one
+    # u at least), each multiplied both ways, and only the t that commute so far go on;
+    # the whole square is multiplied one way and transposed.  At (3,3)/2 the central
+    # basis triple (3,3,3) commutes with every u, so the blocks cover them all.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    whole = run_check("center-structure", spec)
+    assert whole[0]
+    shapes = []
+    law = verify._mul_columns
+
+    def counted(spec, t1, t2):
+        shape = np.broadcast(*t1, *t2).shape
+        if len(shape) == 2:
+            shapes.append(shape)
+        return law(spec, t1, t2)
+
+    monkeypatch.setattr(verify, "_mul_columns", counted)
+    chunk_of(monkeypatch, entries)
+    assert run_check("center-structure", spec) == whole
+    d = len(basis_triples(spec))
+    if entries >= d * d:
+        assert shapes == [(d, d)]
+        return
+    assert shapes[0][0] == d and shapes[::2] == shapes[1::2]
+    assert all(rows * width <= max(entries, rows) for rows, width in shapes)
+    assert all(later[0] <= earlier[0] for earlier, later in zip(shapes, shapes[1:]))
+    assert entries == 1 or max(width for _, width in shapes) > shapes[0][1]  # blocks widen as t drop out
+    covered = sum(width for _, width in shapes[::2])
+    assert covered == d if sizes == (3, 3) else covered <= d
 
 
 @pytest.mark.parametrize("sizes, characteristic", [((3, 3), 0), ((2, 3, 3), 2)])
