@@ -18,7 +18,8 @@ so do verify's products of the semisimple representatives.  There each
 element caches its terms as columns and integer numerators (_Form), and
 a product hands its own over, so a chain of products never rebuilds
 them; both column products keep char-0 numerators in int64 under one
-rule, _sum_bound below 2^63.
+rule, _sum_bound below 2^63.  One constant, _CHUNK_ENTRIES, sizes the
+chunks of every batched sweep, here, in the oracle and in verify (_chunks).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import chain
 from math import gcd, lcm, prod
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -322,9 +323,16 @@ KERNEL_PAIRS = 1 << 14
 # images all fit in int64; larger specs stay on the loop at every size.
 KERNEL_FACTORS = 12
 
-# A chunk of the kernel path holds about this many chaining pairs, each of
-# them about a dozen int64 entries, as oracle._CHUNK_ENTRIES bounds its batches.
-_CHUNK_PAIRS = 1 << 16
+# The most array entries, or term pairs, one chunk of a batched sweep holds: here
+# (a chaining pair is about a dozen int64 entries), in the oracle and in verify.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _chunks(total: int, entries: int) -> Iterator[range]:
+    """Consecutive ranges covering positions 0 to total - 1, each short enough that `entries`
+    array entries per position add up to at most _CHUNK_ENTRIES (one position at least)."""
+    step = max(1, _CHUNK_ENTRIES // entries)
+    return (range(lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
 def _on_columns(spec: SchemeSpec) -> bool:
@@ -373,7 +381,7 @@ def _mul_by_columns(x: Element, y: Element) -> Element:
     characteristic p, in int64 below p = 2^31; at characteristic 0 each
     operand times the lcm of its denominators, in int64 while _sum_bound of
     the two L1 norms stays below 2^63, Python ints otherwise.  The left
-    terms are taken in chunks of about _CHUNK_PAIRS chaining pairs, counted
+    terms are taken in chunks of about _CHUNK_ENTRIES chaining pairs, counted
     before any pair is listed, so memory follows the chunk and the distinct
     outputs, not every chaining pair; each chunk's sums per product triple
     come from one sort and np.add.reduceat, merged with the sums so far.
@@ -391,8 +399,8 @@ def _mul_by_columns(x: Element, y: Element) -> Element:
     size = np.array([form.columns.shape[1] for form in forms], dtype=np.int64)
     _, s, order, lo, count = _chained_ranges(spec, columns, size, np.array([0]), np.array([len(forms) - 1]))
     ends = np.cumsum(count)
-    # a chunk takes the left terms whose pairs end within the next _CHUNK_PAIRS
-    stops = np.searchsorted(ends, np.arange(_CHUNK_PAIRS, ends[-1] + _CHUNK_PAIRS, _CHUNK_PAIRS), side="right")
+    # a chunk takes the left terms whose pairs end within the next _CHUNK_ENTRIES
+    stops = np.searchsorted(ends, np.arange(_CHUNK_ENTRIES, ends[-1] + _CHUNK_ENTRIES, _CHUNK_ENTRIES), side="right")
     keys, sums = _NO_TRIPLES, nums[:0]
     for a, b in zip(chain([0], stops), stops):
         at, k = _spread(count[a:b])

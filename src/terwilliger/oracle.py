@@ -6,8 +6,8 @@ Adjacency matrices, dual idempotents and the basis elements E*_g A_h E*_i
 are read off it as 0/1 masks, the basis elements as one uint8 stack per
 request (realize_stack); products of realized elements are honest matrix
 products, stacks multiplying pairwise, and ranks come from exact
-elimination.  Batched sweeps hold at most _CHUNK_ENTRIES matrix entries of
-a stack at a time.
+elimination.  Batched sweeps hold at most algebra._CHUNK_ENTRIES matrix
+entries of a stack at a time, in the ranges of algebra._chunks.
 
 At characteristic 0 a realized matrix is an object array of Python ints
 and Fractions, but no arithmetic runs on Fractions: products clear each
@@ -19,7 +19,7 @@ Bareiss' integer-preserving elimination: over Python ints at characteristic
 0, in int64 mod p below 2^31.  It takes rows a block of at most
 _CHUNK_ENTRIES entries at a time (_blocks), clears and casts each block once
 and applies each pivot to a whole block.  Triple intersection counts are
-read off the rows of the table for many (x, y, z, g, h, i) at once.
+read off the rows of the table.
 The symbolic engine is validated against this module, so the two must not
 share formulas beyond the definition of the relations themselves.
 """
@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Element, Triple, basis_triples, check_triple
+from .algebra import Element, Triple, _chunks, basis_triples, check_triple
 from .scheme import Mask, Scalar, SchemeSpec
 
 Point = tuple[int, ...]
@@ -44,9 +44,6 @@ DEFAULT_ORACLE_CAP = 200
 # int64 products hold exactly while cap * p^2 stays below 2^63.
 _INT64_CHAR_LIMIT = 1 << 20
 
-# The most matrix entries a batched sweep holds in one chunk of a stack.
-_CHUNK_ENTRIES = 1 << 16
-
 
 def points(spec: SchemeSpec) -> list[Point]:
     """All points of the product set, in mixed-radix order (coordinate 1 most significant)."""
@@ -54,7 +51,8 @@ def points(spec: SchemeSpec) -> list[Point]:
 
 
 def check_point(spec: SchemeSpec, x: Point) -> Point:
-    if len(x) != spec.n or any(not 0 <= x[a] < spec.sizes[a] for a in range(spec.n)):
+    # a float, bool or numpy coordinate is refused, as check_triple refuses such a mask
+    if len(x) != spec.n or any(type(xa) is not int or not 0 <= xa < size for xa, size in zip(x, spec.sizes)):
         raise ValueError(f"{x!r} is not a point of the scheme with sizes {spec.sizes}")
     return x
 
@@ -108,15 +106,6 @@ def _point_index(spec: SchemeSpec, x: Point) -> int:
     for xa, size in zip(check_point(spec, x), spec.sizes):
         k = k * size + xa
     return k
-
-
-def _point_indices(spec: SchemeSpec, pts: Sequence[Point] | np.ndarray) -> np.ndarray:
-    """The positions of points in points() order, from a sequence of points or an int array of shape (k, n)."""
-    at = np.asarray(pts, dtype=np.int64)
-    if at.shape != (len(at), spec.n) or ((at < 0) | (at >= spec.sizes)).any():
-        for x in pts:
-            check_point(spec, tuple(x))
-    return np.ravel_multi_index(tuple(at.reshape(len(at), spec.n).T), spec.sizes)
 
 
 def _as_matrix(spec: SchemeSpec, nums: np.ndarray, d: int = 1) -> np.ndarray:
@@ -279,7 +268,7 @@ def _realize_combinations(
     characteristic).  nums holds the integer numerators, reduced mod p at
     prime characteristic: int64 while the sum of all |numerators| fits,
     else Python ints.  The terms are realized and added into their
-    rows a chunk of _CHUNK_ENTRIES entries at a time.
+    rows a chunk of algebra._CHUNK_ENTRIES entries at a time (_chunks).
     """
     rows, triples, coeffs = [], [], []
     for k, combo in enumerate(combos):
@@ -293,12 +282,11 @@ def _realize_combinations(
     size = _check_cap(spec, cap)
     cells = size**2
     nums = np.zeros(len(combos) * cells, dtype=dtype)
-    step = max(1, _CHUNK_ENTRIES // cells)
-    for lo in range(0, len(triples), step):
-        stack = realize_stack(spec, triples[lo : lo + step], base_point, cap, raw)
-        scaled = np.array(weights[lo : lo + step], dtype=dtype)[:, None, None] * stack
+    for r in _chunks(len(triples), cells):
+        stack = realize_stack(spec, triples[r.start : r.stop], base_point, cap, raw)
+        scaled = np.array(weights[r.start : r.stop], dtype=dtype)[:, None, None] * stack
         # flat positions, which numpy's unbuffered add handles fastest
-        at = np.array(rows[lo : lo + step])[:, None] * cells + np.arange(cells)
+        at = np.array(rows[r.start : r.stop])[:, None] * cells + np.arange(cells)
         np.add.at(nums, at.ravel(), scaled.ravel())
     return _reduce(spec, nums.reshape(len(combos), size, size)), d
 
@@ -323,15 +311,14 @@ def realize_raw(
 
 
 def _blocks(stack: np.ndarray) -> Iterator[np.ndarray]:
-    """The matrices of a stack flattened to rows, in blocks of at most _CHUNK_ENTRIES entries.
+    """The matrices of a stack flattened to rows, in blocks of at most algebra._CHUNK_ENTRIES entries.
 
     A block holds at least one row, so a row longer than _CHUNK_ENTRIES is a
-    block of its own.  An empty stack gives no blocks.
+    block of its own (_chunks).  An empty stack gives no blocks.
     """
     width = math.prod(stack.shape[1:])
     rows = stack.reshape(len(stack), width)
-    step = max(1, _CHUNK_ENTRIES // max(width, 1))
-    return (rows[lo : lo + step] for lo in range(0, len(rows), step))
+    return (rows[r.start : r.stop] for r in _chunks(len(rows), max(width, 1)))
 
 
 def _eliminate(spec: SchemeSpec, rows: np.ndarray, col: int, pivot: np.ndarray) -> None:
@@ -384,32 +371,10 @@ def span_rank(spec: SchemeSpec, mats: Sequence[np.ndarray] | np.ndarray) -> int:
     return len(_pivot_rows(spec, _blocks(np.asarray(mats))))
 
 
-def triple_intersection_counts(
-    spec: SchemeSpec,
-    xs: Sequence[Point] | np.ndarray,
-    ys: Sequence[Point] | np.ndarray,
-    zs: Sequence[Point] | np.ndarray,
-    g: Sequence[Mask] | np.ndarray,
-    h: Sequence[Mask] | np.ndarray,
-    i: Sequence[Mask] | np.ndarray,
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> np.ndarray:
-    """For each k, the points related to xs[k] by g[k], to ys[k] by h[k] and to zs[k] by i[k], by brute force.
-
-    Points are sequences of points or int arrays of shape (k, n).  Returns an
-    int64 array of the k counts, _triple_counts at the points' table positions.
-    """
-    masks = np.array([g, h, i], dtype=np.int64).reshape(3, -1)
-    if masks.size and not 0 <= masks.min() <= masks.max() <= spec.full_mask:
-        for m in masks.T.ravel().tolist():
-            spec.check_mask(m)
-    return _triple_counts(spec, [_point_indices(spec, w) for w in (xs, ys, zs)], masks, cap)
-
-
 def _triple_counts(
     spec: SchemeSpec, at: Sequence[np.ndarray], masks: Sequence[np.ndarray], cap: int = DEFAULT_ORACLE_CAP
 ) -> np.ndarray:
-    """triple_intersection_counts at table positions, unchecked: for each k, the points
+    """Triple intersection counts at table positions, unchecked: for each k, the points
     related to the points at positions at[0][k], at[1][k] and at[2][k] by masks[0][k],
     masks[1][k] and masks[2][k], read off the rows of the relation table."""
     table = relation_matrix(spec, cap)
@@ -427,8 +392,9 @@ def triple_intersection_count(
     i: Mask,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> int:
-    """Count points related to x by g, to y by h, and to z by i: triple_intersection_counts for one row."""
-    return int(triple_intersection_counts(spec, [x], [y], [z], [g], [h], [i], cap)[0])
+    """Count points related to x by g, to y by h, and to z by i: _triple_counts for one row, checked."""
+    at = [np.array([_point_index(spec, w)]) for w in (x, y, z)]
+    return int(_triple_counts(spec, at, [np.array([spec.check_mask(m)]) for m in (g, h, i)], cap)[0])
 
 
 def annihilator_dim(
@@ -453,6 +419,5 @@ def annihilator_dim(
     if not rows:
         return len(triples)
     pivots = np.stack(rows)
-    step = max(1, _CHUNK_ENTRIES // basis[0].size)
-    chunks = (mat_mul(spec, pivots, basis[lo : lo + step]) for lo in range(0, len(triples), step))
+    chunks = (mat_mul(spec, pivots, basis[r.start : r.stop]) for r in _chunks(len(triples), basis[0].size))
     return len(triples) - len(_pivot_rows(spec, (c.reshape(len(c), -1) for c in chunks)))

@@ -205,6 +205,8 @@ class SchemeSpec:
         return points
 
     def check_mask(self, m: Mask) -> Mask:
+        if type(m) is not int:  # a float, bool or numpy mask is refused, as by algebra.check_triple
+            raise ValueError(f"mask {m!r} is not an int")
         if not 0 <= m <= self.full_mask:
             raise ValueError(f"mask {m} is out of range for n={self.n}")
         return m

@@ -7,16 +7,17 @@ equation.  Sweeps whose exhaustive cost would exceed the gate fall back to
 seeded random sampling and say so in the detail.
 
 Oracle sweeps realize their basis matrices as one stack and multiply
-chunks of pairs or sequences as stacks, at most oracle._CHUNK_ENTRIES
-entries at a time.  A chunk is judged whole and the first failing identity
-in sweep order is reported, with the count a one-at-a-time loop would give.
-The engine side of pair sweeps evaluates the product law over int64 triple
-columns (algebra._mul_columns).  Products of linear combinations (the
-central elements of center-structure, the semisimple representatives of
-quotient-matrix-units and corner-structure) go through one product judge,
-_agreement, over integer numerators; it finds each product's chaining
-term pairs with algebra._chained_pairs, which lists the ranges of
-algebra._chained_ranges, the kernel Element.mul runs on large operands.
+chunks of pairs or sequences as stacks, at most algebra._CHUNK_ENTRIES
+entries at a time, in the ranges of algebra._chunks.  A chunk is judged
+whole and the first failing identity in sweep order is reported, with the
+count a one-at-a-time loop would give.  The engine side of pair sweeps
+evaluates the product law over int64 triple columns (algebra._mul_columns).
+Products of linear combinations (the central elements of center-structure,
+the semisimple representatives of quotient-matrix-units and
+corner-structure) go through one product judge, _agreement, over integer
+numerators; it finds each product's chaining term pairs with
+algebra._chained_pairs, which lists the ranges of algebra._chained_ranges,
+the kernel Element.mul runs on large operands.
 quotient-matrix-units sweeps its pairs once, a chunk at a time, judging the
 matrix-unit law over triple columns (quotient._quotient_law) and the lift
 of each product through _agreement.
@@ -35,15 +36,16 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import oracle
+from . import algebra, oracle
 from .algebra import (
     Element,
     Triple,
     _chained_pairs,
+    _chunks,
     _columns,
     _integral,
     _key,
@@ -208,14 +210,6 @@ Outcome = tuple[bool, int, str]
 CheckFn = Callable[[SchemeSpec, list[Point], random.Random, int], Outcome]
 
 
-def _chunks(total: int, entries: int) -> Iterator[range]:
-    """Consecutive ranges covering positions 0 to total - 1, each short enough
-    that `entries` array entries per position add up to at most
-    oracle._CHUNK_ENTRIES."""
-    step = max(1, oracle._CHUNK_ENTRIES // entries)
-    return (range(lo, min(lo + step, total)) for lo in range(0, total, step))
-
-
 def _int_column(values: Sequence[int]) -> np.ndarray:
     """Integers as an int64 column, or as an object column of Python ints where one does not fit."""
     return np.array(values, dtype=np.int64 if max(map(abs, values), default=0) < 1 << 63 else object)
@@ -241,7 +235,7 @@ def _agreement(
     prime characteristic.  Numerators are int64 below p = 2^31, reduced after
     each product, and at characteristic 0 while a bound on every sum stays below
     2^63; Python ints otherwise (_numerator_dtype).  A chunk of pairs has at most
-    oracle._CHUNK_ENTRIES term pairs, chaining or not.
+    algebra._CHUNK_ENTRIES term pairs, chaining or not.
     """
     p, n = spec.characteristic, spec.n
     nums, d = _integral(c for combo in combos for c in combo.values())
@@ -589,14 +583,14 @@ def _check_center_structure(spec, base_points, rng, cap) -> Outcome:
     # A product of two basis elements is one term, so the triple law decides commutation.
     # Every triple t meets the triples u a block at a time, in order, and only the t that
     # commute with every u so far meet the next block, which holds at most
-    # oracle._CHUNK_ENTRIES pairs (one u at least), as the one-at-a-time loop stopped at
+    # algebra._CHUNK_ENTRIES pairs (one u at least), as the one-at-a-time loop stopped at
     # a t's first u that does not commute.  Where a block is the whole square, the
     # products u * t are the transpose of t * u.
     triples, one = basis_triples(spec), field.one()
     columns = _columns(triples)
     live, lo = np.arange(len(triples)), 0
     while live.size and lo < len(triples):
-        hi = min(len(triples), lo + max(1, oracle._CHUNK_ENTRIES // live.size))
+        hi = min(len(triples), lo + max(1, algebra._CHUNK_ENTRIES // live.size))
         ts, us = columns[:, live, None], columns[:, None, lo:hi]
         tu, a = _mul_columns(spec, ts, us)
         whole = live.size == hi - lo == len(triples)

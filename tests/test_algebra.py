@@ -423,7 +423,7 @@ def test_loop_and_kernel_give_identical_terms(monkeypatch, p, terms):
     # the kernel in one chunk, the kernel a left term per chunk, then the loop
     for kernel_pairs, chunk_pairs in ((1, 1 << 62), (1, 1), (1 << 62, 1)):
         monkeypatch.setattr(algebra, "KERNEL_PAIRS", kernel_pairs)
-        monkeypatch.setattr(algebra, "_CHUNK_PAIRS", chunk_pairs)
+        monkeypatch.setattr(algebra, "_CHUNK_ENTRIES", chunk_pairs)
         results.append([{t: (type(c), c) for t, c in a.mul(b).terms.items()} for a, b in ((x, y), (x, x), (y, x))])
     assert results[0] == results[1] == results[2]
     assert all(results[0])
@@ -484,7 +484,7 @@ def test_product_over_columns_holds_a_chunk_of_pairs_at_a_time(monkeypatch):
     spec = SchemeSpec(sizes=(3,) * 5, characteristic=3)
     x = Element(spec, {trip: 1 for trip in basis_triples(spec)})
     calls = spy_on_columns(monkeypatch)
-    monkeypatch.setattr(algebra, "_CHUNK_PAIRS", 1 << 12)
+    monkeypatch.setattr(algebra, "_CHUNK_ENTRIES", 1 << 12)
     tracemalloc.start()
     try:
         got = x.mul(x)
@@ -493,11 +493,21 @@ def test_product_over_columns_holds_a_chunk_of_pairs_at_a_time(monkeypatch):
         tracemalloc.stop()
     assert calls == [(3125, 3125)]
     assert peak < 4 << 20
-    monkeypatch.setattr(algebra, "_CHUNK_PAIRS", 1 << 62)
+    monkeypatch.setattr(algebra, "_CHUNK_ENTRIES", 1 << 62)
     assert x.mul(x).terms == got.terms
     monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1 << 62)
     assert x.mul(x).terms == got.terms
     assert len(calls) == 2
+
+
+def test_chunks_cover_every_position_in_ranges_of_at_most_a_chunk_of_entries(monkeypatch):
+    assert list(algebra._chunks(0, 5)) == []
+    # a position wider than a chunk is a range of its own
+    assert list(algebra._chunks(3, algebra._CHUNK_ENTRIES + 1)) == [range(0, 1), range(1, 2), range(2, 3)]
+    monkeypatch.setattr(algebra, "_CHUNK_ENTRIES", 12)
+    assert list(algebra._chunks(8, 3)) == [range(0, 4), range(4, 8)]
+    assert list(algebra._chunks(9, 3)) == [range(0, 4), range(4, 8), range(8, 9)]
+    assert list(algebra._chunks(8, 5)) == [range(0, 2), range(2, 4), range(4, 6), range(6, 8)]
 
 
 def test_transpose_is_an_antiautomorphism():

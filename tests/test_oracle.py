@@ -105,6 +105,20 @@ def test_realize_raw_refuses_inexact_coefficients(characteristic):
         realize_raw(spec, {(1, 1, 0): 0.5})
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.5, 1.0, True, np.int64(1)])
+def test_oracle_refuses_masks_and_coordinates_that_are_not_ints(bad):
+    with pytest.raises(ValueError, match="not a point"):
+        relation(S23_P2, (0, bad), (0, 0))
+    with pytest.raises(ValueError, match="not a point"):
+        triple_intersection_count(S23_P2, (0, 0), (1, 1), (bad, 2), 0, 0, 0)
+    with pytest.raises(ValueError, match="is not an int"):
+        triple_intersection_count(S23_P2, (0, 0), (1, 1), (0, 2), bad, 0, 0)
+    with pytest.raises(ValueError, match="is not an int"):
+        adjacency_matrix(S23_P2, bad)
+    with pytest.raises(ValueError, match="is not an int"):
+        dual_idempotent(S23_P2, (0, 0), bad)
+
+
 def test_adjacency_matrices_partition_all_pairs():
     total = sum(adjacency_matrix(S23, g) for g in all_masks(S23))
     assert np.all(np.asarray(total) == 1)

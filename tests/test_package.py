@@ -96,6 +96,32 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+# One-triple and one-row wrappers the benchmark tracer pins; the package itself uses the stacked forms.
+TRACER_ONLY = {"realize_triple", "realize_raw_triple", "realize_raw", "triple_intersection_count"}
+
+
+def names_read(source):
+    """The names a source reads, imports or looks up as attributes."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_only_the_oracle_refers_to_the_tracer_only_wrappers():
+    source = "from .oracle import realize_raw as r\nimport x\nx.oracle.realize_triple(s, t)\nrealize = 1\n"
+    assert names_read(source) & TRACER_ONLY == {"realize_raw", "realize_triple"}
+    modules = sorted((ROOT / "src" / "terwilliger").glob("*.py"))
+    assert "oracle.py" in {path.name for path in modules}
+    callers = {path.name: sorted(names_read(path.read_text()) & TRACER_ONLY) for path in modules}
+    assert {name: found for name, found in callers.items() if found and name != "oracle.py"} == {}
+
+
 def third_party_imports(source):
     """The top-level names of the modules a source imports outside the standard library:
     import and from-import statements, and importlib.import_module or __import__ calls

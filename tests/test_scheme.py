@@ -160,6 +160,13 @@ def test_valency_values():
     assert not p_divides_valency(S234, 0b001)
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, np.int64(1)])
+def test_a_mask_that_is_not_an_int_is_refused_by_name(bad):
+    for check in (S23.check_mask, lambda m: valency(S23, m), lambda m: p_divides_valency(S234, m)):
+        with pytest.raises(ValueError, match="is not an int"):
+            check(bad)
+
+
 def test_valencies_sum_to_point_count():
     for spec in (S23, S234, SchemeSpec(sizes=(5, 5), characteristic=2)):
         assert sum(valency(spec, g) for g in all_masks(spec)) == spec.num_points

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from terwilliger import oracle, quotient, verify
+from terwilliger import algebra, oracle, quotient, verify
 from terwilliger.algebra import Element, basis_triples, render_triple
 from terwilliger.oracle import DEFAULT_ORACLE_CAP, mat_eq, mat_mul, points, relation
 from terwilliger.radical import in_radical
@@ -45,7 +45,7 @@ def run_check(name, spec):
 
 
 def chunk_of(monkeypatch, entries):
-    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(algebra, "_CHUNK_ENTRIES", entries)
 
 
 # --- realize_stack --------------------------------------------------------------------------
@@ -81,6 +81,25 @@ def test_realize_stack_refuses_an_invalid_triple():
     with pytest.raises(ValueError):
         oracle.realize_stack(spec, [(0, 0, 0), (1, 0, 0)])
     assert oracle.realize_stack(spec, []).shape == (0, 6, 6)
+
+
+@pytest.mark.parametrize("characteristic", [0, 3, 2**64 + 13])
+@pytest.mark.parametrize("raw", [False, True])
+def test_realize_combinations_is_the_same_a_chunk_of_terms_at_a_time(monkeypatch, characteristic, raw):
+    spec = SchemeSpec(sizes=(2, 3), characteristic=characteristic)
+    rng = random.Random(f"{characteristic}:{raw}")
+    triples = basis_triples(spec)
+    combos = [random_element(spec, triples, rng, k, big=True).terms for k in (0, 1, 5, 12)]
+    whole, d = oracle._realize_combinations(spec, combos, None, DEFAULT_ORACLE_CAP, raw)
+    stack, sizes = oracle.realize_stack, []
+    monkeypatch.setattr(oracle, "realize_stack", lambda spec, ts, *a: sizes.append(len(ts)) or stack(spec, ts, *a))
+    for entries, per_chunk in ((1, 1), (3 * spec.num_points**2, 3)):  # a term, and three terms a chunk
+        with monkeypatch.context() as patch:
+            chunk_of(patch, entries)
+            nums, again = oracle._realize_combinations(spec, combos, None, DEFAULT_ORACLE_CAP, raw)
+        assert again == d and nums.tolist() == whole.tolist()
+        assert sizes[:-1] == [per_chunk] * (len(sizes) - 1) and sum(sizes) == sum(map(len, combos)) > 3
+        sizes.clear()
 
 
 # --- one-at-a-time references -----------------------------------------------------------------
@@ -533,6 +552,19 @@ def test_products_agree_takes_one_int_for_every_pair(sizes, characteristic, s):
     assert got.tolist() == want
     assert got.any() and (s == 0 or not got.all())
     assert agree(left, right, expect, verify._int_column([s] * len(pairs))).tolist() == want
+
+
+@pytest.mark.parametrize("column", [False, True])
+def test_products_agree_bounds_its_dtype_by_the_scale(column):
+    # (01,01,00) * (10,10,00) does not chain, so the product is zero; it is expected to be
+    # 2^62 times a combination with numerator 4, which is 2^64 and wraps to 0 in int64.
+    # Every numerator and norm is small, so only the scale can widen the dtype.
+    spec = SchemeSpec(sizes=(2, 3), characteristic=0)
+    combos = [Element(spec, {t: c}).terms for t, c in (((1, 1, 0), 1), ((2, 2, 0), 1), ((0, 0, 0), 4))]
+    agree = verify._agreement(spec, combos)
+    pair = (np.array([0]), np.array([1]), np.array([2]))
+    for s, want in ((2**62, False), (0, True)):
+        assert agree(*pair, verify._int_column([s]) if column else s).tolist() == [want]
 
 
 # --- failure-path parity ----------------------------------------------------------------------
@@ -1024,7 +1056,7 @@ def test_quotient_matrix_units_judges_the_law_once_per_chunk(monkeypatch, sizes,
     assert all(r.passed for r in results)
     assert not one_pair
     dts = verify.quotient_triples(spec)
-    step = max(1, oracle._CHUNK_ENTRIES // 16)
+    step = max(1, algebra._CHUNK_ENTRIES // 16)
     assert len(calls) == len(range(0, len(dts) ** 2, step)) > 1
     left = np.concatenate([verify._key(spec, t1) for t1 in calls])
     assert left.tolist() == [verify._key(spec, dts[k // len(dts)]) for k in range(len(dts) ** 2)]
@@ -1280,29 +1312,26 @@ def test_triple_counts_at_positions_are_the_counts_at_points(sizes, characterist
         masks = [relation(spec, pts[a], pts[at[3]]) if k % 2 else rng.randrange(1 << spec.n) for a in at[:3]]
         rows.append(at[:3] + masks)
     at, masks = np.array(rows).T[:3], np.array(rows).T[3:]
-    counts = oracle.triple_intersection_counts(spec, *([pts[k] for k in w] for w in at), *masks)
-    assert oracle._triple_counts(spec, at, masks).tolist() == counts.tolist()
+    counts = oracle._triple_counts(spec, at, masks)
+    assert counts.tolist() == [oracle.triple_intersection_count(spec, *row) for row in rows_of(spec, at, masks)]
     assert counts[1::2].all()
+    assert oracle._triple_counts(spec, at[:, :0], masks[:, :0]).tolist() == []
 
 
-def test_triple_intersection_counts_is_the_one_row_count_per_row():
+def test_triple_intersection_count_is_the_brute_force_count_and_checks_its_arguments():
     spec = SchemeSpec(sizes=(2, 3), characteristic=2)
     pts = points(spec)
     rng = random.Random(3)
     rows = [(*rng.sample(pts, 3), *(rng.randrange(4) for _ in range(3))) for _ in range(30)]
-    xs, ys, zs, g, h, i = zip(*rows)
-    counts = oracle.triple_intersection_counts(spec, xs, ys, zs, g, h, i)
     brute = [sum(relation(spec, x, w) == a and relation(spec, y, w) == b and relation(spec, z, w) == c for w in pts)
              for x, y, z, a, b, c in rows]
-    assert counts.tolist() == brute == [oracle.triple_intersection_count(spec, *row) for row in rows]
-    assert oracle.triple_intersection_counts(spec, np.array(xs), ys, zs, g, h, i).tolist() == counts.tolist()
-    assert oracle.triple_intersection_counts(spec, [], [], [], [], [], []).tolist() == []
+    assert [oracle.triple_intersection_count(spec, *row) for row in rows] == brute
     with pytest.raises(ValueError, match="not a point"):
-        oracle.triple_intersection_counts(spec, xs[:1], [(0, 3)], zs[:1], [0], [0], [0])
+        oracle.triple_intersection_count(spec, (0, 0), (0, 3), (0, 0), 0, 0, 0)
     with pytest.raises(ValueError, match="not a point"):
         oracle.triple_intersection_count(spec, (0, 0, 0), (0, 0), (0, 0), 0, 0, 0)
     with pytest.raises(ValueError, match="out of range"):
-        oracle.triple_intersection_counts(spec, xs[:2], ys[:2], zs[:2], [0, 0], [0, 4], [0, 0])
+        oracle.triple_intersection_count(spec, (0, 0), (1, 1), (0, 2), 0, 4, 0)
 
 
 # --- elimination a block of rows at a time ---------------------------------------------------
