@@ -10,14 +10,17 @@ cross-checks against the dense matrix oracle.
 
 The law is stated once over int64 triple columns, _mul_columns, and one
 kernel, _chained_ranges, finds the term pairs that chain in products of
-linear combinations held as columns, without enumerating all pairs.
+linear combinations held as columns, without enumerating all pairs: each
+left term reads its range from the right side's _Index, its terms bucketed
+by (combination, left mask) once, so no product sorts its operands.
 Element.mul runs on it when its operands have KERNEL_PAIRS term pairs or
 more (2^14, the crossover measured against its per-pair loop) and the
 spec has at most KERNEL_FACTORS (12) factors with valencies in int64, and
 so do verify's products of the semisimple representatives.  There each
 element caches its terms as columns and integer numerators (_Form), and
 a product hands its own over, so a chain of products never rebuilds
-them; both column products keep char-0 numerators in int64 under one
+them; an element also caches its _Index on first use as a right operand.
+Both column products keep char-0 numerators in int64 under one
 rule, _sum_bound below 2^63.  One constant, _CHUNK_ENTRIES, sizes the
 chunks of every batched sweep, here, in the oracle and in verify (_chunks).
 """
@@ -98,6 +101,8 @@ def _submask_table(spec: SchemeSpec) -> list[list[Mask]]:
 
 _NO_TRIPLES = np.zeros(0, dtype=np.int64)
 _NO_TRIPLES.flags.writeable = False
+_ONE_ZERO = np.zeros(1, dtype=np.int64)  # combination 0 of one, as both sides of an Element product
+_ONE_ZERO.flags.writeable = False
 
 
 def triple_columns(spec: SchemeSpec, middles: list[Mask]) -> tuple[np.ndarray, ...]:
@@ -231,45 +236,65 @@ def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+class _Index(NamedTuple):
+    """The terms of linear combinations bucketed by (combination, left mask): the right side of a product.
+
+    order lists the term positions stably sorted by combination c and left
+    mask m, and the terms of bucket b = c << n | m are order[offsets[b] :
+    offsets[b + 1]], so offsets holds C * 2^n + 1 entries for C combinations.
+    """
+
+    order: np.ndarray
+    offsets: np.ndarray
+
+
+def _bucket_index(spec: SchemeSpec, columns: np.ndarray, size: np.ndarray) -> _Index:
+    """The _Index of the combinations whose terms a 3 x T int64 array holds one after another.
+
+    size[c] is the number of terms of combination c.
+    """
+    buckets = len(size) << spec.n
+    keys = np.repeat(np.arange(len(size)), size) << spec.n | columns[0]
+    offsets = np.zeros(buckets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=buckets), out=offsets[1:])
+    return _Index(np.argsort(keys, kind="stable"), offsets)
+
+
 def _chained_ranges(
-    spec: SchemeSpec, columns: np.ndarray, size: np.ndarray, left: np.ndarray, right: np.ndarray
+    spec: SchemeSpec, columns: np.ndarray, size: np.ndarray, left: np.ndarray, right: np.ndarray, index: _Index
 ) -> tuple[np.ndarray, ...]:
     """Where the terms chaining with each left term lie, in each product combo[left[j]] * combo[right[j]].
 
-    columns is a 3 x T int64 array of triples holding the terms of every
-    combination one after another, size[c] of them for combination c.  The
-    terms are sorted by combination and left mask with one argsort, and each
-    term of a left combination finds the right combination's terms whose
-    left mask equals its right mask with np.searchsorted, so only pairs with
+    columns is a 3 x T int64 array of triples holding the terms of every left
+    combination one after another, size[c] of them for combination c, and
+    index is the _Index of the right combinations (_bucket_index), built once
+    by the caller.  Each term of a left combination reads the bucket of the
+    right combination's terms whose left mask equals its right mask with two
+    gathers from index.offsets, so nothing is sorted and only pairs with
     i = j are ever listed, never all |x| * |y| of them.  Returns, per left
-    term, its j (rows) and its position s into columns, then order, the
-    positions of all terms in sorted order, and the start lo and count of
-    the left term's chaining terms within order.
+    term, its j (rows) and its position s into columns, then the start lo and
+    count of the left term's chaining terms within index.order.
     """
-    n = spec.n
     start = np.cumsum(size) - size
-    keys = np.repeat(np.arange(len(size)), size) << n | columns[0]
-    order = np.argsort(keys)
-    keys = keys[order]
     rows, k = _spread(size[left])
     s = start[left][rows] + k
-    want = right[rows] << n | columns[2, s]
-    lo = np.searchsorted(keys, want)
-    return rows, s, order, lo, np.searchsorted(keys, want, side="right") - lo
+    bucket = right[rows] << spec.n | columns[2, s]
+    lo = index.offsets[bucket]
+    return rows, s, lo, index.offsets[bucket + 1] - lo
 
 
 def _chained_pairs(
-    spec: SchemeSpec, columns: np.ndarray, size: np.ndarray, left: np.ndarray, right: np.ndarray
+    spec: SchemeSpec, columns: np.ndarray, size: np.ndarray, left: np.ndarray, right: np.ndarray, index: _Index
 ) -> tuple[np.ndarray, ...]:
     """The term pairs that chain in each product combo[left[j]] * combo[right[j]], all at once.
 
     The ranges of _chained_ranges, listed.  Returns, per chaining pair, its j
-    (rows) and its two term positions s and t into columns; _mul_columns on
-    columns[:, s] and columns[:, t] evaluates them.
+    (rows) and its two term positions s and t into columns and into the
+    right combinations' terms; _mul_columns on their triples evaluates them.
     """
-    rows, s, order, lo, count = _chained_ranges(spec, columns, size, left, right)
+    rows, s, lo, count = _chained_ranges(spec, columns, size, left, right, index)
     at, k = _spread(count)
-    return rows[at], s[at], order[lo[at] + k]
+    return rows[at], s[at], index.order[lo[at] + k]
 
 
 def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,9 +337,10 @@ def _integral(values: Iterable[Scalar]) -> tuple[list[int], int]:
 
 # Element.mul goes through _chained_ranges when |x| * |y| reaches this many
 # term pairs, and through its per-pair loop below it, where the kernel's
-# fixed numpy cost loses: on m-term operands at characteristics 0 and 3 the
-# kernel took 0.7 to 1.6 times the loop's time at m^2 = 4,096 and 0.7 to 1.1
-# times it at 16,384 (the sweep is in CHANGES.md).
+# fixed numpy cost loses: on operands at characteristics 0 and 3 the kernel
+# took 0.65 to 1.25 times the loop's time at 4,096 pairs, 0.67 to 1.04 at
+# 8,192 (0.95 to 1.67 on fresh operands, which build their form and index)
+# and 0.36 to 0.77 at 16,384 (the sweep is in CHANGES.md).
 KERNEL_PAIRS = 1 << 14
 
 # The kernel path reads valencies from _valency_column, one int64 for each of
@@ -330,18 +356,23 @@ _CHUNK_ENTRIES = 1 << 16
 
 def _chunks(total: int, entries: int) -> Iterator[range]:
     """Consecutive ranges covering positions 0 to total - 1, each short enough that `entries`
-    array entries per position add up to at most _CHUNK_ENTRIES (one position at least)."""
-    step = max(1, _CHUNK_ENTRIES // entries)
+    array entries per position, read as 1 below 1, add up to at most _CHUNK_ENTRIES (one
+    position at least)."""
+    step = max(1, _CHUNK_ENTRIES // max(entries, 1))
     return (range(lo, min(lo + step, total)) for lo in range(0, total, step))
+
+
+def _top_valency(spec: SchemeSpec) -> int:
+    """The largest valency, that of the full mask: the product of size - 1."""
+    return prod(size - 1 for size in spec.sizes)
 
 
 def _on_columns(spec: SchemeSpec) -> bool:
     """Whether Element.mul's kernel path serves spec: at most KERNEL_FACTORS factors, valencies in int64.
 
-    The largest valency is that of the full mask, the product of size - 1; a
-    residue mod p is below p.
+    The largest valency is _top_valency; a residue mod p is below p.
     """
-    top = prod(size - 1 for size in spec.sizes)
+    top = _top_valency(spec)
     p = spec.characteristic
     return spec.n <= KERNEL_FACTORS and min(top, p - 1 if p else top) < 1 << 63
 
@@ -351,19 +382,21 @@ def _sum_bound(spec: SchemeSpec, norms: int) -> int:
 
     norms is L1(x) * L1(y), the product of the L1 norms of the two sides'
     integer numerators: any sum of products a * b * valency over term pairs
-    of x and y is at most the largest valency times norms in absolute value.
+    of x and y is at most the largest valency (_top_valency) times norms in
+    absolute value.
     """
-    return int(_valency_column(spec).max()) * norms
+    return _top_valency(spec) * norms
 
 
 class _Form(NamedTuple):
     """An element's terms in the form the column kernel reads.
 
     columns holds the triples as the rows of a 3 x m int64 array, in terms
-    order; nums their integer numerators over d, the lcm of the denominators
-    (residues and d = 1 at prime characteristic), as an int64 array or, where
-    they may not fit in int64, an object array of Python ints; l1 is the sum
-    of their absolute values.
+    order, which is key order (_key) for a kernel product's output; nums
+    their integer numerators over d, the lcm of the denominators (residues
+    and d = 1 at prime characteristic), as an int64 array or, where they may
+    not fit in int64, an object array of Python ints; l1 is the sum of their
+    absolute values.
     """
 
     columns: np.ndarray
@@ -375,40 +408,40 @@ class _Form(NamedTuple):
 def _mul_by_columns(x: Element, y: Element) -> Element:
     """Element.mul on x and y over int64 columns, through _chained_ranges.
 
-    The operands' cached forms (Element._column_form) give the triple
-    columns and integer numerators; x is y when an element multiplies
-    itself.  Numerators are integers as in the loop: residues at
-    characteristic p, in int64 below p = 2^31; at characteristic 0 each
-    operand times the lcm of its denominators, in int64 while _sum_bound of
-    the two L1 norms stays below 2^63, Python ints otherwise.  The left
-    terms are taken in chunks of about _CHUNK_ENTRIES chaining pairs, counted
-    before any pair is listed, so memory follows the chunk and the distinct
-    outputs, not every chaining pair; each chunk's sums per product triple
-    come from one sort and np.add.reduceat, merged with the sums so far.
-    The sums in key order are the product's form: at characteristic 0 they
-    are divided by G = gcd(d, every sum), so that d / G is the lcm of the
-    output's denominators, and one Fraction is made per distinct value.
+    The operands' cached forms (Element._column_form) give the triple columns
+    and integer numerators, and y's cached _Index of its terms by left mask
+    (Element._right_index) gives each term of x its chaining range; x is y
+    when an element multiplies itself.  Numerators are integers as in the
+    loop: residues at characteristic p, in int64 below p = 2^31; at
+    characteristic 0 each operand times the lcm of its denominators, in int64
+    while _sum_bound of the two L1 norms stays below 2^63, Python ints
+    otherwise.  The left terms are taken in chunks of about _CHUNK_ENTRIES
+    chaining pairs, counted before any pair is listed, so memory follows the
+    chunk and the distinct outputs, not every chaining pair; each chunk's sums
+    per product triple come from one sort and np.add.reduceat, merged with the
+    sums so far.  The sums in key order are the product's form: at
+    characteristic 0 they are divided by G = gcd(d, every sum), so that d / G
+    is the lcm of the output's denominators, and one Fraction is made per
+    distinct value.
     """
     spec = x.spec
     p, n, full = spec.characteristic, spec.n, spec.full_mask
-    forms = [x._column_form()] if x is y else [x._column_form(), y._column_form()]
-    d = forms[0].d * forms[-1].d
-    dtype = _numerator_dtype(p, _sum_bound(spec, forms[0].l1 * forms[-1].l1))
-    columns = np.concatenate([form.columns for form in forms], axis=1)
-    nums = np.concatenate([form.nums for form in forms]).astype(dtype, copy=False)
-    size = np.array([form.columns.shape[1] for form in forms], dtype=np.int64)
-    _, s, order, lo, count = _chained_ranges(spec, columns, size, np.array([0]), np.array([len(forms) - 1]))
+    fx, fy, index = x._column_form(), y._column_form(), y._right_index()
+    d = fx.d * fy.d
+    dtype = _numerator_dtype(p, _sum_bound(spec, fx.l1 * fy.l1))
+    xn, yn = fx.nums.astype(dtype, copy=False), fy.nums.astype(dtype, copy=False)
+    _, s, lo, count = _chained_ranges(spec, fx.columns, np.array([len(xn)]), _ONE_ZERO, _ONE_ZERO, index)
     ends = np.cumsum(count)
     # a chunk takes the left terms whose pairs end within the next _CHUNK_ENTRIES
     stops = np.searchsorted(ends, np.arange(_CHUNK_ENTRIES, ends[-1] + _CHUNK_ENTRIES, _CHUNK_ENTRIES), side="right")
-    keys, sums = _NO_TRIPLES, nums[:0]
+    keys, sums = _NO_TRIPLES, xn[:0]
     for a, b in zip(chain([0], stops), stops):
         at, k = _spread(count[a:b])
         if not at.size:
             continue
-        u, t = s[a:b][at], order[lo[a:b][at] + k]
-        factor, product = _mul_columns(spec, columns[:, u], columns[:, t])
-        values = nums[u] * nums[t] % p * factor % p if p else nums[u] * nums[t] * factor
+        u, t = s[a:b][at], index.order[lo[a:b][at] + k]
+        factor, product = _mul_columns(spec, fx.columns[:, u], fy.columns[:, t])
+        values = xn[u] * yn[t] % p * factor % p if p else xn[u] * yn[t] * factor
         keys, sums = _sum_by_key(np.concatenate([keys, _key(spec, product)]), np.concatenate([sums, values]))
         if p:
             sums %= p
@@ -470,6 +503,9 @@ class Element:
     # The _Form of the terms, built by _column_form on first use or handed
     # over by the kernel product that made the element.
     _form: Optional[_Form] = None
+    # The _Index of the terms as one combination, 2^n + 1 offsets and an
+    # order, built by _right_index on first use as a kernel product's right operand.
+    _index: Optional[_Index] = None
 
     def __init__(self, spec: SchemeSpec, terms: Optional[Mapping[Triple, Scalar]] = None) -> None:
         field = spec.field
@@ -507,6 +543,13 @@ class Element:
             dtype = np.int64 if l1 < 1 << 63 else object
             self._form = _Form(_columns(list(self._terms)), np.array(nums, dtype=dtype), d, l1)
         return self._form
+
+    def _right_index(self) -> _Index:
+        """The terms of the _Form as one combination's _Index, built once and cached."""
+        if self._index is None:
+            columns = self._column_form().columns
+            self._index = _bucket_index(self.spec, columns, np.array([columns.shape[1]]))
+        return self._index
 
     @classmethod
     def zero(cls, spec: SchemeSpec) -> Element:
@@ -562,9 +605,11 @@ class Element:
         |self| * |other| reaches KERNEL_PAIRS, on specs of at most
         KERNEL_FACTORS factors whose valencies fit in int64, the pairs that
         chain are found over int64 columns by _chained_ranges, the kernel
-        verify's product judge _agreement shares, and evaluated by _mul_columns
-        a chunk of left terms at a time (_mul_by_columns), on the operands'
-        cached forms; the product comes back with its own.  Otherwise a
+        verify's product judge _agreement shares, from other's cached _Index
+        of its terms by left mask, and evaluated by _mul_columns a chunk of
+        left terms at a time (_mul_by_columns), on the operands' cached
+        forms; the product comes back with its own form, and builds its
+        index only if it is ever a right operand.  Otherwise a
         per-pair loop runs, which below KERNEL_PAIRS wins on numpy's fixed
         cost: the terms of other are grouped by their left mask once, as
         (k, l, c) tuples, and each term of self visits only the group at its

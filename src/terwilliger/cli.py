@@ -17,6 +17,9 @@ Three subcommands:
 Exit codes: 0 on success, 1 when verification fails, 2 on invalid input
 or when a command runs out of memory.
 
+Every command gets its spec from ``spec_from_args``: one ``SchemeSpec`` per
+``--sizes`` text and ``--char`` value in a process, as the parser is built once.
+
 ``main`` parses the arguments after a command's name with that command's own
 parser, at about half the cost of the whole parser, which does the same
 after reading the name.  An argv that names no command or leaves arguments
@@ -67,7 +70,20 @@ def parse_triple_arg(spec: SchemeSpec, text: str) -> Triple:
 
 
 def spec_from_args(args: argparse.Namespace) -> SchemeSpec:
-    return SchemeSpec(sizes=parse_sizes(args.sizes), characteristic=args.char)
+    """The spec of --sizes and --char: one SchemeSpec per text and int in a process (_spec)."""
+    return _spec(args.sizes, args.char)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _spec(sizes: str, characteristic: int) -> SchemeSpec:
+    """The SchemeSpec of the raw --sizes text and the --char int, built once per pair and shared.
+
+    The key is the text, never the parsed tuple: lru_cache hashes 2.0 like 2,
+    so a tuple key could hand a refused float spec the cached int one.  A
+    refusal raises and is not cached, so it repeats alike.  Only callers that
+    run several commands in one process, such as tests and scripts, gain.
+    """
+    return SchemeSpec(sizes=parse_sizes(sizes), characteristic=characteristic)
 
 
 def build_report(

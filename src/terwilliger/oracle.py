@@ -318,7 +318,7 @@ def _blocks(stack: np.ndarray) -> Iterator[np.ndarray]:
     """
     width = math.prod(stack.shape[1:])
     rows = stack.reshape(len(stack), width)
-    return (rows[r.start : r.stop] for r in _chunks(len(rows), max(width, 1)))
+    return (rows[r.start : r.stop] for r in _chunks(len(rows), width))
 
 
 def _eliminate(spec: SchemeSpec, rows: np.ndarray, col: int, pivot: np.ndarray) -> None:

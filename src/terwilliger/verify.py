@@ -17,7 +17,8 @@ the semisimple representatives of quotient-matrix-units and
 corner-structure) go through one product judge, _agreement, over integer
 numerators; it finds each product's chaining term pairs with
 algebra._chained_pairs, which lists the ranges of algebra._chained_ranges,
-the kernel Element.mul runs on large operands.
+the kernel Element.mul runs on large operands, read from one index of the
+combinations' terms by left mask (algebra._bucket_index) built with the judge.
 quotient-matrix-units sweeps its pairs once, a chunk at a time, judging the
 matrix-unit law over triple columns (quotient._quotient_law) and the lift
 of each product through _agreement.
@@ -44,6 +45,7 @@ from . import algebra, oracle
 from .algebra import (
     Element,
     Triple,
+    _bucket_index,
     _chained_pairs,
     _chunks,
     _columns,
@@ -235,7 +237,8 @@ def _agreement(
     prime characteristic.  Numerators are int64 below p = 2^31, reduced after
     each product, and at characteristic 0 while a bound on every sum stays below
     2^63; Python ints otherwise (_numerator_dtype).  A chunk of pairs has at most
-    algebra._CHUNK_ENTRIES term pairs, chaining or not.
+    algebra._CHUNK_ENTRIES term pairs, chaining or not; their ranges are read from
+    one _Index of the combos' terms by left mask (_bucket_index), built once too.
     """
     p, n = spec.characteristic, spec.n
     nums, d = _integral(c for combo in combos for c in combo.values())
@@ -246,6 +249,7 @@ def _agreement(
     l1 = _int_column([sum(map(abs, nums[a : a + k])) for a, k in zip(start.tolist(), size.tolist())])
     nums = _int_column(nums)
     columns = _columns([t for combo in combos for t in combo])
+    index = _bucket_index(spec, columns, size)
     stays = np.array([p_divides_valency(spec, m) for m in range(1 << n)]) if modulo_radical else None
 
     def agree(left: np.ndarray, right: np.ndarray, expect: np.ndarray, scale: int | np.ndarray) -> np.ndarray:
@@ -260,10 +264,10 @@ def _agreement(
         held = nums.astype(dtype, copy=False)
         scale = scale.astype(dtype, copy=False) if column else scale
         ok = np.ones(len(left), dtype=bool)
-        for chunk in _chunks(len(left), max(1, terms * (terms + 1))):
+        for chunk in _chunks(len(left), terms * (terms + 1)):
             lo = chunk.start
             l, r, e = left[lo : chunk.stop], right[lo : chunk.stop], expect[lo : chunk.stop]
-            rows, s, t = _chained_pairs(spec, columns, size, l, r)
+            rows, s, t = _chained_pairs(spec, columns, size, l, r, index)
             factor, product = _mul_columns(spec, columns[:, s], columns[:, t])
             lhs = held[s] * held[t] % p * factor % p if p else held[s] * held[t] * factor
             at, k = _spread(np.where(e < 0, 0, size[e]))

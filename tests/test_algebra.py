@@ -328,6 +328,14 @@ def test_product_at_the_int64_bound_matches_the_all_pairs_definition(monkeypatch
     assert_form_of_terms(got)
 
 
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 3), (5, 5, 7), (2, 3, 3, 4), (3,) * 6, (2,) * 12, (2,) * 9 + (7, 8, 9)])
+def test_sum_bound_reads_the_largest_valency_of_the_column(sizes):
+    spec = SchemeSpec(sizes=sizes)
+    top = int(algebra._valency_column(spec).max())
+    assert algebra._top_valency(spec) == top
+    assert [algebra._sum_bound(spec, norms) for norms in (0, 1, 2**40 + 3)] == [0, top, top * (2**40 + 3)]
+
+
 @pytest.mark.parametrize("bad", [(0b11, 0b11, 0b11), (0b11, 0b00, 0b01)])
 def test_a_non_basis_term_cannot_enter_an_element(bad):
     # Terms are read-only, so the constructor is the only way in, and it names the triple.
@@ -429,6 +437,71 @@ def test_loop_and_kernel_give_identical_terms(monkeypatch, p, terms):
     assert all(results[0])
 
 
+def spy_on_indexes(monkeypatch):
+    """The term count of every _Index built from here on."""
+    built = []
+    bucket_index = algebra._bucket_index
+
+    def spy(spec, columns, size):
+        built.append(columns.shape[1])
+        return bucket_index(spec, columns, size)
+
+    monkeypatch.setattr(algebra, "_bucket_index", spy)
+    return built
+
+
+def assert_index_of_terms(x):
+    """x's cached _Index lists the positions of x's terms stably bucketed by left mask."""
+    order, offsets = x._index
+    lefts = x._form.columns[0]
+    assert offsets.tolist() == [int((lefts < m).sum()) for m in range((1 << x.spec.n) + 1)]
+    assert order.tolist() == sorted(range(len(lefts)), key=lambda s: int(lefts[s]))
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_kernel_reads_each_right_operand_index_built_once(monkeypatch, p):
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1)
+    built = spy_on_indexes(monkeypatch)
+    spec = SchemeSpec(sizes=(2, 3, 3), characteristic=p)
+    rng = random.Random(p)
+    triples = basis_triples(spec)
+    coeff = (lambda: rng.choice(SMALL_FRACTIONS)) if p == 0 else (lambda: rng.randrange(1, p))
+    # y has no term at a left mask holding coordinate 1, so half its ranges are empty
+    y = Element(spec, {trip: coeff() for trip in rng.sample([s for s in triples if not s[0] & 1], 24)})
+    lefts = [Element(spec, {trip: coeff() for trip in rng.sample(triples, k)}) for k in (1, 9, 40)]
+    for x in lefts:  # one right operand under several left ones
+        assert x.mul(y).terms == all_pairs_product(x, y)
+    assert built == [24]
+    assert_index_of_terms(y)
+    assert all(y._index.offsets[m] == y._index.offsets[m + 1] for m in range(8) if m & 1)
+    assert y.mul(y).terms == all_pairs_product(y, y)  # x is y reads the same index
+    assert built == [24]
+    x = lefts[2]  # a left operand three times, now a right one
+    assert x._index is None
+    assert y.mul(x).terms == all_pairs_product(y, x)
+    assert built == [24, 40]
+    assert_index_of_terms(x)
+    assert x.mul(y)._index is None  # a product that is never a right operand holds none
+
+
+@pytest.mark.parametrize("p", [0, 5])
+def test_kernel_product_of_few_terms_at_kernel_factors(monkeypatch, p):
+    # n = 12, so a right operand's index holds 2^12 + 1 offsets for its 3 terms
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1)
+    spec = SchemeSpec(sizes=(2,) * 10 + (3, 4), characteristic=p)
+    assert spec.n == algebra.KERNEL_FACTORS
+    large = spec.large_mask
+    g, i, l = 0b1100_1010_0111, 0b1011_0001_1101, 0b0110_1111_0010
+    x = Element(spec, {(g, g ^ i, i): 2, (g, (g ^ i) | (g & i & large), i): 3, (i, i ^ l, l): 1})
+    y = Element(spec, {(i, i ^ l, l): 4, (i, (i ^ l) | (i & l & large), l): 5, (l, 0, l): 7})
+    for a, b in ((x, y), (y, x), (x, x), (y, y)):
+        got = a.mul(b)
+        assert got.terms == all_pairs_product(a, b)
+        assert b._index.offsets.shape == ((1 << 12) + 1,)
+        assert_index_of_terms(b)
+    assert x.mul(y).terms and y.mul(y).terms
+
+
 def spy_on_columns(monkeypatch):
     """The operand sizes of every product that takes the kernel path from here on."""
     calls = []
@@ -502,6 +575,8 @@ def test_product_over_columns_holds_a_chunk_of_pairs_at_a_time(monkeypatch):
 
 def test_chunks_cover_every_position_in_ranges_of_at_most_a_chunk_of_entries(monkeypatch):
     assert list(algebra._chunks(0, 5)) == []
+    # positions of no entries, as in a stack of empty matrices, count as one entry each
+    assert list(algebra._chunks(3, 0)) == list(algebra._chunks(3, 1)) == [range(0, 3)]
     # a position wider than a chunk is a range of its own
     assert list(algebra._chunks(3, algebra._CHUNK_ENTRIES + 1)) == [range(0, 1), range(1, 2), range(2, 3)]
     monkeypatch.setattr(algebra, "_CHUNK_ENTRIES", 12)

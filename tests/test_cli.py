@@ -1,7 +1,9 @@
 """The command line surface: output shapes, determinism, exit codes."""
 
+import argparse
 import contextlib
 import io
+import itertools
 import json
 import re
 import sys
@@ -92,6 +94,51 @@ def test_unparsable_sizes_are_refused_with_one_message(capsys, sizes):
 def test_sizes_may_carry_blanks_around_each_part(capsys):
     assert cli.parse_sizes(" 2 , 3 ") == (2, 3)
     assert run(capsys, "report", "--sizes", " 2 , 3 ", "--char", "5") == (0, REPORT_23_P5, "")
+
+
+def test_equal_spec_text_gives_one_spec_object():
+    spec = cli.spec_from_args(argparse.Namespace(sizes="2,3,3", char=2))
+    assert cli.spec_from_args(argparse.Namespace(sizes="2,3,3", char=2)) is spec
+    # other text for the same sizes is another key, with an equal spec
+    other = cli.spec_from_args(argparse.Namespace(sizes=" 2,3,3", char=2))
+    assert other == spec and other is not spec
+    assert cli.spec_from_args(argparse.Namespace(sizes="2,3,3", char=3)) != spec
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "--sizes", "2,3", "--char", "5", "01,11,11", "11,01,11"],
+    ["mul", "--sizes", "2,3,3", "--json", "011,111,111", "111,011,111"],
+    ["report", "--sizes", "2,3,3", "--char", "2", "--json"],
+    ["report", "--sizes", "2,2,3", "--char", "3"],
+])
+def test_a_cold_spec_cache_prints_what_a_warm_one_does(capsys, argv):
+    cli._spec.cache_clear()
+    cold = run(capsys, *argv)
+    assert cli._spec.cache_info().currsize == 1
+    assert run(capsys, *argv) == cold
+    assert cli._spec.cache_info().hits >= 1
+    assert cold[0] == 0 and cold[1]
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--sizes", "2.0,3", "error: cannot parse sizes from '2.0,3'; expected e.g. '2,3,3'\n"),
+    ("--sizes", "1,3", "error: every factor size must be at least 2, got (1, 3)\n"),
+    ("--char", "4", "error: characteristic must be 0 or prime, got 4\n"),
+])
+def test_a_refused_spec_is_refused_alike_on_every_repeat(capsys, option, value, message):
+    args = {"--sizes": "2,3", "--char": "2", option: value}
+    argv = ["mul", *itertools.chain(*args.items()), "01,11,11", "11,01,11"]
+    cli._spec.cache_clear()
+    for _ in range(3):
+        assert run(capsys, *argv) == (2, "", message)
+        assert cli._spec.cache_info().currsize == 0
+
+
+def test_a_float_characteristic_never_meets_the_cached_int_spec():
+    # lru_cache keys 2 and 2.0 alike unless typed; the spec refuses the float
+    cli._spec("2,3", 2)
+    with pytest.raises(ValueError, match="must be integers"):
+        cli._spec("2,3", 2.0)
 
 
 def test_mul_golden(capsys):
