@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Element, Triple, _chunks, basis_triples, check_triple
+from .algebra import Element, Triple, _chunks, _integral, basis_triples, check_triple
 from .scheme import Mask, Scalar, SchemeSpec
 
 Point = tuple[int, ...]
@@ -140,8 +140,7 @@ def _integer_form(m: np.ndarray) -> tuple[np.ndarray, int, int]:
         return np.frombuffer(bytearray(flat), dtype=np.uint8).astype(np.int64).reshape(m.shape), 1, 255
     except (TypeError, ValueError):
         pass
-    d = math.lcm(*(v.denominator for v in flat))
-    nums = [v.numerator * (d // v.denominator) for v in flat]
+    nums, d = _integral(flat)
     top = max(max(nums), -min(nums))
     return np.array(nums, dtype=np.int64 if top < 1 << 63 else object).reshape(m.shape), d, top
 
@@ -276,8 +275,7 @@ def _realize_combinations(
             rows.append(k)
             triples.append(t)
             coeffs.append(spec.field.of(c))
-    d = math.lcm(*(c.denominator for c in coeffs))
-    weights = [c.numerator * (d // c.denominator) for c in coeffs]
+    weights, d = _integral(coeffs)
     dtype = np.int64 if sum(map(abs, weights)) < 1 << 63 else object
     size = _check_cap(spec, cap)
     cells = size**2

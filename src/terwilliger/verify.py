@@ -12,6 +12,8 @@ entries at a time, in the ranges of algebra._chunks.  A chunk is judged
 whole and the first failing identity in sweep order is reported, with the
 count a one-at-a-time loop would give.  The engine side of pair sweeps
 evaluates the product law over int64 triple columns (algebra._mul_columns).
+structure-constants judges all D^2 pairs at every characteristic, a chunk
+of left triples in middle order at a time, by one product of E*-blocks.
 Products of linear combinations (the central elements of center-structure,
 the semisimple representatives of quotient-matrix-units and
 corner-structure) go through one product judge, _agreement, over integer
@@ -359,50 +361,52 @@ def _check_dimension_rank(spec, base_points, rng, cap) -> Outcome:
 
 def _check_structure_constants(spec, base_points, rng, cap) -> Outcome:
     triples = basis_triples(spec)
-    columns = _columns(triples)
-    # position[key] of each basis triple, -1 elsewhere: 8^n entries, and run_all's
-    # stack bound keeps n at 7 or below.
+    size = len(triples)
+    g, _, i = columns = _columns(triples)
+    # position[key] of each basis triple, -1 elsewhere: 8^n entries (n <= 7 under run_all)
     position = np.full(8**spec.n, -1)
-    position[_key(spec, columns)] = np.arange(len(triples))
-    stack = oracle.realize_stack(spec, triples, base_points[0], cap)
-    # Supports are read off the realized matrices, not off the masks, so the
-    # oracle still knows no closed form.  A product whose operands' column and
-    # row supports do not meet is zero without multiplying.
-    rows, cols = stack.any(axis=2), stack.any(axis=1)
-    total = len(triples) ** 2
-    mode, drawn = "exhaustive", None
-    if spec.characteristic == 0 and spec.num_points > 20:
-        # drawing positions draws the same pairs as drawing the triples themselves
-        drawn = _sample(len(triples), 2, rng)
-        mode = f"sampled {SAMPLE_COUNT} of {total}"
-    count = 0
-    # A pair holds a row of support flags; its product is built only where the
-    # supports meet, a stack of at most _CHUNK_ENTRIES entries at a time.
-    for chunk in _chunks(total if drawn is None else len(drawn), spec.num_points):
-        if drawn is None:
-            left, right = np.divmod(np.arange(chunk.start, chunk.stop), len(triples))
-        else:
-            left, right = drawn[chunk.start : chunk.stop].T
-        coeffs, product = _mul_columns(spec, columns[:, left], columns[:, right])
-        # A zero product is compared with a zero multiple of any basis matrix, and a
-        # nonzero one that names no basis triple (position -1) fails unmultiplied.
-        target = np.where(coeffs == 0, 0, position[_key(spec, product)])
-        # Where the supports do not meet, the oracle's product is zero.
-        ok = coeffs == 0
-        meet = np.flatnonzero(np.any(cols[left] & rows[right], axis=1) & (target >= 0))
-        for part in _chunks(meet.size, spec.num_points**2):
-            k = meet[part.start : part.stop]
-            lhs = oracle.mat_mul(spec, stack[left[k]], stack[right[k]])
-            ok[k] = _equal_each(lhs, coeffs[k, None, None] * stack[target[k]])
-        bad = _first_failure(ok)
-        if bad is not None:
-            t1, t2 = triples[left[bad]], triples[right[bad]]
-            return False, count + bad, (
-                f"product {render_triple(spec, t1)} * {render_triple(spec, t2)}"
-                " disagrees with the matrix oracle"
-            )
-        count += len(chunk)
-    return True, count, mode
+    position[_key(spec, columns)] = np.arange(size)
+    x = base_points[0]
+    stack = oracle.realize_stack(spec, triples, x, cap)
+    # realize_stack builds the matrix of (g, h, i) as E*_g (...) E*_i, zero outside rows
+    # P_g and columns P_i, P_m the points x relates to by m.  So a pair whose middles
+    # differ (i != j) has a zero product, and the engine must give it coefficient 0.  A
+    # pair through middle i is the product of its (P_g, P_i) and (P_i, P_l) blocks, which
+    # must equal c times the target's (P_g, P_l) block, and the target must be a basis
+    # triple with outer masks (g, l).  The blocks are read off the relation table's row
+    # at x, so the oracle shares no formula with the engine.
+    row = oracle.relation_matrix(spec, cap)[oracle._point_index(spec, x)]
+    counts = np.bincount(row, minlength=1 << spec.n)
+    reach = np.bincount(np.repeat(g, counts[i]), minlength=1 << spec.n)  # block columns at left mask m
+    # A chunk of left triples in middle order meets all D right triples in the engine, and
+    # its row blocks on the points of its middles meet the column blocks of the right
+    # triples with those left masks in one oracle product; the costliest triple sizes it.
+    by_middle, first = np.argsort(i, kind="stable"), size**2
+    for chunk in _chunks(size, size + int((counts[g] * (counts[i] + reach[i])).max())):
+        left = by_middle[chunk.start : chunk.stop]
+        coeffs, product = _mul_columns(spec, columns[:, left, None], columns[:, None, :])
+        target = position[_key(spec, product)]
+        outer = (product[0] == g[left, None]) & (product[2] == i)
+        ok = (coeffs == 0) | ((i[left, None] == g) & (target >= 0) & outer)
+        m0, m1 = i[left[0]], i[left[-1]]
+        right = np.flatnonzero((m0 <= g) & (g <= m1))
+        # the left triple and point of each row of the row blocks, the right triple and
+        # point of each column of the column blocks, and the points of the middles
+        a, y = np.nonzero(g[left, None] == row)
+        b, z = np.nonzero(i[right, None] == row)
+        b, y, inner = right[b], y[:, None], np.flatnonzero((m0 <= row) & (row <= m1))
+        lhs = oracle.mat_mul(spec, stack[left[a, None], y, inner], stack[b, inner[:, None], z])
+        # c times the target's block, read at flat positions, which numpy takes fastest
+        pair = a[:, None] * size + b  # a target of -1 has already failed its pair
+        rhs = coeffs.take(pair) * stack.reshape(-1).take(target.take(pair) * len(row) ** 2 + y * len(row) + z)
+        r, c = np.divmod(np.flatnonzero(lhs != rhs), len(z))
+        ok[a[r], b[c]] = False
+        a, b = np.nonzero(~ok)
+        first = min(first, int((left[a] * size + b).min(initial=first)))
+    if first == size**2:
+        return True, first, "exhaustive"
+    t1, t2 = render_triple(spec, triples[first // size]), render_triple(spec, triples[first % size])
+    return False, first, f"product {t1} * {t2} disagrees with the matrix oracle"
 
 
 def _check_raw_roundtrip(spec, base_points, rng, cap) -> Outcome:
@@ -751,11 +755,10 @@ def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
                         f" in signature {render_mask(b.signature, n)}"
                     )
                 count += 1
-    # The slots as sorted keys (signature, g, i) of 3n bits, closed by one key above
-    # them all, so that every search lands on an entry.
-    keys = np.array([s << 2 * n | g << n | i for s, g, i in slots] + [1 << 3 * n], dtype=np.int64)
-    order = np.argsort(keys)
-    keys, held = keys[order], np.array([*slots.values(), -2], dtype=np.int64)[order]
+    # held[s << 2n | g << n | i] is the position in dts of slot (s, g, i), -2 where no
+    # block holds the slot: 8^n entries, as structure-constants' position table.
+    held = np.full(8**n, -2)
+    held[[s << 2 * n | g << n | i for s, g, i in slots]] = list(slots.values())
     sigs, columns = np.array(sig, dtype=np.int64), _columns(dts)
     agree = _agreement(spec, [semisimple_rep(spec, t).terms for t in dts], modulo_radical=True)
     # Each chunk's pairs are judged by the law, then, up to the first lift failure, by the
@@ -767,9 +770,7 @@ def _check_quotient_matrix_units(spec, base_points, rng, cap) -> Outcome:
         a, b = columns[:, left], columns[:, right]
         # the position in dts of the product the block structure gives each pair: -1 for
         # zero, -2 for a slot no block holds
-        want = sigs[left] << 2 * n | a[0] << n | b[2]
-        at = np.searchsorted(keys, want)
-        expect = np.where(keys[at] == want, held[at], -2)
+        expect = held[sigs[left] << 2 * n | a[0] << n | b[2]]
         expect = np.where((sigs[left] == sigs[right]) & (a[2] == b[0]), expect, -1)
         live, product = _quotient_law(spec.large_mask, a, b)
         same = np.all(np.array(product) == columns[:, expect], axis=0)

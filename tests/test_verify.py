@@ -161,11 +161,17 @@ def _break_one_product(break_law, spec, chain):
 
 @pytest.mark.parametrize("chain", [False, True])
 def test_structure_constants_catch_one_wrong_product(break_law, chain):
-    # With chain False the operands' realized supports are disjoint, so the
-    # oracle never multiplies them; the engine's nonzero answer must still fail.
+    # With chain False the operands' middles differ, so their realized product
+    # is zero; the engine's nonzero answer must still fail.
     spec = SchemeSpec(sizes=(2, 3), characteristic=3)
     position, detail = _break_one_product(break_law, spec, chain)
     assert run_check("structure-constants", spec) == (False, position, detail)
+
+
+def test_structure_constants_check_every_pair_at_characteristic_0():
+    # (3,3,3)/0 has 27 points and dim 125; every pair is checked, none sampled.
+    spec = SchemeSpec(sizes=(3, 3, 3), characteristic=0)
+    assert run_check("structure-constants", spec) == (True, 15625, "exhaustive")
 
 
 def test_structure_constants_catch_a_dropped_product(break_law):

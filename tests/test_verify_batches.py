@@ -167,26 +167,22 @@ def ref_structure_constants(spec, base_points, rng, cap):
     triples = basis_triples(spec)
     x = base_points[0]
     mats = {t: oracle.realize_triple(spec, t, x, cap) for t in triples}
-    pairs = itertools.product(triples, triples)
-    mode = "exhaustive"
-    if spec.characteristic == 0 and spec.num_points > 20:
-        pairs = [(triples[a], triples[b]) for a, b in verify._sample(len(triples), 2, rng)]
-        mode = f"sampled {verify.SAMPLE_COUNT} of {len(triples) ** 2}"
     count = 0
-    for t1, t2 in pairs:
+    for t1, t2 in itertools.product(triples, triples):
         hit = law_at(spec, t1, t2)
         lhs = mat_mul(spec, mats[t1], mats[t2])
         if hit is None:
             ok = oracle.is_zero_matrix(lhs)
         else:
-            ok = mat_eq(lhs, oracle.realize(spec, Element.basis(spec, hit[1], hit[0]), x, cap))
+            # a product that names no basis triple fails
+            ok = hit[1] in mats and mat_eq(lhs, oracle.realize(spec, Element.basis(spec, hit[1], hit[0]), x, cap))
         if not ok:
             return False, count, (
                 f"product {render_triple(spec, t1)} * {render_triple(spec, t2)}"
                 " disagrees with the matrix oracle"
             )
         count += 1
-    return True, count, mode
+    return True, count, "exhaustive"
 
 
 def ref_raw_roundtrip(spec, base_points, rng, cap):
@@ -588,22 +584,65 @@ def test_oracle_sanity_matches_the_one_at_a_time_sweep(monkeypatch, last):
     assert run_check("oracle-sanity", spec) == expected
 
 
-@pytest.mark.parametrize("sizes, characteristic", [((2, 3), 3), ((3, 3, 3), 0)])
-@pytest.mark.parametrize("last", [False, True])
-def test_structure_constants_match_the_one_at_a_time_sweep(monkeypatch, break_law, sizes, characteristic, last):
-    # (3,3,3)/0 samples its pairs, so the drawn path is covered too.
-    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+def structure_faults(spec, fault):
+    """The (pair, wrong) arguments of break_law for one named fault of the structure-constants
+    sweep, read off the unbroken law."""
     triples = basis_triples(spec)
-    if spec.characteristic == 0:
-        sweep = [(triples[a], triples[b]) for a, b in verify._sample(len(triples), 2, random.Random(0))]
-    else:
-        sweep = list(itertools.product(triples, triples))
-    bad = sweep[-1 if last else 0]
-    break_law(bad)
-    chunk_of(monkeypatch, 7 * spec.num_points)  # seven pairs a chunk
+    pairs = list(itertools.product(triples, repeat=2))
+    chaining = [pair for pair in pairs if law_at(spec, *pair) is not None]
+    if fault in ("first", "middle", "last"):  # the coefficient is one larger
+        return [(chaining[{"first": 0, "middle": len(chaining) // 2, "last": -1}[fault]], None)]
+    if fault == "apart":  # middles that differ, with a product on the pair's outer masks
+        t1, t2 = next(pair for pair in pairs[len(pairs) // 2 :] if pair[0][2] != pair[1][0])
+        outer = next(u for u in triples if (u[0], u[2]) == (t1[0], t2[2]))
+        return [((t1, t2), lambda spec, hit: (1, outer))]
+    t1, t2 = chaining[len(chaining) // 3]
+    assert (1, 0, 0) not in triples
+    if fault == "dropped":  # zero, with a target that names no basis triple
+        return [((t1, t2), lambda spec, hit: (0, (1, 0, 0)))]
+    if fault == "unnamed":  # the coefficient kept and a product that names no basis triple, on the
+        # outer masks of the last basis triple where one does, which a target of -1 must not stand for
+        g, _, l = triples[-1]
+        unnamed = next(((g, h, l) for h in range(1 << spec.n) if (g, h, l) not in triples), (1, 0, 0))
+        pair = next(pair for pair in chaining if law_at(spec, *pair)[1] == triples[-1])
+        return [(pair, lambda spec, hit: (hit[0], unnamed))]
+    # misplaced: a basis triple whose rows (or columns) are not the pair's, on a zero product
+    # if one chains
+    t1, t2 = next((pair for pair in pairs if pair[0][2] == pair[1][0] and law_at(spec, *pair) is None), (t1, t2))
+    if fault == "misplaced rows":
+        other = next(u for u in triples if u[0] != t1[0] and u[2] == t2[2])
+        return [((t1, t2), lambda spec, hit: (1, other))]
+    if fault == "misplaced columns":
+        other = next(u for u in triples if u[0] == t1[0] and u[2] != t2[2])
+        return [((t1, t2), lambda spec, hit: (1, other))]
+    # two chunks: the earlier pair in loop order has the larger middle, so its chunk comes later
+    top = max(t[2] for t in triples)
+    early = next(pair for pair in chaining if pair[0][2] == top)
+    late = next(pair for pair in chaining[chaining.index(early) :] if pair[0][2] < top)
+    return [(early, None), (late, None)]
+
+
+@pytest.mark.parametrize("sizes, characteristic", [((2, 3), 3), ((2, 3), 2), ((3, 3, 3), 0)])
+@pytest.mark.parametrize(
+    "fault",
+    ["first", "middle", "last", "apart", "dropped", "unnamed", "misplaced rows", "misplaced columns", "two chunks"],
+)
+def test_structure_constants_match_the_one_at_a_time_sweep(monkeypatch, break_law, sizes, characteristic, fault):
+    # Chunks of one left triple, the default (every middle in one chunk at (2,3), three
+    # chunks that straddle middles at (3,3,3)), and every middle in one chunk.  At
+    # (2,3)/2 some chaining pairs have a zero product, where only the target's outer
+    # masks tell.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    faults = structure_faults(spec, fault)
+    for pair, wrong in faults:
+        break_law(pair, wrong)
     expected = reference(ref_structure_constants, spec)
-    assert not expected[0] and (expected[1] == 0) != last
-    assert run_check("structure-constants", spec) == expected
+    pairs = list(itertools.product(basis_triples(spec), repeat=2))
+    assert expected[:2] == (False, min(pairs.index(pair) for pair, _ in faults))
+    for entries in (1, algebra._CHUNK_ENTRIES, 1 << 20):
+        with monkeypatch.context() as patch:
+            chunk_of(patch, entries)
+            assert run_check("structure-constants", spec) == expected
 
 
 @pytest.mark.parametrize("last", [False, True])
@@ -1037,6 +1076,29 @@ def test_run_all_multiplies_a_chunk_at_a_time(monkeypatch):
         "corner-structure": 1,  # every corner's representative pairs as one stack
     }
     assert sum(calls.values()) == 16
+
+
+@pytest.mark.parametrize("sizes, characteristic", [((2,) * 5, 3), ((3, 4, 5), 2)])
+def test_structure_constants_multiply_blocks_not_dense_pairs(monkeypatch, sizes, characteristic):
+    # A dense product per chaining pair costs N^3 multiply-adds; the block products of
+    # the sweep must cost under 5% of that in all.  At (2,)^5/3 the whole sweep in one
+    # product would cost 3%, but would hold 1024 x 1024 entries.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    triples = basis_triples(spec)
+    ops, shapes, product = [], [], oracle.mat_mul
+
+    def counting(spec, a, b):
+        ops.append(a.size * b.shape[-1])
+        shapes.append((a.size // a.shape[-1], b.shape[-1]))
+        return product(spec, a, b)
+
+    monkeypatch.setattr(oracle, "mat_mul", counting)
+    assert run_check("structure-constants", spec) == (True, len(triples) ** 2, "exhaustive")
+    chaining = sum(t1[2] == t2[0] for t1, t2 in itertools.product(triples, repeat=2))
+    assert sum(ops) < 0.05 * spec.num_points**3 * chaining
+    # and here each product holds at most a chunk of entries (a chunk that straddles
+    # middles may hold a few times more)
+    assert ops and max(rows * cols for rows, cols in shapes) <= algebra._CHUNK_ENTRIES
 
 
 # --- the quotient law judged a chunk at a time ------------------------------------
