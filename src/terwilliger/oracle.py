@@ -17,9 +17,10 @@ Python ints for very large primes) reduced mod p.  Every field shares one
 fraction-free elimination (_pivot_rows), which cross-multiplies rows as in
 Bareiss' integer-preserving elimination: over Python ints at characteristic
 0, in int64 mod p below 2^31.  It takes rows a block of at most
-_CHUNK_ENTRIES entries at a time (_blocks), clears and casts each block once
-and applies each pivot to a whole block.  Triple intersection counts are
-read off the rows of the table.
+_CHUNK_ENTRIES entries at a time (_blocks), clears and casts each block once,
+and reduces each row only by the pivot at its leading column, until the
+row vanishes or leads at a new column.  Triple intersection counts are read
+off the rows of the table.
 The symbolic engine is validated against this module, so the two must not
 share formulas beyond the definition of the relations themselves.
 """
@@ -319,52 +320,43 @@ def _blocks(stack: np.ndarray) -> Iterator[np.ndarray]:
     return (rows[r.start : r.stop] for r in _chunks(len(rows), width))
 
 
-def _eliminate(spec: SchemeSpec, rows: np.ndarray, col: int, pivot: np.ndarray) -> None:
-    """Clear column col of every row of a block with the pivot row, in place.
-
-    Each row v with v[col] != 0 becomes v * pivot[col] - pivot * v[col], reduced;
-    the other rows are left as they are, so no row grows without need.
-    """
-    hit = np.flatnonzero(rows[:, col])
-    if hit.size:
-        rows[hit] = _reduce(spec, rows[hit] * pivot[col] - rows[hit, col, None] * pivot)
-
-
 def _pivot_rows(spec: SchemeSpec, blocks: Iterable[np.ndarray]) -> list[tuple[int, np.ndarray]]:
     """(col, v) pivot rows spanning the rows of the blocks, v[col] the first nonzero entry.
 
-    Each block is a 2-D array of rows, such as _blocks cuts from a stack.
-    Exact elimination: a block is cleared of denominators, reduced and cast
-    once; then every pivot found so far is applied to all of its rows at once
-    (_eliminate), and its rows are taken in order, a row left nonzero becoming
-    a new pivot that is applied to the rows after it.  So each row meets the
-    pivots in the order a row-by-row elimination would, and the pivots are
-    the same.  At prime characteristic pivot[col] is a unit, so no inverse is
-    needed; rows are int64 below 2^31, where an update stays below 2p^2 < 2^63.
-    At characteristic 0 rows are Python ints, and a new pivot row is divided
-    by the gcd of its entries.
+    Each block is a 2-D array of rows, such as _blocks cuts from a stack;
+    it is cleared of denominators, reduced and cast once, and its zero rows
+    are dropped.  Exact elimination by leading column: while a pivot leads
+    at row v's first nonzero column col, v becomes v * pivot[col] - pivot *
+    v[col], reduced.  Every pivot is zero before its column, so each step
+    moves v's leading column right; a row that ends nonzero leads at a
+    column no pivot holds and becomes the pivot there.  A row meets only the
+    pivots it leads into, in row order, so the pivots do not depend on the
+    blocking.  At prime characteristic pivot[col] is a unit, so no inverse
+    is needed; rows are int64 below 2^31, where an update stays below
+    2p^2 < 2^63.  At characteristic 0 rows are Python ints, and a new pivot
+    row is divided by the gcd of its entries.
     """
     p = spec.characteristic
     dtype = np.int64 if 0 < p < 1 << 31 else object
-    pivots: list[tuple[int, np.ndarray]] = []
+    pivots: dict[int, np.ndarray] = {}
     for block in blocks:
         rows = _reduce(spec, _integer_form(block)[0]).astype(dtype)
-        for col, pivot in pivots:
-            _eliminate(spec, rows, col, pivot)
-        for r, v in enumerate(rows):
+        for v in rows[np.any(rows != 0, axis=1)]:  # a zero row spans nothing
             nonzero = np.flatnonzero(v)
+            while nonzero.size and (col := int(nonzero[0])) in pivots:
+                pivot = pivots[col]
+                v = _reduce(spec, v * pivot[col] - pivot * v[col])
+                nonzero = np.flatnonzero(v)
             if nonzero.size:
-                col = int(nonzero[0])
-                pivots.append((col, v if p else v // math.gcd(*v.tolist())))
-                _eliminate(spec, rows[r + 1 :], col, pivots[-1][1])
-    return pivots
+                pivots[col] = v if p else v // math.gcd(*v.tolist())
+    return list(pivots.items())
 
 
 def span_rank(spec: SchemeSpec, mats: Sequence[np.ndarray] | np.ndarray) -> int:
     """Rank of a family of matrices flattened to vectors: the number of pivot rows.
 
-    The family is a stack, or a sequence of arrays of one shape; it is
-    eliminated a block of _blocks at a time.
+    The family is a stack, or a sequence of arrays of one shape; _pivot_rows
+    reduces its rows by leading column, casting a block of _blocks at a time.
     """
     return len(_pivot_rows(spec, _blocks(np.asarray(mats))))
 

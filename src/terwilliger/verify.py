@@ -26,10 +26,11 @@ matrix-unit law over triple columns (quotient._quotient_law) and the lift
 of each product through _agreement.
 corner-structure realizes every corner's representatives as one stack and
 multiplies their pairs as stacks.  Ranks (dimension-rank,
-frobenius-falsification, base-point-independence) eliminate realized stacks
-a block of rows at a time.  intersection-numbers makes its triple-regularity
-draws one at a time, as each bounds the next, and then picks every drawn
-triple and compares all triple counts as arrays.
+frobenius-falsification, base-point-independence) reduce each row of a
+realized stack only by the pivot at its leading column (oracle._pivot_rows),
+casting a block of rows at a time.  intersection-numbers makes its
+triple-regularity draws one at a time, as each bounds the next, and then
+picks every drawn triple and compares all triple counts as arrays.
 """
 
 from __future__ import annotations

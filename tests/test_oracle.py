@@ -1,5 +1,6 @@
 """The dense matrix oracle: raw scheme matrices and faithfulness of realize."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -328,10 +329,12 @@ RANK_CHARACTERISTICS = [0, 2, 3, 1048583, 2**61 - 1, 2**64 + 13]
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_characteristic_zero_span_rank_equals_fraction_elimination(data):
-    # Every field shares one elimination, so this covers each prime too.
+    # Every field shares one elimination, so this covers each prime too.  The family
+    # has more rows than base vectors, so some rows are dependent and vanish only after
+    # several leading-column steps.
     p = data.draw(st.sampled_from(RANK_CHARACTERISTICS))
     spec = SchemeSpec(sizes=(2, 3), characteristic=p)
-    shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)))
+    shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6)))
     length = shape[0] * shape[1]
     if p:
         scalars = st.one_of(st.integers(-4, 4), st.integers(0, p - 1))
@@ -339,14 +342,49 @@ def test_characteristic_zero_span_rank_equals_fraction_elimination(data):
         scalars = st.fractions(-4, 4, max_denominator=6)
     base = [[data.draw(scalars) for _ in range(length)] for _ in range(data.draw(st.integers(1, 4)))]
     family = []
-    for _ in range(data.draw(st.integers(0, 6))):
+    for _ in range(data.draw(st.integers(len(base) + 1, len(base) + 4))):
         coeffs = [data.draw(st.integers(-3, 3)) for _ in base]
         combo = [sum(c * vec[j] for c, vec in zip(coeffs, base)) for j in range(length)]
         family.append([v % p for v in combo] if p else combo)
     mats = [_object_matrix([vec[r * shape[1]:(r + 1) * shape[1]] for r in range(shape[0])]) for vec in family]
     if 0 < p < 1 << 20:
         mats = [m.astype(np.int64) for m in mats]  # the oracle's matrix type there
-    assert span_rank(spec, mats) == _reference_rank(family, p)
+    rank = _reference_rank(family, p)
+    assert span_rank(spec, mats) == rank
+    # echelon form: one pivot per leading column, each zero before its column
+    pivots = oracle._pivot_rows(spec, oracle._blocks(np.stack(mats)))
+    cols = [col for col, _ in pivots]
+    assert len(set(cols)) == len(cols) == rank
+    assert all(v[col] != 0 and not np.any(v[:col]) for col, v in pivots)
+
+
+@pytest.mark.parametrize("characteristic", [0, 3, 2**61 - 1])
+@pytest.mark.parametrize("sizes", [(2, 3), (3, 3)])
+def test_annihilator_dim_is_the_nullity_of_the_generators_images(sizes, characteristic):
+    # The right annihilator of the left ideal T G the generators G span is theirs, as
+    # T holds 1: the nullity of t -> (G_1 t, ..., G_J t) over the realized basis, whose
+    # matrices are independent.  The images are ranked by _reference_rank.
+    spec = SchemeSpec(sizes=sizes, characteristic=characteristic)
+    triples = basis_triples(spec)
+    basis = [realize_triple(spec, t).astype(object) for t in triples]
+    assert _reference_rank([m.ravel().tolist() for m in basis], characteristic) == len(triples)
+    rng = random.Random(f"{sizes}:{characteristic}")
+    seen = set()
+    for _ in range(8):
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            e = Element.zero(spec)
+            for t in rng.sample(triples, rng.randrange(1, 4)):
+                c = rng.randint(-3, 3)
+                c = c if characteristic else Fraction(c, rng.randint(1, 2))
+                e = e.add(Element.basis(spec, t, spec.field.of(c)))
+            gens.append(e)
+        realized = [realize(spec, g).astype(object) for g in gens]
+        images = [np.concatenate([(g @ m).ravel() for g in realized]).tolist() for m in basis]
+        expected = len(triples) - _reference_rank(images, characteristic)
+        assert annihilator_dim(spec, gens) == expected
+        seen.add(expected)
+    assert len(seen) > 1
 
 
 def test_characteristic_zero_results_are_python_ints_and_fractions():

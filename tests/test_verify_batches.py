@@ -1238,9 +1238,13 @@ def test_center_structure_makes_no_element_product(monkeypatch, sizes, character
     assert not calls
 
 
-def test_quotient_matrix_units_fails_a_product_no_block_holds(monkeypatch):
+@pytest.mark.parametrize("zeroed", [False, True])
+def test_quotient_matrix_units_fails_a_product_no_block_holds(monkeypatch, zeroed):
     # Without its last block, the products of that signature name no slot: the law fails
-    # at the first of them, where the block structure gives no product to compare.
+    # at the first of them, where the block structure gives no product to compare.  It
+    # fails there also when the law gives that product as zero (zeroed): a zero product
+    # would be right where the pair does not chain, but this pair chains inside a
+    # signature whose slot no block holds.
     spec = SchemeSpec(sizes=(3, 3), characteristic=0)
     blocks = verify.wedderburn_blocks(spec)
     monkeypatch.setattr(verify, "wedderburn_blocks", lambda spec: blocks[:-1])
@@ -1249,6 +1253,14 @@ def test_quotient_matrix_units_fails_a_product_no_block_holds(monkeypatch):
     first = min(a * len(dts) + b for a in last for b in last if dts[a][2] == dts[b][0])
     slots = sum(b.size**2 for b in blocks[:-1])
     t1, t2 = dts[first // len(dts)], dts[first % len(dts)]
+    if zeroed:
+        law = verify._quotient_law
+
+        def zero_at(large, a, b):
+            live, product = law(large, a, b)
+            return live & ~is_pair(a, b, (t1, t2)), product
+
+        monkeypatch.setattr(verify, "_quotient_law", zero_at)
     detail = f"matrix unit law fails at {render_triple(spec, t1)} * {render_triple(spec, t2)}"
     assert run_check("quotient-matrix-units", spec) == (False, slots + first, detail)
 
