@@ -8,18 +8,21 @@ triple-indexed coefficient maps.  A second basis, the raw products (dual
 idempotent times adjacency times dual idempotent), is kept for
 cross-checks against the dense matrix oracle.
 
-The law is stated once over int64 triple columns, _mul_columns, and one
-kernel, _chained_ranges, finds the term pairs that chain in products of
-linear combinations held as columns, without enumerating all pairs: each
-left term reads its range from the right side's _Index, its terms bucketed
-by (combination, left mask) once, so no product sorts its operands.
-Element.mul runs on it when its operands have KERNEL_PAIRS term pairs or
-more (2^14, the crossover measured against its per-pair loop) and the
-spec has at most KERNEL_FACTORS (12) factors with valencies in int64, and
-so do verify's products of the semisimple representatives.  There each
-element caches its terms as columns and integer numerators (_Form), and
-a product hands its own over, so a chain of products never rebuilds
-them; an element also caches its _Index on first use as a right operand.
+The law is stated once over int64 triple columns, _mul_columns, and the
+part of it that depends only on the left triple once more, _left_law,
+which Element.mul's per-pair loop and its column kernel, _mul_by_columns,
+both read.  Products of linear combinations held as columns find the term
+pairs that chain without enumerating all pairs: each left term reads its
+range from the right side's _Index, its terms bucketed by (combination,
+left mask) once, so no product sorts its operands.  Element.mul runs its
+kernel when its operands have KERNEL_PAIRS term pairs or more (2^14, the
+crossover measured against its per-pair loop) and the spec has at most
+KERNEL_FACTORS (12) factors with valencies in int64; verify's products of
+the semisimple representatives list their pairs with _chained_pairs.
+For the kernel each element caches its terms as columns and integer
+numerators (_Form), and a kernel product hands its own over, so a chain
+of products never rebuilds them; an element also caches its _Index on
+first use as a right operand.
 Both column products keep char-0 numerators in int64 under one
 rule, _sum_bound below 2^63.  One constant, _CHUNK_ENTRIES, sizes the
 chunks of every batched sweep, here, in the oracle and in verify (_chunks).
@@ -101,8 +104,6 @@ def _submask_table(spec: SchemeSpec) -> list[list[Mask]]:
 
 _NO_TRIPLES = np.zeros(0, dtype=np.int64)
 _NO_TRIPLES.flags.writeable = False
-_ONE_ZERO = np.zeros(1, dtype=np.int64)  # combination 0 of one, as both sides of an Element product
-_ONE_ZERO.flags.writeable = False
 
 
 def triple_columns(spec: SchemeSpec, middles: list[Mask]) -> tuple[np.ndarray, ...]:
@@ -191,6 +192,20 @@ def _valency_column(spec: SchemeSpec) -> np.ndarray:
     return column
 
 
+def _left_law(large: Mask, g, h, i) -> tuple:
+    """The parts of _product's law that depend only on the left triple (g, h, i), on masks or int64 columns.
+
+    Returns hi, a and b such that every right triple (i, k, l) gives the
+    valency mask hi & k and the middle mask (g ^ l) | (l & (a | (k & b))):
+    l distributes over the last two terms of _bracket(large, g, h, i, k, l),
+    and the part of h | k inside b = g & i & large splits into h & b, taken
+    into a, and k & b.  Element.mul's loop and _mul_by_columns both finish
+    the law so, per pair.
+    """
+    b = g & i & large
+    return h & i, (g & large & ~i) | (h & b), b
+
+
 def _mul_columns(
     spec: SchemeSpec, t1: tuple[np.ndarray, ...], t2: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -260,10 +275,10 @@ def _bucket_index(spec: SchemeSpec, columns: np.ndarray, size: np.ndarray) -> _I
     return _Index(np.argsort(keys, kind="stable"), offsets)
 
 
-def _chained_ranges(
+def _chained_pairs(
     spec: SchemeSpec, columns: np.ndarray, size: np.ndarray, left: np.ndarray, right: np.ndarray, index: _Index
 ) -> tuple[np.ndarray, ...]:
-    """Where the terms chaining with each left term lie, in each product combo[left[j]] * combo[right[j]].
+    """The term pairs that chain in each product combo[left[j]] * combo[right[j]], all at once.
 
     columns is a 3 x T int64 array of triples holding the terms of every left
     combination one after another, size[c] of them for combination c, and
@@ -271,29 +286,17 @@ def _chained_ranges(
     by the caller.  Each term of a left combination reads the bucket of the
     right combination's terms whose left mask equals its right mask with two
     gathers from index.offsets, so nothing is sorted and only pairs with
-    i = j are ever listed, never all |x| * |y| of them.  Returns, per left
-    term, its j (rows) and its position s into columns, then the start lo and
-    count of the left term's chaining terms within index.order.
+    i = j are ever listed, never all |x| * |y| of them.  Returns, per chaining
+    pair, its j (rows) and its two term positions s and t into columns and
+    into the right combinations' terms; _mul_columns on their triples
+    evaluates them.
     """
     start = np.cumsum(size) - size
     rows, k = _spread(size[left])
     s = start[left][rows] + k
     bucket = right[rows] << spec.n | columns[2, s]
     lo = index.offsets[bucket]
-    return rows, s, lo, index.offsets[bucket + 1] - lo
-
-
-def _chained_pairs(
-    spec: SchemeSpec, columns: np.ndarray, size: np.ndarray, left: np.ndarray, right: np.ndarray, index: _Index
-) -> tuple[np.ndarray, ...]:
-    """The term pairs that chain in each product combo[left[j]] * combo[right[j]], all at once.
-
-    The ranges of _chained_ranges, listed.  Returns, per chaining pair, its j
-    (rows) and its two term positions s and t into columns and into the
-    right combinations' terms; _mul_columns on their triples evaluates them.
-    """
-    rows, s, lo, count = _chained_ranges(spec, columns, size, left, right, index)
-    at, k = _spread(count)
+    at, k = _spread(index.offsets[bucket + 1] - lo)
     return rows[at], s[at], index.order[lo[at] + k]
 
 
@@ -335,12 +338,14 @@ def _integral(values: Iterable[Scalar]) -> tuple[list[int], int]:
     return (list(nums), 1) if d == 1 else ([a * (d // b) for a, b in ratios], d)
 
 
-# Element.mul goes through _chained_ranges when |x| * |y| reaches this many
+# Element.mul goes through _mul_by_columns when |x| * |y| reaches this many
 # term pairs, and through its per-pair loop below it, where the kernel's
-# fixed numpy cost loses: on operands at characteristics 0 and 3 the kernel
-# took 0.65 to 1.25 times the loop's time at 4,096 pairs, 0.67 to 1.04 at
-# 8,192 (0.95 to 1.67 on fresh operands, which build their form and index)
-# and 0.36 to 0.77 at 16,384 (the sweep is in CHANGES.md).
+# fixed numpy cost loses: on the six perfbench product specs, at
+# characteristic 0 and a prime, the kernel took 0.63 to 1.14 times the loop's
+# time at 4,096 pairs, 0.42 to 0.89 at 8,192 and 0.41 to 0.74 at 16,384 on
+# operands with cached forms; on fresh operands, which build their form and
+# index, 0.87 to 1.69, 0.70 to 1.24 and 0.56 to 1.12 (the sweep is in
+# CHANGES.md).  Fresh operands at (3,)^6/0 still lose at 8,192 and 16,384.
 KERNEL_PAIRS = 1 << 14
 
 # The kernel path reads valencies from _valency_column, one int64 for each of
@@ -406,43 +411,55 @@ class _Form(NamedTuple):
 
 
 def _mul_by_columns(x: Element, y: Element) -> Element:
-    """Element.mul on x and y over int64 columns, through _chained_ranges.
+    """Element.mul on x and y over int64 columns, on the term pairs that chain only.
 
     The operands' cached forms (Element._column_form) give the triple columns
     and integer numerators, and y's cached _Index of its terms by left mask
-    (Element._right_index) gives each term of x its chaining range; x is y
-    when an element multiplies itself.  Numerators are integers as in the
-    loop: residues at characteristic p, in int64 below p = 2^31; at
-    characteristic 0 each operand times the lcm of its denominators, in int64
-    while _sum_bound of the two L1 norms stays below 2^63, Python ints
-    otherwise.  The left terms are taken in chunks of about _CHUNK_ENTRIES
-    chaining pairs, counted before any pair is listed, so memory follows the
-    chunk and the distinct outputs, not every chaining pair; each chunk's sums
-    per product triple come from one sort and np.add.reduceat, merged with the
-    sums so far.  The sums in key order are the product's form: at
-    characteristic 0 they are divided by G = gcd(d, every sum), so that d / G
-    is the lcm of the output's denominators, and one Fraction is made per
-    distinct value.
+    (Element._right_index) gives each term of x its chaining range, the slice
+    of index.order between the two offsets at the term's right mask; x is y
+    when an element multiplies itself.  y's k, l and numerators are put in
+    index order once, so a pair reads them at one position, and _left_law
+    gives the part of the law that depends on the left term once per term.
+    Numerators are integers as in the loop: residues at characteristic p, in
+    int64 below p = 2^31; at characteristic 0 each operand times the lcm of
+    its denominators, in int64 while _sum_bound of the two L1 norms stays
+    below 2^63, Python ints otherwise.  The left terms are taken in chunks of
+    about _CHUNK_ENTRIES chaining pairs, counted before any pair is listed,
+    so memory follows the chunk and the distinct outputs, not every chaining
+    pair; each chunk's sums per product key (g << 2n | middle << n | l, built
+    directly) come from one sort and np.add.reduceat, merged with the sums so
+    far.  The sums in key order are the product's form: at characteristic 0
+    they are divided by G = gcd(d, every sum), so that d / G is the lcm of the
+    output's denominators, and one Fraction is made per distinct value.
     """
     spec = x.spec
     p, n, full = spec.characteristic, spec.n, spec.full_mask
     fx, fy, index = x._column_form(), y._column_form(), y._right_index()
     d = fx.d * fy.d
     dtype = _numerator_dtype(p, _sum_bound(spec, fx.l1 * fy.l1))
-    xn, yn = fx.nums.astype(dtype, copy=False), fy.nums.astype(dtype, copy=False)
-    _, s, lo, count = _chained_ranges(spec, fx.columns, np.array([len(xn)]), _ONE_ZERO, _ONE_ZERO, index)
+    xn = fx.nums.astype(dtype, copy=False)
+    k, l = fy.columns[1:, index.order]
+    yn = fy.nums.astype(dtype, copy=False)[index.order]
+    g, h, i = fx.columns
+    hi, a, b = _left_law(spec.large_mask, g, h, i)
+    lo = index.offsets[i]
+    count = index.offsets[i + 1] - lo
+    valencies = _valency_column(spec)
     ends = np.cumsum(count)
     # a chunk takes the left terms whose pairs end within the next _CHUNK_ENTRIES
     stops = np.searchsorted(ends, np.arange(_CHUNK_ENTRIES, ends[-1] + _CHUNK_ENTRIES, _CHUNK_ENTRIES), side="right")
     keys, sums = _NO_TRIPLES, xn[:0]
-    for a, b in zip(chain([0], stops), stops):
-        at, k = _spread(count[a:b])
-        if not at.size:
+    for first, stop in zip(chain([0], stops), stops):
+        u, r = _spread(count[first:stop])
+        if not u.size:
             continue
-        u, t = s[a:b][at], index.order[lo[a:b][at] + k]
-        factor, product = _mul_columns(spec, fx.columns[:, u], fy.columns[:, t])
+        u += first
+        t = lo[u] + r
+        kt, lt, gu = k[t], l[t], g[u]
+        key = gu << 2 * n | ((gu ^ lt) | (lt & (a[u] | (kt & b[u])))) << n | lt
+        factor = valencies[hi[u] & kt]
         values = xn[u] * yn[t] % p * factor % p if p else xn[u] * yn[t] * factor
-        keys, sums = _sum_by_key(np.concatenate([keys, _key(spec, product)]), np.concatenate([sums, values]))
+        keys, sums = _sum_by_key(np.concatenate([keys, key]), np.concatenate([sums, values]))
         if p:
             sums %= p
     keep = sums != 0
@@ -536,9 +553,14 @@ class Element:
         return self._terms
 
     def _column_form(self) -> _Form:
-        """The terms as a _Form, built from _columns and _integral once and cached."""
+        """The terms as a _Form, built from _columns once and cached.
+
+        Residues at prime characteristic are the numerators, with d = 1;
+        characteristic-0 coefficients go through _integral.
+        """
         if self._form is None:
-            nums, d = _integral(self._terms.values())
+            values = self._terms.values()
+            nums, d = (list(values), 1) if self.spec.characteristic else _integral(values)
             l1 = sum(map(abs, nums))
             dtype = np.int64 if l1 < 1 << 63 else object
             self._form = _Form(_columns(list(self._terms)), np.array(nums, dtype=dtype), d, l1)
@@ -604,20 +626,17 @@ class Element:
         A pair (g, h, i), (j, k, l) contributes only when i = j.  When
         |self| * |other| reaches KERNEL_PAIRS, on specs of at most
         KERNEL_FACTORS factors whose valencies fit in int64, the pairs that
-        chain are found over int64 columns by _chained_ranges, the kernel
-        verify's product judge _agreement shares, from other's cached _Index
-        of its terms by left mask, and evaluated by _mul_columns a chunk of
-        left terms at a time (_mul_by_columns), on the operands' cached
-        forms; the product comes back with its own form, and builds its
-        index only if it is ever a right operand.  Otherwise a
-        per-pair loop runs, which below KERNEL_PAIRS wins on numpy's fixed
-        cost: the terms of other are grouped by their left mask once, as
-        (k, l, c) tuples, and each term of self visits only the group at its
-        right mask.  The loop evaluates the law inline, with what does not
-        depend on k and l taken once per left term: since l distributes over
-        the last two terms of _bracket(large, g, h, i, k, l), the middle mask
-        equals (g ^ l) | (l & (gl | ((h | k) & gil))) with
-        gl = g & large & ~i and gil = g & i & large.  On both paths
+        chain are read over int64 columns from other's cached _Index of its
+        terms by left mask, a chunk of left terms at a time
+        (_mul_by_columns), on the operands' cached forms; the product comes
+        back with its own form, and builds its index only if it is ever a
+        right operand.  Otherwise a per-pair loop runs, which below
+        KERNEL_PAIRS wins on numpy's fixed cost: the terms of other are
+        grouped by their left mask once, as (k, l, c) tuples, and each term
+        of self visits only the group at its right mask.  Both paths take
+        the part of the law that does not depend on k and l once per left
+        term, from _left_law, and finish it per pair: the valency mask is
+        hi & k and the middle mask (g ^ l) | (l & (a | (k & b))).  On both paths
         coefficients multiply as integers: in characteristic 0 each operand
         is scaled by the lcm of its denominators first (in int64 on the
         kernel path while _sum_bound of their L1 norms is below 2^63), and
@@ -653,14 +672,14 @@ class Element:
         acc: dict[Triple, int] = {}
         get, known = acc.get, valencies.get
         for (g, h, i), c1 in left:
-            hi, gl, gil = h & i, g & large & ~i, g & i & large
+            hi, a, b = _left_law(large, g, h, i)
             for k, l, c2 in by_left[i]:
                 m = hi & k
                 v = known(m)
                 if v is None:
                     v = valencies[m] = valency(spec, m) % p if p else valency(spec, m)
                 if v:
-                    t = (g, (g ^ l) | (l & (gl | ((h | k) & gil))), l)
+                    t = (g, (g ^ l) | (l & (a | (k & b))), l)
                     acc[t] = get(t, 0) + c1 * c2 * v
         if not p:
             return Element._with_terms(spec, _fraction_terms(dx * dy, acc.items()))

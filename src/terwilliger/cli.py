@@ -15,7 +15,9 @@ Three subcommands:
     print the resulting term.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on invalid input
-or when a command runs out of memory.
+or when a command runs out of memory.  Output that cannot be written also
+exits 1, with no traceback: quietly on a closed pipe (``| head``), with one
+``error:`` line on stderr for any other write error, such as a full device.
 
 Every command gets its spec from ``spec_from_args``: one ``SchemeSpec`` per
 ``--sizes`` text and ``--char`` value in a process, as the parser is built once.
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional, Sequence, TextIO
 
@@ -341,7 +344,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if command is None or rest:  # the whole parser refuses these, or prints its help
         args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a write error shows here, not when the interpreter exits
+        return code
+    except OSError as exc:  # the output cannot be written
+        _drop_stdout()
+        if not isinstance(exc, BrokenPipeError):  # a reader that left early is no error
+            print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -350,6 +360,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {args.command} ran out of memory at sizes {args.sizes},"
               f" characteristic {args.char}{detail}", file=sys.stderr)
         return 2
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that nothing left buffered is written at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a stdout without a descriptor, such as a StringIO
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ bound proves that exact).  At prime characteristic matrices are int64 (or
 Python ints for very large primes) reduced mod p.  Every field shares one
 fraction-free elimination (_pivot_rows), which cross-multiplies rows as in
 Bareiss' integer-preserving elimination: over Python ints at characteristic
-0, in int64 mod p below 2^31.  It takes rows a block of at most
+0, in int64 mod p below 2^31, with its pivots kept as uint8 or uint16 where
+p fits.  It takes rows a block of at most
 _CHUNK_ENTRIES entries at a time (_blocks), clears and casts each block once,
 and reduces each row only by the pivot at its leading column, until the
 row vanishes or leads at a new column.  Triple intersection counts are read
@@ -333,22 +334,26 @@ def _pivot_rows(spec: SchemeSpec, blocks: Iterable[np.ndarray]) -> list[tuple[in
     pivots it leads into, in row order, so the pivots do not depend on the
     blocking.  At prime characteristic pivot[col] is a unit, so no inverse
     is needed; rows are int64 below 2^31, where an update stays below
-    2p^2 < 2^63.  At characteristic 0 rows are Python ints, and a new pivot
-    row is divided by the gcd of its entries.
+    2p^2 < 2^63.  A pivot holds residues, so it is stored as uint8 below
+    p = 2^8 and as uint16 below 2^16, and widened to int64 for each step
+    (numpy before 2.0 would keep uint8 for uint8 times an int64 scalar).
+    At characteristic 0 rows are Python ints, and a new pivot row is divided
+    by the gcd of its entries.
     """
     p = spec.characteristic
     dtype = np.int64 if 0 < p < 1 << 31 else object
+    store = np.uint8 if 0 < p < 1 << 8 else np.uint16 if 0 < p < 1 << 16 else dtype
     pivots: dict[int, np.ndarray] = {}
     for block in blocks:
         rows = _reduce(spec, _integer_form(block)[0]).astype(dtype)
         for v in rows[np.any(rows != 0, axis=1)]:  # a zero row spans nothing
             nonzero = np.flatnonzero(v)
             while nonzero.size and (col := int(nonzero[0])) in pivots:
-                pivot = pivots[col]
+                pivot = pivots[col].astype(dtype, copy=False)
                 v = _reduce(spec, v * pivot[col] - pivot * v[col])
                 nonzero = np.flatnonzero(v)
             if nonzero.size:
-                pivots[col] = v if p else v // math.gcd(*v.tolist())
+                pivots[col] = v.astype(store) if p else v // math.gcd(*v.tolist())
     return list(pivots.items())
 
 

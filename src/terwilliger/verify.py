@@ -18,9 +18,9 @@ Products of linear combinations (the central elements of center-structure,
 the semisimple representatives of quotient-matrix-units and
 corner-structure) go through one product judge, _agreement, over integer
 numerators; it finds each product's chaining term pairs with
-algebra._chained_pairs, which lists the ranges of algebra._chained_ranges,
-the kernel Element.mul runs on large operands, read from one index of the
-combinations' terms by left mask (algebra._bucket_index) built with the judge.
+algebra._chained_pairs, which reads each left term's range from one index
+of the combinations' terms by left mask (algebra._bucket_index) built with
+the judge, as Element.mul's kernel reads its right operand's.
 quotient-matrix-units sweeps its pairs once, a chunk at a time, judging the
 matrix-unit law over triple columns (quotient._quotient_law) and the lift
 of each product through _agreement.

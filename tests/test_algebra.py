@@ -216,6 +216,26 @@ def test_column_law_equals_mul_triples_on_every_pair(sizes, p):
         assert np.array_equal(np.broadcast_to(col, grid.shape).ravel()[nonzero], flat[nonzero])
 
 
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("sizes", [(2, 3, 4), (2, 2, 3, 5)])
+def test_left_law_gives_the_masks_of_product_on_every_chaining_pair(sizes, p):
+    # Element.mul's loop and kernel take hi, a and b once per left term and
+    # finish the law as below; on masks and on int64 columns alike, that must
+    # give _product's valency mask and middle mask for every pair that chains.
+    spec = SchemeSpec(sizes=sizes, characteristic=p)
+    large = spec.large_mask
+    triples = basis_triples(spec)
+    pairs = [(t1, t2) for t1 in triples for t2 in triples if t1[2] == t2[0]]
+    for (g, h, i), (_, k, l) in pairs:
+        hi, a, b = algebra._left_law(large, g, h, i)
+        m, (_, middle, _) = algebra._product(large, (g, h, i), (i, k, l))
+        assert (hi & k, (g ^ l) | (l & (a | (k & b)))) == (m, middle)
+    (g, h, i), (_, k, l) = (np.array(side, dtype=np.int64).T for side in zip(*pairs))
+    hi, a, b = algebra._left_law(large, g, h, i)
+    m, (_, middle, _) = algebra._product(large, (g, h, i), (i, k, l))
+    assert np.array_equal(hi & k, m) and np.array_equal((g ^ l) | (l & (a | (k & b))), middle)
+
+
 @pytest.mark.parametrize("p", [0, 3, 2**61 - 1])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_product_of_large_operands_matches_the_all_pairs_definition(monkeypatch, p, seed):
@@ -304,6 +324,36 @@ def test_kernel_product_hands_over_the_form_of_its_terms(monkeypatch, p):
     again = outs[0].mul(outs[1])
     assert again.terms == all_pairs_product(outs[0], outs[1])
     assert_form_of_terms(again)
+
+
+@pytest.mark.parametrize("p", [3, 2**61 - 1])
+def test_prime_characteristic_form_holds_the_residues_over_one(monkeypatch, p):
+    # A fresh element's residues are its numerators, with d = 1 and no lcm
+    # taken; a kernel product of fresh operands equals the loop's.
+    def refused(values):
+        raise AssertionError("_integral at prime characteristic")
+
+    spec = SchemeSpec(sizes=(2, 3, 3, 4), characteristic=p)
+    rng = random.Random(p)
+    triples = basis_triples(spec)
+
+    def fresh():
+        return [Element(spec, {t: rng.randrange(1, p) for t in rng.sample(triples, 130)}) for _ in range(2)]
+
+    monkeypatch.setattr(algebra, "_integral", refused)
+    x, y = fresh()
+    form = x._column_form()
+    assert form.d == 1 and form.nums.tolist() == list(x.terms.values())
+    assert form.l1 == sum(x.terms.values())
+    assert form.nums.dtype == (np.int64 if p < 1 << 31 else object)
+    assert np.array_equal(form.columns, algebra._columns(list(x.terms)))
+    assert len(x.terms) * len(y.terms) >= KERNEL_PAIRS
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1 << 62)
+    looped = x.mul(y)
+    x, y = (Element(spec, e.terms) for e in (x, y))
+    assert x._form is None and y._form is None
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1)
+    assert x.mul(y).terms == looped.terms == all_pairs_product(x, y)
 
 
 @pytest.mark.parametrize("over", [False, True])

@@ -2,10 +2,14 @@
 
 import argparse
 import contextlib
+import errno
 import io
 import itertools
 import json
+import os
 import re
+import signal
+import subprocess
 import sys
 import time
 
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import terwilliger
 from terwilliger import algebra, center, cli, quotient, radical
 from terwilliger.algebra import dimension
 from terwilliger.center import center_summary
@@ -525,6 +530,9 @@ class Writes(list):
         self.append(text)
         return len(text)
 
+    def flush(self):  # main flushes stdout before it returns
+        pass
+
 
 def test_report_json_is_the_same_when_the_listing_spans_several_writes(monkeypatch):
     spec = SchemeSpec(sizes=(2, 3, 4, 5), characteristic=2)
@@ -593,3 +601,62 @@ def test_report_json_refuses_a_wrong_rad_dim_before_writing(monkeypatch):
     with contextlib.redirect_stdout(out), pytest.raises(RuntimeError, match="rad_dim triples"):
         cli.main(report_argv(SchemeSpec(sizes=(2, 3), characteristic=2), "--json"))
     assert out.getvalue() == ""
+
+
+REPORT_ARGV_36_P2 = ["report", "--json", "--sizes", "3,3,3,3,3,3", "--char", "2"]
+
+
+def cli_process(stdout) -> subprocess.Popen:
+    """`python -m terwilliger` on REPORT_ARGV_36_P2, with stdout as given and stderr piped."""
+    src = os.path.dirname(os.path.dirname(terwilliger.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.Popen(
+        [sys.executable, "-m", "terwilliger", *REPORT_ARGV_36_P2], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+def test_a_closed_pipe_ends_the_output_quietly():
+    # `report ... | head -c 10`: the reader leaves after 10 bytes of a report of
+    # some 800 kB, far past a pipe's buffer, so a later write meets the closed pipe.
+    proc = cli_process(subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) in (1, 141, -signal.SIGPIPE)
+    assert err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_full_device_ends_the_output_with_one_error_line():
+    with open("/dev/full", "wb") as full:
+        proc = cli_process(full)
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose every write raises exc."""
+
+    def __init__(self, exc: OSError):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+@pytest.mark.parametrize("argv", [REPORT_ARGV_36_P2, ["report", "--sizes", "2,3"], ["mul", "--sizes", "3", "1,1,1", "1,1,1"]])
+def test_a_write_that_fails_ends_the_command_with_one_error_line(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", FailingStdout(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))))
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: cannot write the output: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_a_broken_pipe_in_process_ends_the_command_quietly(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", FailingStdout(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))))
+    assert cli.main(["report", "--sizes", "2,3"]) == 1
+    assert capsys.readouterr().err == ""

@@ -400,3 +400,24 @@ def test_characteristic_zero_results_are_python_ints_and_fractions():
         assert {type(v) for v in prod.flat} <= {int, Fraction}
         assert prod.tolist() == (a @ b).tolist()
     assert {type(v) for v in mat_mul(spec, integral, integral).flat} == {int}
+
+
+@pytest.mark.parametrize(
+    "p, stored",
+    [(2, np.uint8), (3, np.uint8), (251, np.uint8), (257, np.uint16), (65521, np.uint16),
+     (65537, np.int64), (1048583, np.int64), (2**61 - 1, object)],
+)
+def test_prime_characteristic_pivots_are_stored_in_the_narrowest_type_of_a_residue(p, stored):
+    # Residues up to p - 1, with dependent rows that take several steps to vanish:
+    # each pivot is stored narrow, and the rank is the reference rank.
+    spec = SchemeSpec(sizes=(2, 3), characteristic=p)
+    rng = random.Random(p)
+    base = [[rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(12)] for _ in range(5)]
+    family = base + [
+        [sum(c * vec[j] for c, vec in zip(coeffs, base)) % p for j in range(12)]
+        for coeffs in ([rng.randrange(p) for _ in base] for _ in range(4))
+    ]
+    stack = np.array(family, dtype=np.int64).reshape(-1, 3, 4)
+    pivots = oracle._pivot_rows(spec, oracle._blocks(stack))
+    assert {v.dtype for _, v in pivots} == {np.dtype(stored)}
+    assert len(pivots) == span_rank(spec, stack) == _reference_rank(family, p) == 5
