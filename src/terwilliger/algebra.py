@@ -446,20 +446,24 @@ def _mul_by_columns(x: Element, y: Element) -> Element:
     count = index.offsets[i + 1] - lo
     valencies = _valency_column(spec)
     ends = np.cumsum(count)
+    # left term u's pairs are listed at positions ends[u] - count[u] to ends[u] - 1,
+    # and the one at position q reads position q + shift[u] of k, l and yn
+    shift = lo - ends + count
     # a chunk takes the left terms whose pairs end within the next _CHUNK_ENTRIES
     stops = np.searchsorted(ends, np.arange(_CHUNK_ENTRIES, ends[-1] + _CHUNK_ENTRIES, _CHUNK_ENTRIES), side="right")
     keys, sums = _NO_TRIPLES, xn[:0]
     for first, stop in zip(chain([0], stops), stops):
-        u, r = _spread(count[first:stop])
+        u = np.repeat(np.arange(first, stop), count[first:stop])
         if not u.size:
             continue
-        u += first
-        t = lo[u] + r
+        t = np.arange(ends[stop - 1] - len(u), ends[stop - 1]) + shift[u]
         kt, lt, gu = k[t], l[t], g[u]
         key = gu << 2 * n | ((gu ^ lt) | (lt & (a[u] | (kt & b[u])))) << n | lt
         factor = valencies[hi[u] & kt]
         values = xn[u] * yn[t] % p * factor % p if p else xn[u] * yn[t] * factor
-        keys, sums = _sum_by_key(np.concatenate([keys, key]), np.concatenate([sums, values]))
+        if keys.size:  # merge with the sums so far
+            key, values = np.concatenate([keys, key]), np.concatenate([sums, values])
+        keys, sums = _sum_by_key(key, values)
         if p:
             sums %= p
     keep = sums != 0
