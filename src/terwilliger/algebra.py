@@ -341,10 +341,10 @@ def _integral(values: Iterable[Scalar]) -> tuple[list[int], int]:
 # Element.mul goes through _mul_by_columns when |x| * |y| reaches this many
 # term pairs, and through its per-pair loop below it, where the kernel's
 # fixed numpy cost loses: on the six perfbench product specs, at
-# characteristic 0 and a prime, the kernel took 0.63 to 1.14 times the loop's
-# time at 4,096 pairs, 0.42 to 0.89 at 8,192 and 0.41 to 0.74 at 16,384 on
+# characteristic 0 and a prime, the kernel took 0.61 to 1.04 times the loop's
+# time at 4,096 pairs, 0.41 to 0.83 at 8,192 and 0.39 to 0.72 at 16,384 on
 # operands with cached forms; on fresh operands, which build their form and
-# index, 0.87 to 1.69, 0.70 to 1.24 and 0.56 to 1.12 (the sweep is in
+# index, 0.87 to 1.64, 0.62 to 1.20 and 0.55 to 1.14 (the sweep is in
 # CHANGES.md).  Fresh operands at (3,)^6/0 still lose at 8,192 and 16,384.
 KERNEL_PAIRS = 1 << 14
 
