@@ -16,12 +16,13 @@ bound proves that exact).  At prime characteristic matrices are int64 (or
 Python ints for very large primes) reduced mod p.  Every field shares one
 fraction-free elimination (_pivot_rows), which cross-multiplies rows as in
 Bareiss' integer-preserving elimination: over Python ints at characteristic
-0, in int64 mod p below 2^31, with its pivots kept as uint8 or uint16 where
-p fits.  It takes rows a block of at most
-_CHUNK_ENTRIES entries at a time (_blocks), clears and casts each block once,
-and reduces each row only by the pivot at its leading column, until the
-row vanishes or leads at a new column.  Triple intersection counts are read
-off the rows of the table.
+0, in int64 mod p below 2^31.  It takes rows a block of at most
+_CHUNK_ENTRIES entries at a time (_blocks), clears each block once, and
+reduces each row only by the pivot at its leading column, until the row
+vanishes or leads at a new column.  A pivot is kept as the positions and
+values of its nonzero entries only, so the pivots of a realized basis
+family, whose supports barely overlap, take far less memory than its
+stack.  Triple intersection counts are read off the rows of the table.
 The symbolic engine is validated against this module, so the two must not
 share formulas beyond the definition of the relations themselves.
 """
@@ -321,47 +322,48 @@ def _blocks(stack: np.ndarray) -> Iterator[np.ndarray]:
     return (rows[r.start : r.stop] for r in _chunks(len(rows), width))
 
 
-def _pivot_rows(spec: SchemeSpec, blocks: Iterable[np.ndarray]) -> list[tuple[int, np.ndarray]]:
-    """(col, v) pivot rows spanning the rows of the blocks, v[col] the first nonzero entry.
+def _pivot_rows(spec: SchemeSpec, blocks: Iterable[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(at, values) pivot rows spanning the rows of the blocks: each the positions and values
+    of its nonzero entries, at[0] its leading column.
 
     Each block is a 2-D array of rows, such as _blocks cuts from a stack;
-    it is cleared of denominators, reduced and cast once, and its zero rows
-    are dropped.  Exact elimination by leading column: while a pivot leads
-    at row v's first nonzero column col, v becomes v * pivot[col] - pivot *
-    v[col], reduced.  Every pivot is zero before its column, so each step
-    moves v's leading column right; a row that ends nonzero leads at a
-    column no pivot holds and becomes the pivot there.  A row meets only the
-    pivots it leads into, in row order, so the pivots do not depend on the
-    blocking.  At prime characteristic pivot[col] is a unit, so no inverse
-    is needed; rows are int64 below 2^31, where an update stays below
-    2p^2 < 2^63.  A pivot holds residues, so it is stored as uint8 below
-    p = 2^8 and as uint16 below 2^16, and widened to int64 for each step
-    (numpy before 2.0 would keep uint8 for uint8 times an int64 scalar).
-    At characteristic 0 rows are Python ints, and a new pivot row is divided
-    by the gcd of its entries.
+    it is cleared of denominators and reduced, and its zero rows are dropped.
+    Exact elimination by leading column: while a pivot leads at row v's first
+    nonzero column col, v becomes v * values[0] - pivot * v[col], reduced,
+    the pivot subtracted at its positions only.  Every pivot is zero before
+    its column, so each step moves v's leading column right; a row that ends
+    nonzero leads at a column no pivot holds and becomes the pivot there.  A
+    row meets only the pivots it leads into, in row order, so the pivots do
+    not depend on the blocking.  A row is cast to the elimination's type when
+    it meets a pivot: int64 below p = 2^31, where an update stays below
+    2p^2 < 2^63 (values[0] is a unit, so no inverse is needed), and Python
+    ints otherwise.  At characteristic 0 a new pivot's values are divided by
+    their gcd.
     """
     p = spec.characteristic
     dtype = np.int64 if 0 < p < 1 << 31 else object
-    store = np.uint8 if 0 < p < 1 << 8 else np.uint16 if 0 < p < 1 << 16 else dtype
-    pivots: dict[int, np.ndarray] = {}
+    pivots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for block in blocks:
-        rows = _reduce(spec, _integer_form(block)[0]).astype(dtype)
+        rows = _reduce(spec, _integer_form(block)[0])
         for v in rows[np.any(rows != 0, axis=1)]:  # a zero row spans nothing
             nonzero = np.flatnonzero(v)
             while nonzero.size and (col := int(nonzero[0])) in pivots:
-                pivot = pivots[col].astype(dtype, copy=False)
-                v = _reduce(spec, v * pivot[col] - pivot * v[col])
+                at, values = pivots[col]
+                scaled = v.astype(dtype, copy=False) * values[0]
+                scaled[at] -= values * int(v[col])
+                v = _reduce(spec, scaled)
                 nonzero = np.flatnonzero(v)
             if nonzero.size:
-                pivots[col] = v.astype(store) if p else v // math.gcd(*v.tolist())
-    return list(pivots.items())
+                values = v[nonzero].astype(dtype)
+                pivots[col] = nonzero, (values if p else values // math.gcd(*values.tolist()))
+    return list(pivots.values())
 
 
 def span_rank(spec: SchemeSpec, mats: Sequence[np.ndarray] | np.ndarray) -> int:
     """Rank of a family of matrices flattened to vectors: the number of pivot rows.
 
     The family is a stack, or a sequence of arrays of one shape; _pivot_rows
-    reduces its rows by leading column, casting a block of _blocks at a time.
+    reduces its rows by leading column, a block of _blocks at a time.
     """
     return len(_pivot_rows(spec, _blocks(np.asarray(mats))))
 
@@ -406,13 +408,16 @@ def annihilator_dim(
     Then G v = 0 for every generator G iff P v = 0, since each row of either
     is a combination of rows of the other.  So the returned value is the
     nullity of v -> P v, whose images hold rank(P) * N <= N^2 entries each.
+    The rows of P are scattered into one dense rank(P) x N array first.
     """
     triples = basis_triples(spec)
     basis = realize_stack(spec, triples, base_point, cap)
     gens, _ = _realize_combinations(spec, [e.terms for e in left_ideal], base_point, cap)
-    rows = [v for _, v in _pivot_rows(spec, _blocks(gens.reshape(-1, basis.shape[-1])))]
+    rows = _pivot_rows(spec, _blocks(gens.reshape(-1, basis.shape[-1])))
     if not rows:
         return len(triples)
-    pivots = np.stack(rows)
+    pivots = np.zeros((len(rows), basis.shape[-1]), dtype=rows[0][1].dtype)
+    for k, (at, values) in enumerate(rows):
+        pivots[k, at] = values
     chunks = (mat_mul(spec, pivots, basis[r.start : r.stop]) for r in _chunks(len(triples), basis[0].size))
     return len(triples) - len(_pivot_rows(spec, (c.reshape(len(c), -1) for c in chunks)))

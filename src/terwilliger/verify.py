@@ -28,7 +28,11 @@ corner-structure realizes every corner's representatives as one stack and
 multiplies their pairs as stacks.  Ranks (dimension-rank,
 frobenius-falsification, base-point-independence) reduce each row of a
 realized stack only by the pivot at its leading column (oracle._pivot_rows),
-casting a block of rows at a time.  intersection-numbers makes its
+a block of rows at a time.  oracle-sanity reads the dual idempotents
+through their diagonals, 2^n rows of N entries, and judges their 4^n
+products as the squares of the diagonals and the overlaps of their
+supports, with one dense oracle product per base point.
+intersection-numbers makes its
 triple-regularity draws one at a time, as each bounds the next, and then
 picks every drawn triple and compares all triple counts as arrays.
 """
@@ -330,19 +334,36 @@ def _check_oracle_sanity(spec, base_points, rng, cap) -> Outcome:
     count += 1
     width = 1 << spec.n
     for x in base_points:
-        duals = np.stack([oracle.dual_idempotent(spec, x, g, cap) for g in range(width)])
-        for chunk in _chunks(width**2, size**2):
-            g, h = np.divmod(np.arange(chunk.start, chunk.stop), width)
-            prods = oracle.mat_mul(spec, duals[g], duals[h])
-            bad = _first_failure(_equal_each(prods, duals[g] * (g == h)[:, None, None]))
-            if bad is not None:
-                g, h = divmod(chunk[bad], width)
-                return False, count + bad, (
-                    f"dual idempotents at {render_mask(g, spec.n)} and"
-                    f" {render_mask(h, spec.n)} break orthogonality at base point {x}"
-                )
-            count += len(chunk)
-        if not oracle.mat_eq(oracle._reduce(spec, duals.sum(axis=0)), ident):
+        duals = np.stack([oracle.dual_idempotent(spec, x, m, cap) for m in range(width)])
+        diagonals = np.diagonal(duals, axis1=1, axis2=2)
+        off = _first_failure(np.count_nonzero(duals, axis=(1, 2)) == np.count_nonzero(diagonals, axis=1))
+        if off is not None:
+            return False, count, (
+                f"dual idempotent at {render_mask(off, spec.n)} has an entry off its diagonal at base point {x}"
+            )
+        # E*_g E*_h = delta_gh E*_g on diagonals, pair g * width + h in sweep order: E*_g
+        # squares to itself entrywise, and for g != h the supports are disjoint, as a
+        # product of nonzero residues is nonzero
+        squares = oracle._reduce(spec, diagonals * diagonals)
+        support = (oracle._reduce(spec, diagonals) != 0).astype(np.int64)
+        ok = support @ support.T == 0
+        ok[np.diag_indices(width)] = _equal_each(squares, diagonals)
+        bad = _first_failure(ok.ravel())
+        if bad is not None:
+            g, h = divmod(bad, width)
+            return False, count + bad, (
+                f"dual idempotents at {render_mask(g, spec.n)} and"
+                f" {render_mask(h, spec.n)} break orthogonality at base point {x}"
+            )
+        count += width**2
+        # one dense product of a sampled E*_m with itself keeps the oracle's mat_mul exercised
+        m = rng.randrange(width)
+        if not oracle.mat_eq(oracle.mat_mul(spec, duals[m], duals[m]), np.diag(squares[m])):
+            return False, count, (
+                f"the oracle product of the dual idempotent at {render_mask(m, spec.n)} with itself"
+                f" differs from its diagonal at base point {x}"
+            )
+        if not np.all(oracle._reduce(spec, diagonals.sum(axis=0)) == 1):
             return False, count, f"dual idempotents at base point {x} do not sum to the identity"
         count += 1
     return True, count, ""

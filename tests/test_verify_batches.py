@@ -577,10 +577,53 @@ def test_oracle_sanity_matches_the_one_at_a_time_sweep(monkeypatch, last):
         oracle, "dual_idempotent",
         lambda spec, x, g, cap=DEFAULT_ORACLE_CAP: dual(spec, x, g, cap) * (2 if (x, g) == target else 1),
     )
-    chunk_of(monkeypatch, 3 * spec.num_points**2)  # six chunks of at most three pairs per base point
     expected = reference(ref_oracle_sanity, spec)
     # the adjacency identities, then a whole sweep and sum at the first base point when last
     assert not expected[0] and expected[1] == width + 2 + (width**2 + 1 + width**2 - 1 if last else 0)
+    assert run_check("oracle-sanity", spec) == expected
+
+
+@pytest.mark.parametrize("characteristic", [0, 3])
+def test_oracle_sanity_names_a_dual_idempotent_off_its_diagonal(monkeypatch, characteristic):
+    # The sweep reads each dual idempotent through its diagonal, so an entry off the
+    # diagonal must fail on its own, before the products at that base point.
+    spec = SchemeSpec(sizes=(2, 3), characteristic=characteristic)
+    width, pts = 1 << spec.n, verify.pick_base_points(spec, 2)
+    dual = oracle.dual_idempotent
+
+    def off_diagonal(spec, x, g, cap=DEFAULT_ORACLE_CAP):
+        m = dual(spec, x, g, cap).copy()
+        if (x, g) == (pts[-1], 2):
+            m[0, -1] = 1
+        return m
+
+    monkeypatch.setattr(oracle, "dual_idempotent", off_diagonal)
+    # the adjacency identities and a whole first base point pass
+    assert run_check("oracle-sanity", spec) == (
+        False, width + 2 + width**2 + 1,
+        f"dual idempotent at {render_mask(2, spec.n)} has an entry off its diagonal at base point {pts[-1]}",
+    )
+
+
+@pytest.mark.parametrize("characteristic", [0, 3])
+def test_oracle_sanity_names_the_first_pair_of_overlapping_dual_idempotents(monkeypatch, characteristic):
+    # E*_1 + E*_2 in place of E*_1 is still idempotent, but meets E*_2: the pairs g != h are
+    # judged by the supports of the diagonals, and the first failure is (1, 2), not (2, 1).
+    spec = SchemeSpec(sizes=(2, 3), characteristic=characteristic)
+    width, pts = 1 << spec.n, verify.pick_base_points(spec, 2)
+    dual = oracle.dual_idempotent
+
+    def overlapping(spec, x, g, cap=DEFAULT_ORACLE_CAP):
+        m = dual(spec, x, g, cap)
+        return m + dual(spec, x, 2, cap) if (x, g) == (pts[-1], 1) else m
+
+    monkeypatch.setattr(oracle, "dual_idempotent", overlapping)
+    expected = reference(ref_oracle_sanity, spec)
+    assert expected == (
+        False, width + 2 + width**2 + 1 + width + 2,
+        f"dual idempotents at {render_mask(1, spec.n)} and {render_mask(2, spec.n)}"
+        f" break orthogonality at base point {pts[-1]}",
+    )
     assert run_check("oracle-sanity", spec) == expected
 
 
@@ -1456,8 +1499,10 @@ def test_span_rank_of_a_stack_is_the_rank_of_its_matrices(monkeypatch, sizes, ch
                 chunk_of(patch, entries)
                 assert oracle.span_rank(spec, mats) == rank
                 again = oracle._pivot_rows(spec, oracle._blocks(stack))
-            assert [c for c, _ in again] == [c for c, _ in pivots]
-            assert all(a.tolist() == b.tolist() for (_, a), (_, b) in zip(again, pivots))
+            assert len(again) == len(pivots)
+            assert all(
+                a.tolist() == b.tolist() and u.tolist() == v.tolist() for (a, u), (b, v) in zip(again, pivots)
+            )
     empty = oracle.realize_stack(spec, [], x)
     assert empty.shape == (0,) + (spec.num_points,) * 2
     assert oracle.span_rank(spec, empty) == oracle.span_rank(spec, []) == 0
