@@ -15,14 +15,17 @@ both read.  Products of linear combinations held as columns find the term
 pairs that chain without enumerating all pairs: each left term reads its
 range from the right side's _Index, its terms bucketed by (combination,
 left mask) once, so no product sorts its operands.  Element.mul runs its
-kernel when its operands have KERNEL_PAIRS term pairs or more (2^14, the
-crossover measured against its per-pair loop) and the spec has at most
-KERNEL_FACTORS (12) factors with valencies in int64; verify's products of
-the semisimple representatives list their pairs with _chained_pairs.
-For the kernel each element caches its terms as columns and integer
-numerators (_Form), and a kernel product hands its own over, so a chain
-of products never rebuilds them; an element also caches its _Index on
-first use as a right operand.
+kernel when its operands' expected chaining pairs |x| * |y| / 2^n reach
+KERNEL_PAIRS (2^8, the crossover measured against its per-pair loop) and
+the spec has at most KERNEL_FACTORS (12) factors with valencies in int64;
+verify's products of the semisimple representatives list their pairs with
+_chained_pairs.  Each element caches its terms' integer numerators over
+their common denominator once (_integers), and both paths read them: the
+kernel within the element's columns (_Form), the loop beside the right
+operand's terms grouped by left mask (_right_groups).  A product hands its
+own form over, the kernel its _Form and the loop, at characteristic 0, its
+integers, so a chain of products never converts back from Fractions; an
+element builds its _Index or its groups on first use as a right operand.
 Both column products keep char-0 numerators in int64 under one
 rule, _sum_bound below 2^63.  One constant, _CHUNK_ENTRIES, sizes the
 chunks of every batched sweep, here, in the oracle and in verify (_chunks).
@@ -338,15 +341,17 @@ def _integral(values: Iterable[Scalar]) -> tuple[list[int], int]:
     return (list(nums), 1) if d == 1 else ([a * (d // b) for a, b in ratios], d)
 
 
-# Element.mul goes through _mul_by_columns when |x| * |y| reaches this many
-# term pairs, and through its per-pair loop below it, where the kernel's
-# fixed numpy cost loses: on the six perfbench product specs, at
-# characteristic 0 and a prime, the kernel took 0.61 to 1.04 times the loop's
-# time at 4,096 pairs, 0.41 to 0.83 at 8,192 and 0.39 to 0.72 at 16,384 on
-# operands with cached forms; on fresh operands, which build their form and
-# index, 0.87 to 1.64, 0.62 to 1.20 and 0.55 to 1.14 (the sweep is in
-# CHANGES.md).  Fresh operands at (3,)^6/0 still lose at 8,192 and 16,384.
-KERNEL_PAIRS = 1 << 14
+# Element.mul goes through _mul_by_columns when |x| * |y| / 2^n, the expected
+# number of term pairs that chain, reaches this many, and through its per-pair
+# loop below it, where the kernel's fixed numpy cost loses.  On the six
+# perfbench product specs, at characteristic 0 and a prime, the kernel took
+# 0.84 to 1.82 times the loop's time at 2^7 expected pairs, 0.67 to 1.48 at
+# 2^8 and 0.59 to 0.98 at 2^9 on operands with cached forms, and 1.18 to 2.44,
+# 0.92 to 1.94 and 0.81 to 1.31 on fresh ones, which build their forms and
+# index or groups (the sweep is in CHANGES.md).  At 2^8 it wins at (3,)^6,
+# ties at (2,3,3,4) and (2,3,3)/0, and loses at (2,3,3)/2, where every
+# valency with a size-3 factor vanishes mod 2 and the loop skips those pairs.
+KERNEL_PAIRS = 1 << 8
 
 # The kernel path reads valencies from _valency_column, one int64 for each of
 # the 2^n masks, so it serves specs of at most KERNEL_FACTORS factors (a table
@@ -430,7 +435,8 @@ def _mul_by_columns(x: Element, y: Element) -> Element:
     directly) come from one sort and np.add.reduceat, merged with the sums so
     far.  The sums in key order are the product's form: at characteristic 0
     they are divided by G = gcd(d, every sum), so that d / G is the lcm of the
-    output's denominators, and one Fraction is made per distinct value.
+    output's denominators, and one Fraction is made per distinct value and
+    spread to the terms by list indexing.
     """
     spec = x.spec
     p, n, full = spec.characteristic, spec.n, spec.full_mask
@@ -476,26 +482,35 @@ def _mul_by_columns(x: Element, y: Element) -> Element:
         # with no sum left g is d, which need not fit the sums' dtype
         sums, d = sums // g if sums.size else sums, d // g
         distinct, inverse = np.unique(sums, return_inverse=True)
-        coeffs = np.array([Fraction(c, d) for c in distinct.tolist()], dtype=object)[inverse].tolist()
+        made = [Fraction(c, d) for c in distinct.tolist()]
+        coeffs = [made[k] for k in inverse.tolist()]
     out = Element._with_terms(spec, dict(zip(zip(*columns.tolist()), coeffs)))
     out._form = _Form(columns, sums, d, int(np.abs(sums).sum()))
     return out
 
 
-def _fraction_terms(d: int, items: Iterable[tuple[Triple, int]]) -> dict[Triple, Fraction]:
-    """The terms of (triple, integer numerator) pairs over the denominator d, zeros dropped.
+def _fraction_terms(d: int, sums: Mapping[Triple, int]) -> tuple[dict[Triple, Fraction], tuple[list[int], int]]:
+    """The terms of integer sums over the denominator d, zeros dropped, and their integer form.
 
-    One Fraction is made per distinct numerator.
+    The sums are divided by G = gcd(d, every sum), so that d / G is the lcm
+    of the terms' denominators; the integer form is their numerators over
+    d / G in terms order, and d / G.  One Fraction is made per distinct
+    numerator.
     """
+    g = gcd(d, *sums.values())
+    d //= g
     terms: dict[Triple, Fraction] = {}
+    nums: list[int] = []
     made: dict[int, Fraction] = {}
-    for t, c in items:
+    for t, c in sums.items():
         if c:
+            c //= g
             q = made.get(c)
             if q is None:
                 q = made[c] = Fraction(c, d)
             terms[t] = q
-    return terms
+            nums.append(c)
+    return terms, (nums, d)
 
 
 def _accumulate(field: GroundField, acc: dict[Triple, Scalar], t: Triple, c: Scalar) -> None:
@@ -516,9 +531,9 @@ class Element:
     floats and any other inexact or foreign value.  The terms are read-only
     (a types.MappingProxyType, one per element, behind a property without a
     setter), so they stay canonical for the element's life and no operation
-    checks them again.  For the same reason the element's _Form, the column
-    form the kernel product reads, is cached on the element and never goes
-    stale.
+    checks them again.  For the same reason the forms the products read, the
+    integer numerators, the _Form of the kernel and each right operand's
+    index or groups, are cached on the element and never go stale.
     """
 
     # The _Form of the terms, built by _column_form on first use or handed
@@ -527,6 +542,13 @@ class Element:
     # The _Index of the terms as one combination, 2^n + 1 offsets and an
     # order, built by _right_index on first use as a kernel product's right operand.
     _index: Optional[_Index] = None
+    # The terms' integer numerators in terms order and their denominator d,
+    # built by _integers on first use or, at characteristic 0, handed over by
+    # the loop product that made the element.
+    _ints: Optional[tuple[list[int], int]] = None
+    # The terms grouped by left mask as (k, l, numerator) tuples, built by
+    # _right_groups on first use as a loop product's right operand.
+    _groups: Optional[dict[Mask, list[tuple[Mask, Mask, int]]]] = None
 
     def __init__(self, spec: SchemeSpec, terms: Optional[Mapping[Triple, Scalar]] = None) -> None:
         field = spec.field
@@ -556,15 +578,27 @@ class Element:
         """The nonzero coefficient of each basis triple, canonical and read-only."""
         return self._terms
 
-    def _column_form(self) -> _Form:
-        """The terms as a _Form, built from _columns once and cached.
+    def _integers(self) -> tuple[list[int], int]:
+        """The terms' integer numerators over d in terms order, and d, built once and cached.
 
         Residues at prime characteristic are the numerators, with d = 1;
-        characteristic-0 coefficients go through _integral.
+        characteristic-0 coefficients go through _integral, unless the
+        element already holds its _Form.
         """
+        if self._ints is None:
+            form = self._form
+            if form is not None:
+                self._ints = form.nums.tolist(), form.d
+            elif self.spec.characteristic:
+                self._ints = list(self._terms.values()), 1
+            else:
+                self._ints = _integral(self._terms.values())
+        return self._ints
+
+    def _column_form(self) -> _Form:
+        """The terms as a _Form, built once from _columns and _integers and cached."""
         if self._form is None:
-            values = self._terms.values()
-            nums, d = (list(values), 1) if self.spec.characteristic else _integral(values)
+            nums, d = self._integers()
             l1 = sum(map(abs, nums))
             dtype = np.int64 if l1 < 1 << 63 else object
             self._form = _Form(_columns(list(self._terms)), np.array(nums, dtype=dtype), d, l1)
@@ -576,6 +610,14 @@ class Element:
             columns = self._column_form().columns
             self._index = _bucket_index(self.spec, columns, np.array([columns.shape[1]]))
         return self._index
+
+    def _right_groups(self) -> dict[Mask, list[tuple[Mask, Mask, int]]]:
+        """The terms (j, k, l) as (k, l, numerator) tuples grouped by j, built once from _integers and cached."""
+        if self._groups is None:
+            groups = self._groups = {}
+            for (j, k, l), c in zip(self._terms, self._integers()[0]):
+                groups.setdefault(j, []).append((k, l, c))
+        return self._groups
 
     @classmethod
     def zero(cls, spec: SchemeSpec) -> Element:
@@ -627,57 +669,51 @@ class Element:
     def mul(self, other: Element) -> Element:
         """The product, summed over pairs of terms by the law of mul_triples.
 
-        A pair (g, h, i), (j, k, l) contributes only when i = j.  When
-        |self| * |other| reaches KERNEL_PAIRS, on specs of at most
-        KERNEL_FACTORS factors whose valencies fit in int64, the pairs that
-        chain are read over int64 columns from other's cached _Index of its
-        terms by left mask, a chunk of left terms at a time
-        (_mul_by_columns), on the operands' cached forms; the product comes
-        back with its own form, and builds its index only if it is ever a
-        right operand.  Otherwise a per-pair loop runs, which below
-        KERNEL_PAIRS wins on numpy's fixed cost: the terms of other are
-        grouped by their left mask once, as (k, l, c) tuples, and each term
-        of self visits only the group at its right mask.  Both paths take
-        the part of the law that does not depend on k and l once per left
-        term, from _left_law, and finish it per pair: the valency mask is
-        hi & k and the middle mask (g ^ l) | (l & (a | (k & b))).  On both paths
-        coefficients multiply as integers: in characteristic 0 each operand
-        is scaled by the lcm of its denominators first (in int64 on the
-        kernel path while _sum_bound of their L1 norms is below 2^63), and
-        one Fraction is made per distinct output numerator; in
-        characteristic p each output sum is reduced mod p.  Terms that sum
-        to zero are dropped.  Neither path checks the operand terms: they
-        are read-only and were made canonical when each element was built.
+        A pair (g, h, i), (j, k, l) contributes only when i = j.  When the
+        expected number of such pairs, |self| * |other| / 2^n, reaches
+        KERNEL_PAIRS, on specs of at most KERNEL_FACTORS factors whose
+        valencies fit in int64, the pairs that chain are read over int64
+        columns from other's cached _Index of its terms by left mask, a chunk
+        of left terms at a time (_mul_by_columns), on the operands' cached
+        forms; the product comes back with its own form, and builds its index
+        only if it is ever a right operand.  Otherwise a per-pair loop runs,
+        which below KERNEL_PAIRS wins on numpy's fixed cost: each term of
+        self visits only the group of other's terms at its right mask, read
+        from other's cached groups (_right_groups, built on first use as a
+        right operand), as (k, l, numerator) tuples.  Both paths take the
+        part of the law that does not depend on k and l once per left term,
+        from _left_law, and finish it per pair: the valency mask is hi & k
+        and the middle mask (g ^ l) | (l & (a | (k & b))).  On both paths
+        coefficients multiply as integers, each operand's read from its
+        cached _integers: in characteristic 0 the numerators of the operand
+        times the lcm of its denominators (in int64 on the kernel path while
+        _sum_bound of their L1 norms is below 2^63), with one Fraction made
+        per distinct output numerator, and the sums divided by their gcd with
+        the denominator are handed over to the product, as the kernel hands
+        over its form; in characteristic p the residues, each output sum
+        reduced mod p.  Terms that sum to zero are dropped.  Neither path
+        checks the operand terms: they are read-only and were made canonical
+        when each element was built.
         """
         spec = self.spec
         if other.spec is not spec:
             self._require_same_spec(other)
-        x, y = self._terms, other._terms
-        if len(x) * len(y) >= KERNEL_PAIRS and _on_columns(spec):
+        x = self._terms
+        if len(x) * len(other._terms) >> spec.n >= KERNEL_PAIRS and _on_columns(spec):
             return _mul_by_columns(self, other)
-        lefts = {t2[0] for t2 in y}
-        left = [(t1, c1) for t1, c1 in x.items() if t1[2] in lefts]
-        if not left:
-            return Element._with_terms(spec, {})
+        nums, dx = self._integers()
+        groups, dy = other._right_groups(), other._integers()[1]
         large = spec.large_mask
         p = spec.characteristic
-        right = y.items()
-        dx = dy = 1
-        if not p:
-            triples, coeffs = zip(*left)
-            nums, dx = _integral(coeffs)
-            left = zip(triples, nums)
-            nums, dy = _integral(y.values())
-            right = zip(y, nums)
-        by_left: dict[Mask, list[tuple[Mask, Mask, int]]] = {}
-        for (j, k, l), c2 in right:
-            by_left.setdefault(j, []).append((k, l, c2))
         valencies: dict[Mask, int] = {}
         acc: dict[Triple, int] = {}
-        get, known = acc.get, valencies.get
-        for (g, h, i), c1 in left:
+        get, known, group_at = acc.get, valencies.get, groups.get
+        for (g, h, i), c1 in zip(x, nums):
+            group = group_at(i)
+            if group is None:
+                continue
             hi, a, b = _left_law(large, g, h, i)
-            for k, l, c2 in by_left[i]:
+            for k, l, c2 in group:
                 m = hi & k
                 v = known(m)
                 if v is None:
@@ -686,7 +722,10 @@ class Element:
                     t = (g, (g ^ l) | (l & (a | (k & b))), l)
                     acc[t] = get(t, 0) + c1 * c2 * v
         if not p:
-            return Element._with_terms(spec, _fraction_terms(dx * dy, acc.items()))
+            terms, ints = _fraction_terms(dx * dy, acc)
+            out = Element._with_terms(spec, terms)
+            out._ints = ints
+            return out
         terms: dict[Triple, Scalar] = {}
         for t, c in acc.items():
             c %= p

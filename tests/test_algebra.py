@@ -131,6 +131,11 @@ def test_multiplication_distributes_over_sums(data):
     assert y.add(z).mul(x) == y.mul(x).add(z.mul(x))
 
 
+def chaining_pairs(x, y):
+    """The expected number of term pairs of x * y that chain, |x| * |y| / 2^n: Element.mul's switch rule."""
+    return len(x.terms) * len(y.terms) >> x.spec.n
+
+
 def all_pairs_product(x, y):
     """The definition of the product: every pair of terms through mul_triples."""
     spec, field = x.spec, x.spec.field
@@ -240,8 +245,8 @@ def test_left_law_gives_the_masks_of_product_on_every_chaining_pair(sizes, p):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_product_of_large_operands_matches_the_all_pairs_definition(monkeypatch, p, seed):
     # 150 terms each on 16 left masks, with few distinct coefficients, so
-    # that left-mask groups are long and output numerators repeat.  150^2
-    # term pairs reach KERNEL_PAIRS, so the product runs over columns.
+    # that left-mask groups are long and output numerators repeat.  150^2 / 2^4
+    # expected chaining pairs reach KERNEL_PAIRS, so the product runs over columns.
     # Residues of 2^61 - 1 (three of them) are multiplied as Python ints.
     spec = SchemeSpec(sizes=(3, 3, 3, 3), characteristic=p)
     rng = random.Random(seed)
@@ -258,7 +263,7 @@ def test_product_of_large_operands_matches_the_all_pairs_definition(monkeypatch,
 
     monkeypatch.setattr(algebra, "_numerator_dtype", spy)
     x, y = (Element(spec, {trip: coeff() for trip in rng.sample(triples, 150)}) for _ in range(2))
-    assert len(x.terms) * len(y.terms) >= KERNEL_PAIRS
+    assert chaining_pairs(x, y) >= KERNEL_PAIRS
     got = x.mul(y)
     assert got.terms == all_pairs_product(x, y)
     assert dtypes == [np.int64 if p < 1 << 31 else object]
@@ -288,12 +293,13 @@ def test_product_drops_terms_that_cancel():
 
 
 def assert_form_of_terms(x):
-    """x's cached form is the one _columns and _integral build from its terms."""
+    """x's cached form, and the integers read off it, are the ones _columns and _integral build from its terms."""
     nums, d = algebra._integral(x.terms.values())
     form = x._form
     assert form.columns.dtype == np.int64
     assert np.array_equal(form.columns, algebra._columns(list(x.terms)))
     assert (form.nums.tolist(), form.d, form.l1) == (nums, d, sum(map(abs, nums)))
+    assert x._integers() == (nums, d)  # read off the form, as a loop operand would
 
 
 @pytest.mark.parametrize("p", [0, 3])
@@ -302,7 +308,7 @@ def test_kernel_product_hands_over_the_form_of_its_terms(monkeypatch, p):
     # the sums divided by G = 2 over the lcm 2; at characteristic 3 its
     # (1,1,1) sum cancels.  (1,1,1) * y cancels in both fields, and nothing
     # of (0,0,0) * y chains.
-    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1)
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 0)
     spec = SchemeSpec(sizes=(3,), characteristic=p)
     half = Fraction(1, 2) if p == 0 else 2
     x = Element(spec, {(1, 1, 1): half, (0, 0, 0): 1, (1, 0, 1): 1})
@@ -326,6 +332,88 @@ def test_kernel_product_hands_over_the_form_of_its_terms(monkeypatch, p):
     assert_form_of_terms(again)
 
 
+@pytest.mark.parametrize("p", [0, 3])
+def test_loop_product_hands_over_the_integer_form_of_its_terms(monkeypatch, p):
+    # The products of the kernel's handover test, on the loop: x * x sums
+    # 2 (1,1,1) over d = 4 at characteristic 0, so its integer form holds the
+    # sums divided by G = 2 over the lcm 2; (1,1,1) * y cancels, and nothing
+    # of (0,0,0) * y chains, so both are zero with d = 1.  At characteristic 3
+    # the residues are the numerators, built from the terms when first read.
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1 << 62)
+    spec = SchemeSpec(sizes=(3,), characteristic=p)
+    half = Fraction(1, 2) if p == 0 else 2
+    x = Element(spec, {(1, 1, 1): half, (0, 0, 0): 1, (1, 0, 1): 1})
+    y = Element(spec, {(1, 0, 1): 1, (1, 1, 1): -half})
+    products = [(x, x), (x, y), (Element.basis(spec, (1, 1, 1)), y), (Element.basis(spec, (0, 0, 0)), y)]
+    if p == 0:  # (1,1,1) * y again over d = 2^80, past int64: nothing is left, and d becomes 1
+        tiny = Element(spec, {t: c / 2**40 for t, c in y.terms.items()})
+        products.append((Element.basis(spec, (1, 1, 1), Fraction(1, 2**40)), tiny))
+    outs = [a.mul(b) for a, b in products]
+    for (a, b), out in zip(products, outs):
+        assert out.terms == all_pairs_product(a, b)
+        assert (out._ints is not None) == (p == 0)  # handed over at characteristic 0
+        assert out._integers() == algebra._integral(out.terms.values())
+    assert [len(out.terms) for out in outs] == ([3, 2, 0, 0, 0] if p == 0 else [2, 2, 0, 0])
+    assert [out._integers()[1] for out in outs] == ([2, 2, 1, 1, 1] if p == 0 else [1] * 4)
+    # a product of loop outputs reads their integer forms and hands over its own
+    again = outs[0].mul(outs[1])
+    assert again.terms == all_pairs_product(outs[0], outs[1])
+    assert again._integers() == algebra._integral(again.terms.values())
+
+
+def test_loop_builds_each_operand_integer_form_once(monkeypatch):
+    # _integral runs once per operand however many products read it, and a
+    # loop product's handed-over form serves the next link of a chain; the
+    # right operand's left-mask groups are built once too.
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1 << 62)
+    built = []
+    integral = algebra._integral
+
+    def spy(values):
+        values = list(values)
+        built.append(len(values))
+        return integral(values)
+
+    monkeypatch.setattr(algebra, "_integral", spy)
+    spec = SchemeSpec(sizes=(2, 3, 3))
+    rng = random.Random(7)
+    triples = basis_triples(spec)
+    x, y = (Element(spec, {t: rng.choice(SMALL_FRACTIONS) for t in rng.sample(triples, k)}) for k in (16, 12))
+    first = [x.mul(y), y.mul(x), x.mul(x), y.mul(y)]
+    groups = x._groups, y._groups
+    for _ in range(2):
+        assert [x.mul(y), y.mul(x), x.mul(x), y.mul(y)] == first
+    assert built == [16, 12]
+    assert x._groups is groups[0] and y._groups is groups[1] and None not in groups
+    nums = y._integers()[0]
+    assert y._groups == {
+        j: [(k, l, c) for (m, k, l), c in zip(y.terms, nums) if m == j] for j in {t[0] for t in y.terms}
+    }
+    x2 = first[2]
+    x3 = x2.mul(x)
+    assert x3.terms == all_pairs_product(x2, x)
+    assert built == [16, 12] and x3._groups is None and x2._groups is None
+
+
+@pytest.mark.parametrize("p", [0, 5])
+def test_kernel_runs_from_kernel_pairs_expected_chaining_pairs(monkeypatch, p):
+    # |x| = 2^n, so |y| = KERNEL_PAIRS gives exactly KERNEL_PAIRS expected
+    # chaining pairs |x| * |y| / 2^n and the kernel runs; one term fewer gives
+    # one pair fewer and the loop runs.
+    spec = SchemeSpec(sizes=(2, 3, 3, 4), characteristic=p)
+    rng = random.Random(p)
+    triples = basis_triples(spec)
+    assert len(triples) >= KERNEL_PAIRS
+    coeff = (lambda: rng.choice(SMALL_FRACTIONS)) if p == 0 else (lambda: rng.randrange(1, p))
+    x = Element(spec, {t: coeff() for t in rng.sample(triples, 1 << spec.n)})
+    calls = spy_on_columns(monkeypatch)
+    for size in (KERNEL_PAIRS, KERNEL_PAIRS - 1):
+        y = Element(spec, {t: coeff() for t in rng.sample(triples, size)})
+        assert chaining_pairs(x, y) == size
+        assert x.mul(y).terms == all_pairs_product(x, y)
+    assert calls == [(1 << spec.n, KERNEL_PAIRS)]
+
+
 @pytest.mark.parametrize("p", [3, 2**61 - 1])
 def test_prime_characteristic_form_holds_the_residues_over_one(monkeypatch, p):
     # A fresh element's residues are its numerators, with d = 1 and no lcm
@@ -347,12 +435,12 @@ def test_prime_characteristic_form_holds_the_residues_over_one(monkeypatch, p):
     assert form.l1 == sum(x.terms.values())
     assert form.nums.dtype == (np.int64 if p < 1 << 31 else object)
     assert np.array_equal(form.columns, algebra._columns(list(x.terms)))
-    assert len(x.terms) * len(y.terms) >= KERNEL_PAIRS
+    assert chaining_pairs(x, y) >= KERNEL_PAIRS
     monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1 << 62)
     looped = x.mul(y)
     x, y = (Element(spec, e.terms) for e in (x, y))
     assert x._form is None and y._form is None
-    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1)
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 0)
     assert x.mul(y).terms == looped.terms == all_pairs_product(x, y)
 
 
@@ -362,7 +450,7 @@ def test_product_at_the_int64_bound_matches_the_all_pairs_definition(monkeypatch
     # one term pair of x * y chains there, so its sum is the bound
     # 4 * L1(x) * L1(y) itself: 2^63 - 4 in int64, or 2^63, one past int64,
     # on Python ints.
-    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1)
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 0)
     dtypes = []
     numerator_dtype = algebra._numerator_dtype
     monkeypatch.setattr(algebra, "_numerator_dtype", lambda *args: dtypes.append(numerator_dtype(*args)) or dtypes[-1])
@@ -431,7 +519,7 @@ def test_element_canonicalizes_or_refuses_each_coefficient(monkeypatch, p, bad, 
     y = Element(spec, {(0, 0, 0): bad, (1, 1, 1): 1})
     assert y.terms == ({(0, 0, 0): canonical} if canonical else {}) | {(1, 1, 1): spec.field.one()}
     assert [type(c) for c in y.terms.values()] == [int if p else Fraction] * len(y.terms)
-    for kernel_pairs in (1, 1 << 62):  # the kernel, then the loop
+    for kernel_pairs in (0, 1 << 62):  # the kernel, then the loop
         monkeypatch.setattr(algebra, "KERNEL_PAIRS", kernel_pairs)
         assert y.mul(y).terms == all_pairs_product(y, y)
 
@@ -454,7 +542,7 @@ def test_every_element_holds_read_only_terms(monkeypatch):
         x, x.add(y), x.neg(), x.sub(y), x.scale(3), x.scale(0), x.transpose(),
         Element.from_json(spec, x.to_json()), from_raw(spec, to_raw(x)), Element.identity(spec),
     ]
-    for kernel_pairs in (1, 1 << 62):  # the kernel, then the loop
+    for kernel_pairs in (0, 1 << 62):  # the kernel, then the loop
         monkeypatch.setattr(algebra, "KERNEL_PAIRS", kernel_pairs)
         results += [x.mul(x), x.mul(y)]
     assert [(a is x, b is x) for a, b in operands] == [(True, True), (True, False)]
@@ -469,17 +557,17 @@ def test_every_element_holds_read_only_terms(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [0, 2, 5, 2**61 - 1])
-@pytest.mark.parametrize("terms", [24, 180])  # 576 term pairs, below KERNEL_PAIRS, and 32,400 above
+@pytest.mark.parametrize("terms", [24, 180])  # 576 / 2^4 expected chaining pairs, below KERNEL_PAIRS, and 32,400 / 2^4 above
 def test_loop_and_kernel_give_identical_terms(monkeypatch, p, terms):
     spec = SchemeSpec(sizes=(2, 3, 3, 4), characteristic=p)
     rng = random.Random(f"{p}:{terms}")
     triples = basis_triples(spec)
     coeff = (lambda: rng.choice(SMALL_FRACTIONS)) if p == 0 else (lambda: rng.randrange(1, p))
     x, y = (Element(spec, {trip: coeff() for trip in rng.sample(triples, terms)}) for _ in range(2))
-    assert (terms**2 >= KERNEL_PAIRS) == (terms == 180)
+    assert (chaining_pairs(x, y) >= KERNEL_PAIRS) == (terms == 180)
     results = []
     # the kernel in one chunk, the kernel a left term per chunk, then the loop
-    for kernel_pairs, chunk_pairs in ((1, 1 << 62), (1, 1), (1 << 62, 1)):
+    for kernel_pairs, chunk_pairs in ((0, 1 << 62), (0, 1), (1 << 62, 1)):
         monkeypatch.setattr(algebra, "KERNEL_PAIRS", kernel_pairs)
         monkeypatch.setattr(algebra, "_CHUNK_ENTRIES", chunk_pairs)
         results.append([{t: (type(c), c) for t, c in a.mul(b).terms.items()} for a, b in ((x, y), (x, x), (y, x))])
@@ -510,7 +598,7 @@ def assert_index_of_terms(x):
 
 @pytest.mark.parametrize("p", [0, 3])
 def test_kernel_reads_each_right_operand_index_built_once(monkeypatch, p):
-    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1)
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 0)
     built = spy_on_indexes(monkeypatch)
     spec = SchemeSpec(sizes=(2, 3, 3), characteristic=p)
     rng = random.Random(p)
@@ -537,7 +625,7 @@ def test_kernel_reads_each_right_operand_index_built_once(monkeypatch, p):
 @pytest.mark.parametrize("p", [0, 5])
 def test_kernel_product_of_few_terms_at_kernel_factors(monkeypatch, p):
     # n = 12, so a right operand's index holds 2^12 + 1 offsets for its 3 terms
-    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 1)
+    monkeypatch.setattr(algebra, "KERNEL_PAIRS", 0)
     spec = SchemeSpec(sizes=(2,) * 10 + (3, 4), characteristic=p)
     assert spec.n == algebra.KERNEL_FACTORS
     large = spec.large_mask
@@ -569,7 +657,8 @@ def spy_on_columns(monkeypatch):
 def test_product_whose_valencies_pass_int64_matches_the_all_pairs_definition(monkeypatch, p):
     # At (2^16,)^4 the full mask's valency (2^16 - 1)^4 passes 2^63, and so
     # does its residue mod the prime 2^64 - 59: no valency column fits int64,
-    # so 130-term operands, above KERNEL_PAIRS, are multiplied by the loop.
+    # so 130-term operands, whose 130^2 / 2^4 expected chaining pairs pass
+    # KERNEL_PAIRS, are multiplied by the loop.
     spec = SchemeSpec(sizes=(2**16,) * 4, characteristic=p)
     top = valency(spec, spec.full_mask)
     assert (top % p if p else top) >= 1 << 63
@@ -577,7 +666,7 @@ def test_product_whose_valencies_pass_int64_matches_the_all_pairs_definition(mon
     triples = basis_triples(spec)
     coeff = (lambda: rng.choice(SMALL_FRACTIONS)) if p == 0 else (lambda: rng.randrange(1, p))
     x, y = (Element(spec, {trip: coeff() for trip in rng.sample(triples, 130)}) for _ in range(2))
-    assert len(x.terms) * len(y.terms) >= KERNEL_PAIRS
+    assert chaining_pairs(x, y) >= KERNEL_PAIRS
     calls = spy_on_columns(monkeypatch)
     for a, b in ((x, y), (x, x), (y, x)):
         assert a.mul(b).terms == all_pairs_product(a, b)
@@ -586,17 +675,23 @@ def test_product_whose_valencies_pass_int64_matches_the_all_pairs_definition(mon
 
 def test_product_on_more_than_kernel_factors_takes_the_loop(monkeypatch):
     # 2^13 masks: above KERNEL_FACTORS, so no 2^n valency column is built even
-    # for operands above KERNEL_PAIRS.  Right masks 0 and 1 make most pairs chain.
+    # for operands whose |x| * |y| / 2^13 expected chaining pairs reach
+    # KERNEL_PAIRS.  y holds two terms at each of the 2^13 left masks and x's
+    # right masks are 0 and 1, so each term of x chains with two of y's four
+    # at masks 0 and 1, and the definition need only be taken over those.
     spec = SchemeSpec(sizes=(2,) * 13)
     assert spec.n > algebra.KERNEL_FACTORS
+    full = spec.full_mask
     rng = random.Random(13)
-    masks = [rng.randrange(1 << 13) for _ in range(130)]
+    y = Element(spec, {(j, j ^ l, l): rng.choice(SMALL_FRACTIONS) for j in range(1 << 13) for l in (j, full ^ j)})
+    masks = rng.sample(range(1 << 13), -(-(KERNEL_PAIRS << 13) // len(y.terms)))
     x = Element(spec, {(g, g ^ (g & 1), g & 1): rng.choice(SMALL_FRACTIONS) for g in masks})
-    y = Element(spec, {(l & 1, l ^ (l & 1), l): rng.choice(SMALL_FRACTIONS) for l in masks})
-    assert len(x.terms) * len(y.terms) >= KERNEL_PAIRS
+    assert chaining_pairs(x, y) >= KERNEL_PAIRS
     calls = spy_on_columns(monkeypatch)
-    assert x.mul(y).terms == all_pairs_product(x, y)
-    assert calls == []
+    chaining = Element(spec, {t: c for t, c in y.terms.items() if t[0] < 2})
+    got = x.mul(y)
+    assert got.terms == all_pairs_product(x, chaining)
+    assert len(got.terms) == 2 * len(x.terms) and calls == []
 
 
 def test_product_over_columns_holds_a_chunk_of_pairs_at_a_time(monkeypatch):

@@ -202,3 +202,49 @@ def test_no_module_brings_a_float_into_numpy():
     assert modules
     found = {path.name: float_uses(path.read_text()) for path in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# Private parts of fractions.Fraction.  They differ across the Python versions the
+# package supports (requires-python >= 3.10): the _normalize keyword is gone from
+# 3.12, and _from_coprime_ints is new there.  The public Fraction(c, d) is the floor.
+FRACTION_INTERNALS = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
+
+
+def fraction_internals(source):
+    """Lines where a source names a private part of Fraction: as an attribute, a keyword,
+    a name, an imported name, or a string such as getattr's or attrgetter's."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.keyword):
+            name = node.arg
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.ImportFrom):
+            name = next((alias.name for alias in node.names if alias.name in FRACTION_INTERNALS), None)
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            continue
+        if name in FRACTION_INTERNALS:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_touches_the_internals_of_fraction():
+    source = (
+        "from fractions import Fraction\n"
+        "q = Fraction(1, 2)\n"  # 2: public
+        "Fraction(3, 4, _normalize=False)\n"  # 3
+        "Fraction._from_coprime_ints(3, 4)\n"  # 4
+        "q._numerator + q.numerator\n"  # 5
+        "getattr(q, '_denominator')\n"  # 6
+        "from fractions import _normalize\n"  # 7
+        "q.denominator\n"  # 8: public
+    )
+    assert fraction_internals(source) == [3, 4, 5, 6, 7]
+    modules = sorted((ROOT / "src" / "terwilliger").glob("*.py"))
+    assert modules
+    found = {path.name: fraction_internals(path.read_text()) for path in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
