@@ -32,6 +32,9 @@ a block of rows at a time.  oracle-sanity reads the dual idempotents
 through their diagonals, 2^n rows of N entries, and judges their 4^n
 products as the squares of the diagonals and the overlaps of their
 supports, with one dense oracle product per base point.
+center-commutation makes dense products only by the adjacency matrices,
+read off the relation table, and applies each 0/1 diagonal E*_h as a mask
+that zeroes a central element's columns (z·E*_h) or rows (E*_h·z).
 intersection-numbers makes its
 triple-regularity draws one at a time, as each bounds the next, and then
 picks every drawn triple and compares all triple counts as arrays.
@@ -548,22 +551,21 @@ def _pick(counts: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _check_center_commutation(spec, base_points, rng, cap) -> Outcome:
     width = 1 << spec.n
     indices = central_indices(spec)
+    table = oracle.relation_matrix(spec, cap)
     # Commutation compares products over the same denominators, so numerators suffice.
-    adjacency = np.stack([oracle.adjacency_matrix(spec, h, cap) for h in range(width)])
-    adjacency = oracle._integer_form(adjacency)[0]
+    adjacency = (table == np.arange(width)[:, None, None]).astype(np.int64)
     count = 0
     for x in base_points:
-        duals = np.stack([oracle.dual_idempotent(spec, x, h, cap) for h in range(width)])
-        duals = oracle._integer_form(duals)[0]
+        row = table[oracle._point_index(spec, x)]  # E*_h at x is the 0/1 diagonal of row == h
         centrals, _ = oracle._realize_combinations(
             spec, [central_element(spec, g).terms for g in indices], x, cap
         )
         for chunk in _chunks(len(indices) * width, spec.num_points**2):
             c, h = np.divmod(np.arange(chunk.start, chunk.stop), width)
+            z, a, at = centrals[c], adjacency[h], row == h[:, None]
             ok = np.empty((len(chunk), 2), dtype=bool)  # per pair: adjacency, then dual idempotent
-            for col, others in enumerate((adjacency[h], duals[h])):
-                left = oracle.mat_mul(spec, centrals[c], others)
-                ok[:, col] = _equal_each(left, oracle.mat_mul(spec, others, centrals[c]))
+            ok[:, 0] = _equal_each(oracle.mat_mul(spec, z, a), oracle.mat_mul(spec, a, z))
+            ok[:, 1] = _equal_each(z * at[:, None, :], z * at[:, :, None])
             bad = _first_failure(ok.ravel())
             if bad is not None:
                 c, h = divmod(chunk[bad // 2], width)
@@ -1021,10 +1023,7 @@ def run_all(
     """
     if base_points < 2:
         raise ValueError("at least two base points are required")
-    if spec.num_points > cap:
-        raise ValueError(
-            f"point set has {spec.num_points} elements, above the oracle cap {cap}"
-        )
+    oracle._check_cap(spec, cap)
     stack_bytes = dimension(spec) * spec.num_points**2
     if stack_bytes > STACK_BYTES_BOUND:
         raise ValueError(

@@ -770,14 +770,18 @@ def test_ideal_closure_matches_the_one_at_a_time_sweep(monkeypatch, break_law, w
     assert run_check("radical-nilpotency", spec) == expected
 
 
+@pytest.mark.parametrize("characteristic", [2, 0, (1 << 64) + 13])
+@pytest.mark.parametrize("fault, half", [((0, 1, 1), "the dual idempotent"), ((0, 0, 0), "adjacency")])
 @pytest.mark.parametrize("last", [False, True])
-def test_center_commutation_matches_the_one_at_a_time_sweep(monkeypatch, last):
-    spec = SchemeSpec(sizes=(3, 3), characteristic=2)
+def test_center_commutation_matches_the_one_at_a_time_sweep(monkeypatch, characteristic, fault, half, last):
+    # A basis element off the diagonal blocks does not commute with the dual idempotents;
+    # one inside a diagonal block commutes with them, but not with every adjacency matrix.
+    # At 2^64 + 13 the realized numerators are object arrays.
+    spec = SchemeSpec(sizes=(3, 3), characteristic=characteristic)
     indices = verify.central_indices(spec)
     target = indices[-1] if last else indices[0]
     central = verify.central_element
-    # A basis element off the diagonal blocks does not commute with the dual idempotents.
-    extra = Element.basis(spec, (0, 1, 1))
+    extra = Element.basis(spec, fault)
     monkeypatch.setattr(
         verify, "central_element",
         lambda spec, g: central(spec, g).add(extra) if g == target else central(spec, g),
@@ -786,6 +790,13 @@ def test_center_commutation_matches_the_one_at_a_time_sweep(monkeypatch, last):
     chunk_of(monkeypatch, width * spec.num_points**2)  # one central element a chunk
     expected = reference(ref_center_commutation, spec)
     assert not expected[0] and expected[1] // (2 * width) == (len(indices) - 1 if last else 0)
+    assert f"does not commute with {half}" in expected[2]
+
+    def unused(*args):
+        raise AssertionError("center-commutation builds no oracle adjacency or dual idempotent")
+
+    monkeypatch.setattr(oracle, "adjacency_matrix", unused)
+    monkeypatch.setattr(oracle, "dual_idempotent", unused)
     assert run_check("center-commutation", spec) == expected
 
 
@@ -1092,7 +1103,9 @@ def test_run_all_multiplies_a_chunk_at_a_time(monkeypatch):
     # sequence was multiplied on its own (oracle-sanity 32, structure-constants
     # 169, center-commutation 128, radical-nilpotency 170, frobenius 75,
     # corner-structure 4).  Every converted sweep fits in one chunk here, so it
-    # makes one product per chunk and factor: 16 in all.
+    # makes one product per chunk and factor: 16 in all.  center-commutation
+    # then applied the dual idempotents by dense products too; it now zeroes
+    # rows and columns for them, so 12.
     spec = SchemeSpec(sizes=(3, 3), characteristic=2)
     calls = {}
     current = [None]
@@ -1111,14 +1124,14 @@ def test_run_all_multiplies_a_chunk_at_a_time(monkeypatch):
     assert calls == {
         "oracle-sanity": 2,  # one per base point
         "structure-constants": 1,
-        "center-commutation": 8,  # both orders against both families, per base point
+        "center-commutation": 4,  # both orders against the adjacency matrices, per base point
         # each checked sequence vanishes at its first index - 1 factors, so the
         # last factor is never multiplied
         "radical-nilpotency": index - 2,
         "frobenius-falsification": 1,
         "corner-structure": 1,  # every corner's representative pairs as one stack
     }
-    assert sum(calls.values()) == 16
+    assert sum(calls.values()) == 12
 
 
 @pytest.mark.parametrize("sizes, characteristic", [((2,) * 5, 3), ((3, 4, 5), 2)])
